@@ -22,7 +22,6 @@ from .core import (
     write_grid_function_csv,
 )
 from .asymptotics import (
-    AsymptoticModel,
     DeltaSequence,
     delta_sequence,
     fit_c,

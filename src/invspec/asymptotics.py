@@ -269,44 +269,28 @@ def _trailing_true(mask: np.ndarray, carry: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    """Fitted tail description of a spectral sequence pair.
-
-    c is the drift constant of the eigenvalue tail; l_seq and s_seq are the
-    per-index remainders for n >= 2 (l_n = lambda_n - omega_n - c/(2 omega_n),
-    s_n extracted from the norming-constant form).  q_mean, when known,
-    should equal c.
-    """
-
-    c: float
-    l_seq: np.ndarray
-    s_seq: np.ndarray
-    q_mean: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "l_seq", _frozen(self.l_seq))
-        object.__setattr__(self, "s_seq", _frozen(self.s_seq))
-
-
 def signed_sqrt(mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     return np.sign(mu) * np.sqrt(np.abs(mu))
 
 
+def _drift_terms(data: SpectralData, delta: DeltaSequence):
+    """omega_n, lambda_n and g_n := 2*omega_n*(lambda_n - omega_n) for n >= 2."""
+    om = delta.omega(np.arange(2, data.count))
+    lam = signed_sqrt(data.mu[2:])
+    return om, lam, 2.0 * om * (lam - om)
+
+
 def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
     """Estimate the eigenvalue drift constant and per-index remainders.
 
-    g_n := 2*omega_n*(lambda_n - omega_n) tends to c; a least-squares fit of
-    g against [1, 1/omega] over the last third of the sequence extrapolates
-    the limit.  Returns (c, l_seq) with l_seq aligned to n >= 2.
+    g_n tends to c; a least-squares fit of g against [1, 1/omega] over the
+    last third of the sequence extrapolates the limit.  Returns (c, l_seq)
+    with l_seq aligned to n >= 2.
     """
     if data.count < 12:
         raise ConfigError("fit_c needs at least 12 data points")
-    ns = np.arange(2, data.count)
-    om = delta.omega(ns)
-    lam = signed_sqrt(data.mu[2:])
-    g = 2.0 * om * (lam - om)
+    om, lam, g = _drift_terms(data, delta)
     c = _tail_intercept(om, g, frac=1.0 / 3.0)
     # a non-Cauchy tail (fit_c_spread > 10%) is reported by validate(), not raised
     l_seq = lam - om - c / (2.0 * om)
@@ -315,10 +299,7 @@ def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
 
 def fit_c_spread(data: SpectralData, delta: DeltaSequence) -> float:
     """Gap between the last-third and last-sixth tail fits (Cauchy check)."""
-    ns = np.arange(2, data.count)
-    om = delta.omega(ns)
-    lam = signed_sqrt(data.mu[2:])
-    g = 2.0 * om * (lam - om)
+    om, _, g = _drift_terms(data, delta)
     return abs(_tail_intercept(om, g, 1.0 / 3.0) - _tail_intercept(om, g, 1.0 / 6.0))
 
 
@@ -336,81 +317,6 @@ def extract_s(data: SpectralData, delta: DeltaSequence) -> np.ndarray:
     ns = np.arange(2, data.count)
     om = delta.omega(ns)
     return (data.norming[2:] * 2.0 * om * om / PI - 1.0) * PI * om / 2.0
-
-
-def fit_s_coefficient(data: SpectralData, delta: DeltaSequence) -> float:
-    """Tail coefficient sigma of the model s_n ~ sigma/omega, least squares
-    over the last third.  Used to extend finite data when building kernels."""
-    s = extract_s(data, delta)
-    if s.size < 4:
-        return 0.0
-    om = delta.omega(np.arange(2, data.count))
-    m = max(4, om.size // 3)
-    w = 1.0 / om[-m:]
-    denom = float(np.dot(w, w))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(s[-m:], w) / denom)
-
-
-def asymptotic_lambda(model: AsymptoticModel, delta: DeltaSequence, n: int) -> float:
-    """Tail form of lambda_n: omega + c/(2 omega) + l_n."""
-    if n < DELTA_MIN_N:
-        raise ConfigError("asymptotic_lambda needs n >= 2")
-    om = float(delta.omega(n))
-    l_n = float(model.l_seq[n - 2]) if n - 2 < model.l_seq.size else 0.0
-    return om + model.c / (2.0 * om) + l_n
-
-
-def asymptotic_norming(model: AsymptoticModel, delta: DeltaSequence, n: int) -> float:
-    """Tail form of a_n: pi/(2 omega^2) * (1 + 2 s_n/(pi omega))."""
-    if n < DELTA_MIN_N:
-        raise ConfigError("asymptotic_norming needs n >= 2")
-    om = float(delta.omega(n))
-    s_n = float(model.s_seq[n - 2]) if n - 2 < model.s_seq.size else 0.0
-    return PI / (2.0 * om * om) * (1.0 + 2.0 * s_n / (PI * om))
-
-
-def remainder_series(model: AsymptoticModel, delta: DeltaSequence, t: float, which: str) -> tuple[float, float]:
-    """Truncated remainder series with a tail-bound estimate.
-
-    which='l': sum l_n sin(omega_n t); which='s': sum (s_n/omega_n) cos(omega_n t).
-    The bound extrapolates sum |coef| past the truncation from the last decade
-    of coefficients assuming the observed power-law decay.
-    """
-    if not (0.0 < t < 2.0 * PI):
-        raise DomainError(f"t={t} outside (0, 2*pi)")
-    if which not in ("l", "s"):
-        raise ConfigError("which must be 'l' or 's'")
-    seq = model.l_seq if which == "l" else model.s_seq
-    N = seq.size
-    ns = np.arange(2, N + 2)
-    om = delta.omega(ns)
-    if which == "l":
-        value = float(np.sum(seq * np.sin(om * t)))
-        coef = np.abs(seq)
-    else:
-        coef = np.abs(seq / om)
-        value = float(np.sum((seq / om) * np.cos(om * t)))
-    tail = _tail_bound(om, coef)
-    return value, tail
-
-
-def _tail_bound(om: np.ndarray, coef: np.ndarray) -> float:
-    m = max(4, om.size // 10)
-    c_tail, o_tail = coef[-m:], om[-m:]
-    pos = c_tail > 0
-    if pos.sum() < 2:
-        return 0.0
-    # fit |coef| ~ A / omega^p on the last decade, then bound the tail sum
-    logc, logo = np.log(c_tail[pos]), np.log(o_tail[pos])
-    p, logA = np.polyfit(logo, logc, 1)
-    p = -p
-    A = float(np.exp(logA))
-    if p <= 1.0 + 1e-9:
-        return float(c_tail.mean() * om[-1])  # crude: slow decay, report scale
-    N = float(om[-1])
-    return A / ((p - 1.0) * N ** (p - 1.0))
 
 
 # ---------------------------------------------------------------------------

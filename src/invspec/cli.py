@@ -54,7 +54,6 @@ class Config:
     accelerate: bool
     force: bool
     smoothing: float
-    threads: int
     json_logs: bool
 
     def as_dict(self) -> dict:
@@ -92,8 +91,6 @@ def _build_parser() -> _Parser:
                         help="proceed past admissibility hard-failures")
         sp.add_argument("--smoothing", type=float, default=0.0,
                         help="smoothing-spline parameter for the diagonal derivative")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="cap on parallel integral-equation rows")
         sp.add_argument("--json-logs", action="store_true",
                         help="machine-readable progress lines on stderr")
 
@@ -138,7 +135,6 @@ def _resolve_config(args) -> Config:
         accelerate=args.accelerate,
         force=args.force,
         smoothing=args.smoothing,
-        threads=args.threads,
         json_logs=args.json_logs,
     )
 
@@ -158,7 +154,7 @@ def _inverse_params(cfg: Config):
     from .roundtrip import InverseParams
     return InverseParams(n_terms=cfg.n_terms, n_quad=cfg.n_quad, x_nodes=cfg.x_nodes,
                          accelerate=cfg.accelerate, smoothing=cfg.smoothing,
-                         force=cfg.force, threads=cfg.threads)
+                         force=cfg.force)
 
 
 def _cmd_forward(cfg: Config) -> int:

@@ -83,23 +83,32 @@ def make_grid(n_nodes: int, rule_kind: RuleKind | str = RuleKind.GAUSS) -> Grid:
         raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
     if rule_kind is RuleKind.GAUSS:
         xi, wi = leggauss(n_nodes)
-        nodes = (xi + 1.0) * (PI / 2.0)
-        weights = wi * (PI / 2.0)
+        grid = Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0), rule_kind)
+    elif rule_kind is RuleKind.TRAPEZOID:
+        grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
     else:
-        nodes = np.linspace(0.0, PI, n_nodes)
+        if n_nodes % 2 == 0:
+            raise ConfigError("uniform-simpson needs an odd node count")
         h = PI / (n_nodes - 1)
-        if rule_kind is RuleKind.TRAPEZOID:
-            weights = np.full(n_nodes, h)
-            weights[0] = weights[-1] = h / 2.0
-        else:
-            if n_nodes % 2 == 0:
-                raise ConfigError("uniform-simpson needs an odd node count")
-            weights = np.full(n_nodes, 2.0 * h / 3.0)
-            weights[1::2] = 4.0 * h / 3.0
-            weights[0] = weights[-1] = h / 3.0
-    grid = Grid(nodes, weights, rule_kind)
+        weights = np.full(n_nodes, 2.0 * h / 3.0)
+        weights[1::2] = 4.0 * h / 3.0
+        weights[0] = weights[-1] = h / 3.0
+        grid = Grid(np.linspace(0.0, PI, n_nodes), weights, rule_kind)
     grid.validate()
     return grid
+
+
+def trapezoid_grid(nodes) -> Grid:
+    """Trapezoid rule on uniformly spaced nodes (any span, at least two
+    nodes): step (x[-1] - x[0])/(n - 1), halved at both ends."""
+    nodes = np.asarray(nodes, dtype=float)
+    h = np.diff(nodes)
+    if h.size == 0 or not np.all(h > 0) or h.max() - h.min() > 1e-9 * h.mean():
+        raise ConfigError("trapezoid nodes must be strictly increasing and uniformly spaced")
+    step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
+    weights = np.full(nodes.size, step)
+    weights[0] = weights[-1] = step / 2.0
+    return Grid(nodes, weights, RuleKind.TRAPEZOID)
 
 
 def gauss_rule(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -350,24 +359,11 @@ def _grid_from_nodes(nodes: np.ndarray) -> Grid:
         raise ConfigError("CSV grid needs at least 8 nodes")
     if abs(nodes[0]) > 1e-9 or abs(nodes[-1] - PI) > 1e-9:
         raise ConfigError("CSV grid must span [0, pi]")
-    h = np.diff(nodes)
-    if not np.all(h > 0):
-        raise ConfigError("CSV nodes must be strictly increasing")
-    if h.max() - h.min() > 1e-9 * h.mean():
-        raise ConfigError("CSV nodes must be uniformly spaced")
     nodes = nodes.copy()
     nodes[0], nodes[-1] = 0.0, PI  # absorb roundoff from the 17-digit format
-    step = PI / (nodes.size - 1)
-    weights = np.full(nodes.size, step)
-    weights[0] = weights[-1] = step / 2.0
-    grid = Grid(nodes, weights, RuleKind.TRAPEZOID)
+    grid = trapezoid_grid(nodes)
     grid.validate()
     return grid
-
-
-def read_grid_function_csv(path) -> GridFunction:
-    rows = _read_csv_rows(path)
-    return GridFunction(_grid_from_nodes(rows[:, 0]), rows[:, 1])
 
 
 def read_potential_csv(path) -> Potential:

@@ -390,10 +390,3 @@ def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction
 def _simpson(x: np.ndarray, y: np.ndarray) -> float:
     return float(simpson(y, x=x))
 
-
-def eigen_gram(solution: ForwardSolution, k: int | None = None) -> np.ndarray:
-    return solution.gram(k)
-
-
-def spectral_data_from_solution(solution: ForwardSolution) -> SpectralData:
-    return solution.spectral_data()

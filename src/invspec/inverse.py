@@ -30,10 +30,9 @@ from .asymptotics import (
     extract_s,
     fit_c,
     fit_c_spread,
-    fit_s_coefficient,
     signed_sqrt,
     sin_halfint_closed,
-    unperturbed_norming,
+    unperturbed_spectrum,
 )
 from .core import (
     PI,
@@ -41,15 +40,15 @@ from .core import (
     BoundaryAngle,
     Grid,
     Potential,
-    RuleKind,
     SpectralData,
     as_angle,
     gauss_rule,
     mucos,
     mucosm1,
     musin,
+    trapezoid_grid,
 )
-from .errors import AdmissibilityError, ConfigError, DataConsistencyError
+from .errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
 
 TWO_PI = 2.0 * PI
 DEFAULT_N_TERMS = 2000
@@ -93,7 +92,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         "detail": "" if pos else f"min a_n = {float(data.norming.min()):.3e}",
     })
 
-    c = sigma = None
+    c = None
     tail_ok = False
     if mono and pos:
         q_start = max(2, (3 * data.count) // 4)
@@ -122,9 +121,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         nl = np.abs(ns_all * l_seq)
         checks.append(_trend_check("eigenvalue-remainder-trend", nl))
 
-        s_seq = extract_s(data, delta)
-        sigma = fit_s_coefficient(data, delta)
-        checks.append(_trend_check("norming-remainder-trend", np.abs(s_seq)))
+        checks.append(_trend_check("norming-remainder-trend", np.abs(extract_s(data, delta))))
 
     hard_fail = any(ch["status"] == "fail" for ch in checks)
     return {
@@ -133,7 +130,6 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         "status": "fail" if hard_fail else (
             "warn" if any(ch["status"] == "warn" for ch in checks) else "pass"),
         "c_fit": c,
-        "sigma_fit": sigma,
         "count": data.count,
         "beta": beta.beta,
     }
@@ -167,15 +163,18 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     only combination the kernels depend on: fitting gamma_n ~ gamma/omega^2
     from the data tail makes data identical to the base cancel exactly.
     """
+    if n_terms < data.count:
+        raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
+                          "the pairs past n_terms would be dropped")
     c = data.c_fit
     if c is None:
         c = fit_c(data, delta)[0] if data.count >= 12 else 0.0
     gamma = _fit_gamma(data, delta, mu_base, a_base, zero_tol)
     mu = np.empty(n_terms)
     a = np.empty(n_terms)
-    m = min(data.count, n_terms)
-    mu[:m] = data.mu[:m]
-    a[:m] = data.norming[:m]
+    m = data.count
+    mu[:m] = data.mu
+    a[:m] = data.norming
     if n_terms > m:
         ns = np.arange(m, n_terms)
         om = delta.omega(ns)
@@ -206,17 +205,26 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
     return float(np.dot(g[-m:], w) / denom) if denom else 0.0
 
 
-def _base_arrays(beta: BoundaryAngle, delta: DeltaSequence, n_terms: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    lam0, lam1 = delta.low_modes
-    mu = np.empty(n_terms)
-    mu[0] = lam0 * abs(lam0)
-    if n_terms > 1:
-        mu[1] = lam1 * abs(lam1)
-    if n_terms > 2:
-        om = delta.omega(np.arange(2, n_terms))
-        mu[2:] = om * om
-    return mu, unperturbed_norming(mu)
+def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
+              a_b: np.ndarray, zero_tol: float) -> np.ndarray:
+    """Stable truncated sum of the paired H series plus its constants, over
+    all the given terms.
+
+    Terms are differenced before accumulation so identical data/base
+    entries cancel exactly.
+    """
+    out = np.zeros_like(t)
+    chunk = max(1, int(4_000_000 // max(t.size, 1)))
+    for n0 in range(0, mu_d.size, chunk):
+        n1 = min(n0 + chunk, mu_d.size)
+        term = (1.0 / a_d[n0:n1, None]) * mucosm1(mu_d[n0:n1, None], t[None, :])
+        term -= (1.0 / a_b[n0:n1, None]) * mucosm1(mu_b[n0:n1, None], t[None, :])
+        out += term.sum(axis=0)
+    reg_d = np.abs(mu_d) >= zero_tol
+    reg_b = np.abs(mu_b) >= zero_tol
+    const = float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
+                  - np.sum(1.0 / (a_b[reg_b] * mu_b[reg_b])))
+    return out + const
 
 
 class HFunction:
@@ -245,7 +253,8 @@ class HFunction:
         self.zero_tol = float(zero_tol)
         self.delta = delta
 
-        self.mu_b, self.a_b = _base_arrays(beta, delta, n_terms)
+        base = unperturbed_spectrum(beta, n_terms, delta)
+        self.mu_b, self.a_b = base.mu, base.norming
         self.mu_d, self.a_d, self.c, self.gamma_hat = _extend_data(
             data, delta, n_terms, self.mu_b, self.a_b, zero_tol)
 
@@ -260,45 +269,14 @@ class HFunction:
             (True, True): "zero-in-both",
         }[(has_zero_d, has_zero_b)]
 
-        self._reg_d = np.abs(self.mu_d) >= zero_tol
-        self._reg_b = np.abs(self.mu_b) >= zero_tol
-        self.const_reg = float(
-            np.sum(1.0 / (self.a_d[self._reg_d] * self.mu_d[self._reg_d]))
-            - np.sum(1.0 / (self.a_b[self._reg_b] * self.mu_b[self._reg_b]))
-        )
-
         self._grid = np.linspace(0.0, TWO_PI, grid_size)
-        vals = self._pair_sum(self._grid)
+        vals = _pair_sum(self._grid, self.mu_d, self.a_d, self.mu_b, self.a_b, zero_tol)
         if self.accelerate:
             vals = vals + self._tail_correction(self._grid)
         self._spline = CubicSpline(self._grid, vals)
         self._h_end = self._end_value()
 
     # -- summation pieces ---------------------------------------------------
-
-    def _pair_sum(self, t: np.ndarray, n_terms: int | None = None,
-                  mu_d=None, a_d=None, mu_b=None, a_b=None) -> np.ndarray:
-        """Stable truncated sum of the paired series plus its constants.
-
-        Terms are differenced before accumulation so identical data/base
-        entries cancel exactly.
-        """
-        N = self.n_terms if n_terms is None else min(int(n_terms), self.n_terms)
-        mu_d = self.mu_d if mu_d is None else mu_d
-        a_d = self.a_d if a_d is None else a_d
-        mu_b = self.mu_b if mu_b is None else mu_b
-        a_b = self.a_b if a_b is None else a_b
-        out = np.zeros_like(t)
-        chunk = max(1, int(4_000_000 // max(t.size, 1)))
-        for n0 in range(0, N, chunk):
-            n1 = min(n0 + chunk, N)
-            term = (1.0 / a_d[n0:n1, None]) * mucosm1(mu_d[n0:n1, None], t[None, :])
-            term -= (1.0 / a_b[n0:n1, None]) * mucosm1(mu_b[n0:n1, None], t[None, :])
-            out += term.sum(axis=0)
-        reg_d, reg_b = self._reg_d[:N], self._reg_b[:N]
-        const = float(np.sum(1.0 / (a_d[:N][reg_d] * mu_d[:N][reg_d]))
-                      - np.sum(1.0 / (a_b[:N][reg_b] * mu_b[:N][reg_b])))
-        return out + const
 
     def _partial_halfint(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Partial sums over n = 2..n_terms-1 of sin((n+1/2)t)/(n+1/2) and
@@ -328,40 +306,33 @@ class HFunction:
         """Series value at exactly t = 2*pi (the conditional part jumps there),
         summed directly from the extended model."""
         n_end = max(4 * self.n_terms, 16384)
-        mu_b, a_b = _base_arrays(self.beta, self.delta, n_end)
-        mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, mu_b, a_b,
+        base = unperturbed_spectrum(self.beta, n_end, self.delta)
+        mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, base.mu, base.norming,
                                        self.zero_tol)
-        reg_d = np.abs(mu_d) >= self.zero_tol
-        reg_b = np.abs(mu_b) >= self.zero_tol
-        t = np.array([TWO_PI])
-        total = 0.0
-        chunk = 4096
-        for n0 in range(0, n_end, chunk):
-            n1 = min(n0 + chunk, n_end)
-            term = (1.0 / a_d[n0:n1, None]) * mucosm1(mu_d[n0:n1, None], t[None, :])
-            term -= (1.0 / a_b[n0:n1, None]) * mucosm1(mu_b[n0:n1, None], t[None, :])
-            total += float(term.sum())
-        total += float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
-                       - np.sum(1.0 / (a_b[reg_b] * mu_b[reg_b])))
+        total = float(_pair_sum(np.array([TWO_PI]), mu_d, a_d, base.mu, base.norming,
+                                self.zero_tol)[0])
         # residual beyond n_end: gamma/omega^2 cosine part ~ -gamma_hat/n_end,
         # drift part ~ +4 c cot(beta)/n_end
-        total += (4.0 * self.c * self.beta.cot - self.gamma_hat) / n_end
-        return total
+        return total + (4.0 * self.c * self.beta.cot - self.gamma_hat) / n_end
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t):
-        t_arr = np.clip(np.asarray(t, dtype=float), 0.0, TWO_PI)
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < -1e-12) or np.any(t_arr > TWO_PI + 1e-12):
+            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {t_arr.min():.6g} "
+                              f"to {t_arr.max():.6g})")
+        t_arr = np.clip(t_arr, 0.0, TWO_PI)
         out = self._spline(t_arr)
         at_end = np.abs(t_arr - TWO_PI) <= 1e-12
         if np.any(at_end):
             out = np.where(at_end, self._h_end, out)
         return out if out.ndim else float(out)
 
-    def eval_direct(self, t, n_terms: int | None = None):
+    def eval_direct(self, t):
         """Truncated summation without the dense-grid cache or tail model."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = self._pair_sum(t_arr, n_terms=n_terms)
+        out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b, self.zero_tol)
         return out if np.ndim(t) else float(out[0])
 
     def truncation_tail_bound(self, t: float) -> float:
@@ -512,6 +483,28 @@ class KernelField:
             out = out + c * self.p_at(x + o * h, t)
         return out / h
 
+    def phi(self, x: float, mus) -> np.ndarray:
+        """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
+        mu, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0."""
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        if x <= 0.0:
+            return np.zeros(mus.size)
+        row = self.row(x)
+        return musin(mus, x) + musin(mus[:, None], row.nodes) @ (row.weights * row.values)
+
+    def dphi(self, x: float, mus, p_xx: float | None = None) -> np.ndarray:
+        """phi'(x, mu) = c(x) + P(x,x) s(x) + integral of P_x(x,t) s(t) dt for
+        each mu, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.  ``p_xx`` is
+        P(x,x) when the caller already holds it."""
+        mus = np.atleast_1d(np.asarray(mus, dtype=float))
+        if x <= 0.0:
+            return np.ones(mus.size)
+        row = self.row(x)
+        px = self.px_at(x, row.nodes)
+        p_xx = self.diag(x) if p_xx is None else p_xx
+        return (mucos(mus, x) + p_xx * musin(mus, x)
+                + musin(mus[:, None], row.nodes) @ (row.weights * px))
+
     def diagonal_residual(self, x: float) -> float:
         """Residual of the diagonal identity P(x,x) + F(x,x) + integral of
         P(x,s)F(s,x) ds (the t -> x limit of the row equation)."""
@@ -538,18 +531,11 @@ def _stencil(x: float, h: float):
 
 
 def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None,
-                       n_quad: int = DEFAULT_N_QUAD, threads: int = 1) -> KernelField:
+                       n_quad: int = DEFAULT_N_QUAD) -> KernelField:
     """Solve all rows of the kernel over the x grid (default 129 uniform)."""
     field = KernelField(F, x_nodes, n_quad)
-    xs = [x for x in field.x_nodes if x > 0.0]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda x: solve_gl(F, x, n_quad), xs))
-        for x, row in zip(xs, rows):
-            field._rows[round(float(x), 12)] = row
-    else:
-        for x in xs:
+    for x in field.x_nodes:
+        if x > 0.0:
             field.row(x)
     return field
 
@@ -565,7 +551,8 @@ def recover_q(field: KernelField, smoothing: float = 0.0,
 
     The diagonal is differentiated through a cubic spline (interpolating by
     default; a smoothing spline when ``smoothing`` > 0 regularizes noisy
-    diagonals), with one-sided derivatives at the endpoints.
+    diagonals), with one-sided derivatives at the endpoints.  ``x_out`` must
+    be uniformly spaced: the result carries trapezoid weights.
     """
     xs = field.x_nodes
     d = field.diagonal
@@ -577,13 +564,8 @@ def recover_q(field: KernelField, smoothing: float = 0.0,
         dspl = spl.derivative()
     else:
         dspl = CubicSpline(xs, d).derivative()
-    x_out = xs if x_out is None else np.asarray(x_out, dtype=float)
-    n = x_out.size
-    step = x_out[1] - x_out[0]
-    weights = np.full(n, step)
-    weights[0] = weights[-1] = step / 2.0
-    grid = Grid(x_out, weights, RuleKind.TRAPEZOID)
-    return Potential(grid, 2.0 * dspl(x_out))
+    grid = trapezoid_grid(xs if x_out is None else x_out)
+    return Potential(grid, 2.0 * dspl(grid.nodes))
 
 
 def reconstruct_phi(field: KernelField, mu: float, x_grid: Grid | None = None):
@@ -594,25 +576,9 @@ def reconstruct_phi(field: KernelField, mu: float, x_grid: Grid | None = None):
     phi(0) = 0, phi'(0) = 1 by construction.
     """
     from .forward import SolutionTrace  # local import to avoid a cycle
-    if x_grid is None:
-        n = field.x_nodes.size
-        step = field.x_step
-        w = np.full(n, step)
-        w[0] = w[-1] = step / 2.0
-        x_grid = Grid(field.x_nodes, w, RuleKind.TRAPEZOID)
-    phi = np.empty(x_grid.n)
-    dphi = np.empty(x_grid.n)
-    for i, x in enumerate(x_grid.nodes):
-        if x <= 0.0:
-            phi[i] = 0.0
-            dphi[i] = 1.0
-            continue
-        row = field.row(x)
-        s_nodes = musin(mu, row.nodes)
-        phi[i] = musin(mu, x) + float(np.dot(row.weights * row.values, s_nodes))
-        px = field.px_at(x, row.nodes)
-        dphi[i] = (mucos(mu, x) + field.diag(x) * musin(mu, x)
-                   + float(np.dot(row.weights * px, s_nodes)))
+    x_grid = trapezoid_grid(field.x_nodes) if x_grid is None else x_grid
+    phi = np.array([field.phi(x, mu)[0] for x in x_grid.nodes])
+    dphi = np.array([field.dphi(x, mu)[0] for x in x_grid.nodes])
     return SolutionTrace(x_grid, phi, dphi, float(mu))
 
 
@@ -638,18 +604,9 @@ def recover_beta(field: KernelField, data: SpectralData, k: int | None = None) -
     """
     if k is None:
         k = min(8, max(5, data.count // 4))
-    k = min(k, data.count)
-    row = field.row(PI)
-    px = field.px_at(PI, row.nodes)
-    d_pi = field.diag(PI)
-    ratios = np.empty(k)
-    for n in range(k):
-        mu = float(data.mu[n])
-        s_nodes = musin(mu, row.nodes)
-        phi_pi = musin(mu, PI) + float(np.dot(row.weights * row.values, s_nodes))
-        dphi_pi = (mucos(mu, PI) + d_pi * musin(mu, PI)
-                   + float(np.dot(row.weights * px, s_nodes)))
-        ratios[n] = -dphi_pi / phi_pi
+    mus = data.mu[:k]
+    d_pi = field.diag(PI)  # also feeds the prediction; evaluated once
+    ratios = -field.dphi(PI, mus, d_pi) / field.phi(PI, mus)
     med = float(np.median(ratios))
     spread = float(np.max(np.abs(ratios - med)))
     if spread > 1e-2 * (1.0 + abs(med)):
@@ -664,8 +621,8 @@ def recover_beta(field: KernelField, data: SpectralData, k: int | None = None) -
                         abs(med - prediction))
 
 
-def consistency_suite(field: KernelField, data: SpectralData, q_hat: Potential,
-                      beta_tilde: float, k_terms: int = 20, n_quad_x: int = 256) -> dict:
+def consistency_suite(field: KernelField, data: SpectralData, k_terms: int = 20,
+                      n_quad_x: int = 256) -> dict:
     """Post-hoc identities: diagonal residual, completeness defect of the
     rebuilt solutions for f(x)=x and f(x)=sin(x), and their Gram matrix
     against the data's norming constants."""
@@ -673,12 +630,7 @@ def consistency_suite(field: KernelField, data: SpectralData, q_hat: Potential,
     diag_res = max(abs(field.diagonal_residual(x)) for x in field.x_nodes)
 
     xg, wg = gauss_rule(n_quad_x, 0.0, PI)
-    phi_mat = np.empty((k_terms, n_quad_x))
-    mus = data.mu[:k_terms]
-    for i, x in enumerate(xg):
-        row = field.row(float(x))
-        s_mat = musin(mus[:, None], row.nodes[None, :])
-        phi_mat[:, i] = musin(mus, x) + s_mat @ (row.weights * row.values)
+    phi_mat = np.column_stack([field.phi(float(x), data.mu[:k_terms]) for x in xg])
 
     a = data.norming[:k_terms]
     parseval = {}

@@ -46,7 +46,6 @@ class InverseParams:
     accelerate: bool = True
     smoothing: float = 0.0
     force: bool = False
-    threads: int = 1
     k_consistency: int = 20
 
 
@@ -72,11 +71,10 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     H = build_H(data, data.beta, params.n_terms, accelerate=params.accelerate)
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)
-    field = solve_kernel_field(F, x_nodes, params.n_quad, threads=params.threads)
+    field = solve_kernel_field(F, x_nodes, params.n_quad)
     q_hat = recover_q(field, smoothing=params.smoothing)
     beta_rec = recover_beta(field, data)
-    cons = consistency_suite(field, data, q_hat, beta_rec.beta_tilde,
-                             k_terms=params.k_consistency)
+    cons = consistency_suite(field, data, k_terms=params.k_consistency)
     return InverseResult(data, q_hat, beta_rec, field, report, cons, params)
 
 

@@ -64,6 +64,13 @@ def test_usage_error_exit_code(workdir):
     assert r.returncode == 64 and "Traceback" not in r.stderr
 
 
+def test_inverse_truncation_below_data_count_exits_64(workdir):
+    # 40 pairs cannot drive a 20-term kernel without dropping half of them
+    r = run_cli("inverse", "ref.json", "--n-terms", "20", "-o", "short", cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert "n_terms=20" in r.stderr
+
+
 def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
     doc = json.loads(forward_out.read_text())
     assert doc["count"] == 16 and len(doc["mu"]) == 16

@@ -18,6 +18,7 @@ from invspec.core import (
     musin,
     read_potential_csv,
     sample_potential,
+    trapezoid_grid,
     write_grid_function_csv,
 )
 from invspec.errors import ConfigError, DomainError
@@ -28,6 +29,15 @@ RULES = [RuleKind.TRAPEZOID, RuleKind.SIMPSON, RuleKind.GAUSS]
 def test_make_grid_rejects_small():
     with pytest.raises(ConfigError):
         make_grid(2, RuleKind.TRAPEZOID)
+
+
+def test_trapezoid_grid_on_any_uniform_span():
+    g = trapezoid_grid(np.linspace(0.5, 2.5, 5))
+    assert np.array_equal(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
+    assert g.rule_kind is RuleKind.TRAPEZOID
+    for bad in (np.array([0.0, 0.1, 0.3, 0.6]), np.array([0.0, 1.0, 0.5]), np.array([1.0])):
+        with pytest.raises(ConfigError):
+            trapezoid_grid(bad)
 
 
 def test_simpson_grid_nodes_and_weights():

@@ -5,15 +5,17 @@ from hypothesis import given, strategies as st
 from invspec.asymptotics import unperturbed_spectrum
 from invspec.core import (
     PI,
-    Grid,
-    RuleKind,
     SpectralData,
     interpolant,
+    mucos,
+    musin,
+    trapezoid_grid,
 )
-from invspec.errors import AdmissibilityError, ConfigError, DataConsistencyError
+from invspec.errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
 from invspec.inverse import (
     build_F,
     build_H,
+    consistency_suite,
     recover_beta,
     recover_q,
     reconstruct_phi,
@@ -161,6 +163,22 @@ def test_h_needs_valid_truncation():
         build_H(example6_data(20), PI / 2, 4)
 
 
+def test_h_refuses_to_drop_data():
+    # a truncation shorter than the data would silently ignore the pairs past it
+    with pytest.raises(ConfigError):
+        build_H(example6_data(40), PI / 2, 20)
+
+
+def test_h_rejects_arguments_outside_its_domain():
+    H = _F_CACHE["F"].H
+    for t in (-0.1, 2 * PI + 0.1, np.array([0.5, 2 * PI + 0.1])):
+        with pytest.raises(DomainError):
+            H(t)
+    # roundoff past either end is clipped, not refused
+    assert H(-1e-13) == H(0.0)
+    assert H(2 * PI + 1e-13) == H(2 * PI)
+
+
 # --- F kernel ---------------------------------------------------------------------
 
 
@@ -298,6 +316,15 @@ def test_recover_q_zero_kernel():
     assert np.max(np.abs(q.values)) < 1e-8
 
 
+def test_recover_q_rejects_nonuniform_output_grid():
+    sp = unperturbed_spectrum(PI / 3, 24)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
+                               np.linspace(0, PI, 33), 48)
+    x_out = np.linspace(0.0, PI, 33) ** 2 / PI
+    with pytest.raises(ConfigError):
+        recover_q(field, x_out=x_out)
+
+
 def test_recover_q_integral_consistency(ex6_inverse):
     # running integral of q equals twice the kernel diagonal
     field = ex6_inverse.field
@@ -307,6 +334,18 @@ def test_recover_q_integral_consistency(ex6_inverse):
     for x in (0.5, 1.5, 2.8, PI):
         val, _ = quad(qf, 0.0, x, limit=200)
         assert val == pytest.approx(2.0 * field.diag(x), abs=1e-6)
+
+
+def test_kernel_field_solutions_zero_kernel():
+    # zero kernel: phi and phi' are the free solutions on every branch of mu
+    # (hyperbolic, zero, trigonometric), vectorized over mu
+    sp = unperturbed_spectrum(PI / 3, 24)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
+                               np.linspace(0, PI, 33), 48)
+    mus = np.array([-3.0, 0.0, 2.0, 40.0])
+    for x in (0.0, 0.7, 2.0, PI):
+        assert np.max(np.abs(field.phi(x, mus) - musin(mus, x))) < 1e-9
+        assert np.max(np.abs(field.dphi(x, mus) - mucos(mus, x))) < 1e-9
 
 
 def test_reconstruct_phi_zero_kernel():
@@ -325,10 +364,7 @@ def test_reconstruct_phi_satisfies_equation(ex6_inverse):
     n = 513
     xs = np.linspace(0.0, PI, n)
     step = xs[1] - xs[0]
-    w = np.full(n, step)
-    w[0] = w[-1] = step / 2
-    grid = Grid(xs, w, RuleKind.TRAPEZOID)
-    tr = reconstruct_phi(ex6_inverse.field, mu, grid)
+    tr = reconstruct_phi(ex6_inverse.field, mu, trapezoid_grid(xs))
     qv = example6_q(xs[1:-1])
     phixx = (tr.phi[2:] - 2 * tr.phi[1:-1] + tr.phi[:-2]) / step**2
     resid = -phixx + (qv - mu) * tr.phi[1:-1]
@@ -376,8 +412,6 @@ def test_consistency_suite_unperturbed():
     sp = unperturbed_spectrum(PI / 3, 24)
     field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
                                np.linspace(0, PI, 65), 64)
-    from invspec.inverse import consistency_suite
-    q = recover_q(field)
-    cons = consistency_suite(field, sp, q, PI / 3, k_terms=12)
+    cons = consistency_suite(field, sp, k_terms=12)
     assert cons["diagonal_residual_max"] < 1e-9
     assert cons["gram_offdiag_max"] < 1e-8

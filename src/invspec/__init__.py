@@ -15,7 +15,6 @@ from .core import (
     RuleKind,
     SpectralData,
     integrate,
-    interpolate,
     make_grid,
     read_potential_csv,
     sample_potential,
@@ -30,7 +29,7 @@ from .asymptotics import (
     unperturbed_spectrum,
 )
 from .forward import characteristic, eigenvalues, expand, forward_solve, norming_constants, shoot
-from .inverse import build_F, build_H, recover_beta, recover_q, reconstruct_phi, solve_gl, solve_kernel_field, validate
+from .inverse import build_F, build_H, recover_beta, recover_q, solve_gl, solve_kernel_field, validate
 from .roundtrip import InverseParams, RoundTripReport, example6_oracle, inverse_pipeline, roundtrip
 
 __version__ = "0.1.0"

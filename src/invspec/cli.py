@@ -4,7 +4,8 @@ Subcommands: ``forward`` (potential CSV -> spectral JSON), ``inverse``
 (spectral JSON -> recovered potential CSV + report JSON), ``roundtrip``,
 ``example6`` (bundled closed-form oracle) and ``validate``.  Exit codes:
 0 success, 1 numerical failure, 2 admissibility hard-fail (unless
-``--force``), 64 usage errors (including a missing input file).
+``--force``), 64 usage errors (including a missing input file, fewer than
+five ``--x-nodes`` and a ``--trim`` window holding no x node).
 Identical configurations produce bit-identical outputs, and every JSON
 artifact embeds its resolved configuration.
 """
@@ -51,9 +52,7 @@ class Config:
     n_quad: int
     x_nodes: int
     trim: tuple[float, float]
-    accelerate: bool
     force: bool
-    smoothing: float
     json_logs: bool
 
     def as_dict(self) -> dict:
@@ -85,12 +84,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--x-nodes", type=int, default=129, help="uniform x nodes for the kernel diagonal")
         sp.add_argument("--trim", type=float, nargs=2, default=(0.05, PI),
                         metavar=("LO", "HI"), help="comparison interval for round trips")
-        sp.add_argument("--no-accelerate", dest="accelerate", action="store_false",
-                        help="sum the kernel series directly (no closed-form tail)")
         sp.add_argument("--force", action="store_true",
                         help="proceed past admissibility hard-failures")
-        sp.add_argument("--smoothing", type=float, default=0.0,
-                        help="smoothing-spline parameter for the diagonal derivative")
         sp.add_argument("--json-logs", action="store_true",
                         help="machine-readable progress lines on stderr")
 
@@ -132,9 +127,7 @@ def _resolve_config(args) -> Config:
         n_quad=args.quad,
         x_nodes=args.x_nodes,
         trim=(float(args.trim[0]), float(args.trim[1])),
-        accelerate=args.accelerate,
         force=args.force,
-        smoothing=args.smoothing,
         json_logs=args.json_logs,
     )
 
@@ -153,7 +146,6 @@ def _write_json(path: Path, doc: dict, cfg: Config) -> None:
 def _inverse_params(cfg: Config):
     from .roundtrip import InverseParams
     return InverseParams(n_terms=cfg.n_terms, n_quad=cfg.n_quad, x_nodes=cfg.x_nodes,
-                         accelerate=cfg.accelerate, smoothing=cfg.smoothing,
                          force=cfg.force)
 
 

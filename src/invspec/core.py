@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import BarycentricInterpolator, CubicSpline
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 PI = float(np.pi)
 
@@ -27,7 +27,6 @@ ZERO_MU_TOL = 1e-10
 
 class RuleKind(str, Enum):
     TRAPEZOID = "uniform-trapezoid"
-    SIMPSON = "uniform-simpson"
     GAUSS = "gauss-legendre"
 
 
@@ -73,10 +72,9 @@ def make_grid(n_nodes: int, rule_kind: RuleKind | str = RuleKind.GAUSS) -> Grid:
     Parameters
     ----------
     n_nodes : int
-        Number of nodes, at least 8.  The composite Simpson rule additionally
-        needs an odd count.
+        Number of nodes, at least 8.
     rule_kind : RuleKind or str
-        One of ``uniform-trapezoid``, ``uniform-simpson``, ``gauss-legendre``.
+        One of ``uniform-trapezoid``, ``gauss-legendre``.
     """
     rule_kind = RuleKind(rule_kind)
     if n_nodes < MIN_GRID_NODES:
@@ -84,16 +82,8 @@ def make_grid(n_nodes: int, rule_kind: RuleKind | str = RuleKind.GAUSS) -> Grid:
     if rule_kind is RuleKind.GAUSS:
         xi, wi = leggauss(n_nodes)
         grid = Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0), rule_kind)
-    elif rule_kind is RuleKind.TRAPEZOID:
-        grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
     else:
-        if n_nodes % 2 == 0:
-            raise ConfigError("uniform-simpson needs an odd node count")
-        h = PI / (n_nodes - 1)
-        weights = np.full(n_nodes, 2.0 * h / 3.0)
-        weights[1::2] = 4.0 * h / 3.0
-        weights[0] = weights[-1] = h / 3.0
-        grid = Grid(np.linspace(0.0, PI, n_nodes), weights, rule_kind)
+        grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
     grid.validate()
     return grid
 
@@ -151,7 +141,6 @@ class BoundaryAngle:
     """
 
     beta: float
-    ALPHA = PI  # left endpoint condition is fixed: y(0) = 0
 
     def __post_init__(self):
         if not (0.0 < self.beta < PI) or np.sin(self.beta) <= 0.0:
@@ -179,16 +168,6 @@ def interpolant(f: GridFunction) -> Callable[[np.ndarray], np.ndarray]:
         return lambda x: bary(x)
     spline = CubicSpline(f.grid.nodes, f.values)
     return lambda x: spline(x)
-
-
-def interpolate(f: GridFunction, x: float) -> float:
-    """Interpolated value at x in [0, pi]; exact at the grid nodes."""
-    if x < -1e-12 or x > PI + 1e-12:
-        raise DomainError(f"x={x} outside [0, pi]")
-    idx = np.searchsorted(f.grid.nodes, x)
-    if idx < f.grid.n and f.grid.nodes[idx] == x:
-        return float(f.values[idx])
-    return float(interpolant(f)(x))
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +277,6 @@ class SpectralData:
     @property
     def count(self) -> int:
         return self.mu.size
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        """sqrt(mu) where mu >= 0, NaN where the eigenvalue is negative."""
-        with np.errstate(invalid="ignore"):
-            return np.where(self.mu >= 0.0, np.sqrt(np.maximum(self.mu, 0.0)), np.nan)
-
-    @property
-    def k_weights(self) -> np.ndarray:
-        """a_n * lambda_n^2 = a_n * mu_n; zero entries mark degenerate indices."""
-        return self.norming * self.mu
 
     def to_json_dict(self) -> dict:
         return {

@@ -63,19 +63,12 @@ class SolutionTrace:
 
 @dataclass(frozen=True)
 class EigenRecord:
-    """One eigenpair summary: mu_n, norming constant and endpoint ratios.
-
-    ``beta_ratio`` is the proportionality constant between the two one-sided
-    eigenfunction normalizations (sin(beta)/phi(pi, mu_n)); ``b`` is the
-    right-normalized norming constant beta_ratio^2 * a.
-    """
+    """One eigenpair summary: mu_n, norming constant and endpoint values."""
 
     index: int
     mu: float
     lam: float | None  # sqrt(mu) when mu >= 0, None marks an imaginary lambda
     a: float
-    beta_ratio: float
-    b: float
     phi_pi: float
     dphi_pi: float
 
@@ -139,7 +132,8 @@ def _ode_batch(qf, mus: np.ndarray, *, x_eval: np.ndarray | None = None,
     sol = solve_ivp(rhs, (0.0, PI), y0, method="DOP853", rtol=tol, atol=tol,
                     max_step=max_step, t_eval=x_eval, dense_output=False)
     if not sol.success:
-        raise NumericsError(f"ODE integration failed: {sol.message}")
+        raise NumericsError(f"ODE integration failed for mu in [{mus.min():.6g}, {mus.max():.6g}] "
+                            f"at tolerance {tol:.0e}: {sol.message}")
     yT = sol.y[:, -1]
     phi_end, dphi_end = yT[:m], yT[m:2 * m]
     norms = yT[2 * m:] if want_norm else None
@@ -264,7 +258,9 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int,
 
     mus = np.sort(x)
     if np.any(np.diff(mus) <= 0):
-        raise NumericsError("refined eigenvalues are not strictly increasing")
+        i = int(np.flatnonzero(np.diff(mus) <= 0)[0])
+        raise NumericsError(f"refined eigenvalues are not strictly increasing: "
+                            f"mu[{i}]={mus[i]:.12g}, mu[{i + 1}]={mus[i + 1]:.12g}")
     if check_oscillation:
         _check_oscillation_counts(q, mus)
     return mus
@@ -286,7 +282,8 @@ def _scan_low_modes(qf, beta: BoundaryAngle, q: Potential, first_edge: float):
             i0, i1 = idx[0], idx[1]
             return (mus[i0], mus[i0 + 1]), (mus[i1], mus[i1 + 1])
         mu_low = mu_low * 2.0 - 1.0
-    raise NumericsError("eigenvalue 0/1: scan below the first window found fewer than two roots")
+    raise NumericsError(f"eigenvalue 0/1: scan of mu in [{mus[0]:.6g}, {mus[-1]:.6g}] "
+                        "below the first window found fewer than two roots")
 
 
 def _check_oscillation_counts(q: Potential, mus: np.ndarray) -> None:
@@ -325,7 +322,6 @@ def norming_constants(q: Potential, beta: BoundaryAngle | float, mus: np.ndarray
                                                   want_norm=True, tol=1e-12)
     trace_idx = np.searchsorted(x_eval, trace_grid.nodes)
     quad_idx = np.searchsorted(x_eval, quad.nodes)
-    sb = np.sin(beta.beta)
     records, traces = [], []
     phi_quad = phi_path[:, quad_idx]
     for n, mu in enumerate(mus):
@@ -336,12 +332,9 @@ def norming_constants(q: Potential, beta: BoundaryAngle | float, mus: np.ndarray
             raise NumericsError(
                 f"eigenvalue {n}: phi(pi) vanishes with sin(beta) != 0; mu={mu} is not a true root"
             )
-        beta_ratio = sb / phi_pi
         records.append(EigenRecord(index=n, mu=float(mu),
                                    lam=float(np.sqrt(mu)) if mu >= 0 else None,
-                                   a=a_n, beta_ratio=beta_ratio,
-                                   b=beta_ratio * beta_ratio * a_n,
-                                   phi_pi=phi_pi, dphi_pi=dphi_pi))
+                                   a=a_n, phi_pi=phi_pi, dphi_pi=dphi_pi))
         traces.append(SolutionTrace(trace_grid, phi_path[n, trace_idx],
                                     dphi_path[n, trace_idx], float(mu)))
     return records, traces, quad, phi_quad
@@ -356,19 +349,6 @@ def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardS
     return ForwardSolution(beta, q, records, traces, quad, phi_quad, delta)
 
 
-def wronskian_derivative(q: Potential, beta: BoundaryAngle | float, mu: float) -> float:
-    """d/dmu of the Wronskian at mu by Richardson-extrapolated central
-    differences of the characteristic function (W = -Omega)."""
-    beta = as_angle(beta)
-    h = 1e-5 * (1.0 + abs(mu))
-    pts = np.array([mu - h, mu + h, mu - h / 2, mu + h / 2])
-    qf = interpolant(q)
-    vals = _omega_batch(qf, beta, pts, POLISH_TOL)
-    d_h = (vals[1] - vals[0]) / (2 * h)
-    d_h2 = (vals[3] - vals[2]) / h
-    return float(-(4.0 * d_h2 - d_h) / 3.0)
-
-
 def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction:
     """Partial eigenfunction expansion of f sampled back on f's grid.
 
@@ -381,12 +361,8 @@ def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction
     fx = interpolant(f)(tgrid.nodes)
     out = np.zeros(f.grid.n)
     for rec, tr in zip(records[:N], traces[:N]):
-        c_n = _simpson(tr.grid.nodes, fx * tr.phi) / rec.a
+        c_n = float(simpson(fx * tr.phi, x=tr.grid.nodes)) / rec.a
         phi_on_f = CubicSpline(tr.grid.nodes, tr.phi)(f.grid.nodes)
         out += c_n * phi_on_f
     return GridFunction(f.grid, out)
-
-
-def _simpson(x: np.ndarray, y: np.ndarray) -> float:
-    return float(simpson(y, x=x))
 

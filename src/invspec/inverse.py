@@ -10,18 +10,17 @@ boundary angle from the constancy of phi'(pi)/phi(pi) over eigenvalues.
 
 H is summed in the numerically stable form (cos(lt)-1)/mu plus per-index
 constants, which turns the degenerate zero-eigenvalue branches into exact
-limits of the regular formula.  With acceleration on, the conditionally
-convergent part of the truncation tail (drift constant times the
-sine-over-frequency series) is restored from closed forms, and the leading
-absolutely convergent cosine tail from the fitted coefficient model.
+limits of the regular formula.  The conditionally convergent part of the
+truncation tail (drift constant times the sine-over-frequency series) is
+restored from closed forms, and the leading absolutely convergent cosine
+tail from the fitted coefficient model.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_smoothing_spline
+from scipy.interpolate import CubicSpline
 
 from .asymptotics import (
     DeltaSequence,
@@ -38,7 +37,6 @@ from .core import (
     PI,
     ZERO_MU_TOL,
     BoundaryAngle,
-    Grid,
     Potential,
     SpectralData,
     as_angle,
@@ -153,8 +151,7 @@ def _trend_check(name: str, seq: np.ndarray) -> dict:
 
 
 def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
-                 mu_base: np.ndarray, a_base: np.ndarray,
-                 zero_tol: float = ZERO_MU_TOL
+                 mu_base: np.ndarray, a_base: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Continue (mu_n, a_n) past the data by the fitted tail model.
 
@@ -169,7 +166,7 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     c = data.c_fit
     if c is None:
         c = fit_c(data, delta)[0] if data.count >= 12 else 0.0
-    gamma = _fit_gamma(data, delta, mu_base, a_base, zero_tol)
+    gamma = _fit_gamma(data, delta, mu_base, a_base)
     mu = np.empty(n_terms)
     a = np.empty(n_terms)
     m = data.count
@@ -186,14 +183,14 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
 
 
 def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
-               a_base: np.ndarray, zero_tol: float = ZERO_MU_TOL) -> float:
+               a_base: np.ndarray) -> float:
     """Tail coefficient of 1/k_n - 1/k_n(base) ~ gamma/omega^2, least squares
     over the last third of the regular (nonzero-mu) indices."""
     hi = min(data.count, mu_base.size)
     if hi < 6:
         return 0.0
     ns = np.arange(2, hi)
-    ok = (np.abs(data.mu[ns]) >= zero_tol) & (np.abs(mu_base[ns]) >= zero_tol)
+    ok = (np.abs(data.mu[ns]) >= ZERO_MU_TOL) & (np.abs(mu_base[ns]) >= ZERO_MU_TOL)
     ns = ns[ok]
     if ns.size < 4:
         return 0.0
@@ -206,7 +203,7 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
 
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
-              a_b: np.ndarray, zero_tol: float) -> np.ndarray:
+              a_b: np.ndarray) -> np.ndarray:
     """Stable truncated sum of the paired H series plus its constants, over
     all the given terms.
 
@@ -220,8 +217,8 @@ def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray
         term = (1.0 / a_d[n0:n1, None]) * mucosm1(mu_d[n0:n1, None], t[None, :])
         term -= (1.0 / a_b[n0:n1, None]) * mucosm1(mu_b[n0:n1, None], t[None, :])
         out += term.sum(axis=0)
-    reg_d = np.abs(mu_d) >= zero_tol
-    reg_b = np.abs(mu_b) >= zero_tol
+    reg_d = np.abs(mu_d) >= ZERO_MU_TOL
+    reg_b = np.abs(mu_b) >= ZERO_MU_TOL
     const = float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
                   - np.sum(1.0 / (a_b[reg_b] * mu_b[reg_b])))
     return out + const
@@ -237,9 +234,7 @@ class HFunction:
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
-                 n_terms: int = DEFAULT_N_TERMS, *, accelerate: bool = True,
-                 delta: DeltaSequence | None = None, grid_size: int = H_GRID_SIZE,
-                 zero_tol: float = ZERO_MU_TOL):
+                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
         beta = as_angle(beta)
         if n_terms < 8:
             raise ConfigError("n_terms too small")
@@ -249,17 +244,15 @@ class HFunction:
         self.beta = beta
         self.data = data
         self.n_terms = int(n_terms)
-        self.accelerate = bool(accelerate)
-        self.zero_tol = float(zero_tol)
         self.delta = delta
 
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
         self.mu_d, self.a_d, self.c, self.gamma_hat = _extend_data(
-            data, delta, n_terms, self.mu_b, self.a_b, zero_tol)
+            data, delta, n_terms, self.mu_b, self.a_b)
 
-        zero_d = np.abs(self.mu_d[:data.count]) < zero_tol
-        zero_b = np.abs(self.mu_b[:2]) < zero_tol
+        zero_d = np.abs(self.mu_d[:data.count]) < ZERO_MU_TOL
+        zero_b = np.abs(self.mu_b[:2]) < ZERO_MU_TOL
         has_zero_d = bool(zero_d.any())
         has_zero_b = bool(zero_b.any())
         self.branch = {
@@ -269,10 +262,9 @@ class HFunction:
             (True, True): "zero-in-both",
         }[(has_zero_d, has_zero_b)]
 
-        self._grid = np.linspace(0.0, TWO_PI, grid_size)
-        vals = _pair_sum(self._grid, self.mu_d, self.a_d, self.mu_b, self.a_b, zero_tol)
-        if self.accelerate:
-            vals = vals + self._tail_correction(self._grid)
+        self._grid = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
+        vals = (_pair_sum(self._grid, self.mu_d, self.a_d, self.mu_b, self.a_b)
+                + self._tail_correction(self._grid))
         self._spline = CubicSpline(self._grid, vals)
         self._h_end = self._end_value()
 
@@ -307,10 +299,8 @@ class HFunction:
         summed directly from the extended model."""
         n_end = max(4 * self.n_terms, 16384)
         base = unperturbed_spectrum(self.beta, n_end, self.delta)
-        mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, base.mu, base.norming,
-                                       self.zero_tol)
-        total = float(_pair_sum(np.array([TWO_PI]), mu_d, a_d, base.mu, base.norming,
-                                self.zero_tol)[0])
+        mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, base.mu, base.norming)
+        total = float(_pair_sum(np.array([TWO_PI]), mu_d, a_d, base.mu, base.norming)[0])
         # residual beyond n_end: gamma/omega^2 cosine part ~ -gamma_hat/n_end,
         # drift part ~ +4 c cot(beta)/n_end
         return total + (4.0 * self.c * self.beta.cot - self.gamma_hat) / n_end
@@ -332,7 +322,7 @@ class HFunction:
     def eval_direct(self, t):
         """Truncated summation without the dense-grid cache or tail model."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b, self.zero_tol)
+        out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b)
         return out if np.ndim(t) else float(out[0])
 
     def truncation_tail_bound(self, t: float) -> float:
@@ -346,10 +336,9 @@ class HFunction:
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
-            n_terms: int = DEFAULT_N_TERMS, *, accelerate: bool = True,
-            delta: DeltaSequence | None = None) -> HFunction:
+            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None) -> HFunction:
     """Construct the H evaluator (see :class:`HFunction`)."""
-    return HFunction(data, beta, n_terms, accelerate=accelerate, delta=delta)
+    return HFunction(data, beta, n_terms, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -435,6 +424,9 @@ class KernelField:
         self.F = F
         self.x_nodes = (np.linspace(0.0, PI, DEFAULT_X_NODES)
                         if x_nodes is None else np.asarray(x_nodes, dtype=float))
+        if self.x_nodes.size < 5:
+            # the five-node px_at stencil at pi needs four nodes below it
+            raise ConfigError(f"x_nodes={self.x_nodes.size}: the kernel field needs at least 5 nodes")
         if self.x_nodes[0] != 0.0:
             raise ConfigError("x grid must start at 0")
         self.n_quad = int(n_quad)
@@ -545,41 +537,17 @@ def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 
-def recover_q(field: KernelField, smoothing: float = 0.0,
-              x_out: np.ndarray | None = None) -> Potential:
-    """Potential from the kernel diagonal: q = 2 d/dx P(x,x).
+def recover_q(field: KernelField) -> Potential:
+    """Potential from the kernel diagonal on the field's x grid:
+    q = 2 d/dx P(x,x).
 
-    The diagonal is differentiated through a cubic spline (interpolating by
-    default; a smoothing spline when ``smoothing`` > 0 regularizes noisy
-    diagonals), with one-sided derivatives at the endpoints.  ``x_out`` must
-    be uniformly spaced: the result carries trapezoid weights.
+    The diagonal is differentiated through an interpolating cubic spline,
+    with one-sided derivatives at the endpoints.  The grid must be uniformly
+    spaced: the result carries trapezoid weights.
     """
-    xs = field.x_nodes
-    d = field.diagonal
-    if smoothing > 0.0:
-        spl = make_smoothing_spline(xs, d, lam=smoothing)
-        rough = float(np.max(np.abs(spl(xs) - d)))
-        if rough > 1e-3 * (1.0 + float(np.max(np.abs(d)))):
-            warnings.warn(f"kernel diagonal deviates from the smoothing spline by {rough:.3e}")
-        dspl = spl.derivative()
-    else:
-        dspl = CubicSpline(xs, d).derivative()
-    grid = trapezoid_grid(xs if x_out is None else x_out)
+    grid = trapezoid_grid(field.x_nodes)
+    dspl = CubicSpline(grid.nodes, field.diagonal).derivative()
     return Potential(grid, 2.0 * dspl(grid.nodes))
-
-
-def reconstruct_phi(field: KernelField, mu: float, x_grid: Grid | None = None):
-    """Rebuild (phi, phi') for one mu through the solved kernel.
-
-    phi(x) = s(x) + integral P(x,t) s(t) dt with s = sin(sqrt(mu) t)/sqrt(mu);
-    phi'(x) = c(x) + P(x,x) s(x) + integral P_x(x,t) s(t) dt.  Exact at x = 0:
-    phi(0) = 0, phi'(0) = 1 by construction.
-    """
-    from .forward import SolutionTrace  # local import to avoid a cycle
-    x_grid = trapezoid_grid(field.x_nodes) if x_grid is None else x_grid
-    phi = np.array([field.phi(x, mu)[0] for x in x_grid.nodes])
-    dphi = np.array([field.dphi(x, mu)[0] for x in x_grid.nodes])
-    return SolutionTrace(x_grid, phi, dphi, float(mu))
 
 
 @dataclass(frozen=True)
@@ -595,23 +563,25 @@ class BetaRecovery:
         object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=float))
 
 
-def recover_beta(field: KernelField, data: SpectralData, k: int | None = None) -> BetaRecovery:
+def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
     """Boundary angle from the constancy of -phi'(pi, mu_n)/phi(pi, mu_n).
 
-    The median ratio over the first K eigenvalues gives cot of the recovered
-    angle; the spread doubles as a data-consistency diagnostic and raises
-    when the ratios disagree beyond 1e-2 relative.
+    The median ratio over the first K = min(8, max(5, count // 4))
+    eigenvalues gives cot of the recovered angle; the spread doubles as a
+    data-consistency diagnostic and raises when the ratios disagree beyond
+    1e-2 relative.
     """
-    if k is None:
-        k = min(8, max(5, data.count // 4))
-    mus = data.mu[:k]
+    mus = data.mu[:min(8, max(5, data.count // 4))]
     d_pi = field.diag(PI)  # also feeds the prediction; evaluated once
     ratios = -field.dphi(PI, mus, d_pi) / field.phi(PI, mus)
     med = float(np.median(ratios))
-    spread = float(np.max(np.abs(ratios - med)))
+    dev = np.abs(ratios - med)
+    spread = float(np.max(dev))
     if spread > 1e-2 * (1.0 + abs(med)):
+        n = int(np.argmax(dev))
         raise DataConsistencyError(
-            f"endpoint ratios disagree (spread {spread:.3e}); data are not from a single problem")
+            f"endpoint ratios disagree (spread {spread:.3e}, worst at index {n}, "
+            f"mu={mus[n]:.6g}); data are not from a single problem")
     beta_tilde = float(np.pi / 2.0 - np.arctan(med))  # arccot into (0, pi)
     beta = as_angle(data.beta)
     c = data.c_fit if data.c_fit is not None else 0.0
@@ -621,15 +591,15 @@ def recover_beta(field: KernelField, data: SpectralData, k: int | None = None) -
                         abs(med - prediction))
 
 
-def consistency_suite(field: KernelField, data: SpectralData, k_terms: int = 20,
-                      n_quad_x: int = 256) -> dict:
+def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     """Post-hoc identities: diagonal residual, completeness defect of the
     rebuilt solutions for f(x)=x and f(x)=sin(x), and their Gram matrix
-    against the data's norming constants."""
-    k_terms = min(k_terms, data.count)
+    against the data's norming constants, over the first 20 pairs on a
+    256-node Gauss x-grid."""
+    k_terms = min(20, data.count)
     diag_res = max(abs(field.diagonal_residual(x)) for x in field.x_nodes)
 
-    xg, wg = gauss_rule(n_quad_x, 0.0, PI)
+    xg, wg = gauss_rule(256, 0.0, PI)
     phi_mat = np.column_stack([field.phi(float(x), data.mu[:k_terms]) for x in xg])
 
     a = data.norming[:k_terms]

@@ -43,10 +43,7 @@ class InverseParams:
     n_terms: int = DEFAULT_N_TERMS
     n_quad: int = DEFAULT_N_QUAD
     x_nodes: int = DEFAULT_X_NODES
-    accelerate: bool = True
-    smoothing: float = 0.0
     force: bool = False
-    k_consistency: int = 20
 
 
 @dataclass
@@ -68,13 +65,13 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     if data.c_fit is None and report["c_fit"] is not None:
         data = SpectralData(data.beta, data.mu, data.norming, c_fit=report["c_fit"])
-    H = build_H(data, data.beta, params.n_terms, accelerate=params.accelerate)
+    H = build_H(data, data.beta, params.n_terms)
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)
     field = solve_kernel_field(F, x_nodes, params.n_quad)
-    q_hat = recover_q(field, smoothing=params.smoothing)
+    q_hat = recover_q(field)
     beta_rec = recover_beta(field, data)
-    cons = consistency_suite(field, data, k_terms=params.k_consistency)
+    cons = consistency_suite(field, data)
     return InverseResult(data, q_hat, beta_rec, field, report, cons, params)
 
 
@@ -111,12 +108,15 @@ def roundtrip(q: Potential, beta: BoundaryAngle | float, n_eigen: int,
     beta = as_angle(beta)
     if n_eigen < 16:
         raise ConfigError("round trips need at least 16 eigenvalues")
+    xs = np.linspace(0.0, PI, params.x_nodes)
+    mask = (xs >= trim[0]) & (xs <= trim[1])
+    if not mask.any():
+        raise ConfigError(f"trim window [{trim[0]:g}, {trim[1]:g}] holds none of the "
+                          f"{params.x_nodes} x nodes")
     solution = forward_solve(q, beta, n_eigen)
     data = solution.spectral_data()
     inv = inverse_pipeline(data, params)
 
-    xs = inv.field.x_nodes
-    mask = (xs >= trim[0]) & (xs <= trim[1])
     q_true = interpolant(q)(xs)
     diff = np.abs(inv.q_hat.values - q_true)
     sup = float(np.max(diff[mask]))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import invspec
+from invspec import cli
 from invspec.core import PI, SpectralData, sample_potential, write_grid_function_csv
 from invspec.roundtrip import example6_data
 
@@ -69,6 +71,45 @@ def test_inverse_truncation_below_data_count_exits_64(workdir):
     r = run_cli("inverse", "ref.json", "--n-terms", "20", "-o", "short", cwd=workdir)
     assert r.returncode == 64 and "Traceback" not in r.stderr
     assert "n_terms=20" in r.stderr
+
+
+def test_inverse_too_few_x_nodes_exits_64(workdir):
+    # the derivative stencil at pi needs five nodes; refused before any row solve
+    r = run_cli("inverse", "ref.json", "--x-nodes", "1", "--n-terms", "400", "-o", "few",
+                cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert "x_nodes=1" in r.stderr
+
+
+def test_roundtrip_empty_trim_exits_64(workdir):
+    # an empty comparison window is refused before the forward solve
+    r = run_cli("roundtrip", "q.csv", "--beta", "1.0", "--trim", "2", "1", "-o", "rt0",
+                cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert "trim" in r.stderr
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_option_contract():
+    # every option has a caller; a removed knob must not come back unnoticed
+    common = {"-h", "--help", "-o", "--out", "-N", "--n-eigen", "--n-terms", "--quad",
+              "--x-nodes", "--trim", "--force", "--json-logs"}
+    with_beta = common | {"--beta", "--beta-deg"}
+    expected = {"forward": with_beta, "inverse": common, "roundtrip": with_beta,
+                "example6": common, "validate": common}
+    subs = _subparsers(cli._build_parser())
+    assert set(subs) == set(expected)
+    for name, sp in subs.items():
+        options = {s for a in sp._actions for s in a.option_strings}
+        assert options == expected[name], name
+    for removed in (["--no-accelerate"], ["--smoothing", "0.1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["inverse", "ref.json", *removed])
+        assert exc.value.code == 64
 
 
 def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):

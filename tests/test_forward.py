@@ -16,7 +16,6 @@ from invspec.forward import (
     expand,
     norming_constants,
     shoot,
-    wronskian_derivative,
 )
 
 
@@ -165,21 +164,6 @@ def test_norming_free_particle(fwd_zero_64):
     a = np.array([r.a for r in fwd_zero_64.records[:20]])
     expect = np.pi / (2 * (np.arange(20) + 0.5) ** 2)
     assert np.max(np.abs(a - expect)) < 1e-10
-
-
-def test_beta_ratio_free_particle(fwd_zero_64):
-    for n in (0, 1, 2, 7):
-        rec = fwd_zero_64.records[n]
-        assert rec.beta_ratio == pytest.approx((n + 0.5) * (-1) ** n, rel=1e-9)
-        assert rec.b == pytest.approx(rec.beta_ratio**2 * rec.a, rel=1e-12)
-
-
-def test_wronskian_derivative_identity(q_cos, fwd_cos_64):
-    # residue identity: dW/dmu at an eigenvalue equals beta_n * a_n
-    for n in (0, 3, 10):
-        rec = fwd_cos_64.records[n]
-        wdot = wronskian_derivative(q_cos, PI / 3, rec.mu)
-        assert wdot == pytest.approx(rec.beta_ratio * rec.a, rel=1e-6)
 
 
 def test_orthogonality(fwd_cos_64):

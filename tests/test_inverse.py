@@ -9,7 +9,6 @@ from invspec.core import (
     interpolant,
     mucos,
     musin,
-    trapezoid_grid,
 )
 from invspec.errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
 from invspec.inverse import (
@@ -18,7 +17,6 @@ from invspec.inverse import (
     consistency_suite,
     recover_beta,
     recover_q,
-    reconstruct_phi,
     solve_gl,
     solve_kernel_field,
     validate,
@@ -94,17 +92,10 @@ def test_h_identical_data_vanishes():
 
 def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
     data = fwd_cos_64.spectral_data()
-    H = build_H(data, PI / 3, 2000, accelerate=True)
+    H = build_H(data, PI / 3, 2000)
     t = 1.0
     direct = H.eval_direct(t)
     assert abs(H(t) - direct) <= 2.0 * H.truncation_tail_bound(t) + 1e-12
-
-
-def test_h_direct_mode_matches_eval_direct(fwd_cos_64):
-    data = fwd_cos_64.spectral_data()
-    H = build_H(data, PI / 3, 500, accelerate=False)
-    for t in (0.3, 1.7, 4.4):
-        assert H(t) == pytest.approx(H.eval_direct(t), abs=5e-9)
 
 
 def test_h_branches_detected():
@@ -317,12 +308,19 @@ def test_recover_q_zero_kernel():
 
 
 def test_recover_q_rejects_nonuniform_output_grid():
+    # q carries trapezoid weights, so the field's x grid must be uniform
     sp = unperturbed_spectrum(PI / 3, 24)
     field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0, PI, 33), 48)
-    x_out = np.linspace(0.0, PI, 33) ** 2 / PI
+                               np.linspace(0.0, PI, 33) ** 2 / PI, 48)
     with pytest.raises(ConfigError):
-        recover_q(field, x_out=x_out)
+        recover_q(field)
+
+
+def test_kernel_field_needs_five_nodes():
+    # the five-node derivative stencil at pi reaches four nodes below it
+    F = _F_CACHE["F"]
+    with pytest.raises(ConfigError, match="x_nodes=4"):
+        solve_kernel_field(F, np.linspace(0.0, PI, 4), 32)
 
 
 def test_recover_q_integral_consistency(ex6_inverse):
@@ -348,26 +346,16 @@ def test_kernel_field_solutions_zero_kernel():
         assert np.max(np.abs(field.dphi(x, mus) - mucos(mus, x))) < 1e-9
 
 
-def test_reconstruct_phi_zero_kernel():
-    sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0, PI, 33), 48)
-    mu = 2.0
-    tr = reconstruct_phi(field, mu)
-    lam = np.sqrt(mu)
-    assert np.max(np.abs(tr.phi - np.sin(lam * tr.grid.nodes) / lam)) < 1e-9
-    assert tr.phi[0] == 0.0 and tr.dphi[0] == 1.0
-
-
 def test_reconstruct_phi_satisfies_equation(ex6_inverse):
+    # phi rebuilt through the kernel solves -phi'' + q phi = mu phi
     mu = 0.25
     n = 513
     xs = np.linspace(0.0, PI, n)
     step = xs[1] - xs[0]
-    tr = reconstruct_phi(ex6_inverse.field, mu, trapezoid_grid(xs))
+    phi = np.array([ex6_inverse.field.phi(x, mu)[0] for x in xs])
     qv = example6_q(xs[1:-1])
-    phixx = (tr.phi[2:] - 2 * tr.phi[1:-1] + tr.phi[:-2]) / step**2
-    resid = -phixx + (qv - mu) * tr.phi[1:-1]
+    phixx = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / step**2
+    resid = -phixx + (qv - mu) * phi[1:-1]
     assert np.max(np.abs(resid)) < 1e-4
 
 
@@ -395,7 +383,7 @@ def test_recover_beta_mismatched_field_raises(ex6_inverse):
     # genuine problem - so only a true mismatch triggers this.)
     sp = unperturbed_spectrum(PI / 3, 24)
     foreign = SpectralData(PI / 2, sp.mu, sp.norming, 0.0)
-    with pytest.raises(DataConsistencyError):
+    with pytest.raises(DataConsistencyError, match=r"index \d+, mu=[-\d.e+]+"):
         recover_beta(ex6_inverse.field, foreign)
 
 
@@ -412,6 +400,6 @@ def test_consistency_suite_unperturbed():
     sp = unperturbed_spectrum(PI / 3, 24)
     field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
                                np.linspace(0, PI, 65), 64)
-    cons = consistency_suite(field, sp, k_terms=12)
+    cons = consistency_suite(field, sp)
     assert cons["diagonal_residual_max"] < 1e-9
     assert cons["gram_offdiag_max"] < 1e-8

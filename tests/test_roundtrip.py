@@ -28,6 +28,12 @@ def test_roundtrip_requires_enough_modes(q_zero):
         roundtrip(q_zero, PI / 2, 8)
 
 
+def test_roundtrip_rejects_empty_trim_window(q_zero):
+    # refused up front, before the forward and inverse solves
+    with pytest.raises(ConfigError, match="trim"):
+        roundtrip(q_zero, PI / 2, 16, trim=(2.0, 1.0))
+
+
 def test_roundtrip_cos_accuracy(roundtrip_cos):
     report, _ = roundtrip_cos[64]
     assert report.q_sup_error <= 5e-2

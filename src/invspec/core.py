@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -101,9 +102,17 @@ def trapezoid_grid(nodes) -> Grid:
     return Grid(nodes, weights, RuleKind.TRAPEZOID)
 
 
+@lru_cache(maxsize=None)
+def _reference_gauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], read-only because the cache
+    hands the same arrays to every caller."""
+    xi, wi = leggauss(n_nodes)
+    return _frozen(xi), _frozen(wi)
+
+
 def gauss_rule(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights mapped to an arbitrary interval [a, b]."""
-    xi, wi = leggauss(n_nodes)
+    xi, wi = _reference_gauss(n_nodes)
     half = (b - a) / 2.0
     return a + (xi + 1.0) * half, wi * half
 

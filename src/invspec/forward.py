@@ -63,14 +63,10 @@ class SolutionTrace:
 
 @dataclass(frozen=True)
 class EigenRecord:
-    """One eigenpair summary: mu_n, norming constant and endpoint values."""
+    """One eigenpair summary: mu_n and its norming constant."""
 
-    index: int
     mu: float
-    lam: float | None  # sqrt(mu) when mu >= 0, None marks an imaginary lambda
     a: float
-    phi_pi: float
-    dphi_pi: float
 
 
 @dataclass(frozen=True)
@@ -327,14 +323,11 @@ def norming_constants(q: Potential, beta: BoundaryAngle | float, mus: np.ndarray
     for n, mu in enumerate(mus):
         phi_pi = float(phi_path[n, -1])
         dphi_pi = float(dphi_path[n, -1])
-        a_n = float(norms[n])
         if abs(phi_pi) < 1e-12 * max(1.0, abs(dphi_pi)):
             raise NumericsError(
                 f"eigenvalue {n}: phi(pi) vanishes with sin(beta) != 0; mu={mu} is not a true root"
             )
-        records.append(EigenRecord(index=n, mu=float(mu),
-                                   lam=float(np.sqrt(mu)) if mu >= 0 else None,
-                                   a=a_n, phi_pi=phi_pi, dphi_pi=dphi_pi))
+        records.append(EigenRecord(mu=float(mu), a=float(norms[n])))
         traces.append(SolutionTrace(trace_grid, phi_path[n, trace_idx],
                                     dphi_path[n, trace_idx], float(mu)))
     return records, traces, quad, phi_quad

@@ -8,12 +8,17 @@ Gauss-Legendre on [0, x]) for the transformation kernel row P(x, .) ->
 q(x) = 2 d/dx P(x,x), solutions phi rebuilt through the kernel, and the
 boundary angle from the constancy of phi'(pi)/phi(pi) over eigenvalues.
 
-H is summed in the numerically stable form (cos(lt)-1)/mu plus per-index
-constants, which turns the degenerate zero-eigenvalue branches into exact
-limits of the regular formula.  The conditionally convergent part of the
-truncation tail (drift constant times the sine-over-frequency series) is
-restored from closed forms, and the leading absolutely convergent cosine
-tail from the fitted coefficient model.
+H is tabulated on a uniform grid of [0, 2*pi] and summed in two parts.
+Pairs with mu < 1 (zero, negative and the lowest modes) take the
+numerically stable form (cos(lt)-1)/mu plus per-index constants, which turns
+the degenerate zero-eigenvalue branches into exact limits of the regular
+formula.  Every other term is cos(lt)/(a mu) with l a half-integer plus an
+offset of at most 1/2; a Taylor series in the offset turns these sums into
+one FFT per order, with data and base terms cancelling in shared bins before
+any transform.  The conditionally convergent part of the truncation tail
+(drift constant times the sine-over-frequency series) is restored from
+closed forms, and the leading absolutely convergent cosine tail from the
+fitted coefficient model.
 """
 from __future__ import annotations
 
@@ -54,6 +59,8 @@ DEFAULT_N_QUAD = 96
 DEFAULT_X_NODES = 129
 CONDITION_LIMIT = 1e8
 H_GRID_SIZE = 32769
+_H_GRID = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
+_H_GRID.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +231,73 @@ def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray
     return out + const
 
 
+def _halfint_expsum(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_n w_n exp(i lam_n t) at every node t_j = 2*pi*j/L (j = 0..L) of
+    the H grid, L = H_GRID_SIZE - 1, for real lam_n >= 0.
+
+    Each frequency is lam = m + 1/2 + e with m its nearest bin, |e| <= 1/2,
+    so exp(i lam t) = exp(i t/2) sum_k (i e t)^k/k! exp(i m t).  For each
+    Taylor order k the weights w e^k are summed per bin, folded modulo L
+    (exact on the grid, where exp(i m t) has period L in m), and one inverse
+    FFT sums the bins; Horner's rule in t combines the orders.  Terms binned
+    together cancel before any FFT.  The order K is the least one whose
+    remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
+    """
+    L = H_GRID_SIZE - 1
+    m = np.rint(lam - 0.5)
+    e = lam - 0.5 - m
+    bins = m.astype(np.int64) % L
+    x = TWO_PI * float(np.max(np.abs(e), initial=0.0))
+    K, bound = 0, x
+    while bound >= 1e-17:
+        K += 1
+        bound *= x / (K + 1)
+    coef = np.empty((K + 1, L))
+    p = w
+    for k in range(K + 1):
+        coef[k] = np.bincount(bins, p, minlength=L)
+        p = p * e
+    acc = np.zeros(H_GRID_SIZE, dtype=complex)
+    for k in range(K, -1, -1):
+        y = L * np.fft.ifft(coef[k])
+        acc = acc * (1j * _H_GRID / (k + 1)) + np.append(y, y[0])
+    return np.exp(0.5j * _H_GRID) * acc
+
+
+def _grid_pair_sum(mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
+                   a_b: np.ndarray) -> np.ndarray:
+    """:func:`_pair_sum` at every node of the H grid.
+
+    Pairs with mu < 1 on either side (zero, negative and the lowest modes)
+    are summed directly.  For the rest each term plus its constant is
+    w cos(sqrt(mu) t) with w = 1/(a mu), which :func:`_halfint_expsum` sums
+    with data weights w and base weights -w.
+    """
+    low = (mu_d < 1.0) | (mu_b < 1.0)
+    hi = ~low
+    lam = np.sqrt(np.concatenate([mu_d[hi], mu_b[hi]]))
+    w = np.concatenate([1.0 / (a_d[hi] * mu_d[hi]), -1.0 / (a_b[hi] * mu_b[hi])])
+    return (_pair_sum(_H_GRID, mu_d[low], a_d[low], mu_b[low], a_b[low])
+            + _halfint_expsum(lam, w).real)
+
+
+def _end_terms(n_terms: int) -> int:
+    """Terms in the direct sum for H(2*pi), which reaches past n_terms; the
+    delta sequence must be at least this long."""
+    return max(4 * n_terms, 16384)
+
+
 class HFunction:
     """Evaluator of the spectral difference kernel H on [0, 2*pi].
 
-    Deterministic for fixed inputs: construction precomputes H on a dense
-    uniform grid (chunked vectorized summation) and evaluation interpolates
-    with a cubic spline; the exact endpoint t = 2*pi, where the conditionally
-    convergent part jumps, is summed separately from the extended model.
+    Deterministic for fixed inputs: construction precomputes H on the
+    uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and evaluation
+    interpolates with a cubic spline.  On the grid, pairs with mu < 1 are
+    summed directly and every other term by FFTs of its Taylor expansion
+    about the nearest half-integer frequency (:func:`_halfint_expsum`); the
+    half-integer partial sums of the tail model take one FFT each.  The
+    exact endpoint t = 2*pi, where the conditionally convergent part jumps,
+    is summed directly from the extended model.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -238,9 +305,8 @@ class HFunction:
         beta = as_angle(beta)
         if n_terms < 8:
             raise ConfigError("n_terms too small")
-        needed = max(4 * n_terms, 16384)  # the endpoint sum reaches past n_terms
-        if delta is None or delta.n_max < needed:
-            delta = delta_sequence(beta, needed)
+        if delta is None or delta.n_max < _end_terms(n_terms):
+            delta = delta_sequence(beta, _end_terms(n_terms))
         self.beta = beta
         self.data = data
         self.n_terms = int(n_terms)
@@ -262,32 +328,24 @@ class HFunction:
             (True, True): "zero-in-both",
         }[(has_zero_d, has_zero_b)]
 
-        self._grid = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
-        vals = (_pair_sum(self._grid, self.mu_d, self.a_d, self.mu_b, self.a_b)
-                + self._tail_correction(self._grid))
-        self._spline = CubicSpline(self._grid, vals)
+        vals = (_grid_pair_sum(self.mu_d, self.a_d, self.mu_b, self.a_b)
+                + self._tail_correction())
+        self._spline = CubicSpline(_H_GRID, vals)
         self._h_end = self._end_value()
 
     # -- summation pieces ---------------------------------------------------
 
-    def _partial_halfint(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _partial_halfint(self) -> tuple[np.ndarray, np.ndarray]:
         """Partial sums over n = 2..n_terms-1 of sin((n+1/2)t)/(n+1/2) and
-        cos((n+1/2)t)/(n+1/2)^2."""
-        s1 = np.zeros_like(t)
-        sc = np.zeros_like(t)
-        chunk = max(1, int(4_000_000 // max(t.size, 1)))
-        for n0 in range(2, self.n_terms, chunk):
-            n1 = min(n0 + chunk, self.n_terms)
-            om = np.arange(n0, n1, dtype=float) + 0.5
-            phase = om[:, None] * t[None, :]
-            s1 += (np.sin(phase) / om[:, None]).sum(axis=0)
-            sc += (np.cos(phase) / (om * om)[:, None]).sum(axis=0)
-        return s1, sc
+        cos((n+1/2)t)/(n+1/2)^2 on the H grid."""
+        om = np.arange(2, self.n_terms) + 0.5
+        return _halfint_expsum(om, 1.0 / om).imag, _halfint_expsum(om, 1.0 / (om * om)).real
 
-    def _tail_correction(self, t: np.ndarray) -> np.ndarray:
-        """Closed-form estimate of the truncated tail (valid on (0, 2*pi);
-        both factors carry a vanishing prefactor at t = 0)."""
-        s1, sc = self._partial_halfint(t)
+    def _tail_correction(self) -> np.ndarray:
+        """Closed-form estimate of the truncated tail on the H grid (valid on
+        (0, 2*pi); both factors carry a vanishing prefactor at t = 0)."""
+        t = _H_GRID
+        s1, sc = self._partial_halfint()
         cot = self.beta.cot
         tail_sin = (sin_halfint_closed(t) - s1) + (t * cot / PI) * (cos_halfint_closed(t) - sc)
         tail_cos = cos_halfint_closed(t) - sc
@@ -297,7 +355,7 @@ class HFunction:
     def _end_value(self) -> float:
         """Series value at exactly t = 2*pi (the conditional part jumps there),
         summed directly from the extended model."""
-        n_end = max(4 * self.n_terms, 16384)
+        n_end = _end_terms(self.n_terms)
         base = unperturbed_spectrum(self.beta, n_end, self.delta)
         mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, base.mu, base.norming)
         total = float(_pair_sum(np.array([TWO_PI]), mu_d, a_d, base.mu, base.norming)[0])

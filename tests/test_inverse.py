@@ -12,6 +12,9 @@ from invspec.core import (
 )
 from invspec.errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
 from invspec.inverse import (
+    _H_GRID,
+    _grid_pair_sum,
+    _pair_sum,
     build_F,
     build_H,
     consistency_suite,
@@ -96,6 +99,31 @@ def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
     t = 1.0
     direct = H.eval_direct(t)
     assert abs(H(t) - direct) <= 2.0 * H.truncation_tail_bound(t) + 1e-12
+
+
+def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
+    sp = unperturbed_spectrum(2 * PI / 3, 24)
+    shifted = SpectralData(2 * PI / 3, sp.mu - 2.0, sp.norming)  # exact data of q = -2
+    assert shifted.mu[0] < 0.0  # so the direct low-mode path is exercised too
+    cases = [(fwd_cos_64.spectral_data(), PI / 3),
+             (shifted, 2 * PI / 3),
+             (example6_data(400), PI / 2)]
+    for data, beta in cases:
+        H = build_H(data, beta, 2000)
+        terms = (H.mu_d, H.a_d, H.mu_b, H.a_b)
+        assert np.max(np.abs(_grid_pair_sum(*terms) - _pair_sum(_H_GRID, *terms))) < 1e-10
+
+
+def test_h_partial_halfint_fft_matches_loop():
+    H = build_H(example6_data(40), PI / 2, 2000)
+    s1, sc = H._partial_halfint()
+    s1_ref = np.zeros_like(_H_GRID)
+    sc_ref = np.zeros_like(_H_GRID)
+    for om in np.arange(2, 2000) + 0.5:
+        s1_ref += np.sin(om * _H_GRID) / om
+        sc_ref += np.cos(om * _H_GRID) / (om * om)
+    assert np.max(np.abs(s1 - s1_ref)) < 1e-12
+    assert np.max(np.abs(sc - sc_ref)) < 1e-12
 
 
 def test_h_branches_detected():

@@ -1,8 +1,9 @@
 """Forward and inverse spectral solver for a Dirichlet/Robin boundary pair.
 
 The forward half computes eigenvalues and norming constants of
--y'' + q y = mu y on [0, pi] with y(0) = 0 and a Robin condition at pi by
-shooting; the inverse half reconstructs the potential and the boundary angle
+-y'' + q y = mu y on [0, pi] with y(0) = 0 and a Robin condition at pi from
+closed-form fourth-order Magnus cell propagators and Newton's method; the
+inverse half reconstructs the potential and the boundary angle
 from two spectral sequences through a family of second-kind integral
 equations solved by Nystrom discretization.
 """

@@ -81,7 +81,7 @@ def make_grid(n_nodes: int, rule_kind: RuleKind | str = RuleKind.GAUSS) -> Grid:
     if n_nodes < MIN_GRID_NODES:
         raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
     if rule_kind is RuleKind.GAUSS:
-        xi, wi = leggauss(n_nodes)
+        xi, wi = _reference_gauss(n_nodes)
         grid = Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0), rule_kind)
     else:
         grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))

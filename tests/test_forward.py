@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from invspec.core import (
     PI,
     GridFunction,
     RuleKind,
+    as_angle,
     interpolant,
     make_grid,
     sample_potential,
 )
+from invspec.asymptotics import DeltaSequence, delta_sequence
 from invspec.errors import ConfigError, NumericsError
+from invspec import forward
 from invspec.forward import (
     characteristic,
     eigenvalues,
@@ -38,6 +42,37 @@ def rk4_oracle(qf, mu, n_steps=20000):
         x += h
         out.append(y.copy())
     return np.array(out)
+
+
+def exact_characteristic(mu, pieces, beta):
+    """Omega(mu) of a potential constant on consecutive (length, value)
+    pieces, from the exact transfer matrix of each piece."""
+    mu = np.asarray(mu, dtype=float)
+    y, dy = np.zeros_like(mu), np.ones_like(mu)
+    for h, value in pieces:
+        m = mu - value
+        k = np.sqrt(np.abs(m))
+        safe_k = np.where(k > 0.0, k, 1.0)
+        C = np.where(m > 0.0, np.cos(k * h), np.cosh(k * h))
+        S = np.where(k > 0.0, np.where(m > 0.0, np.sin(k * h), np.sinh(k * h)) / safe_k, h)
+        y, dy = C * y + S * dy, -m * S * y + C * dy
+    return y * np.cos(beta) + dy * np.sin(beta)
+
+
+def exact_eigenvalues(pieces, beta, count):
+    """First zeros of exact_characteristic: a scan in z = sign(mu) sqrt|mu|,
+    which starts below every eigenvalue, then brentq."""
+    z_lo = -np.sqrt(-(min(v for _, v in pieces) - 1.0 / np.tan(beta) ** 2 - 1.0))
+
+    def omega(z):
+        return exact_characteristic(z * np.abs(z), pieces, beta)
+
+    zs = np.arange(z_lo, count + 3.0, 0.005)
+    vals = omega(zs)
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:count]
+    roots = np.array([brentq(lambda z: float(omega(np.array(z))), zs[i], zs[i + 1],
+                             xtol=1e-15, rtol=4.0 * np.finfo(float).eps) for i in cells])
+    return roots * np.abs(roots)
 
 
 # --- shoot -------------------------------------------------------------------
@@ -155,6 +190,62 @@ def test_eigenvalues_negative_ground_state():
 def test_oscillation_counts(fwd_cos_64):
     for n in (0, 1, 5, 20, 63):
         assert fwd_cos_64.traces[n].interior_zero_count() == n
+
+
+def test_constant_negative_eigenvalues_closed_form():
+    # q = -2, beta = 2 pi/3: mu_0 lies below q (sinh branch), mu_1 between q and 0
+    c, beta, N = -2.0, 2.0 * PI / 3.0, 16
+    sol = forward.forward_solve(sample_potential(lambda x: np.full_like(x, c)), beta, N)
+    mus = np.array([r.mu for r in sol.records])
+    a = np.array([r.a for r in sol.records])
+    mu_ref = exact_eigenvalues([(PI, c)], beta, N)
+    assert mu_ref[0] < c < mu_ref[1] < 0.0 < mu_ref[2]
+    assert np.max(np.abs(mus - mu_ref) / np.abs(mu_ref)) < 1e-10
+    k = np.sqrt(np.abs(mu_ref - c))
+    a_ref = np.where(mu_ref > c, (PI / 2 - np.sin(2 * k * PI) / (4 * k)) / k ** 2,
+                     (np.sinh(2 * k * PI) / (4 * k) - PI / 2) / k ** 2)
+    assert np.max(np.abs(a - a_ref) / a_ref) < 1e-10
+
+
+def test_eigenvalues_l1_step_potential():
+    # q = 0 on [0, pi/2), 2 on [pi/2, pi]; the sampled potential's cubic spline
+    # rings at the jump, so the bound is the benchmark's, not roundoff
+    beta, N = PI / 3, 16
+    q = sample_potential(lambda x: np.where(x < PI / 2, 0.0, 2.0))
+    mu_ref = exact_eigenvalues([(PI / 2, 0.0), (PI / 2, 2.0)], beta, N)
+    mus = eigenvalues(q, beta, N)
+    assert np.max(np.abs(mus - mu_ref) / (1.0 + np.abs(mu_ref))) < 1e-2
+
+
+@pytest.mark.parametrize("mu", [-3.0, 0.3, 2500.0])
+def test_sweep_derivative_matches_central_difference(q_cos, mu):
+    # mu = -3 lies below q (s2 > 0); at 0.3 some cells have |mu - qbar| < 1e-2,
+    # and every cell is on the series branch of dS/ds2; 2500 is past it
+    cells = forward._Cells(q_cos)
+    beta = as_angle(PI / 3)
+    _, d_omega = forward._omega(cells, beta, [mu], deriv=True)
+    eps = 1e-4 * np.sqrt(max(1.0, abs(mu)))
+    fd = (characteristic(q_cos, beta, mu + eps) - characteristic(q_cos, beta, mu - eps)) / (2 * eps)
+    assert d_omega[0] == pytest.approx(fd, rel=1e-7)
+
+
+def test_forward_errors_name_their_cause(q_zero, monkeypatch):
+    # at beta = pi/2 the roots of q = 0 are n + 1/2, so windows moved by 1/2
+    # hold none of them
+    beta = as_angle(PI / 2)
+    delta = delta_sequence(beta, 4)
+    shifted = DeltaSequence(beta, delta.values + 0.5, delta.low_modes)
+    with pytest.raises(NumericsError, match=r"eigenvalue 2: no sign change .*\[.*\]: "
+                                            r"Omega\(lo\)=.*Omega\(hi\)="):
+        eigenvalues(q_zero, beta, 4, delta=shifted)
+    with monkeypatch.context() as m:
+        m.setattr(forward, "NEWTON_MAX", 1)
+        with pytest.raises(NumericsError, match=r"eigenvalue \d+: Newton .* mu=.* in bracket \[.*\]"):
+            eigenvalues(q_zero, beta, 4)
+    # roots one index too high: mu_n = (n + 3/2)^2 has n + 1 zeros
+    monkeypatch.setattr(forward, "_newton", lambda cells, beta, lo, *rest: (np.arange(lo.size) + 1.5) ** 2)
+    with pytest.raises(NumericsError, match=r"eigenvalue 0: oscillation count 1 != 0 at mu=2.25"):
+        eigenvalues(q_zero, beta, 4)
 
 
 # --- norming constants ------------------------------------------------------------

@@ -23,9 +23,12 @@ fitted coefficient model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 from .asymptotics import (
     DeltaSequence,
@@ -57,7 +60,7 @@ TWO_PI = 2.0 * PI
 DEFAULT_N_TERMS = 2000
 DEFAULT_N_QUAD = 96
 DEFAULT_X_NODES = 129
-CONDITION_LIMIT = 1e8
+CONDITION_LIMIT = 1e8   # on the 1-norm condition estimate of each Nystrom matrix
 H_GRID_SIZE = 32769
 _H_GRID = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
 _H_GRID.flags.writeable = False
@@ -79,7 +82,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
     """
     beta = as_angle(beta)
     if data.count < 12:
-        raise ConfigError("validation needs at least 12 data points")
+        raise ConfigError(f"validation needs at least 12 data points, got {data.count}")
     delta = delta_sequence(beta, data.count + 2)
     checks = []
 
@@ -291,8 +294,10 @@ class HFunction:
     """Evaluator of the spectral difference kernel H on [0, 2*pi].
 
     Deterministic for fixed inputs: construction precomputes H on the
-    uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and evaluation
-    interpolates with a cubic spline.  On the grid, pairs with mu < 1 are
+    uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and fits a cubic
+    spline; evaluation takes the cell of t directly as floor(t L / (2 pi))
+    (no search, the grid being uniform) and applies Horner's rule to that
+    cell's spline coefficients.  On the grid, pairs with mu < 1 are
     summed directly and every other term by FFTs of its Taylor expansion
     about the nearest half-integer frequency (:func:`_halfint_expsum`); the
     half-integer partial sums of the tail model take one FFT each.  The
@@ -330,7 +335,7 @@ class HFunction:
 
         vals = (_grid_pair_sum(self.mu_d, self.a_d, self.mu_b, self.a_b)
                 + self._tail_correction())
-        self._spline = CubicSpline(_H_GRID, vals)
+        self._coef = CubicSpline(_H_GRID, vals).c   # (4, L): cubic to constant, per cell
         self._h_end = self._end_value()
 
     # -- summation pieces ---------------------------------------------------
@@ -367,14 +372,19 @@ class HFunction:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < -1e-12) or np.any(t_arr > TWO_PI + 1e-12):
-            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {t_arr.min():.6g} "
-                              f"to {t_arr.max():.6g})")
-        t_arr = np.clip(t_arr, 0.0, TWO_PI)
-        out = self._spline(t_arr)
-        at_end = np.abs(t_arr - TWO_PI) <= 1e-12
-        if np.any(at_end):
-            out = np.where(at_end, self._h_end, out)
+        lo = float(np.min(t_arr, initial=np.inf))
+        hi = float(np.max(t_arr, initial=-np.inf))
+        if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
+            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
+        if lo < 0.0 or hi > TWO_PI:
+            t_arr = np.clip(t_arr, 0.0, TWO_PI)
+        L = H_GRID_SIZE - 1
+        cell = np.minimum((t_arr * (L / TWO_PI)).astype(np.intp), L - 1)
+        s = t_arr - _H_GRID[cell]
+        c = self._coef
+        out = ((c[0][cell] * s + c[1][cell]) * s + c[2][cell]) * s + c[3][cell]
+        if hi >= TWO_PI - 1e-12:
+            out = np.where(np.abs(t_arr - TWO_PI) <= 1e-12, self._h_end, out)
         return out if out.ndim else float(out)
 
     def eval_direct(self, t):
@@ -447,26 +457,45 @@ class GLRow:
 def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
     """Dense Nystrom solve of the second-kind equation at one x.
 
-    (I + A) p = -f with A[j,k] = w_k F(t_k, t_j), f_j = F(x, t_j).  A large
-    condition estimate signals inadmissible data (the continuous operator is
-    invertible for admissible inputs).
+    (I + A) p = -f with A[j,k] = w_k F(t_k, t_j), f_j = F(x, t_j).  F is
+    evaluated on the upper triangle of the node matrix and mirrored:
+    |t_j - t_k| and t_j + t_k are symmetric bit for bit, so the matrix is the
+    fully evaluated one.  One LU factorization serves the solve and a 1-norm
+    condition estimate (LAPACK gecon, Hager-Higham), which is checked before
+    the solve: an estimate above CONDITION_LIMIT signals inadmissible data
+    (the continuous operator is invertible for admissible inputs).
     """
     if not (0.0 < x <= PI):
         raise ConfigError(f"x={x} outside (0, pi]")
     if n_quad < 16:
-        raise ConfigError("n_quad must be at least 16")
+        raise ConfigError(f"n_quad={n_quad}: must be at least 16")
     nodes, weights = gauss_rule(n_quad, 0.0, x)
-    Fmat = F(nodes[:, None], nodes[None, :])     # symmetric: F(t_k, t_j)
+    j, k = _upper_triangle(n_quad)
+    upper = F(nodes[j], nodes[k])
+    Fmat = np.empty((n_quad, n_quad))
+    Fmat[j, k] = upper
+    Fmat[k, j] = upper
     A = np.eye(n_quad) + Fmat * weights[None, :]  # row j, column k: w_k F(t_k, t_j)
-    # note Fmat symmetric so orientation is immaterial
-    rhs = -F(x, nodes)
-    p = np.linalg.solve(A, rhs)
-    cond = float(np.linalg.cond(A))
-    if cond > CONDITION_LIMIT:
+    lu = lu_factor(A)
+    rcond, _ = dgecon(lu[0], np.linalg.norm(A, 1), norm="1")
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
-            f"ill-posed data: Nystrom condition {cond:.3e} at x={x:.4f} exceeds {CONDITION_LIMIT:.0e}")
+            f"ill-posed data: Nystrom 1-norm condition estimate {cond:.3e} at x={x:.4f} "
+            f"exceeds {CONDITION_LIMIT:.0e}")
+    rhs = -F(x, nodes)
+    p = lu_solve(lu, rhs)
     resid = float(np.max(np.abs(A @ p - rhs)))
     return GLRow(float(x), nodes, weights, p, cond, resid, F)
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (j, k), j <= k, of the upper triangle of an n x n matrix;
+    read-only because the cache hands the same arrays to every caller."""
+    j, k = np.triu_indices(n)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 class KernelField:
@@ -653,11 +682,14 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     """Post-hoc identities: diagonal residual, completeness defect of the
     rebuilt solutions for f(x)=x and f(x)=sin(x), and their Gram matrix
     against the data's norming constants, over the first 20 pairs on a
-    256-node Gauss x-grid."""
+    64-node Gauss x-grid.  The rebuilt solutions have frequencies up to
+    sqrt(mu_19) (about 20), so the integrands are smooth with frequencies up
+    to about 40 over [0, pi], which a 64-node Gauss rule integrates to
+    roundoff."""
     k_terms = min(20, data.count)
     diag_res = max(abs(field.diagonal_residual(x)) for x in field.x_nodes)
 
-    xg, wg = gauss_rule(256, 0.0, PI)
+    xg, wg = gauss_rule(64, 0.0, PI)
     phi_mat = np.column_stack([field.phi(float(x), data.mu[:k_terms]) for x in xg])
 
     a = data.norming[:k_terms]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import CubicSpline
 
+import invspec.inverse as inverse
 from invspec.asymptotics import unperturbed_spectrum
 from invspec.core import (
     PI,
@@ -29,6 +31,7 @@ from invspec.roundtrip import (
     example6_P,
     example6_data,
     example6_q,
+    inverse_pipeline,
 )
 
 BETA_STAR = PI - np.arctan(PI)  # q = 0 problem with a zero eigenvalue
@@ -74,7 +77,7 @@ def test_validate_integer_tail_fails():
 
 
 def test_validate_needs_enough_data():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="got 8"):
         validate(example6_data(8), PI / 2)
 
 
@@ -124,6 +127,19 @@ def test_h_partial_halfint_fft_matches_loop():
         sc_ref += np.cos(om * _H_GRID) / (om * om)
     assert np.max(np.abs(s1 - s1_ref)) < 1e-12
     assert np.max(np.abs(sc - sc_ref)) < 1e-12
+
+
+def test_h_uniform_cell_evaluation_matches_spline(fwd_cos_64):
+    # the direct cell lookup and Horner evaluation reproduce the cubic spline
+    # through the grid values, including just below each node, where the
+    # computed cell index may fall one cell early
+    rng = np.random.default_rng(7)
+    t = np.concatenate([rng.uniform(0.0, 2 * PI, 2000), _H_GRID[:-1],
+                        np.nextafter(_H_GRID[1:-1], 0.0), [0.0, 2 * PI - 1e-9]])
+    for data, beta in ((example6_data(40), PI / 2), (fwd_cos_64.spectral_data(), PI / 3)):
+        H = build_H(data, beta)
+        vals = _grid_pair_sum(H.mu_d, H.a_d, H.mu_b, H.a_b) + H._tail_correction()
+        assert np.max(np.abs(H(t) - CubicSpline(_H_GRID, vals)(t))) <= 1e-14
 
 
 def test_h_branches_detected():
@@ -190,7 +206,7 @@ def test_h_refuses_to_drop_data():
 
 def test_h_rejects_arguments_outside_its_domain():
     H = _F_CACHE["F"].H
-    for t in (-0.1, 2 * PI + 0.1, np.array([0.5, 2 * PI + 0.1])):
+    for t in (-0.1, 2 * PI + 0.1, np.array([0.5, 2 * PI + 0.1]), np.nan):
         with pytest.raises(DomainError):
             H(t)
     # roundoff past either end is clipped, not refused
@@ -290,8 +306,46 @@ def test_solve_gl_domain_checks():
     F = _F_CACHE["F"]
     with pytest.raises(ConfigError):
         solve_gl(F, 0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_quad=8"):
         solve_gl(F, 1.0, 8)
+
+
+def _full_nystrom_matrix(row):
+    F = row.F
+    return np.eye(row.nodes.size) + F(row.nodes[:, None], row.nodes[None, :]) * row.weights[None, :]
+
+
+def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
+    # gecon bounds the 1-norm condition number from below, and is not far off
+    F = build_F(build_H(fwd_cos_64.spectral_data(), PI / 3))
+    for x in (0.4, 2.0, PI):
+        row = solve_gl(F, x)
+        exact = np.linalg.cond(_full_nystrom_matrix(row), 1)
+        assert exact / 10.0 <= row.cond <= exact * (1.0 + 1e-12)
+
+
+def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
+    # the mirrored upper triangle and the LU solve give the values that the
+    # fully evaluated matrix and np.linalg.solve give, bit for bit
+    F = build_F(build_H(fwd_cos_64.spectral_data(), PI / 3))
+    for x in (0.4, 2.0, PI):
+        row = solve_gl(F, x)
+        expected = np.linalg.solve(_full_nystrom_matrix(row), -F(x, row.nodes))
+        assert np.array_equal(row.values, expected)
+
+
+def test_pipeline_solves_192_rows(monkeypatch):
+    # 128 field rows (x > 0 on the 129-node grid) and 64 consistency rows
+    calls = []
+    real = inverse.solve_gl
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "solve_gl", counting)
+    inverse_pipeline(example6_data(40))
+    assert len(calls) == 192
 
 
 def test_kernel_field_boundary_column(ex6_inverse):
@@ -313,7 +367,7 @@ def test_ill_posed_data_raises():
     a[:12] *= 1e-9
     bad = SpectralData(PI / 2, data.mu, a, 0.0)
     F = build_F(build_H(bad, PI / 2, 200))
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError, match=r"condition estimate [\d.e+]+ at x=\d"):
         solve_kernel_field(F, np.linspace(0.0, PI, 17), 32)
 
 

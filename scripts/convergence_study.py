@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Round-trip error sweeps over data length, series truncation and quadrature.
+"""Round-trip error sweeps over data length and quadrature.
 
 Writes one CSV row per run so the convergence behaviour can be plotted
 externally.  Example:
@@ -29,7 +29,6 @@ def main(argv=None):
     p.add_argument("--potential", choices=sorted(POTENTIALS), default="cos")
     p.add_argument("--beta", type=float, default=PI / 3)
     p.add_argument("--n-eigen", type=int, nargs="+", default=[16, 32, 64])
-    p.add_argument("--n-terms", type=int, nargs="+", default=[2000])
     p.add_argument("--quad", type=int, nargs="+", default=[96])
     p.add_argument("-o", "--out", default="convergence.csv")
     args = p.parse_args(argv)
@@ -37,21 +36,20 @@ def main(argv=None):
     q = sample_potential(POTENTIALS[args.potential])
     rows = []
     for n_eigen in args.n_eigen:
-        for n_terms in args.n_terms:
-            for n_quad in args.quad:
-                t0 = time.time()
-                params = InverseParams(n_terms=n_terms, n_quad=n_quad)
-                report, _ = roundtrip(q, args.beta, n_eigen,
-                                      trim=(0.1 * PI, 0.95 * PI), params=params)
-                rows.append((n_eigen, n_terms, n_quad, report.q_sup_error,
-                             report.q_l1_error, report.angle_identity_gap,
-                             time.time() - t0))
-                print(f"N={n_eigen:3d} n_terms={n_terms:5d} quad={n_quad:3d}  "
-                      f"sup={report.q_sup_error:.3e}  identity={report.angle_identity_gap:.3e}  "
-                      f"[{rows[-1][-1]:.0f}s]")
+        for n_quad in args.quad:
+            t0 = time.time()
+            params = InverseParams(n_quad=n_quad)
+            report, _ = roundtrip(q, args.beta, n_eigen,
+                                  trim=(0.1 * PI, 0.95 * PI), params=params)
+            rows.append((n_eigen, n_quad, report.q_sup_error,
+                         report.q_l1_error, report.angle_identity_gap,
+                         time.time() - t0))
+            print(f"N={n_eigen:3d} quad={n_quad:3d}  "
+                  f"sup={report.q_sup_error:.3e}  identity={report.angle_identity_gap:.3e}  "
+                  f"[{rows[-1][-1]:.0f}s]")
 
     with open(args.out, "w") as fh:
-        fh.write("n_eigen,n_terms,n_quad,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s\n")
+        fh.write("n_eigen,n_quad,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
     print(f"wrote {args.out}")

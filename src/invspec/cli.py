@@ -4,10 +4,13 @@ Subcommands: ``forward`` (potential CSV -> spectral JSON), ``inverse``
 (spectral JSON -> recovered potential CSV + report JSON), ``roundtrip``,
 ``example6`` (bundled closed-form oracle) and ``validate``.  Exit codes:
 0 success, 1 numerical failure, 2 admissibility hard-fail (unless
-``--force``), 64 usage errors (including a missing input file, fewer than
-five ``--x-nodes`` and a ``--trim`` window holding no x node).
+``--force``), 64 usage errors (including a missing input file, an option
+the subcommand does not take, fewer than five ``--x-nodes`` and a ``--trim``
+window holding no x node).  Each subcommand takes only the options its
+handler reads; the kernel series length is derived from the data count.
 Identical configurations produce bit-identical outputs, and every JSON
-artifact embeds its resolved configuration.
+artifact embeds its resolved configuration, with null for the options its
+subcommand does not take.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .core import (
@@ -41,24 +44,19 @@ EXIT_USAGE = 64
 
 @dataclass(frozen=True)
 class Config:
-    """Resolved run configuration, embedded in every JSON artifact."""
+    """Resolved run configuration, embedded in every JSON artifact.  A field
+    whose option the subcommand does not take is None."""
 
     command: str
     input_path: str | None
-    out_dir: str
+    out_dir: str | None
     beta: float | None
-    n_eigen: int
-    n_terms: int
-    n_quad: int
-    x_nodes: int
-    trim: tuple[float, float]
-    force: bool
-    json_logs: bool
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["trim"] = list(self.trim)
-        return d
+    n_eigen: int | None
+    n_quad: int | None
+    x_nodes: int | None
+    trim: tuple[float, float] | None
+    force: bool | None
+    json_logs: bool | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,68 +66,64 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Options by the Config field they set, in help order.
+_OPTIONS = {
+    "out_dir": (("-o", "--out"), dict(default=".", metavar="OUT",
+                                      help="output directory (default: cwd)")),
+    "n_eigen": (("-N", "--n-eigen"), dict(type=int, default=64, help="number of eigenvalues")),
+    "n_quad": (("--quad",), dict(type=int, default=96, metavar="QUAD",
+                                 help="Gauss nodes per integral-equation row")),
+    "x_nodes": (("--x-nodes",), dict(type=int, default=129,
+                                     help="uniform x nodes for the kernel diagonal")),
+    "trim": (("--trim",), dict(type=float, nargs=2, default=(0.05, PI), metavar=("LO", "HI"),
+                               help="comparison interval for round trips")),
+    "force": (("--force",), dict(action="store_true",
+                                 help="proceed past admissibility hard-failures")),
+    "json_logs": (("--json-logs",), dict(action="store_true",
+                                         help="machine-readable progress lines on stderr")),
+}
+_INVERSE_OPTIONS = ("out_dir", "n_quad", "x_nodes", "force", "json_logs")
+# Each subcommand takes only the options its handler reads ("beta" stands for
+# the required --beta | --beta-deg pair): (help, input file (name, help) or
+# None, options).
+_COMMANDS = {
+    "forward": ("spectrum + norming constants of (q, beta)",
+                ("potential", "potential CSV (header x,value, uniform grid over [0,pi])"),
+                ("beta", "out_dir", "n_eigen", "json_logs")),
+    "inverse": ("recover (q, angle) from spectral JSON",
+                ("data", "spectral JSON ({beta, count, mu, a, c_fit})"), _INVERSE_OPTIONS),
+    "roundtrip": ("forward then inverse, with error metrics", ("potential", "potential CSV"),
+                  _INVERSE_OPTIONS + ("beta", "n_eigen", "trim")),
+    "example6": ("run the bundled closed-form example oracle", None,
+                 ("out_dir", "n_quad", "x_nodes", "force")),
+    "validate": ("admissibility report for spectral JSON", ("data", "spectral JSON"), ("force",)),
+}
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="invspec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(sp, needs_beta=False):
-        if needs_beta:
+    for command, (help_text, input_file, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        if input_file is not None:
+            sp.add_argument("input_path", metavar=input_file[0], help=input_file[1])
+        if "beta" in options:
             g = sp.add_mutually_exclusive_group(required=True)
             g.add_argument("--beta", type=float, help="boundary angle in radians, in (0, pi)")
             g.add_argument("--beta-deg", type=float, help="boundary angle in degrees, in (0, 180)")
-        sp.add_argument("-o", "--out", default=".", help="output directory (default: cwd)")
-        sp.add_argument("-N", "--n-eigen", type=int, default=64, help="number of eigenvalues")
-        sp.add_argument("--n-terms", type=int, default=2000, help="kernel series truncation")
-        sp.add_argument("--quad", type=int, default=96, help="Gauss nodes per integral-equation row")
-        sp.add_argument("--x-nodes", type=int, default=129, help="uniform x nodes for the kernel diagonal")
-        sp.add_argument("--trim", type=float, nargs=2, default=(0.05, PI),
-                        metavar=("LO", "HI"), help="comparison interval for round trips")
-        sp.add_argument("--force", action="store_true",
-                        help="proceed past admissibility hard-failures")
-        sp.add_argument("--json-logs", action="store_true",
-                        help="machine-readable progress lines on stderr")
-
-    sp = sub.add_parser("forward", help="spectrum + norming constants of (q, beta)")
-    sp.add_argument("potential", help="potential CSV (header x,value, uniform grid over [0,pi])")
-    add_common(sp, needs_beta=True)
-
-    sp = sub.add_parser("inverse", help="recover (q, angle) from spectral JSON")
-    sp.add_argument("data", help="spectral JSON ({beta, count, mu, a, c_fit})")
-    add_common(sp)
-
-    sp = sub.add_parser("roundtrip", help="forward then inverse, with error metrics")
-    sp.add_argument("potential", help="potential CSV")
-    add_common(sp, needs_beta=True)
-
-    sp = sub.add_parser("example6", help="run the bundled closed-form example oracle")
-    add_common(sp)
-
-    sp = sub.add_parser("validate", help="admissibility report for spectral JSON")
-    sp.add_argument("data", help="spectral JSON")
-    add_common(sp)
+        for field, (flags, kwargs) in _OPTIONS.items():
+            if field in options:
+                sp.add_argument(*flags, dest=field, **kwargs)
     return p
 
 
 def _resolve_config(args) -> Config:
-    beta = None
-    if getattr(args, "beta", None) is not None:
-        beta = float(args.beta)
-    elif getattr(args, "beta_deg", None) is not None:
-        beta = float(args.beta_deg) * PI / 180.0
-    input_path = getattr(args, "potential", None) or getattr(args, "data", None)
-    return Config(
-        command=args.command,
-        input_path=input_path,
-        out_dir=args.out,
-        beta=beta,
-        n_eigen=args.n_eigen,
-        n_terms=args.n_terms,
-        n_quad=args.quad,
-        x_nodes=args.x_nodes,
-        trim=(float(args.trim[0]), float(args.trim[1])),
-        force=args.force,
-        json_logs=args.json_logs,
-    )
+    opts = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    if getattr(args, "beta_deg", None) is not None:
+        opts["beta"] = args.beta_deg * PI / 180.0
+    if opts["trim"] is not None:
+        opts["trim"] = (float(opts["trim"][0]), float(opts["trim"][1]))
+    return Config(**opts)
 
 
 def _log(cfg: Config, event: str, **detail):
@@ -139,14 +133,13 @@ def _log(cfg: Config, event: str, **detail):
 
 def _write_json(path: Path, doc: dict, cfg: Config) -> None:
     doc = dict(doc)
-    doc["config"] = cfg.as_dict()
+    doc["config"] = asdict(cfg)
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _inverse_params(cfg: Config):
     from .roundtrip import InverseParams
-    return InverseParams(n_terms=cfg.n_terms, n_quad=cfg.n_quad, x_nodes=cfg.x_nodes,
-                         force=cfg.force)
+    return InverseParams(n_quad=cfg.n_quad, x_nodes=cfg.x_nodes, force=cfg.force)
 
 
 def _cmd_forward(cfg: Config) -> int:

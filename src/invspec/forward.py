@@ -306,15 +306,13 @@ def _scan_low_modes(cells: _Cells, beta: BoundaryAngle, q: Potential, first_edge
                         "below the first window found fewer than two roots")
 
 
-def norming_constants(q: Potential, beta: BoundaryAngle | float, mus: np.ndarray,
-                      *, trace_nodes: int = TRACE_NODES,
+def norming_constants(q: Potential, mus: np.ndarray, *, trace_nodes: int = TRACE_NODES,
                       quad: Grid | None = None
                       ) -> tuple[list, list, Grid, np.ndarray]:
     """Norming constants, by the Wronskian identity of the module docstring,
     and traces for given eigenvalues.
     Returns (records, traces, quad_grid, phi_at_quad).
     """
-    beta = as_angle(beta)
     cells = _Cells(q)
     mus = np.asarray(mus, dtype=float)
     quad = quad or make_grid(256, RuleKind.GAUSS)
@@ -336,7 +334,7 @@ def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardS
     beta = as_angle(beta)
     delta = delta_sequence(beta, max(N, 3))
     mus = eigenvalues(q, beta, N, delta=delta)
-    records, traces, quad, phi_quad = norming_constants(q, beta, mus)
+    records, traces, quad, phi_quad = norming_constants(q, mus)
     return ForwardSolution(beta, q, records, traces, quad, phi_quad, delta)
 
 

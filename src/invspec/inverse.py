@@ -23,7 +23,7 @@ fitted coefficient model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -453,6 +453,11 @@ class GLRow:
         quad = (self.weights * self.values) @ Fnt
         return -self.F(self.x, t) - quad
 
+    @cached_property
+    def diag(self) -> float:
+        """P(x, x), extended once per row."""
+        return float(self.extend(np.array([self.x]))[0])
+
 
 def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
     """Dense Nystrom solve of the second-kind equation at one x.
@@ -530,7 +535,7 @@ class KernelField:
     def diag(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return float(self.row(x).extend(np.array([x]))[0])
+        return self.row(x).diag
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -538,8 +543,6 @@ class KernelField:
 
     @property
     def condition_max(self) -> float:
-        if not self._rows:
-            _ = self.diagonal  # force the default rows
         return max(r.cond for r in self._rows.values())
 
     @property

@@ -51,8 +51,7 @@ def forward_out(workdir):
 @pytest.fixture(scope="module")
 def inverse_out(workdir, forward_out):
     """inv/: q_recovered.csv and report.json recovered from fw/spectral.json."""
-    r = run_cli("inverse", "fw/spectral.json", "-o", "inv", "--n-terms", "800",
-                cwd=workdir)
+    r = run_cli("inverse", "fw/spectral.json", "-o", "inv", cwd=workdir)
     assert r.returncode == 0, r.stderr
     return workdir / "inv"
 
@@ -66,17 +65,9 @@ def test_usage_error_exit_code(workdir):
     assert r.returncode == 64 and "Traceback" not in r.stderr
 
 
-def test_inverse_truncation_below_data_count_exits_64(workdir):
-    # 40 pairs cannot drive a 20-term kernel without dropping half of them
-    r = run_cli("inverse", "ref.json", "--n-terms", "20", "-o", "short", cwd=workdir)
-    assert r.returncode == 64 and "Traceback" not in r.stderr
-    assert "n_terms=20" in r.stderr
-
-
 def test_inverse_too_few_x_nodes_exits_64(workdir):
     # the derivative stencil at pi needs five nodes; refused before any row solve
-    r = run_cli("inverse", "ref.json", "--x-nodes", "1", "--n-terms", "400", "-o", "few",
-                cwd=workdir)
+    r = run_cli("inverse", "ref.json", "--x-nodes", "1", "-o", "few", cwd=workdir)
     assert r.returncode == 64 and "Traceback" not in r.stderr
     assert "x_nodes=1" in r.stderr
 
@@ -95,27 +86,47 @@ def _subparsers(parser):
 
 
 def test_cli_option_contract():
-    # every option has a caller; a removed knob must not come back unnoticed
-    common = {"-h", "--help", "-o", "--out", "-N", "--n-eigen", "--n-terms", "--quad",
-              "--x-nodes", "--trim", "--force", "--json-logs"}
-    with_beta = common | {"--beta", "--beta-deg"}
-    expected = {"forward": with_beta, "inverse": common, "roundtrip": with_beta,
-                "example6": common, "validate": common}
+    # each subcommand takes exactly the options its handler reads; a removed
+    # knob must not come back unnoticed
+    inverse = {("-o", "--out"), ("--quad",), ("--x-nodes",), ("--force",), ("--json-logs",)}
+    beta = {("--beta",), ("--beta-deg",)}
+    expected = {
+        "forward": beta | {("-o", "--out"), ("-N", "--n-eigen"), ("--json-logs",)},
+        "inverse": inverse,
+        "roundtrip": inverse | beta | {("-N", "--n-eigen"), ("--trim",)},
+        "example6": {("-o", "--out"), ("--quad",), ("--x-nodes",), ("--force",)},
+        "validate": {("--force",)},
+    }
     subs = _subparsers(cli._build_parser())
     assert set(subs) == set(expected)
     for name, sp in subs.items():
-        options = {s for a in sp._actions for s in a.option_strings}
+        options = {tuple(a.option_strings) for a in sp._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
         assert options == expected[name], name
-    for removed in (["--no-accelerate"], ["--smoothing", "0.1"]):
+    counts = {name: len(options) for name, options in expected.items()}
+    assert counts == {"forward": 5, "inverse": 5, "roundtrip": 9, "example6": 4, "validate": 1}
+    assert sum(counts.values()) == 24
+    removed = {
+        "forward": ["forward", "q.csv", "--beta", "1", "--quad", "64"],
+        "inverse": ["inverse", "ref.json", "--n-terms", "800"],
+        "roundtrip": ["roundtrip", "q.csv", "--beta", "1", "--n-terms", "800"],
+        "example6": ["example6", "-N", "40"],
+        "validate": ["validate", "ref.json", "-o", "out"],
+    }
+    for argv in [*removed.values(), ["inverse", "ref.json", "--no-accelerate"],
+                 ["inverse", "ref.json", "--smoothing", "0.1"]]:
         with pytest.raises(SystemExit) as exc:
-            cli.main(["inverse", "ref.json", *removed])
-        assert exc.value.code == 64
+            cli.main(argv)
+        assert exc.value.code == 64, argv
 
 
 def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
     doc = json.loads(forward_out.read_text())
     assert doc["count"] == 16 and len(doc["mu"]) == 16
     assert doc["config"]["command"] == "forward"
+    # options forward does not take read null; the series length is no option
+    assert doc["config"]["n_quad"] is None and doc["config"]["force"] is None
+    assert "n_terms" not in doc["config"]
 
     r = run_cli("validate", "fw/spectral.json", cwd=workdir)
     assert r.returncode == 0
@@ -127,6 +138,8 @@ def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
                 "condition_max", "branch", "config"):
         assert key in rep
     assert rep["branch"] == "regular"
+    assert rep["config"]["n_eigen"] is None and rep["config"]["trim"] is None
+    assert rep["config"]["n_quad"] == 96 and "n_terms" not in rep["config"]
     assert (inverse_out / "q_recovered.csv").exists()
 
 
@@ -171,8 +184,7 @@ def test_example6_command(workdir):
 
 
 def test_roundtrip_command(workdir):
-    r = run_cli("roundtrip", "q.csv", "--beta-deg", "60", "-N", "16",
-                "--n-terms", "800", "-o", "rt", "--json-logs",
+    r = run_cli("roundtrip", "q.csv", "--beta-deg", "60", "-N", "16", "-o", "rt", "--json-logs",
                 "--trim", repr(0.1 * PI), repr(0.95 * PI), cwd=workdir)
     assert r.returncode == 0, r.stderr
     doc = json.loads((workdir / "rt" / "roundtrip.json").read_text())
@@ -185,8 +197,7 @@ def test_roundtrip_command(workdir):
 
 def test_deterministic_outputs(workdir, forward_out):
     for d in ("det1", "det2"):
-        r = run_cli("inverse", "fw/spectral.json", "-o", d, "--n-terms", "800",
-                    cwd=workdir)
+        r = run_cli("inverse", "fw/spectral.json", "-o", d, cwd=workdir)
         assert r.returncode == 0
     csv1 = (workdir / "det1" / "q_recovered.csv").read_bytes()
     csv2 = (workdir / "det2" / "q_recovered.csv").read_bytes()

@@ -270,7 +270,7 @@ def test_norming_rejects_non_eigenvalue(q_zero):
     # a real root has phi(pi) != 0 when sin(beta) != 0; feed a fake mu whose
     # phi(pi) vanishes (Dirichlet eigenvalue n=1 -> lambda = 1)
     with pytest.raises(NumericsError):
-        norming_constants(q_zero, PI / 2, np.array([1.0]))
+        norming_constants(q_zero, np.array([1.0]))
 
 
 # --- expansion -----------------------------------------------------------------

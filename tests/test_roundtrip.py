@@ -3,6 +3,7 @@ import pytest
 
 from invspec.core import PI
 from invspec.errors import ConfigError
+from invspec.inverse import build_F, build_H, recover_q, solve_kernel_field
 from invspec.roundtrip import (
     InverseParams,
     example6_F,
@@ -50,8 +51,9 @@ def test_roundtrip_report_fields(roundtrip_cos):
     report, _ = roundtrip_cos[32]
     d = report.to_dict()
     for key in ("q_sup_error", "q_l1_error", "beta_gap", "angle_identity_gap",
-                "n_eigen", "n_terms", "n_quad", "x_nodes", "trim", "consistency"):
+                "n_eigen", "n_quad", "x_nodes", "trim", "consistency"):
         assert key in d
+    assert "n_terms" not in d  # derived from the data, not a parameter
     assert d["q_sup_error"] >= 0 and np.isfinite(d["q_sup_error"])
     assert d["q_l1_error"] >= 0 and np.isfinite(d["q_l1_error"])
     assert d["beta_gap"] >= 0
@@ -61,19 +63,36 @@ def test_roundtrip_decreases_with_quadrature(q_cos):
     # holding everything else fixed, a finer row quadrature cannot hurt (10% slack)
     errs = []
     for n_quad in (32, 64):
-        params = InverseParams(n_terms=600, n_quad=n_quad, x_nodes=65)
+        params = InverseParams(n_quad=n_quad, x_nodes=65)
         report, _ = roundtrip(q_cos, PI / 3, 16, trim=(0.1 * PI, 0.95 * PI), params=params)
         errs.append(report.q_sup_error)
     assert errs[1] <= 1.1 * errs[0]
 
 
-def test_roundtrip_decreases_with_series_length(q_cos):
-    errs = []
-    for n_terms in (250, 1000):
-        params = InverseParams(n_terms=n_terms, n_quad=64, x_nodes=65)
-        report, _ = roundtrip(q_cos, PI / 3, 16, trim=(0.1 * PI, 0.95 * PI), params=params)
-        errs.append(report.q_sup_error)
-    assert errs[1] <= 1.1 * errs[0]
+def _q_hat(data, n_terms):
+    field = solve_kernel_field(build_F(build_H(data, data.beta, n_terms)),
+                               np.linspace(0.0, PI, 129))
+    return recover_q(field).values
+
+
+@pytest.mark.parametrize("case, tol", [("cos", 1e-6), ("example6", 1e-9)],
+                         ids=["cos", "example6"])
+def test_recovered_q_flat_in_series_length(case, tol, fwd_cos_64):
+    # the derived default of 2000 terms sits on the flat part of the curve:
+    # four times the terms moves q_hat four orders below its error (measured
+    # 8.4e-8 on cos, error 3.4e-3; 1.9e-10 on example6, error 4.4e-7)
+    data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
+    assert np.max(np.abs(_q_hat(data, 8000) - _q_hat(data, 2000))) <= tol
+
+
+def test_series_length_follows_data_count(ex6_inverse):
+    # more pairs than the default series length: every pair is used
+    assert ex6_inverse.field.F.H.n_terms == 2000
+    inv = inverse_pipeline(example6_data(2100))
+    assert inv.field.F.H.n_terms == 2100
+    x = inv.field.x_nodes
+    keep = x >= 0.05
+    assert np.max(np.abs(inv.q_hat.values[keep] - example6_q(x[keep]))) < 1e-6
 
 
 # --- reference-example oracle -----------------------------------------------------

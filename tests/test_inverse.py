@@ -334,6 +334,55 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
         assert np.array_equal(row.values, expected)
 
 
+@pytest.mark.parametrize("case", ["cos", "example6"])
+def test_row_diagonal_matches_extension(case, fwd_cos_64):
+    # P(x,x) from the row's stored F(x, t_k) is the interpolant at t = x
+    data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
+    F = build_F(build_H(data, data.beta))
+    for x in (0.4, 2.0, PI):
+        row = solve_gl(F, x)
+        assert abs(row.diag - row.extend([x])[0]) <= 1e-15
+
+
+def test_solved_row_holds_no_kernel_buffer():
+    # a cached row keeps n_quad-sized arrays, never a view into the row's
+    # whole buffer of kernel values
+    row = solve_gl(_F_CACHE["F"], 2.0)
+    for arr in (row.nodes, row.weights, row.values, row.f):
+        assert arr.base is None or arr.base.nbytes <= arr.nbytes
+
+
+def _count_h_calls(monkeypatch) -> list:
+    calls = []
+    real = inverse.HFunction.__call__
+
+    def counting(self, t):
+        calls.append(np.size(t))
+        return real(self, t)
+
+    monkeypatch.setattr(inverse.HFunction, "__call__", counting)
+    return calls
+
+
+def test_solve_gl_evaluates_H_once(monkeypatch):
+    F = _F_CACHE["F"]
+    calls = _count_h_calls(monkeypatch)
+    row = solve_gl(F, 2.0)
+    n = row.nodes.size
+    assert calls == [2 * (n * (n + 1) // 2 + n + 1)]
+
+
+def test_diagonal_consumers_add_no_H_call(monkeypatch):
+    calls = _count_h_calls(monkeypatch)
+    field = solve_kernel_field(_F_CACHE["F"])
+    assert len(calls) == field.x_nodes.size - 1
+    calls.clear()
+    recover_q(field)
+    for x in field.x_nodes:
+        field.diagonal_residual(x)
+    assert calls == []
+
+
 def test_pipeline_solves_192_rows(monkeypatch):
     # 128 field rows (x > 0 on the 129-node grid) and 64 consistency rows
     calls = []

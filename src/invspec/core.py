@@ -279,9 +279,12 @@ class SpectralData:
         object.__setattr__(self, "mu", _frozen(self.mu))
         object.__setattr__(self, "norming", _frozen(self.norming))
         if self.mu.size != self.norming.size:
-            raise ConfigError("mu and norming must have equal length")
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.norming))):
-            raise ConfigError("spectral data must be finite")
+            raise ConfigError(f"mu and norming must have equal length, got {self.mu.size} "
+                              f"and {self.norming.size}")
+        for name, arr in (("mu", self.mu), ("norming", self.norming)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise ConfigError(f"spectral data must be finite: {name}[{bad[0]}] = {arr[bad[0]]}")
 
     @property
     def count(self) -> int:
@@ -314,7 +317,8 @@ class SpectralData:
         except KeyError as exc:  # pragma: no cover - defensive
             raise ConfigError(f"spectral JSON missing field {exc}") from exc
         if "count" in doc and int(doc["count"]) != data.count:
-            raise ConfigError("spectral JSON count disagrees with array length")
+            raise ConfigError(f"spectral JSON count {int(doc['count'])} disagrees with "
+                              f"array length {data.count}")
         return data
 
 

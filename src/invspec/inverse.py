@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.fft
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .asymptotics import (
     DeltaSequence,
@@ -54,13 +54,14 @@ from .core import (
     musin,
     trapezoid_grid,
 )
-from .errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
+from .errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError, NumericsError
 
 TWO_PI = 2.0 * PI
 DEFAULT_N_TERMS = 2000
 DEFAULT_N_QUAD = 96
 DEFAULT_X_NODES = 129
 CONDITION_LIMIT = 1e8   # on the 1-norm condition estimate of each Nystrom matrix
+PHI_BLOCK = 1 << 14     # mu values x x-nodes x row nodes per batch of KernelField.phi
 H_GRID_SIZE = 32769
 _H_GRID = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
 _H_GRID.flags.writeable = False
@@ -261,9 +262,13 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
         coef[k] = np.bincount(bins, p, minlength=L)
         p = p * e
     acc = np.zeros(H_GRID_SIZE, dtype=complex)
+    it = 1j * _H_GRID
     for k in range(K, -1, -1):
-        y = L * np.fft.ifft(coef[k])
-        acc = acc * (1j * _H_GRID / (k + 1)) + np.append(y, y[0])
+        y = scipy.fft.ifft(coef[k])  # takes a real-input path that numpy's ifft lacks
+        y *= L
+        acc *= it / (k + 1)
+        acc[:-1] += y
+        acc[-1] += y[0]
     return np.exp(0.5j * _H_GRID) * acc
 
 
@@ -296,20 +301,21 @@ class HFunction:
     Deterministic for fixed inputs: construction precomputes H on the
     uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and fits a cubic
     spline; evaluation takes the cell of t directly as floor(t L / (2 pi))
-    (no search, the grid being uniform) and applies Horner's rule to that
-    cell's spline coefficients.  On the grid, pairs with mu < 1 are
-    summed directly and every other term by FFTs of its Taylor expansion
-    about the nearest half-integer frequency (:func:`_halfint_expsum`); the
-    half-integer partial sums of the tail model take one FFT each.  The
-    exact endpoint t = 2*pi, where the conditionally convergent part jumps,
-    is summed directly from the extended model.
+    (no search, the grid being uniform), gathers that cell's four spline
+    coefficients in one pass and applies Horner's rule in place.  On the
+    grid, pairs with mu < 1 are summed directly and every other term by
+    FFTs of its Taylor expansion about the nearest half-integer frequency
+    (:func:`_halfint_expsum`); the half-integer partial sums of the tail
+    model take one FFT each.  The exact endpoint t = 2*pi, where the
+    conditionally convergent part jumps, is summed directly from the
+    extended model.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
                  n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
         beta = as_angle(beta)
         if n_terms < 8:
-            raise ConfigError("n_terms too small")
+            raise ConfigError(f"n_terms={n_terms} too small: the H series needs at least 8 terms")
         if delta is None or delta.n_max < _end_terms(n_terms):
             delta = delta_sequence(beta, _end_terms(n_terms))
         self.beta = beta
@@ -335,7 +341,8 @@ class HFunction:
 
         vals = (_grid_pair_sum(self.mu_d, self.a_d, self.mu_b, self.a_b)
                 + self._tail_correction())
-        self._coef = CubicSpline(_H_GRID, vals).c   # (4, L): cubic to constant, per cell
+        # (L, 4): per cell, the cubic to constant coefficients side by side
+        self._coef = np.ascontiguousarray(CubicSpline(_H_GRID, vals).c.T)
         self._h_end = self._end_value()
 
     # -- summation pieces ---------------------------------------------------
@@ -352,8 +359,8 @@ class HFunction:
         t = _H_GRID
         s1, sc = self._partial_halfint()
         cot = self.beta.cot
-        tail_sin = (sin_halfint_closed(t) - s1) + (t * cot / PI) * (cos_halfint_closed(t) - sc)
         tail_cos = cos_halfint_closed(t) - sc
+        tail_sin = (sin_halfint_closed(t) - s1) + (t * cot / PI) * tail_cos
         return (-(self.c * t / PI) * tail_sin
                 + (self.gamma_hat - self.c * self.c * t * t / (4.0 * PI)) * tail_cos)
 
@@ -372,20 +379,26 @@ class HFunction:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        lo = float(np.min(t_arr, initial=np.inf))
-        hi = float(np.max(t_arr, initial=-np.inf))
+        t1 = t_arr.ravel()  # 1-d, so that every step below can write into its buffers
+        lo = float(np.minimum.reduce(t1, initial=np.inf))
+        hi = float(np.maximum.reduce(t1, initial=-np.inf))
         if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
             raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
         if lo < 0.0 or hi > TWO_PI:
-            t_arr = np.clip(t_arr, 0.0, TWO_PI)
+            t1 = np.clip(t1, 0.0, TWO_PI)
         L = H_GRID_SIZE - 1
-        cell = np.minimum((t_arr * (L / TWO_PI)).astype(np.intp), L - 1)
-        s = t_arr - _H_GRID[cell]
-        c = self._coef
-        out = ((c[0][cell] * s + c[1][cell]) * s + c[2][cell]) * s + c[3][cell]
+        s = t1 * (L / TWO_PI)
+        cell = s.astype(np.intp)  # L only at t = 2*pi, clipped to the last cell L - 1
+        np.subtract(t1, _H_GRID[:L].take(cell, out=s, mode="clip"), out=s)
+        c = self._coef.take(cell, axis=0, mode="clip")
+        out = c[:, 0] * s
+        for k in (1, 2):  # Horner's rule, in place
+            out += c[:, k]
+            out *= s
+        out += c[:, 3]
         if hi >= TWO_PI - 1e-12:
-            out = np.where(np.abs(t_arr - TWO_PI) <= 1e-12, self._h_end, out)
-        return out if out.ndim else float(out)
+            out[np.abs(t1 - TWO_PI) <= 1e-12] = self._h_end
+        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
     def eval_direct(self, t):
         """Truncated summation without the dense-grid cache or tail model."""
@@ -476,7 +489,9 @@ def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
     fully evaluated one.  One LU factorization serves the solve and a 1-norm
     condition estimate (LAPACK gecon, Hager-Higham), which is checked before
     the solve: an estimate above CONDITION_LIMIT signals inadmissible data
-    (the continuous operator is invertible for admissible inputs).
+    (the continuous operator is invertible for admissible inputs).  The
+    LAPACK routines getrf, gecon and getrs are called directly; a kernel
+    value that is not finite is refused before the factorization.
     """
     if not (0.0 < x <= PI):
         raise ConfigError(f"x={x} outside (0, pi]")
@@ -489,18 +504,32 @@ def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
                              tj + tk, x + nodes, [2.0 * x]]))
     half = Hv.size // 2
     Fv = 0.5 * (Hv[:half] - Hv[half:])  # triangle, then F(x, t_k), then F(x, x)
-    A = np.eye(n_quad) + Fv[mirror] * weights[None, :]  # row j, column k: w_k F(t_k, t_j)
-    lu = lu_factor(A)
-    rcond, _ = dgecon(lu[0], np.linalg.norm(A, 1), norm="1")
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    finite = np.isfinite(Fv)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NumericsError(f"non-finite kernel value {Fv[bad]} in the Nystrom row at x={x:.4f}")
+    A = Fv[mirror] * weights[None, :]  # row j, column k: w_k F(t_k, t_j)
+    A.ravel()[::n_quad + 1] += 1.0  # the identity, added on the diagonal in place
+    lu, piv, info = dgetrf(A)
+    _check_info("getrf", info, x)
+    rcond, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
+    _check_info("gecon", info, x)
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf  # rcond 0: exactly singular (getrf info > 0)
     if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
             f"ill-posed data: Nystrom 1-norm condition estimate {cond:.3e} at x={x:.4f} "
             f"exceeds {CONDITION_LIMIT:.0e}")
     rhs = -Fv[j.size:-1]  # a fresh array: a GLRow must not keep Fv alive
-    p = lu_solve(lu, rhs)
+    p, info = dgetrs(lu, piv, rhs)
+    _check_info("getrs", info, x)
     resid = float(np.max(np.abs(A @ p - rhs)))
     return GLRow(float(x), nodes, weights, p, -rhs, float(Fv[-1]), cond, resid, F)
+
+
+def _check_info(routine: str, info: int, x: float) -> None:
+    """Refuse a negative LAPACK info: an illegal argument to the routine."""
+    if info < 0:
+        raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
 @lru_cache(maxsize=None)
@@ -534,7 +563,7 @@ class KernelField:
             # the five-node px_at stencil at pi needs four nodes below it
             raise ConfigError(f"x_nodes={self.x_nodes.size}: the kernel field needs at least 5 nodes")
         if self.x_nodes[0] != 0.0:
-            raise ConfigError("x grid must start at 0")
+            raise ConfigError(f"x grid must start at 0, got first node {float(self.x_nodes[0])!r}")
         self.n_quad = int(n_quad)
         self._rows: dict[float, GLRow] = {}
 
@@ -579,14 +608,27 @@ class KernelField:
             out = out + c * self.p_at(x + o * h, t)
         return out / h
 
-    def phi(self, x: float, mus) -> np.ndarray:
+    def phi(self, x, mus) -> np.ndarray:
         """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
-        mu, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0."""
+        mu and x, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0.
+
+        The one rebuild of the solutions from the kernel: a scalar x gives a
+        vector over mu, an array of x a (mu, x) matrix.  The x-nodes are
+        taken in blocks of at most PHI_BLOCK mu values x x-nodes x row nodes.
+        """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        if x <= 0.0:
-            return np.zeros(mus.size)
-        row = self.row(x)
-        return musin(mus, x) + musin(mus[:, None], row.nodes) @ (row.weights * row.values)
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros((mus.size, xs.size))
+        inside = np.flatnonzero(xs > 0.0)
+        step = max(1, PHI_BLOCK // (mus.size * self.n_quad))
+        for b0 in range(0, inside.size, step):
+            idx = inside[b0:b0 + step]
+            rows = [self.row(float(xs[i])) for i in idx]
+            nodes = np.stack([r.nodes for r in rows])
+            wv = np.stack([r.weights * r.values for r in rows])[:, :, None]
+            quad = musin(mus[:, None], nodes[:, None, :]) @ wv  # (x, mu, 1)
+            out[:, idx] = musin(mus[:, None], xs[idx]) + quad[:, :, 0].T
+        return out if np.ndim(x) else out[:, 0]
 
     def dphi(self, x: float, mus, p_xx: float | None = None) -> np.ndarray:
         """phi'(x, mu) = c(x) + P(x,x) s(x) + integral of P_x(x,t) s(t) dt for
@@ -714,7 +756,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     diag_res = max(abs(field.diagonal_residual(x)) for x in field.x_nodes)
 
     xg, wg = gauss_rule(64, 0.0, PI)
-    phi_mat = np.column_stack([field.phi(float(x), data.mu[:k_terms]) for x in xg])
+    phi_mat = field.phi(xg, data.mu[:k_terms])
 
     a = data.norming[:k_terms]
     parseval = {}

@@ -177,3 +177,23 @@ def test_spectral_json_embeds_expected_keys():
     doc = json.loads(data.to_json())
     assert set(doc) == {"beta", "count", "mu", "a", "c_fit"}
     assert doc["count"] == 12
+
+
+def test_spectral_data_errors_name_the_offending_value():
+    with pytest.raises(ConfigError, match="equal length, got 12 and 11"):
+        SpectralData(1.0, np.arange(12) + 0.5, np.ones(11))
+    mu = np.arange(12) + 0.5
+    mu[7] = np.nan
+    with pytest.raises(ConfigError, match=r"must be finite: mu\[7\] = nan"):
+        SpectralData(1.0, mu, np.ones(12))
+    a = np.ones(12)
+    a[3] = np.inf
+    with pytest.raises(ConfigError, match=r"must be finite: norming\[3\] = inf"):
+        SpectralData(1.0, np.arange(12) + 0.5, a)
+
+
+def test_spectral_json_count_mismatch_names_both_counts():
+    doc = json.loads(SpectralData(1.0, np.arange(12) + 0.5, np.ones(12)).to_json())
+    doc["count"] = 13
+    with pytest.raises(ConfigError, match="count 13 disagrees with array length 12"):
+        SpectralData.from_json(json.dumps(doc))

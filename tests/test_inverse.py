@@ -8,11 +8,18 @@ from invspec.asymptotics import unperturbed_spectrum
 from invspec.core import (
     PI,
     SpectralData,
+    gauss_rule,
     interpolant,
     mucos,
     musin,
 )
-from invspec.errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError
+from invspec.errors import (
+    AdmissibilityError,
+    ConfigError,
+    DataConsistencyError,
+    DomainError,
+    NumericsError,
+)
 from invspec.inverse import (
     _H_GRID,
     _grid_pair_sum,
@@ -194,7 +201,7 @@ def test_h_zero_in_both_gives_xt_kernel():
 
 
 def test_h_needs_valid_truncation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_terms=4 too small: .* at least 8"):
         build_H(example6_data(20), PI / 2, 4)
 
 
@@ -397,6 +404,45 @@ def test_pipeline_solves_192_rows(monkeypatch):
     assert len(calls) == 192
 
 
+def test_non_finite_kernel_value_is_refused(monkeypatch):
+    # a NaN from H must not reach LAPACK, which would pass it through silently
+    F = _F_CACHE["F"]
+    real = inverse.HFunction.__call__
+
+    def one_nan(self, t):
+        out = real(self, t)
+        out[5] = np.nan
+        return out
+
+    monkeypatch.setattr(inverse.HFunction, "__call__", one_nan)
+    with pytest.raises(NumericsError, match=r"non-finite kernel value nan .* at x=2\.0000"):
+        solve_gl(F, 2.0)
+
+
+@pytest.mark.parametrize("case", ["cos", "example6"])
+def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
+    # the one rebuild of phi, over the 64 consistency Gauss nodes at once,
+    # against the per-node formula on each row
+    data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
+    field = solve_kernel_field(build_F(build_H(data, data.beta)))
+    mus = data.mu[:20]
+    xg = gauss_rule(64, 0.0, PI)[0]
+    batched = field.phi(xg, mus)
+    assert batched.shape == (mus.size, xg.size)
+    for i, x in enumerate(xg):
+        row = field.row(float(x))
+        ref = musin(mus, x) + musin(mus[:, None], row.nodes) @ (row.weights * row.values)
+        assert np.max(np.abs(batched[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(field.phi(float(x), mus), batched[:, i])
+    if case == "example6":
+        # recover_beta's x = pi column is the per-node formula bit for bit
+        ks = data.mu[:8]  # the first min(8, max(5, count // 4)) eigenvalues
+        row = field.row(PI)
+        phi_pi = musin(ks, PI) + musin(ks[:, None], row.nodes) @ (row.weights * row.values)
+        expected = -field.dphi(PI, ks, field.diag(PI)) / phi_pi
+        assert np.array_equal(recover_beta(field, data).ratios, expected)
+
+
 def test_kernel_field_boundary_column(ex6_inverse):
     field = ex6_inverse.field
     for x in (0.5, 1.5, PI):
@@ -452,6 +498,11 @@ def test_kernel_field_needs_five_nodes():
     F = _F_CACHE["F"]
     with pytest.raises(ConfigError, match="x_nodes=4"):
         solve_kernel_field(F, np.linspace(0.0, PI, 4), 32)
+
+
+def test_kernel_field_grid_names_its_first_node():
+    with pytest.raises(ConfigError, match="must start at 0, got first node 0.5"):
+        solve_kernel_field(_F_CACHE["F"], np.linspace(0.5, PI, 9), 32)
 
 
 def test_recover_q_integral_consistency(ex6_inverse):

@@ -12,11 +12,16 @@ The error is fourth order in the cell width: on q = cos x, eigenvalues move by
 1.2e-10, 7.7e-12, 4.8e-13 and 2.9e-14 at 256, 512, 1024 and 2048 cells, the
 same for n < 16 as for n < 256.
 
-A balanced-tree product of the cell matrices, batched over mu and carrying
-d/dmu, gives Omega(mu) = phi(pi) cos(beta) + phi'(pi) sin(beta) and Omega'(mu)
-for safeguarded Newton, and a = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi), the
-integral of phi^2 (W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0).
-Stepping across the cells gives phi at every edge and, by one partial step, at any x.
+A 2x2 matrix is held as its four entries (m00, m01, m10, m11), each an
+array with rows mu and columns cell, and products are written out entry by
+entry.  A balanced-tree product of the cell matrices, batched over mu and
+carrying d/dmu by the product rule, gives Omega(mu) = phi(pi) cos(beta) +
+phi'(pi) sin(beta) and Omega'(mu) for safeguarded Newton, and
+a = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi), the integral of phi^2
+(W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0).  phi and phi' at
+every cell edge are the second columns of the prefix products, from
+log2(cells) levels of Hillis-Steele doubling; one partial step from the
+edge below x then gives them at any x.
 """
 from __future__ import annotations
 
@@ -45,7 +50,9 @@ from .core import (
 from .errors import ConfigError, NumericsError
 
 CELLS_PER_INTERVAL = 4
-SWEEP_SIZE = 1 << 12  # mu values x steps per batch: a sweep's arrays stay under 1 MB
+# mu values x cells per batch: a Newton step at N <= 16 on 1024 cells is one
+# batch of 128 KiB entry arrays; 2^16 gained no time and raised peak RSS by 2.5 MiB
+SWEEP_SIZE = 1 << 14
 NEWTON_TOL = 1e-12    # relative Newton step at which a root is accepted
 NEWTON_MAX = 100
 TRACE_NODES = 2049
@@ -109,12 +116,13 @@ class ForwardSolution:
 
 
 class _Cells:
-    """The potential's interpolant cut into cells, with each cell's Magnus data."""
+    """The interpolant of q - shift cut into cells, with each cell's Magnus data."""
 
-    def __init__(self, q: Potential):
+    def __init__(self, q: Potential, shift: float = 0.0):
         if np.max(np.abs(q.values)) > MAX_ABS_Q:
             raise ConfigError("potential samples exceed 1e6; out of numerical reach")
         self.qf = interpolant(q)
+        self.shift = shift
         knots = np.unique(np.clip(np.concatenate([[0.0], q.grid.nodes, [PI]]), 0.0, PI))
         frac = np.arange(CELLS_PER_INTERVAL) / CELLS_PER_INTERVAL
         self.edges = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(), PI)
@@ -124,17 +132,18 @@ class _Cells:
         """(h, qbar, d) of the Magnus steps from a to b."""
         h = b - a
         q1, q2 = self.qf(a + (0.5 - _GAUSS) * h), self.qf(a + (0.5 + _GAUSS) * h)
-        return h, 0.5 * (q1 + q2), 0.5 * _GAUSS * h * h * (q1 - q2)
+        return h, 0.5 * (q1 + q2) - self.shift, 0.5 * _GAUSS * h * h * (q1 - q2)
 
 
 def _propagators(steps, mus: np.ndarray, deriv: bool = False):
-    """exp(Omega) of every step (axis 1) for every mu (axis 0), and with
-    ``deriv`` its mu-derivative (else None)."""
+    """Entries (m00, m01, m10, m11) of exp(Omega), each with rows mu and
+    columns step, and with ``deriv`` their mu-derivatives (else None)."""
     h, qbar, d = steps
     v = h * (qbar - mus[:, None])           # Omega[1, 0]
     s2 = d * d + h * v
     C, S = mucos(-s2, 1.0), musin(-s2, 1.0)
-    M = np.stack((C + S * d, S * h, S * v, C - S * d), axis=-1).reshape(s2.shape + (2, 2))
+    Sd = S * d
+    M = (C + Sd, S * h, S * v, C - Sd)
     if not deriv:
         return M, None
     # dC/ds2 = S/2 and dS/ds2 = (C - S)/(2 s2), by its Taylor series where
@@ -143,26 +152,41 @@ def _propagators(steps, mus: np.ndarray, deriv: bool = False):
     series = 1 / 6 + s2 * (1 / 60 + s2 * (1 / 1680 + s2 * (1 / 90720 + s2 / 7983360)))
     dC = -0.5 * h * h * S
     dS = -h * h * np.where(small, series, (C - S) / (2.0 * np.where(small, 1.0, s2)))
-    dM = np.stack((dC + dS * d, dS * h, dS * v - S * h, dC - dS * d), axis=-1)
-    return M, dM.reshape(M.shape)
+    dSd = dS * d
+    return M, (dC + dSd, dS * h, dS * v - S * h, dC - dSd)
 
 
-def _tree(M: np.ndarray, dM: np.ndarray | None):
-    """M[:, -1] @ ... @ M[:, 0] by multiplying adjacent pairs level by level,
-    and its mu-derivative by the product rule when dM is given."""
-    while M.shape[1] > 1:
-        if M.shape[1] % 2:  # pad with the identity, whose derivative is zero
-            M = np.concatenate([M, np.broadcast_to(np.eye(2), M[:, :1].shape)], axis=1)
-            dM = None if dM is None else np.concatenate([dM, np.zeros_like(dM[:, :1])], axis=1)
+def _mul(b, a):
+    """The entries of b @ a, for 2x2 matrices given by their entries."""
+    b00, b01, b10, b11 = b
+    a00, a01, a10, a11 = a
+    return (b00 * a00 + b01 * a10, b00 * a01 + b01 * a11,
+            b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
+
+
+def _tree(M, dM):
+    """Entries of M[:, -1] @ ... @ M[:, 0], by multiplying adjacent pairs
+    level by level, and of its mu-derivative by the product rule when dM is given."""
+    while M[0].shape[1] > 1:
+        if M[0].shape[1] % 2:  # pad with the identity, whose derivative is zero
+            M = _pad(M, (1.0, 0.0, 0.0, 1.0))
+            dM = None if dM is None else _pad(dM, (0.0, 0.0, 0.0, 0.0))
+        early, late = [m[:, 0::2] for m in M], [m[:, 1::2] for m in M]
         if dM is not None:
-            dM = dM[:, 1::2] @ M[:, 0::2] + M[:, 1::2] @ dM[:, 0::2]
-        M = M[:, 1::2] @ M[:, 0::2]
-    return M[:, 0], None if dM is None else dM[:, 0]
+            dM = tuple(x + y for x, y in zip(_mul([m[:, 1::2] for m in dM], early),
+                                             _mul(late, [m[:, 0::2] for m in dM])))
+        M = _mul(late, early)
+    return tuple(m[:, 0] for m in M), None if dM is None else tuple(m[:, 0] for m in dM)
+
+
+def _pad(M, entries):
+    """One more column per entry array, holding the given matrix."""
+    return tuple(np.concatenate([m, np.full((m.shape[0], 1), e)], axis=1) for m, e in zip(M, entries))
 
 
 def _chunks(count: int, width: int):
     """Slices of ``count`` mu values, each batch holding at most SWEEP_SIZE
-    mu values x ``width`` steps."""
+    mu values x ``width`` cells."""
     step = max(1, SWEEP_SIZE // width)
     return [slice(i, i + step) for i in range(0, count, step)]
 
@@ -171,11 +195,11 @@ def _sweep(cells: _Cells, mus: np.ndarray, deriv: bool = False) -> np.ndarray:
     """Rows phi(pi), phi'(pi), and with ``deriv`` phi_mu(pi), phi_mu'(pi):
     the second column of the product of all cell matrices and of its mu-derivative."""
     out = np.empty((4 if deriv else 2, mus.size))
-    for sl in _chunks(mus.size, cells.edges.size):
+    for sl in _chunks(mus.size, cells.steps[0].size):
         E, dE = _tree(*_propagators(cells.steps, mus[sl], deriv))
-        out[:2, sl] = E[:, :, 1].T
+        out[:2, sl] = E[1], E[3]
         if deriv:
-            out[2:, sl] = dE[:, :, 1].T
+            out[2:, sl] = dE[1], dE[3]
     return out
 
 
@@ -186,19 +210,35 @@ def _omega(cells: _Cells, beta: BoundaryAngle, mus, deriv: bool = False):
     return (w @ y[:2], w @ y[2:]) if deriv else w @ y
 
 
+def _edge_values(cells: _Cells, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi and phi' at every cell edge, rows mu: the second columns of the
+    prefix products M[:, j] @ ... @ M[:, 0], by Hillis-Steele doubling."""
+    P = _propagators(cells.steps, mus)[0]
+    n, s = P[0].shape[1], 1
+    while s < n:
+        # P[:, j] covered cells j-s+1..j; multiplying by P[:, j-s] covers j-2s+1..j
+        for p, new in zip(P, _mul([p[:, s:] for p in P], [p[:, :-s] for p in P])):
+            p[:, s:] = new
+        s *= 2
+    zeros, ones = np.zeros((mus.size, 1)), np.ones((mus.size, 1))
+    return np.hstack([zeros, P[1]]), np.hstack([ones, P[3]])
+
+
 def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi(x, mu) and phi'(x, mu), rows mu and columns x: (phi, phi') stepped
-    from (0, 1) to every cell edge, then one partial step from the edge below x."""
-    n = cells.edges.size - 1
+    """phi(x, mu) and phi'(x, mu), rows mu and columns x: (phi, phi') at every
+    cell edge, then one partial step from the edge below each x.  Each batch
+    of mu takes every x at once; batches are sized on the wider of the cells
+    and x, so peak memory stays near that of a sweep."""
+    n = cells.steps[0].size
     k = np.clip(np.searchsorted(cells.edges, x, side="right") - 1, 0, n - 1)
     partial = cells.magnus(cells.edges[k], x)
-    M, _ = _propagators(cells.steps, mus)   # every mu at once, so the cell loop below runs once
-    y = np.empty((mus.size, n + 1, 2, 1))
-    y[:, 0] = [[0.0], [1.0]]
-    for j in range(n):
-        y[:, j + 1] = M[:, j] @ y[:, j]
-    z = np.concatenate([_propagators(partial, mus[sl])[0] @ y[sl][:, k] for sl in _chunks(mus.size, x.size)])
-    return z[:, :, 0, 0], z[:, :, 1, 0]
+    out = np.empty((2, mus.size, x.size))
+    for sl in _chunks(mus.size, max(n, x.size)):
+        y0, y1 = (e[:, k] for e in _edge_values(cells, mus[sl]))
+        p00, p01, p10, p11 = _propagators(partial, mus[sl])[0]
+        out[0, sl] = p00 * y0 + p01 * y1
+        out[1, sl] = p10 * y0 + p11 * y1
+    return out[0], out[1]
 
 
 def shoot(q: Potential, mu: float, *, n_nodes: int = TRACE_NODES) -> SolutionTrace:
@@ -218,60 +258,66 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int,
                 *, delta: DeltaSequence | None = None) -> np.ndarray:
     """First N eigenvalues, strictly increasing.
 
-    Indices n >= 2 are bracketed inside half-width-0.45 windows around the
-    asymptotic centers (n + delta_n + mean(q)/(2(n+delta_n)))^2, the two low
-    modes by a scan below the first window; Newton refines every root.
+    The roots are found for q - mean(q), then moved back by mean(q): a
+    constant shift of q moves every eigenvalue by the same amount, and the
+    Magnus step sees only qbar - mu.  Indices n >= 2 are bracketed inside
+    half-width-0.45 windows around the asymptotic centers (n + delta_n)^2,
+    the two low modes by a scan below the first window; Newton refines every
+    root.  Error messages give mu for q itself.
     """
     beta = as_angle(beta)
-    cells = _Cells(q)
+    shift = q.mean
+    cells = _Cells(q, shift)
     if N < 1:
         raise ConfigError("N must be at least 1")
     if delta is None or delta.n_max < max(N, 3):
         delta = delta_sequence(beta, max(N, 3))
     om = delta.omega(np.arange(2, max(N, 3)))
-    centers = om + q.mean / (2.0 * om)
-    low_lo, low_hi = _scan_low_modes(cells, beta, q, centers[0] - WINDOW_HALF_WIDTH)
+    low_lo, low_hi = _scan_low_modes(cells, beta, q, om[0] - WINDOW_HALF_WIDTH)
 
     def windows(half_width):
-        a, b = centers - half_width, centers + half_width
+        a, b = om - half_width, om + half_width
         return np.append(low_lo, a * np.abs(a))[:N], np.append(low_hi, b * np.abs(b))[:N]
 
     lo, hi = windows(WINDOW_HALF_WIDTH)
-    f_lo, f_hi = _omega(cells, beta, lo), _omega(cells, beta, hi)
+    f_lo, f_hi = np.split(_omega(cells, beta, np.concatenate([lo, hi])), 2)
     bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) >= 0)
     if bad.size and bad[0] >= 2:
         # widen the asymptotic windows once before giving up
         lo[bad], hi[bad] = (w[bad] for w in windows(0.49))
-        f_lo, f_hi = _omega(cells, beta, lo), _omega(cells, beta, hi)
+        f_lo[bad], f_hi[bad] = np.split(_omega(cells, beta, np.concatenate([lo[bad], hi[bad]])), 2)
         bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) >= 0)
     if bad.size:
         i = bad[0]
-        raise NumericsError(f"eigenvalue {i}: no sign change in [{lo[i]:.12g}, {hi[i]:.12g}]: "
+        raise NumericsError(f"eigenvalue {i}: no sign change in [{lo[i] + shift:.12g}, {hi[i] + shift:.12g}]: "
                             f"Omega(lo)={f_lo[i]:.6g}, Omega(hi)={f_hi[i]:.6g}")
 
     mus = np.sort(_newton(cells, beta, lo, hi, f_lo))
     if np.any(np.diff(mus) <= 0):
         i = int(np.flatnonzero(np.diff(mus) <= 0)[0])
         raise NumericsError(f"refined eigenvalues are not strictly increasing: "
-                            f"mu[{i}]={mus[i]:.12g}, mu[{i + 1}]={mus[i + 1]:.12g}")
+                            f"mu[{i}]={mus[i] + shift:.12g}, mu[{i + 1}]={mus[i + 1] + shift:.12g}")
     # Sturm guard: phi(., mu_n) changes sign n times across the cell edges in
     # (0, pi]; phi(pi) != 0 because sin(beta) > 0
-    phi = _solution(cells, mus, cells.edges[1:])[0]
-    counts = np.sum(phi[:, :-1] * phi[:, 1:] < 0.0, axis=1)
+    phi = np.vstack([_edge_values(cells, mus[sl])[0] for sl in _chunks(N, cells.steps[0].size)])
+    counts = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1)
     wrong = np.flatnonzero(counts != np.arange(N))
     if wrong.size:
         n = wrong[0]
         raise NumericsError(f"eigenvalue {n}: oscillation count {counts[n]} != {n} "
-                            f"at mu={mus[n]:.12g}; a root was missed or duplicated")
-    return mus
+                            f"at mu={mus[n] + shift:.12g}; a root was missed or duplicated")
+    return mus + shift
 
 
 def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
             f_lo: np.ndarray) -> np.ndarray:
     """Root of Omega in each bracket [lo, hi] with Omega(lo) = f_lo: Newton
     from the midpoint, bisecting whenever a step would leave the bracket,
-    which every evaluation shrinks."""
+    which every evaluation shrinks.  Each step sweeps only the brackets
+    still open; ``idx`` maps them back to the caller's order."""
     x = 0.5 * (lo + hi)
+    roots = np.empty_like(x)
+    idx = np.arange(x.size)
     for _ in range(NEWTON_MAX):
         f, df = _omega(cells, beta, x, deriv=True)
         left = np.sign(f) == np.sign(f_lo)
@@ -280,16 +326,18 @@ def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
             new = x - f / df
         small = np.abs(new - x) <= NEWTON_TOL * np.maximum(1.0, np.abs(x))
         x = np.where(small | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+        roots[idx[small]] = x[small]
         if small.all():
-            return x
-    i = int(np.flatnonzero(~small)[0])
-    raise NumericsError(f"eigenvalue {i}: Newton did not converge in {NEWTON_MAX} steps; "
-                        f"mu={x[i]:.12g} in bracket [{lo[i]:.12g}, {hi[i]:.12g}]")
+            return roots
+        idx, x, lo, hi, f_lo = (a[~small] for a in (idx, x, lo, hi, f_lo))
+    shift = cells.shift
+    raise NumericsError(f"eigenvalue {idx[0]}: Newton did not converge in {NEWTON_MAX} steps; "
+                        f"mu={x[0] + shift:.12g} in bracket [{lo[0] + shift:.12g}, {hi[0] + shift:.12g}]")
 
 
 def _scan_low_modes(cells: _Cells, beta: BoundaryAngle, q: Potential, first_edge: float):
     """Brackets for the two eigenvalues below the first asymptotic window."""
-    mu_low = min(0.0, float(q.values.min())) * 1.1 - 1.0
+    mu_low = min(0.0, float(q.values.min()) - cells.shift) * 1.1 - 1.0
     for _ in range(8):
         s_lo = -np.sqrt(abs(mu_low))
         # resolution fine enough that adjacent roots (lambda spacing ~1)
@@ -302,7 +350,7 @@ def _scan_low_modes(cells: _Cells, beta: BoundaryAngle, q: Potential, first_edge
         if idx.size >= 2:
             return mus[idx[:2]], mus[idx[:2] + 1]
         mu_low = mu_low * 2.0 - 1.0
-    raise NumericsError(f"eigenvalue 0/1: scan of mu in [{mus[0]:.6g}, {mus[-1]:.6g}] "
+    raise NumericsError(f"eigenvalue 0/1: scan of mu in [{mus[0] + cells.shift:.6g}, {mus[-1] + cells.shift:.6g}] "
                         "below the first window found fewer than two roots")
 
 

@@ -10,12 +10,15 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from invspec.core import PI, sample_potential
 from invspec.roundtrip import example6_data
 
 # invspec.roundtrip is also the name of a function the package exports
-inverse, roundtrip = (importlib.import_module(f"invspec.{m}") for m in ("inverse", "roundtrip"))
+forward, inverse, roundtrip = (importlib.import_module(f"invspec.{m}")
+                               for m in ("forward", "inverse", "roundtrip"))
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,6 +43,8 @@ def test_tracer_patches_existing_attributes(tracing):
     patched = [(module.__name__, attr) for module, attr, _ in tracer._undo]
     tracer.uninstall()
     assert ("invspec.inverse", "solve_gl") in patched
+    for attr in ("solve_ivp", "delta_sequence", "eigenvalues", "norming_constants"):
+        assert ("invspec.forward", attr) in patched
     assert ("invspec.roundtrip", "solve_kernel_field") in patched
     assert inverse.solve_gl is real_solve_gl
     assert all(getattr(roundtrip, name) is obj for name, obj in originals.items())
@@ -55,3 +60,16 @@ def test_traced_pipeline_counts_rows_and_field_time(tracing):
     layer = tracer.summary((0, Counter()))
     assert layer["inverse.rows_solved"] == 192
     assert layer["inverse.kernel_field_s"] > 0.0
+
+
+def test_traced_forward_solve_fills_forward_spans(tracing):
+    # forward_solve reaches eigenvalues and norming_constants through module globals
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        forward.forward_solve(sample_potential(np.cos), PI / 3, 16)
+    finally:
+        tracer.uninstall()
+    layer = tracer.summary((0, Counter()))
+    assert layer["forward.eigenvalues_s"] > 0.0
+    assert layer["forward.norming_constants_s"] > 0.0

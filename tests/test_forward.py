@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -62,17 +64,44 @@ def exact_characteristic(mu, pieces, beta):
 def exact_eigenvalues(pieces, beta, count):
     """First zeros of exact_characteristic: a scan in z = sign(mu) sqrt|mu|,
     which starts below every eigenvalue, then brentq."""
-    z_lo = -np.sqrt(-(min(v for _, v in pieces) - 1.0 / np.tan(beta) ** 2 - 1.0))
+    m_lo = min(v for _, v in pieces) - 1.0 / np.tan(beta) ** 2 - 1.0
+    m_hi = (count + 3.0) ** 2 + max(v for _, v in pieces)
 
     def omega(z):
         return exact_characteristic(z * np.abs(z), pieces, beta)
 
-    zs = np.arange(z_lo, count + 3.0, 0.005)
+    zs = np.arange(np.sign(m_lo) * np.sqrt(abs(m_lo)), np.sqrt(m_hi), 0.005)
     vals = omega(zs)
     cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)[:count]
     roots = np.array([brentq(lambda z: float(omega(np.array(z))), zs[i], zs[i + 1],
                              xtol=1e-15, rtol=4.0 * np.finfo(float).eps) for i in cells])
     return roots * np.abs(roots)
+
+
+def constant_norming(mu, c):
+    """a_n = integral of phi^2 for q = c, phi = sin(k x)/k or sinh(k x)/k."""
+    k = np.sqrt(np.abs(mu - c))
+    return np.where(mu > c, (PI / 2 - np.sin(2 * k * PI) / (4 * k)) / k ** 2,
+                    (np.sinh(2 * k * PI) / (4 * k) - PI / 2) / k ** 2)
+
+
+def sequential_products(M, dM):
+    """Reference for the cell arithmetic: for stacked (mu, cell, 2, 2)
+    matrices, the identity and the products M_j ... M_0 for every cell j, one
+    np.matmul per cell, with their mu-derivatives by the product rule."""
+    P, dP = np.broadcast_to(np.eye(2), M[:, 0].shape), np.zeros_like(M[:, 0])
+    out, d_out = [P], [dP]
+    for j in range(M.shape[1]):
+        P, dP = M[:, j] @ P, dM[:, j] @ P + M[:, j] @ dP
+        out.append(P)
+        d_out.append(dP)
+    return np.stack(out, axis=1), np.stack(d_out, axis=1)
+
+
+def as_stack(entries):
+    """(m00, m01, m10, m11) arrays -> one array of 2x2 matrices."""
+    m00, m01, m10, m11 = entries
+    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
 
 
 # --- shoot -------------------------------------------------------------------
@@ -201,9 +230,22 @@ def test_constant_negative_eigenvalues_closed_form():
     mu_ref = exact_eigenvalues([(PI, c)], beta, N)
     assert mu_ref[0] < c < mu_ref[1] < 0.0 < mu_ref[2]
     assert np.max(np.abs(mus - mu_ref) / np.abs(mu_ref)) < 1e-10
-    k = np.sqrt(np.abs(mu_ref - c))
-    a_ref = np.where(mu_ref > c, (PI / 2 - np.sin(2 * k * PI) / (4 * k)) / k ** 2,
-                     (np.sinh(2 * k * PI) / (4 * k) - PI / 2) / k ** 2)
+    a_ref = constant_norming(mu_ref, c)
+    assert np.max(np.abs(a - a_ref) / a_ref) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [PI / 3, PI / 2, 2 * PI / 3], ids=["pi/3", "pi/2", "2pi/3"])
+@pytest.mark.parametrize("c", [-50.0, -8.0, 8.0, 30.0, 100.0])
+def test_constant_potential_with_large_mean(c, beta):
+    # the roots are found for q - mean(q), so windows centred for a zero mean
+    # hold one root each however large the constant is
+    N = 32
+    sol = forward.forward_solve(sample_potential(lambda x: np.full_like(x, c)), beta, N)
+    mus = np.array([r.mu for r in sol.records])
+    a = np.array([r.a for r in sol.records])
+    mu_ref = exact_eigenvalues([(PI, c)], beta, N)
+    assert np.max(np.abs(mus - mu_ref) / (1.0 + np.abs(mu_ref))) < 1e-10
+    a_ref = constant_norming(mu_ref, c)
     assert np.max(np.abs(a - a_ref) / a_ref) < 1e-10
 
 
@@ -229,6 +271,38 @@ def test_sweep_derivative_matches_central_difference(q_cos, mu):
     assert d_omega[0] == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.fixture(scope="module")
+def cells_396():
+    """100 samples of cos: 396 cells, so the tree pads with the identity."""
+    return forward._Cells(sample_potential(np.cos, n_nodes=100))
+
+
+@pytest.mark.parametrize("mu", [-3.0, 0.3, 2500.0])
+def test_cell_products_match_sequential_matmul(cells_396, mu):
+    # one mu on each branch: below q, |mu - qbar| small, far above q
+    cells = cells_396
+    mus = np.array([mu])
+    M, dM = (as_stack(e) for e in forward._propagators(cells.steps, mus, deriv=True))
+    P, dP = sequential_products(M, dM)
+
+    def close(got, ref):
+        scale = np.max(np.abs(ref), axis=(-2, -1) if ref.ndim == 4 else -1, keepdims=True)
+        return np.max(np.abs(got - ref) / scale) < 1e-13
+
+    E, dE = forward._tree(*forward._propagators(cells.steps, mus, deriv=True))
+    assert close(as_stack(E)[:, None], P[:, -1:]) and close(as_stack(dE)[:, None], dP[:, -1:])
+    sweep = forward._sweep(cells, mus, deriv=True)
+    assert close(sweep[:2, 0], P[0, -1, :, 1]) and close(sweep[2:, 0], dP[0, -1, :, 1])
+    phi, dphi = forward._edge_values(cells, mus)
+    assert close(np.stack([phi, dphi], axis=-1), P[:, :, :, 1])
+
+    x = np.array([0.0, 0.5 * (cells.edges[200] + cells.edges[201]), PI])
+    k = np.array([0, 200, len(cells.edges) - 2])
+    partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus)[0])
+    ref = (partial @ P[:, k, :, 1:])[..., 0]
+    assert close(np.stack(forward._solution(cells, mus, x), axis=-1), ref)
+
+
 def test_forward_errors_name_their_cause(q_zero, monkeypatch):
     # at beta = pi/2 the roots of q = 0 are n + 1/2, so windows moved by 1/2
     # hold none of them
@@ -238,14 +312,32 @@ def test_forward_errors_name_their_cause(q_zero, monkeypatch):
     with pytest.raises(NumericsError, match=r"eigenvalue 2: no sign change .*\[.*\]: "
                                             r"Omega\(lo\)=.*Omega\(hi\)="):
         eigenvalues(q_zero, beta, 4, delta=shifted)
+    # the same windows for q = 30, reported for q = 30: [6.3001, 12.1801] + 30
+    with pytest.raises(NumericsError, match=r"eigenvalue 2: no sign change in \[36\.3\d*, 42\.18\d*\]"):
+        eigenvalues(sample_potential(lambda x: np.full_like(x, 30.0)), beta, 4, delta=shifted)
+    newton = r"eigenvalue (\d+): Newton .* mu=(\S+) in bracket \[(\S+), (\S+)\]"
     with monkeypatch.context() as m:
         m.setattr(forward, "NEWTON_MAX", 1)
-        with pytest.raises(NumericsError, match=r"eigenvalue \d+: Newton .* mu=.* in bracket \[.*\]"):
-            eigenvalues(q_zero, beta, 4)
+        for c in (0.0, 30.0):  # the message gives mu and the bracket for q = c
+            with pytest.raises(NumericsError, match=newton) as err:
+                eigenvalues(sample_potential(lambda x: np.full_like(x, c)), beta, 4)
+            i, mu, lo, hi = (float(g) for g in re.search(newton, str(err.value)).groups())
+            assert lo < mu < hi and lo < (i + 0.5) ** 2 + c < hi
+        # the brackets of 1/4 and 25/4 are centred on their roots, which one
+        # step accepts; the open bracket is the caller's index 1, around 9/4
+        lo, hi = np.array([0.24, 1.5, 6.0]), np.array([0.26, 3.5, 6.5])
+        cells = forward._Cells(q_zero)
+        with pytest.raises(NumericsError, match=newton) as err:
+            forward._newton(cells, beta, lo, hi, forward._omega(cells, beta, lo))
+        i, mu, lo, hi = (float(g) for g in re.search(newton, str(err.value)).groups())
+        assert i == 1 and 1.5 <= lo < mu < hi <= 3.5
     # roots one index too high: mu_n = (n + 3/2)^2 has n + 1 zeros
     monkeypatch.setattr(forward, "_newton", lambda cells, beta, lo, *rest: (np.arange(lo.size) + 1.5) ** 2)
     with pytest.raises(NumericsError, match=r"eigenvalue 0: oscillation count 1 != 0 at mu=2.25"):
         eigenvalues(q_zero, beta, 4)
+    # q = 30 is solved as q = 0; the message gives mu for q = 30
+    with pytest.raises(NumericsError, match=r"eigenvalue 0: oscillation count 1 != 0 at mu=32.25"):
+        eigenvalues(sample_potential(lambda x: np.full_like(x, 30.0)), beta, 4)
 
 
 # --- norming constants ------------------------------------------------------------

@@ -284,7 +284,8 @@ def _drift_terms(data: SpectralData, delta: DeltaSequence):
 def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
     """Estimate the eigenvalue drift constant and per-index remainders.
 
-    g_n tends to c; a least-squares fit of g against [1, 1/omega] over the
+    g_n tends to c, and for smooth q its next term is of order 1/omega^2,
+    not 1/omega; a least-squares fit of g against [1, 1/omega^2] over the
     last third of the sequence extrapolates the limit.  Returns (c, l_seq)
     with l_seq aligned to n >= 2.
     """
@@ -306,7 +307,7 @@ def fit_c_spread(data: SpectralData, delta: DeltaSequence) -> float:
 def _tail_intercept(om: np.ndarray, g: np.ndarray, frac: float) -> float:
     m = max(4, int(np.ceil(om.size * frac)))
     omt, gt = om[-m:], g[-m:]
-    A = np.column_stack([np.ones(omt.size), 1.0 / omt])
+    A = np.column_stack([np.ones(omt.size), 1.0 / (omt * omt)])
     coef, *_ = np.linalg.lstsq(A, gt, rcond=None)
     return float(coef[0])
 

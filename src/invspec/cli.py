@@ -192,6 +192,7 @@ def _cmd_inverse(cfg: Config) -> int:
         "gram_offdiag_max": inv.consistency["gram_offdiag_max"],
         "condition_max": inv.consistency["condition_max"],
         "branch": inv.consistency["branch"],
+        "c_fit": inv.data.c_fit,
         "validation": inv.validation,
     }
     _write_json(out / "report.json", report, cfg)

@@ -1,12 +1,19 @@
 """Inverse solver: from two spectral sequences to the potential and the
 recovered boundary angle.
 
-Pipeline: admissibility checks -> difference kernel H(t) built from the data
-against the unperturbed (q = 0) spectrum for the same angle -> symmetric
-kernel F(x,t) = (H(|x-t|) - H(x+t))/2 -> per-x Fredholm solves (Nystrom,
-Gauss-Legendre on [0, x]) for the transformation kernel row P(x, .) ->
-q(x) = 2 d/dx P(x,x), solutions phi rebuilt through the kernel, and the
-boundary angle from the constancy of phi'(pi)/phi(pi) over eigenvalues.
+Pipeline: admissibility checks (which also fit the drift constant c of the
+eigenvalues, lambda_n ~ omega_n + c/(2 omega_n)) -> difference kernel H(t)
+built from the data against the unperturbed (q = 0) spectrum for the same
+angle -> symmetric kernel F(x,t) = (H(|x-t|) - H(x+t))/2 -> per-x Fredholm
+solves (Nystrom, Gauss-Legendre on [0, x]) for the transformation kernel row
+P(x, .) -> q(x) = 2 d/dx P(x,x), solutions phi rebuilt through the kernel,
+and the boundary angle from the constancy of phi'(pi)/phi(pi) over
+eigenvalues, with phi' from the x-derivative of the row equation.
+
+Everything after validate expects drift-free data (c = 0).  A constant
+shift of q moves every eigenvalue by that constant and leaves phi and a_n
+unchanged, so (mu_n - c, a_n) are the exact data of q - c;
+:func:`invspec.roundtrip.inverse_pipeline` inverts those and adds c back.
 
 H is tabulated on a uniform grid of [0, 2*pi] and summed in two parts.
 Pairs with mu < 1 (zero, negative and the lowest modes) take the
@@ -15,10 +22,9 @@ the degenerate zero-eigenvalue branches into exact limits of the regular
 formula.  Every other term is cos(lt)/(a mu) with l a half-integer plus an
 offset of at most 1/2; a Taylor series in the offset turns these sums into
 one FFT per order, with data and base terms cancelling in shared bins before
-any transform.  The conditionally convergent part of the truncation tail
-(drift constant times the sine-over-frequency series) is restored from
-closed forms, and the leading absolutely convergent cosine tail from the
-fitted coefficient model.
+any transform.  On drift-free data the truncation tail is the absolutely
+convergent cosine series of the fitted coefficient model, restored from its
+closed form.
 """
 from __future__ import annotations
 
@@ -38,7 +44,6 @@ from .asymptotics import (
     fit_c,
     fit_c_spread,
     signed_sqrt,
-    sin_halfint_closed,
     unperturbed_spectrum,
 )
 from .core import (
@@ -77,9 +82,13 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
 
     Hard failures (block the inverse solve unless forced): non-monotone or
     duplicated eigenvalues, non-positive norming constants, or a tail that
-    strays more than 0.25 from n + delta_n over the final quarter.  Trend
-    violations of the remainder sequences only warn, since a finite prefix
-    cannot prove a limit.
+    strays more than 0.25 from n + delta_n over the final quarter, once the
+    spectrum is shifted by its drift constant.  Trend violations of the
+    remainder sequences only warn, since a finite prefix cannot prove a limit.
+
+    ``c_fit`` is the drift constant: the tail fit of :func:`fit_c`, refined
+    twice on the data shifted by the estimate so far, so that the
+    nonlinearity of sqrt(mu) in a large c leaves no bias.
     """
     beta = as_angle(beta)
     if data.count < 12:
@@ -102,22 +111,26 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
     })
 
     c = None
-    tail_ok = False
     if mono and pos:
+        c = 0.0
+        for _ in range(3):
+            dc, l_seq = fit_c(_shifted(data, c), delta)
+            c += dc
+        shifted = _shifted(data, c)
+
         q_start = max(2, (3 * data.count) // 4)
         ns = np.arange(q_start, data.count)
         om = delta.omega(ns)
-        lam = signed_sqrt(data.mu[ns])
+        lam = signed_sqrt(shifted.mu[ns])
         tail_gap = float(np.max(np.abs(lam - om))) if ns.size else np.inf
         tail_ok = tail_gap < 0.25
         checks.append({
             "name": "tail-tracks-unperturbed-order",
             "status": "pass" if tail_ok else "fail",
-            "detail": f"max |lambda_n - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
+            "detail": f"max |sqrt(mu_n - c) - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
         })
 
-        c, l_seq = fit_c(data, delta)
-        spread = fit_c_spread(data, delta)
+        spread = fit_c_spread(shifted, delta)
         cauchy = spread <= 0.1 * (1.0 + abs(c))
         checks.append({
             "name": "drift-constant-fit-cauchy",
@@ -144,6 +157,12 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
     }
 
 
+def _shifted(data: SpectralData, c: float) -> SpectralData:
+    """The data of q - c: every eigenvalue moved by -c, the norming constants
+    unchanged."""
+    return SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
+
+
 def _trend_check(name: str, seq: np.ndarray) -> dict:
     quarter = max(1, seq.size // 4)
     first = float(np.max(seq[:quarter]))
@@ -163,10 +182,10 @@ def _trend_check(name: str, seq: np.ndarray) -> dict:
 
 def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
                  mu_base: np.ndarray, a_base: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Continue (mu_n, a_n) past the data by the fitted tail model.
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Continue drift-free (mu_n, a_n) past the data by the fitted tail model.
 
-    Eigenvalues extend as omega + c/(2 omega).  Norming constants extend
+    Eigenvalues extend as omega, the unperturbed ones.  Norming constants extend
     through the difference coefficient gamma_n = 1/k_n - 1/k_n(base), the
     only combination the kernels depend on: fitting gamma_n ~ gamma/omega^2
     from the data tail makes data identical to the base cancel exactly.
@@ -174,9 +193,6 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     if n_terms < data.count:
         raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
                           "the pairs past n_terms would be dropped")
-    c = data.c_fit
-    if c is None:
-        c = fit_c(data, delta)[0] if data.count >= 12 else 0.0
     gamma = _fit_gamma(data, delta, mu_base, a_base)
     mu = np.empty(n_terms)
     a = np.empty(n_terms)
@@ -184,13 +200,11 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     mu[:m] = data.mu
     a[:m] = data.norming
     if n_terms > m:
-        ns = np.arange(m, n_terms)
-        om = delta.omega(ns)
-        lam = om + c / (2.0 * om)
-        mu[m:] = lam * lam
+        om = delta.omega(np.arange(m, n_terms))
+        mu[m:] = mu_base[m:]
         inv_k = 1.0 / (a_base[m:] * mu_base[m:]) + gamma / (om * om)
         a[m:] = 1.0 / (inv_k * mu[m:])
-    return mu, a, float(c), float(gamma)
+    return mu, a, float(gamma)
 
 
 def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
@@ -289,26 +303,21 @@ def _grid_pair_sum(mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
             + _halfint_expsum(lam, w).real)
 
 
-def _end_terms(n_terms: int) -> int:
-    """Terms in the direct sum for H(2*pi), which reaches past n_terms; the
-    delta sequence must be at least this long."""
-    return max(4 * n_terms, 16384)
-
-
 class HFunction:
-    """Evaluator of the spectral difference kernel H on [0, 2*pi].
+    """Evaluator of the spectral difference kernel H on [0, 2*pi], for
+    drift-free data.
 
     Deterministic for fixed inputs: construction precomputes H on the
     uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and fits a cubic
-    spline; evaluation takes the cell of t directly as floor(t L / (2 pi))
-    (no search, the grid being uniform), gathers that cell's four spline
-    coefficients in one pass and applies Horner's rule in place.  On the
-    grid, pairs with mu < 1 are summed directly and every other term by
-    FFTs of its Taylor expansion about the nearest half-integer frequency
-    (:func:`_halfint_expsum`); the half-integer partial sums of the tail
-    model take one FFT each.  The exact endpoint t = 2*pi, where the
-    conditionally convergent part jumps, is summed directly from the
-    extended model.
+    spline; evaluation of H, or of H' by :meth:`derivative`, takes the cell
+    of t directly as floor(t L / (2 pi)) (no search, the grid being
+    uniform), gathers that cell's four spline coefficients in one pass and
+    applies Horner's rule in place.  On the grid, pairs with mu < 1 are
+    summed directly and every other term by FFTs of its Taylor expansion
+    about the nearest half-integer frequency (:func:`_halfint_expsum`); the
+    half-integer partial sum of the tail model takes one FFT.  With no drift
+    the tail past n_terms converges absolutely, so H is continuous up to
+    t = 2*pi and the spline serves the whole interval.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -316,16 +325,14 @@ class HFunction:
         beta = as_angle(beta)
         if n_terms < 8:
             raise ConfigError(f"n_terms={n_terms} too small: the H series needs at least 8 terms")
-        if delta is None or delta.n_max < _end_terms(n_terms):
-            delta = delta_sequence(beta, _end_terms(n_terms))
-        self.beta = beta
-        self.data = data
+        if delta is None or delta.n_max < n_terms:
+            delta = delta_sequence(beta, n_terms)
         self.n_terms = int(n_terms)
         self.delta = delta
 
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
-        self.mu_d, self.a_d, self.c, self.gamma_hat = _extend_data(
+        self.mu_d, self.a_d, self.gamma_hat = _extend_data(
             data, delta, n_terms, self.mu_b, self.a_b)
 
         zero_d = np.abs(self.mu_d[:data.count]) < ZERO_MU_TOL
@@ -343,41 +350,26 @@ class HFunction:
                 + self._tail_correction())
         # (L, 4): per cell, the cubic to constant coefficients side by side
         self._coef = np.ascontiguousarray(CubicSpline(_H_GRID, vals).c.T)
-        self._h_end = self._end_value()
 
     # -- summation pieces ---------------------------------------------------
 
-    def _partial_halfint(self) -> tuple[np.ndarray, np.ndarray]:
-        """Partial sums over n = 2..n_terms-1 of sin((n+1/2)t)/(n+1/2) and
-        cos((n+1/2)t)/(n+1/2)^2 on the H grid."""
+    def _partial_halfint(self) -> np.ndarray:
+        """Partial sum over n = 2..n_terms-1 of cos((n+1/2)t)/(n+1/2)^2 on the
+        H grid."""
         om = np.arange(2, self.n_terms) + 0.5
-        return _halfint_expsum(om, 1.0 / om).imag, _halfint_expsum(om, 1.0 / (om * om)).real
+        return _halfint_expsum(om, 1.0 / (om * om)).real
 
     def _tail_correction(self) -> np.ndarray:
-        """Closed-form estimate of the truncated tail on the H grid (valid on
-        (0, 2*pi); both factors carry a vanishing prefactor at t = 0)."""
-        t = _H_GRID
-        s1, sc = self._partial_halfint()
-        cot = self.beta.cot
-        tail_cos = cos_halfint_closed(t) - sc
-        tail_sin = (sin_halfint_closed(t) - s1) + (t * cot / PI) * tail_cos
-        return (-(self.c * t / PI) * tail_sin
-                + (self.gamma_hat - self.c * self.c * t * t / (4.0 * PI)) * tail_cos)
-
-    def _end_value(self) -> float:
-        """Series value at exactly t = 2*pi (the conditional part jumps there),
-        summed directly from the extended model."""
-        n_end = _end_terms(self.n_terms)
-        base = unperturbed_spectrum(self.beta, n_end, self.delta)
-        mu_d, a_d, _, _ = _extend_data(self.data, self.delta, n_end, base.mu, base.norming)
-        total = float(_pair_sum(np.array([TWO_PI]), mu_d, a_d, base.mu, base.norming)[0])
-        # residual beyond n_end: gamma/omega^2 cosine part ~ -gamma_hat/n_end,
-        # drift part ~ +4 c cot(beta)/n_end
-        return total + (4.0 * self.c * self.beta.cot - self.gamma_hat) / n_end
+        """Closed-form estimate of the truncated tail on the H grid: the
+        gamma/omega^2 cosine series of the model, at half-integer
+        frequencies."""
+        return self.gamma_hat * (cos_halfint_closed(_H_GRID) - self._partial_halfint())
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, t):
+    def _cells(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Offset of each t into its grid cell (flattened), that cell's
+        spline coefficients, and t as an array (for the output shape)."""
         t_arr = np.asarray(t, dtype=float)
         t1 = t_arr.ravel()  # 1-d, so that every step below can write into its buffers
         lo = float(np.minimum.reduce(t1, initial=np.inf))
@@ -390,14 +382,24 @@ class HFunction:
         s = t1 * (L / TWO_PI)
         cell = s.astype(np.intp)  # L only at t = 2*pi, clipped to the last cell L - 1
         np.subtract(t1, _H_GRID[:L].take(cell, out=s, mode="clip"), out=s)
-        c = self._coef.take(cell, axis=0, mode="clip")
+        return s, self._coef.take(cell, axis=0, mode="clip"), t_arr
+
+    def __call__(self, t):
+        s, c, t_arr = self._cells(t)
         out = c[:, 0] * s
         for k in (1, 2):  # Horner's rule, in place
             out += c[:, k]
             out *= s
         out += c[:, 3]
-        if hi >= TWO_PI - 1e-12:
-            out[np.abs(t1 - TWO_PI) <= 1e-12] = self._h_end
+        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
+
+    def derivative(self, t):
+        """H'(t) from the same spline: (3 c0 s + 2 c1) s + c2 in each cell."""
+        s, c, t_arr = self._cells(t)
+        out = 3.0 * c[:, 0] * s
+        out += 2.0 * c[:, 1]
+        out *= s
+        out += c[:, 2]
         return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
 
     def eval_direct(self, t):
@@ -406,19 +408,17 @@ class HFunction:
         out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b)
         return out if np.ndim(t) else float(out[0])
 
-    def truncation_tail_bound(self, t: float) -> float:
-        """Generous bound on |true tail| of the direct n_terms-term sum at t."""
-        t = float(t)
-        N = self.n_terms
-        s = max(abs(np.sin(t / 2.0)), abs(np.sin((TWO_PI - t) / 2.0)), 1.0 / N)
-        cond_part = 2.0 * abs(self.c) * t / PI * min(2.0 / (N * s), PI / 2.0)
-        abs_part = 2.0 * (abs(self.gamma_hat) + abs(self.c) ** 2 * t * t / (4.0 * PI)) / N
-        return cond_part + abs_part
+    def truncation_tail_bound(self) -> float:
+        """Generous bound on |true tail| of the direct n_terms-term sum, at
+        every t: twice the model's sum of |gamma|/omega^2 past n_terms."""
+        return 2.0 * abs(self.gamma_hat) / self.n_terms
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
             n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None) -> HFunction:
-    """Construct the H evaluator (see :class:`HFunction`)."""
+    """Construct the H evaluator (see :class:`HFunction`) for drift-free
+    data, such as the pipeline's data shifted by their fitted drift constant;
+    any ``c_fit`` the data carry is not read."""
     return HFunction(data, beta, n_terms, delta=delta)
 
 
@@ -465,12 +465,6 @@ class GLRow:
     lin_residual: float
     F: FKernel
 
-    def extend(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        Fnt = self.F(self.nodes[:, None], t[None, :])
-        quad = (self.weights * self.values) @ Fnt
-        return -self.F(self.x, t) - quad
-
     @cached_property
     def diag(self) -> float:
         """P(x, x), the interpolant at t = x: F(t_k, x) equals the stored
@@ -478,25 +472,17 @@ class GLRow:
         return float(-self.f_xx - np.dot(self.weights * self.values, self.f))
 
 
-def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
-    """Dense Nystrom solve of the second-kind equation at one x.
+def _nystrom_system(F: FKernel, x: float, n_quad: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on [0, x], the Nystrom matrix I + A with
+    A[j,k] = w_k F(t_k, t_j), and F(x, t_k) followed by F(x, x).
 
-    (I + A) p = -f with A[j,k] = w_k F(t_k, t_j), f_j = F(x, t_j).  One H
-    call over one concatenated argument array gives every kernel value the
-    row needs: the upper triangle of the node matrix, f, and F(x, x) (from
-    H(0) and H(2x)).  The triangle is mirrored by a cached gather index:
+    One H call over one concatenated argument array gives every kernel value:
+    the upper triangle of the node matrix, F(x, t_k), and F(x, x) (from H(0)
+    and H(2x)).  The triangle is mirrored by a cached gather index:
     |t_j - t_k| and t_j + t_k are symmetric bit for bit, so the matrix is the
-    fully evaluated one.  One LU factorization serves the solve and a 1-norm
-    condition estimate (LAPACK gecon, Hager-Higham), which is checked before
-    the solve: an estimate above CONDITION_LIMIT signals inadmissible data
-    (the continuous operator is invertible for admissible inputs).  The
-    LAPACK routines getrf, gecon and getrs are called directly; a kernel
-    value that is not finite is refused before the factorization.
+    fully evaluated one.  A kernel value that is not finite is refused.
     """
-    if not (0.0 < x <= PI):
-        raise ConfigError(f"x={x} outside (0, pi]")
-    if n_quad < 16:
-        raise ConfigError(f"n_quad={n_quad}: must be at least 16")
     nodes, weights = gauss_rule(n_quad, 0.0, x)
     j, k, mirror = _upper_triangle(n_quad)
     tj, tk = nodes[j], nodes[k]
@@ -510,6 +496,24 @@ def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
         raise NumericsError(f"non-finite kernel value {Fv[bad]} in the Nystrom row at x={x:.4f}")
     A = Fv[mirror] * weights[None, :]  # row j, column k: w_k F(t_k, t_j)
     A.ravel()[::n_quad + 1] += 1.0  # the identity, added on the diagonal in place
+    return nodes, weights, A, Fv[j.size:]
+
+
+def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
+    """Dense Nystrom solve of the second-kind equation at one x.
+
+    (I + A) p = -f with A[j,k] = w_k F(t_k, t_j), f_j = F(x, t_j), assembled
+    by :func:`_nystrom_system`.  One LU factorization serves the solve and a
+    1-norm condition estimate (LAPACK gecon, Hager-Higham), which is checked
+    before the solve: an estimate above CONDITION_LIMIT signals inadmissible
+    data (the continuous operator is invertible for admissible inputs).  The
+    LAPACK routines getrf, gecon and getrs are called directly.
+    """
+    if not (0.0 < x <= PI):
+        raise ConfigError(f"x={x} outside (0, pi]")
+    if n_quad < 16:
+        raise ConfigError(f"n_quad={n_quad}: must be at least 16")
+    nodes, weights, A, fx = _nystrom_system(F, x, n_quad)
     lu, piv, info = dgetrf(A)
     _check_info("getrf", info, x)
     rcond, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
@@ -519,11 +523,11 @@ def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
         raise AdmissibilityError(
             f"ill-posed data: Nystrom 1-norm condition estimate {cond:.3e} at x={x:.4f} "
             f"exceeds {CONDITION_LIMIT:.0e}")
-    rhs = -Fv[j.size:-1]  # a fresh array: a GLRow must not keep Fv alive
+    rhs = -fx[:-1]  # a fresh array: a GLRow must not keep the kernel values alive
     p, info = dgetrs(lu, piv, rhs)
     _check_info("getrs", info, x)
     resid = float(np.max(np.abs(A @ p - rhs)))
-    return GLRow(float(x), nodes, weights, p, -rhs, float(Fv[-1]), cond, resid, F)
+    return GLRow(float(x), nodes, weights, p, -rhs, float(fx[-1]), cond, resid, F)
 
 
 def _check_info(routine: str, info: int, x: float) -> None:
@@ -560,7 +564,7 @@ class KernelField:
         self.x_nodes = (np.linspace(0.0, PI, DEFAULT_X_NODES)
                         if x_nodes is None else np.asarray(x_nodes, dtype=float))
         if self.x_nodes.size < 5:
-            # the five-node px_at stencil at pi needs four nodes below it
+            # a floor of the CLI contract (fewer than five --x-nodes exit 64)
             raise ConfigError(f"x_nodes={self.x_nodes.size}: the kernel field needs at least 5 nodes")
         if self.x_nodes[0] != 0.0:
             raise ConfigError(f"x grid must start at 0, got first node {float(self.x_nodes[0])!r}")
@@ -588,26 +592,6 @@ class KernelField:
     def condition_max(self) -> float:
         return max(r.cond for r in self._rows.values())
 
-    @property
-    def x_step(self) -> float:
-        return float(self.x_nodes[1] - self.x_nodes[0])
-
-    def p_at(self, x: float, t: np.ndarray) -> np.ndarray:
-        if x <= 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return self.row(x).extend(t)
-
-    def px_at(self, x: float, t: np.ndarray, h: float | None = None) -> np.ndarray:
-        """d/dx of the kernel at fixed t values: five-point, fourth order,
-        one-sided near the endpoints."""
-        h = self.x_step if h is None else h
-        offs, coef = _stencil(x, h)
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for o, c in zip(offs, coef):
-            out = out + c * self.p_at(x + o * h, t)
-        return out / h
-
     def phi(self, x, mus) -> np.ndarray:
         """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
         mu and x, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0.
@@ -633,13 +617,25 @@ class KernelField:
     def dphi(self, x: float, mus, p_xx: float | None = None) -> np.ndarray:
         """phi'(x, mu) = c(x) + P(x,x) s(x) + integral of P_x(x,t) s(t) dt for
         each mu, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.  ``p_xx`` is
-        P(x,x) when the caller already holds it."""
+        P(x,x) when the caller already holds it.
+
+        P_x on the row's nodes solves the x-derivative of the row equation,
+        (I + A) P_x = -F_x(x, .) - P(x,x) F(x, .), with
+        F_x(x, t) = (H'(x - t) - H'(x + t))/2.  Cached rows keep no LU
+        factors, so the row's matrix is assembled and factored again.
+        """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         if x <= 0.0:
             return np.ones(mus.size)
         row = self.row(x)
-        px = self.px_at(x, row.nodes)
-        p_xx = self.diag(x) if p_xx is None else p_xx
+        p_xx = row.diag if p_xx is None else p_xx
+        A = _nystrom_system(self.F, row.x, self.n_quad)[2]
+        dH = self.F.H.derivative(np.concatenate([row.x - row.nodes, row.x + row.nodes]))
+        rhs = 0.5 * (dH[row.nodes.size:] - dH[:row.nodes.size]) - p_xx * row.f
+        lu, piv, info = dgetrf(A)
+        _check_info("getrf", info, row.x)
+        px, info = dgetrs(lu, piv, rhs)
+        _check_info("getrs", info, row.x)
         return (mucos(mus, x) + p_xx * musin(mus, x)
                 + musin(mus[:, None], row.nodes) @ (row.weights * px))
 
@@ -653,21 +649,6 @@ class KernelField:
             return 0.0
         row = self.row(x)
         return float(row.diag + row.f_xx + np.dot(row.weights * row.values, row.f))
-
-
-_CENTRAL = (np.array([-2, -1, 0, 1, 2]), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)
-_FWD = (np.array([0, 1, 2, 3, 4]), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
-_FWD1 = (np.array([-1, 0, 1, 2, 3]), np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0)
-_BWD = (np.array([-4, -3, -2, -1, 0]), np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / 12.0)
-_BWD1 = (np.array([-3, -2, -1, 0, 1]), np.array([-1.0, 6.0, -18.0, 10.0, 3.0]) / 12.0)
-
-
-def _stencil(x: float, h: float):
-    if x - 2 * h < 0.0:
-        return _FWD if x - h < 0.0 else _FWD1
-    if x + 2 * h > PI + 1e-12:
-        return _BWD if x + h > PI + 1e-12 else _BWD1
-    return _CENTRAL
 
 
 def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None,
@@ -704,7 +685,7 @@ class BetaRecovery:
     cot_beta_tilde: float
     spread: float
     ratios: np.ndarray
-    prediction: float       # cot(beta) + (pi c - integral q)/2 from the tail fit
+    prediction: float       # cot(beta) - P(pi, pi) = cot(beta) - (integral q)/2, drift-free
     prediction_gap: float
 
     def __post_init__(self):
@@ -717,7 +698,8 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
     The median ratio over the first K = min(8, max(5, count // 4))
     eigenvalues gives cot of the recovered angle; the spread doubles as a
     data-consistency diagnostic and raises when the ratios disagree beyond
-    1e-2 relative.
+    1e-2 relative.  Expects drift-free data, the eigenvalues of the field's
+    own problem: the prediction carries no drift term.
     """
     mus = data.mu[:min(8, max(5, data.count // 4))]
     d_pi = field.diag(PI)  # also feeds the prediction; evaluated once
@@ -731,10 +713,7 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
             f"endpoint ratios disagree (spread {spread:.3e}, worst at index {n}, "
             f"mu={mus[n]:.6g}); data are not from a single problem")
     beta_tilde = float(np.pi / 2.0 - np.arctan(med))  # arccot into (0, pi)
-    beta = as_angle(data.beta)
-    c = data.c_fit if data.c_fit is not None else 0.0
-    q_int = 2.0 * d_pi  # diagonal carries the integral of the recovered q
-    prediction = beta.cot + 0.5 * (PI * c - q_int)
+    prediction = as_angle(data.beta).cot - d_pi  # P(pi, pi) is half the integral of q
     return BetaRecovery(beta_tilde, med, spread, ratios, prediction,
                         abs(med - prediction))
 
@@ -746,7 +725,8 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     64-node Gauss x-grid.  The rebuilt solutions have frequencies up to
     sqrt(mu_19) (about 20), so the integrands are smooth with frequencies up
     to about 40 over [0, pi], which a 64-node Gauss rule integrates to
-    roundoff.
+    roundoff.  Expects drift-free data, the eigenvalues of the field's own
+    problem.
 
     The diagonal residual is roundoff only (2.8e-17 on the bundled
     example): P(x,x) is the Nystrom interpolant at t = x, built from the

@@ -59,6 +59,12 @@ class InverseResult:
 def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()) -> InverseResult:
     """validate -> H -> F -> kernel rows -> q, recovered angle, diagnostics.
 
+    The one place that knows the drift constant c: validate fits it, the
+    kernel layer inverts the drift-free data (mu_n - c, a_n) of q - c, and c
+    is added back to the recovered q.  A constant shift of q leaves phi, the
+    norming constants and the recovered angle unchanged.  The result's
+    ``data`` are the caller's pairs, with c as their ``c_fit``.
+
     The H series carries DEFAULT_N_TERMS explicit terms, or the data count
     when that is larger, so every pair is used: from 500 terms on, the
     recovered q agrees to four digits whatever the count."""
@@ -66,15 +72,17 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     if report["hard_fail"] and not params.force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
-    if data.c_fit is None and report["c_fit"] is not None:
-        data = SpectralData(data.beta, data.mu, data.norming, c_fit=report["c_fit"])
-    H = build_H(data, data.beta, max(DEFAULT_N_TERMS, data.count))
+    c = 0.0 if report["c_fit"] is None else report["c_fit"]
+    shifted = SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
+    H = build_H(shifted, data.beta, max(DEFAULT_N_TERMS, data.count))
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)
     field = solve_kernel_field(F, x_nodes, params.n_quad)
-    q_hat = recover_q(field)
-    beta_rec = recover_beta(field, data)
-    cons = consistency_suite(field, data)
+    q_shifted = recover_q(field)
+    q_hat = Potential(q_shifted.grid, q_shifted.values + c)
+    beta_rec = recover_beta(field, shifted)
+    cons = consistency_suite(field, shifted)
+    data = SpectralData(data.beta, data.mu, data.norming, c_fit=c)
     return InverseResult(data, q_hat, beta_rec, field, report, cons, params)
 
 

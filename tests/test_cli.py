@@ -66,7 +66,7 @@ def test_usage_error_exit_code(workdir):
 
 
 def test_inverse_too_few_x_nodes_exits_64(workdir):
-    # the derivative stencil at pi needs five nodes; refused before any row solve
+    # five x nodes is the contract's floor; refused before any row solve
     r = run_cli("inverse", "ref.json", "--x-nodes", "1", "-o", "few", cwd=workdir)
     assert r.returncode == 64 and "Traceback" not in r.stderr
     assert "x_nodes=1" in r.stderr
@@ -135,7 +135,7 @@ def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
     rep = json.loads((inverse_out / "report.json").read_text())
     for key in ("beta_tilde", "cot_beta_tilde", "spread", "angle_identity_gap",
                 "diagonal_residual_max", "parseval_defect", "gram_offdiag_max",
-                "condition_max", "branch", "config"):
+                "condition_max", "branch", "c_fit", "config"):
         assert key in rep
     assert rep["branch"] == "regular"
     assert rep["config"]["n_eigen"] is None and rep["config"]["trim"] is None
@@ -162,6 +162,22 @@ def test_inverse_then_forward_consistency(workdir, forward_out, inverse_out):
     mus = eigenvalues(q_hat, rep["beta_tilde"], 8)
     doc = json.loads(forward_out.read_text())
     assert np.max(np.abs(mus - np.asarray(doc["mu"][:8]))) < 2e-3
+
+
+def test_inverse_constant_potential(workdir):
+    # exact data of q = 3: the drift shift applied is 3, and it comes back in q
+    from invspec.asymptotics import unperturbed_spectrum
+    from invspec.core import read_potential_csv
+
+    sp = unperturbed_spectrum(PI / 3, 64)
+    (workdir / "const3.json").write_text(SpectralData(sp.beta, sp.mu + 3.0, sp.norming).to_json())
+    r = run_cli("inverse", "const3.json", "-o", "inv3", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads((workdir / "inv3" / "report.json").read_text())
+    assert rep["c_fit"] == pytest.approx(3.0, abs=1e-9)
+    q_hat = read_potential_csv(workdir / "inv3" / "q_recovered.csv")
+    keep = q_hat.grid.nodes >= 0.05
+    assert np.max(np.abs(q_hat.values[keep] - 3.0)) <= 1e-8
 
 
 def test_validate_bad_data_exits_2(workdir):

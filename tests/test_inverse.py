@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +85,27 @@ def test_validate_integer_tail_fails():
     assert names["tail-tracks-unperturbed-order"] == "fail"
 
 
+@pytest.mark.parametrize("c", [30.0, -30.0, 100.0])
+def test_validate_measures_the_tail_against_the_shifted_reference(c):
+    # exact data of q = c: the tail gap is taken after the drift shift, and
+    # the refined drift fit returns c itself
+    sp = unperturbed_spectrum(PI / 3, 64)
+    rep = validate(SpectralData(sp.beta, sp.mu + c, sp.norming), PI / 3)
+    assert not rep["hard_fail"]
+    assert rep["c_fit"] == pytest.approx(c, abs=1e-9)
+
+
+def test_validate_dropped_eigenvalue_still_fails():
+    # with index 10 missing, no drift shift brings the tail back to n + delta_n
+    # (the shifted gap reads 0.65)
+    sp = unperturbed_spectrum(PI / 3, 64)
+    keep = np.arange(64) != 10
+    rep = validate(SpectralData(sp.beta, sp.mu[keep], sp.norming[keep]), PI / 3)
+    assert rep["hard_fail"]
+    names = {c["name"]: c["status"] for c in rep["checks"]}
+    assert names["tail-tracks-unperturbed-order"] == "fail"
+
+
 def test_validate_needs_enough_data():
     with pytest.raises(ConfigError, match="got 8"):
         validate(example6_data(8), PI / 2)
@@ -108,7 +131,7 @@ def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
     H = build_H(data, PI / 3, 2000)
     t = 1.0
     direct = H.eval_direct(t)
-    assert abs(H(t) - direct) <= 2.0 * H.truncation_tail_bound(t) + 1e-12
+    assert abs(H(t) - direct) <= 2.0 * H.truncation_tail_bound() + 1e-12
 
 
 def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
@@ -126,13 +149,10 @@ def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
 
 def test_h_partial_halfint_fft_matches_loop():
     H = build_H(example6_data(40), PI / 2, 2000)
-    s1, sc = H._partial_halfint()
-    s1_ref = np.zeros_like(_H_GRID)
+    sc = H._partial_halfint()
     sc_ref = np.zeros_like(_H_GRID)
     for om in np.arange(2, 2000) + 0.5:
-        s1_ref += np.sin(om * _H_GRID) / om
         sc_ref += np.cos(om * _H_GRID) / (om * om)
-    assert np.max(np.abs(s1 - s1_ref)) < 1e-12
     assert np.max(np.abs(sc - sc_ref)) < 1e-12
 
 
@@ -341,6 +361,13 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
         assert np.array_equal(row.values, expected)
 
 
+def _nystrom_interpolant(row, t):
+    """P(x, t) = -F(x, t) - sum_k w_k P_k F(t_k, t), the row's natural
+    interpolant, with every kernel value evaluated afresh."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return -row.F(row.x, t) - (row.weights * row.values) @ row.F(row.nodes[:, None], t[None, :])
+
+
 @pytest.mark.parametrize("case", ["cos", "example6"])
 def test_row_diagonal_matches_extension(case, fwd_cos_64):
     # P(x,x) from the row's stored F(x, t_k) is the interpolant at t = x
@@ -348,7 +375,7 @@ def test_row_diagonal_matches_extension(case, fwd_cos_64):
     F = build_F(build_H(data, data.beta))
     for x in (0.4, 2.0, PI):
         row = solve_gl(F, x)
-        assert abs(row.diag - row.extend([x])[0]) <= 1e-15
+        assert abs(row.diag - _nystrom_interpolant(row, x)[0]) <= 1e-15
 
 
 def test_solved_row_holds_no_kernel_buffer():
@@ -446,7 +473,8 @@ def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
 def test_kernel_field_boundary_column(ex6_inverse):
     field = ex6_inverse.field
     for x in (0.5, 1.5, PI):
-        assert abs(field.p_at(x, np.array([0.0]))[0]) <= 10.0 * field.row(x).lin_residual + 1e-14
+        row = field.row(x)
+        assert abs(_nystrom_interpolant(row, 0.0)[0]) <= 10.0 * row.lin_residual + 1e-14
 
 
 def test_diagonal_identity_residual(ex6_inverse):
@@ -494,7 +522,7 @@ def test_recover_q_rejects_nonuniform_output_grid():
 
 
 def test_kernel_field_needs_five_nodes():
-    # the five-node derivative stencil at pi reaches four nodes below it
+    # five x nodes is the floor of the CLI contract
     F = _F_CACHE["F"]
     with pytest.raises(ConfigError, match="x_nodes=4"):
         solve_kernel_field(F, np.linspace(0.0, PI, 4), 32)
@@ -547,6 +575,36 @@ def test_recover_beta_reference(ex6_inverse):
     assert br.beta_tilde == pytest.approx(np.pi / 2 - np.arctan(1.0 / PI), abs=1e-6)
     assert br.spread < 1e-4
     assert br.prediction_gap < 1e-3
+
+
+@lru_cache(maxsize=None)
+def _constant_inverse(c, beta):
+    """inverse_pipeline on the exact data of q = c: the unperturbed pairs,
+    every eigenvalue moved by c."""
+    sp = unperturbed_spectrum(beta, 64)
+    return inverse_pipeline(SpectralData(beta, sp.mu + c, sp.norming))
+
+
+@pytest.mark.parametrize("beta", [PI / 2, PI / 3, 2 * PI / 3], ids=["pi/2", "pi/3", "2pi/3"])
+@pytest.mark.parametrize("c", [1.0, -2.0, 0.3, 3.0, 5.0])
+def test_constant_potential_inverts(c, beta):
+    # the data of q = c carry the drift c and nothing else; the pipeline
+    # shifts it out, inverts q = 0 and adds c back (worst measured 4.5e-10)
+    inv = _constant_inverse(c, beta)
+    x = inv.q_hat.grid.nodes
+    assert np.max(np.abs(inv.q_hat.values[x >= 0.05] - c)) <= 1e-8
+    assert inv.data.c_fit == pytest.approx(c, abs=1e-9)
+    assert inv.beta_rec.beta_tilde == pytest.approx(beta, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [-2.0, 5.0])
+def test_dphi_at_pi_on_constant_data(c):
+    # phi(x, mu) = sin(sqrt(mu - c) x)/sqrt(mu - c) for q = c, so the field
+    # of the shifted data gives phi'(pi) = cos(sqrt(mu - c) pi) at mu - c
+    for beta in (PI / 2, PI / 3, 2 * PI / 3):
+        field = _constant_inverse(c, beta).field
+        mus = unperturbed_spectrum(beta, 10).mu
+        assert np.max(np.abs(field.dphi(PI, mus) - mucos(mus, PI))) <= 1e-10
 
 
 def test_recover_beta_unperturbed_identity():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from invspec.core import PI
+from invspec.core import PI, SpectralData, sample_potential
 from invspec.errors import ConfigError
+from invspec.forward import forward_solve
 from invspec.inverse import build_F, build_H, recover_q, solve_kernel_field
 from invspec.roundtrip import (
     InverseParams,
@@ -133,6 +134,47 @@ def test_roundtrip_angle_differs_from_input_legitimately(roundtrip_cos):
     report, inv = roundtrip_cos[64]
     assert report.beta_gap < 5e-3  # integral of cos vanishes, so they are close here
     assert inv.beta_rec.prediction_gap <= 1e-3
+
+
+_MEAN_SET = {
+    "cos+0.3": lambda x: np.cos(x) + 0.3,
+    "parabola": lambda x: (x - PI / 2) ** 2,
+    "1+sin2x": lambda x: 1.0 + np.sin(2.0 * x),
+    "-2+x": lambda x: -2.0 + x,
+    "5+cos": lambda x: 5.0 + np.cos(x),
+    "-6+x": lambda x: -6.0 + x,
+}
+
+
+@pytest.mark.parametrize("beta", [PI / 3, 2 * PI / 3], ids=["pi/3", "2pi/3"])
+@pytest.mark.parametrize("name", list(_MEAN_SET))
+def test_roundtrip_nonzero_mean(name, beta):
+    # potentials whose mean is not zero: the drift shift makes them as easy
+    # as mean-zero ones (worst measured: interior 3.1e-4, sup 1.3e-2 at x = pi)
+    f = _MEAN_SET[name]
+    report, inv = roundtrip(sample_potential(f), beta, 64, trim=(0.05, PI))
+    x = inv.q_hat.grid.nodes
+    interior = (x >= 0.05) & (x <= 3.0)
+    assert np.max(np.abs(inv.q_hat.values - f(x))[interior]) <= 1e-3
+    assert report.q_sup_error <= 2e-2
+
+
+@pytest.mark.parametrize("which, i, scale, shift",
+                         [("a", 3, 1.2, 0.0), ("a", 0, 0.5, 0.0), ("mu", 5, 1.0, 0.5),
+                          ("mu", 0, 1.0, -1.0)],
+                         ids=["a3*1.2", "a0*0.5", "mu5+0.5", "mu0-1"])
+def test_perturbed_data_close_under_the_forward_map(which, i, scale, shift, fwd_cos_64):
+    # the paper's sufficiency statement: admissible data that come from no
+    # forward solve are the spectral data of the recovered (q, angle); mu_0 - 1
+    # makes a negative eigenvalue (measured at most 3.6e-5)
+    data = fwd_cos_64.spectral_data()
+    pairs = {"mu": data.mu.copy(), "a": data.norming.copy()}
+    pairs[which][i] = pairs[which][i] * scale + shift
+    inv = inverse_pipeline(SpectralData(data.beta, pairs["mu"], pairs["a"]))
+    again = forward_solve(inv.q_hat, inv.beta_rec.beta_tilde, 64)
+    mu_again = np.array([r.mu for r in again.records[:20]])
+    mu = pairs["mu"][:20]
+    assert np.max(np.abs(mu_again - mu) / (1.0 + np.abs(mu))) <= 2e-4
 
 
 def test_drift_fit_sharpens_with_data_length(roundtrip_cos):

@@ -20,8 +20,9 @@ phi'(pi) sin(beta) and Omega'(mu) for safeguarded Newton, and
 a = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi), the integral of phi^2
 (W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0).  phi and phi' at
 every cell edge are the second columns of the prefix products, from
-log2(cells) levels of Hillis-Steele doubling; one partial step from the
-edge below x then gives them at any x.
+log2(cells) levels of Hillis-Steele doubling; their sign changes count the
+eigenvalues below mu, and one partial step from the edge below x gives them
+at any x.
 """
 from __future__ import annotations
 
@@ -56,7 +57,6 @@ SWEEP_SIZE = 1 << 14
 NEWTON_TOL = 1e-12    # relative Newton step at which a root is accepted
 NEWTON_MAX = 100
 TRACE_NODES = 2049
-WINDOW_HALF_WIDTH = 0.45
 MAX_ABS_Q = 1e6
 _GAUSS = np.sqrt(3.0) / 6.0  # a cell's Gauss points sit at 1/2 -+ _GAUSS of its width
 
@@ -254,68 +254,84 @@ def characteristic(q: Potential, beta: BoundaryAngle | float, mu) -> np.ndarray:
     return out if np.ndim(mu) else float(out[0])
 
 
-def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int,
-                *, delta: DeltaSequence | None = None) -> np.ndarray:
+def _count(cells: _Cells, beta: BoundaryAngle, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number of eigenvalues strictly below each mu, and Omega(mu).
+
+    With m sign changes of phi across the cell edges in (0, pi], the Pruefer
+    angle theta(pi) lies in (m pi, (m+1) pi], and eigenvalue n is where it
+    reaches (n+1) pi - beta; it has been passed exactly when Omega(mu) phi(pi) < 0.
+    """
+    counts, omega = np.empty(mus.size, dtype=int), np.empty(mus.size)
+    for sl in _chunks(mus.size, cells.steps[0].size):
+        phi, dphi = _edge_values(cells, mus[sl])
+        omega[sl] = phi[:, -1] * np.cos(beta.beta) + dphi[:, -1] * np.sin(beta.beta)
+        counts[sl] = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1) + (omega[sl] * phi[:, -1] < 0.0)
+    return counts, omega
+
+
+def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int) -> np.ndarray:
     """First N eigenvalues, strictly increasing.
 
     The roots are found for q - mean(q), then moved back by mean(q): a
     constant shift of q moves every eigenvalue by the same amount, and the
-    Magnus step sees only qbar - mu.  Indices n >= 2 are bracketed inside
-    half-width-0.45 windows around the asymptotic centers (n + delta_n)^2,
-    the two low modes by a scan below the first window; Newton refines every
-    root.  Error messages give mu for q itself.
+    Magnus step sees only qbar - mu.  In s = sign(mu) sqrt|mu| every root
+    lies between -sqrt(max(0, -cot(beta))^2 + max(0, -min qbar) + 1), below
+    the q = 0 ground state moved down by comparison, and
+    sqrt(N^2 + max(0, max qbar) + 1), as delta_n < 1.  _count on half steps
+    of s between the two, with any step that holds more than one root halved
+    until none does, brackets each root by its index; Newton refines it
+    inside its bracket.  Error messages give mu for q itself.
     """
     beta = as_angle(beta)
     shift = q.mean
     cells = _Cells(q, shift)
     if N < 1:
         raise ConfigError("N must be at least 1")
-    if delta is None or delta.n_max < max(N, 3):
-        delta = delta_sequence(beta, max(N, 3))
-    om = delta.omega(np.arange(2, max(N, 3)))
-    low_lo, low_hi = _scan_low_modes(cells, beta, q, om[0] - WINDOW_HALF_WIDTH)
-
-    def windows(half_width):
-        a, b = om - half_width, om + half_width
-        return np.append(low_lo, a * np.abs(a))[:N], np.append(low_hi, b * np.abs(b))[:N]
-
-    lo, hi = windows(WINDOW_HALF_WIDTH)
-    f_lo, f_hi = np.split(_omega(cells, beta, np.concatenate([lo, hi])), 2)
-    bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) >= 0)
-    if bad.size and bad[0] >= 2:
-        # widen the asymptotic windows once before giving up
-        lo[bad], hi[bad] = (w[bad] for w in windows(0.49))
-        f_lo[bad], f_hi[bad] = np.split(_omega(cells, beta, np.concatenate([lo[bad], hi[bad]])), 2)
-        bad = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) >= 0)
-    if bad.size:
-        i = bad[0]
-        raise NumericsError(f"eigenvalue {i}: no sign change in [{lo[i] + shift:.12g}, {hi[i] + shift:.12g}]: "
-                            f"Omega(lo)={f_lo[i]:.6g}, Omega(hi)={f_hi[i]:.6g}")
-
-    mus = np.sort(_newton(cells, beta, lo, hi, f_lo))
-    if np.any(np.diff(mus) <= 0):
-        i = int(np.flatnonzero(np.diff(mus) <= 0)[0])
-        raise NumericsError(f"refined eigenvalues are not strictly increasing: "
-                            f"mu[{i}]={mus[i] + shift:.12g}, mu[{i + 1}]={mus[i + 1] + shift:.12g}")
-    # Sturm guard: phi(., mu_n) changes sign n times across the cell edges in
-    # (0, pi]; phi(pi) != 0 because sin(beta) > 0
-    phi = np.vstack([_edge_values(cells, mus[sl])[0] for sl in _chunks(N, cells.steps[0].size)])
-    counts = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1)
-    wrong = np.flatnonzero(counts != np.arange(N))
-    if wrong.size:
-        n = wrong[0]
-        raise NumericsError(f"eigenvalue {n}: oscillation count {counts[n]} != {n} "
-                            f"at mu={mus[n] + shift:.12g}; a root was missed or duplicated")
+    qbar = cells.steps[1]
+    s_lo = -np.sqrt(max(0.0, -qbar.min()) + max(0.0, -1.0 / np.tan(beta.beta)) ** 2 + 1.0)
+    s_hi = np.sqrt(N * N + max(0.0, qbar.max()) + 1.0)
+    s = np.linspace(s_lo, s_hi, int(np.ceil(2.0 * (s_hi - s_lo))) + 1)
+    counts, omega = _count(cells, beta, s * np.abs(s))
+    if counts[0] != 0 or counts[-1] < N:
+        raise NumericsError(f"eigenvalue count {counts[0]} below mu={s_lo * abs(s_lo) + shift:.12g} and "
+                            f"{counts[-1]} below mu={s_hi * s_hi + shift:.12g}; expected 0 and at least {N}")
+    while True:
+        steps = np.diff(counts)
+        if np.any(steps < 0):
+            i = int(np.flatnonzero(steps < 0)[0])
+            raise NumericsError(f"eigenvalue counts decrease from {counts[i]} to {counts[i + 1]} between "
+                                f"mu={s[i] * abs(s[i]) + shift:.12g} and {s[i + 1] * abs(s[i + 1]) + shift:.12g}")
+        split = np.flatnonzero((steps > 1) & (counts[:-1] < N))
+        if not split.size:
+            break
+        mid = 0.5 * (s[split] + s[split + 1])
+        if np.any((mid == s[split]) | (mid == s[split + 1])):
+            i = split[0]
+            raise NumericsError(f"eigenvalues {counts[i]}..{counts[i + 1] - 1} are not separable "
+                                f"in double precision at mu={s[i] * abs(s[i]) + shift:.12g}")
+        c, f = _count(cells, beta, mid * np.abs(mid))
+        s, counts, omega = (np.insert(a, split + 1, b) for a, b in ((s, mid), (counts, c), (omega, f)))
+    i = np.flatnonzero(np.diff(counts) == 1)[:N]
+    mu = s * np.abs(s)
+    lo, hi = mu[i], mu[i + 1]
+    mus = _newton(cells, beta, lo, hi, omega[i], omega[i + 1])
+    tol = NEWTON_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    out = np.flatnonzero((mus < lo - tol) | (mus > hi + tol))
+    if out.size:
+        n = out[0]
+        raise NumericsError(f"eigenvalue {n}: Newton left its bracket: mu={mus[n] + shift:.12g} "
+                            f"outside [{lo[n] + shift:.12g}, {hi[n] + shift:.12g}]")
     return mus + shift
 
 
 def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
-            f_lo: np.ndarray) -> np.ndarray:
-    """Root of Omega in each bracket [lo, hi] with Omega(lo) = f_lo: Newton
-    from the midpoint, bisecting whenever a step would leave the bracket,
-    which every evaluation shrinks.  Each step sweeps only the brackets
-    still open; ``idx`` maps them back to the caller's order."""
-    x = 0.5 * (lo + hi)
+            f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Root of Omega in each bracket [lo, hi], with Omega(lo) = f_lo and
+    Omega(hi) = f_hi of opposite signs: Newton from the secant point,
+    bisecting whenever a step would leave the bracket, which every
+    evaluation shrinks.  Each step sweeps only the brackets still open;
+    ``idx`` maps them back to the caller's order."""
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     roots = np.empty_like(x)
     idx = np.arange(x.size)
     for _ in range(NEWTON_MAX):
@@ -333,25 +349,6 @@ def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
     shift = cells.shift
     raise NumericsError(f"eigenvalue {idx[0]}: Newton did not converge in {NEWTON_MAX} steps; "
                         f"mu={x[0] + shift:.12g} in bracket [{lo[0] + shift:.12g}, {hi[0] + shift:.12g}]")
-
-
-def _scan_low_modes(cells: _Cells, beta: BoundaryAngle, q: Potential, first_edge: float):
-    """Brackets for the two eigenvalues below the first asymptotic window."""
-    mu_low = min(0.0, float(q.values.min()) - cells.shift) * 1.1 - 1.0
-    for _ in range(8):
-        s_lo = -np.sqrt(abs(mu_low))
-        # resolution fine enough that adjacent roots (lambda spacing ~1)
-        # cannot share a scan cell even after the range expands
-        n_scan = max(80, int((first_edge - s_lo) / 0.05) + 1)
-        ss = np.linspace(s_lo, first_edge, n_scan)
-        mus = ss * np.abs(ss)
-        vals = _omega(cells, beta, mus)
-        idx = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        if idx.size >= 2:
-            return mus[idx[:2]], mus[idx[:2] + 1]
-        mu_low = mu_low * 2.0 - 1.0
-    raise NumericsError(f"eigenvalue 0/1: scan of mu in [{mus[0] + cells.shift:.6g}, {mus[-1] + cells.shift:.6g}] "
-                        "below the first window found fewer than two roots")
 
 
 def norming_constants(q: Potential, mus: np.ndarray, *, trace_nodes: int = TRACE_NODES,
@@ -381,7 +378,7 @@ def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardS
     """Eigenvalues + norming constants + traces in one call."""
     beta = as_angle(beta)
     delta = delta_sequence(beta, max(N, 3))
-    mus = eigenvalues(q, beta, N, delta=delta)
+    mus = eigenvalues(q, beta, N)
     records, traces, quad, phi_quad = norming_constants(q, mus)
     return ForwardSolution(beta, q, records, traces, quad, phi_quad, delta)
 

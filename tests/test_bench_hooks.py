@@ -5,7 +5,6 @@ would leave a wrapper pointing at nothing or an empty span.
 ``perfbench/tracing.py`` is compiled from its source text, so nothing is
 written under ``perfbench/``.
 """
-import importlib
 import types
 from collections import Counter
 from pathlib import Path
@@ -13,12 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import invspec.forward as forward
+import invspec.inverse as inverse
+import invspec.roundtrip as roundtrip
 from invspec.core import PI, sample_potential
 from invspec.roundtrip import example6_data
-
-# invspec.roundtrip is also the name of a function the package exports
-forward, inverse, roundtrip = (importlib.import_module(f"invspec.{m}")
-                               for m in ("forward", "inverse", "roundtrip"))
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 

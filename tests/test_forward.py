@@ -13,7 +13,7 @@ from invspec.core import (
     make_grid,
     sample_potential,
 )
-from invspec.asymptotics import DeltaSequence, delta_sequence
+from invspec.asymptotics import unperturbed_spectrum
 from invspec.errors import ConfigError, NumericsError
 from invspec import forward
 from invspec.forward import (
@@ -234,11 +234,17 @@ def test_constant_negative_eigenvalues_closed_form():
     assert np.max(np.abs(a - a_ref) / a_ref) < 1e-10
 
 
-@pytest.mark.parametrize("beta", [PI / 3, PI / 2, 2 * PI / 3], ids=["pi/3", "pi/2", "2pi/3"])
+# the ends of (0, pi) as well as the middle; near pi the q = 0 ground state
+# lies near -cot(beta)^2
+ANGLES = [0.05, PI / 3, PI / 2, 2 * PI / 3, PI - 0.05]
+ANGLE_IDS = ["0.05", "pi/3", "pi/2", "2pi/3", "pi-0.05"]
+
+
+@pytest.mark.parametrize("beta", ANGLES, ids=ANGLE_IDS)
 @pytest.mark.parametrize("c", [-50.0, -8.0, 8.0, 30.0, 100.0])
 def test_constant_potential_with_large_mean(c, beta):
-    # the roots are found for q - mean(q), so windows centred for a zero mean
-    # hold one root each however large the constant is
+    # the roots are found for q - mean(q), which is zero here, and bracketed
+    # by their Sturm counts at every angle
     N = 32
     sol = forward.forward_solve(sample_potential(lambda x: np.full_like(x, c)), beta, N)
     mus = np.array([r.mu for r in sol.records])
@@ -250,13 +256,38 @@ def test_constant_potential_with_large_mean(c, beta):
 
 
 def test_eigenvalues_l1_step_potential():
-    # q = 0 on [0, pi/2), 2 on [pi/2, pi]; the sampled potential's cubic spline
-    # rings at the jump, so the bound is the benchmark's, not roundoff
-    beta, N = PI / 3, 16
-    q = sample_potential(lambda x: np.where(x < PI / 2, 0.0, 2.0))
-    mu_ref = exact_eigenvalues([(PI / 2, 0.0), (PI / 2, 2.0)], beta, N)
-    mus = eigenvalues(q, beta, N)
-    assert np.max(np.abs(mus - mu_ref) / (1.0 + np.abs(mu_ref))) < 1e-2
+    # steps left | right at pi/2; the sampled potential's cubic spline rings
+    # at the jump, so the bounds are the benchmark's, not roundoff, and wider
+    # for the jump of 100
+    cases = [((0.0, 2.0), [PI / 3], 16, 1e-2)]
+    cases += [((0.0, 60.0), ANGLES, 32, 1e-2), ((60.0, 0.0), ANGLES, 32, 1e-2), ((-100.0, 0.0), ANGLES, 32, 5e-2)]
+    for (left, right), angles, N, bound in cases:
+        q = sample_potential(lambda x: np.where(x < PI / 2, left, right))
+        for beta in angles:
+            mu_ref = exact_eigenvalues([(PI / 2, left), (PI / 2, right)], beta, N)
+            mus = eigenvalues(q, beta, N)
+            assert np.max(np.abs(mus - mu_ref) / (1.0 + np.abs(mu_ref))) < bound, (left, right, beta)
+
+
+@pytest.mark.parametrize("beta", ANGLES, ids=ANGLE_IDS)
+@pytest.mark.parametrize("f", [lambda x: -40.0 + 20.0 * x / PI, lambda x: 30.0 + 10.0 * np.cos(3.0 * x),
+                               lambda x: 200.0 * np.exp(-40.0 * (x - PI / 2) ** 2)],
+                         ids=["ramp", "cos3x", "well"])
+def test_eigenvalue_index_by_oscillation(f, beta):
+    # no closed form: eigenfunction n has n interior zeros on the trace grid
+    N = 32
+    sol = forward.forward_solve(sample_potential(f), beta, N)
+    assert [t.interior_zero_count() for t in sol.traces] == list(range(N))
+
+
+@pytest.mark.parametrize("beta", [PI / 3, PI / 2, 2 * PI / 3, PI - 0.05], ids=["pi/3", "pi/2", "2pi/3", "pi-0.05"])
+def test_count_matches_free_spectrum(q_zero, beta):
+    mu0 = unperturbed_spectrum(beta, 40).mu
+    mus = np.linspace(-1.0 / np.tan(beta) ** 2 - 1.0, 900.0, 2001)
+    mus = mus[np.min(np.abs(mus[:, None] - mu0), axis=1) > 1e-9]
+    counts, omega = forward._count(forward._Cells(q_zero), as_angle(beta), mus)
+    assert np.array_equal(counts, np.sum(mu0 < mus[:, None], axis=1))
+    assert np.allclose(omega, characteristic(q_zero, beta, mus), rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("mu", [-3.0, 0.3, 2500.0])
@@ -304,17 +335,7 @@ def test_cell_products_match_sequential_matmul(cells_396, mu):
 
 
 def test_forward_errors_name_their_cause(q_zero, monkeypatch):
-    # at beta = pi/2 the roots of q = 0 are n + 1/2, so windows moved by 1/2
-    # hold none of them
     beta = as_angle(PI / 2)
-    delta = delta_sequence(beta, 4)
-    shifted = DeltaSequence(beta, delta.values + 0.5, delta.low_modes)
-    with pytest.raises(NumericsError, match=r"eigenvalue 2: no sign change .*\[.*\]: "
-                                            r"Omega\(lo\)=.*Omega\(hi\)="):
-        eigenvalues(q_zero, beta, 4, delta=shifted)
-    # the same windows for q = 30, reported for q = 30: [6.3001, 12.1801] + 30
-    with pytest.raises(NumericsError, match=r"eigenvalue 2: no sign change in \[36\.3\d*, 42\.18\d*\]"):
-        eigenvalues(sample_potential(lambda x: np.full_like(x, 30.0)), beta, 4, delta=shifted)
     newton = r"eigenvalue (\d+): Newton .* mu=(\S+) in bracket \[(\S+), (\S+)\]"
     with monkeypatch.context() as m:
         m.setattr(forward, "NEWTON_MAX", 1)
@@ -323,21 +344,42 @@ def test_forward_errors_name_their_cause(q_zero, monkeypatch):
                 eigenvalues(sample_potential(lambda x: np.full_like(x, c)), beta, 4)
             i, mu, lo, hi = (float(g) for g in re.search(newton, str(err.value)).groups())
             assert lo < mu < hi and lo < (i + 0.5) ** 2 + c < hi
-        # the brackets of 1/4 and 25/4 are centred on their roots, which one
-        # step accepts; the open bracket is the caller's index 1, around 9/4
+        # end values of opposite sign and equal size put the secant point at
+        # the midpoint; the brackets of 1/4 and 25/4 are centred on their
+        # roots, which one step accepts; the open bracket is the caller's
+        # index 1, around 9/4
         lo, hi = np.array([0.24, 1.5, 6.0]), np.array([0.26, 3.5, 6.5])
         cells = forward._Cells(q_zero)
+        f_lo = np.sign(forward._omega(cells, beta, lo))
         with pytest.raises(NumericsError, match=newton) as err:
-            forward._newton(cells, beta, lo, hi, forward._omega(cells, beta, lo))
+            forward._newton(cells, beta, lo, hi, f_lo, -f_lo)
         i, mu, lo, hi = (float(g) for g in re.search(newton, str(err.value)).groups())
         assert i == 1 and 1.5 <= lo < mu < hi <= 3.5
-    # roots one index too high: mu_n = (n + 3/2)^2 has n + 1 zeros
-    monkeypatch.setattr(forward, "_newton", lambda cells, beta, lo, *rest: (np.arange(lo.size) + 1.5) ** 2)
-    with pytest.raises(NumericsError, match=r"eigenvalue 0: oscillation count 1 != 0 at mu=2.25"):
-        eigenvalues(q_zero, beta, 4)
-    # q = 30 is solved as q = 0; the message gives mu for q = 30
-    with pytest.raises(NumericsError, match=r"eigenvalue 0: oscillation count 1 != 0 at mu=32.25"):
+    # roots one index too high: mu_n = (n + 3/2)^2 lies outside the bracket
+    # that the Sturm count gives eigenvalue n
+    bracket = r"eigenvalue 0: Newton left its bracket: mu={} outside \[(\S+), (\S+)\]"
+    with monkeypatch.context() as m:
+        m.setattr(forward, "_newton", lambda cells, beta, lo, *rest: (np.arange(lo.size) + 1.5) ** 2)
+        for c, mu in ((0.0, "2.25"), (30.0, "32.25")):  # q = 30 is solved as q = 0
+            with pytest.raises(NumericsError, match=bracket.format(mu)) as err:
+                eigenvalues(sample_potential(lambda x: np.full_like(x, c)), beta, 4)
+            lo, hi = (float(g) for g in re.search(bracket.format(mu), str(err.value)).groups())
+            assert lo < 0.25 + c < hi < 2.25 + c
+    # edge values that never change sign: no count reaches N
+    real_edge_values = forward._edge_values
+    monkeypatch.setattr(forward, "_edge_values",
+                        lambda cells, mus: tuple(np.abs(e) for e in real_edge_values(cells, mus)))
+    # at beta = pi/2 the counts run from mu = -1 to 4^2 + 1, reported for q = 30
+    with pytest.raises(NumericsError, match=r"eigenvalue count 0 below mu=29 and 0 below mu=47; "
+                                            r"expected 0 and at least 4"):
         eigenvalues(sample_potential(lambda x: np.full_like(x, 30.0)), beta, 4)
+    # counts that fall, and counts that jump by two at one mu, are refused;
+    # for N = 2 the counts run over mu in [-1, 5]
+    for counts, message in ((lambda mu: 4 * (mu > 1.0) - 2 * (mu > 3.0), r"decrease from 4 to 2 between mu="),
+                            (lambda mu: 2 * (mu > 1.0), r"eigenvalues 0\.\.1 are not separable .* at mu=1$")):
+        monkeypatch.setattr(forward, "_count", lambda cells, beta, mus: (counts(mus), np.ones(mus.size)))
+        with pytest.raises(NumericsError, match=message):
+            eigenvalues(q_zero, beta, 2)
 
 
 # --- norming constants ------------------------------------------------------------

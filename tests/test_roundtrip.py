@@ -36,6 +36,12 @@ def test_roundtrip_rejects_empty_trim_window(q_zero):
         roundtrip(q_zero, PI / 2, 16, trim=(2.0, 1.0))
 
 
+def test_package_attribute_is_the_roundtrip_module():
+    # the package exports no name that shadows its roundtrip submodule
+    import invspec.roundtrip as module
+    assert module.inverse_pipeline is inverse_pipeline and module.roundtrip is roundtrip
+
+
 def test_roundtrip_cos_accuracy(roundtrip_cos):
     report, _ = roundtrip_cos[64]
     assert report.q_sup_error <= 5e-2

@@ -29,7 +29,7 @@ from .asymptotics import (
     t_beta_closed_form,
     unperturbed_spectrum,
 )
-from .forward import characteristic, eigenvalues, expand, forward_solve, norming_constants, shoot
+from .forward import characteristic, eigenvalues, expand, forward_solve, norming_constants
 from .inverse import build_F, build_H, recover_beta, recover_q, solve_gl, solve_kernel_field, validate
 from .roundtrip import InverseParams, RoundTripReport, example6_oracle, inverse_pipeline
 

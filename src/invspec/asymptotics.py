@@ -31,6 +31,8 @@ from .core import (
 from .errors import ConfigError, DomainError, NumericsError
 
 DELTA_MIN_N = 2
+DELTA_TOL = 1e-14  # fixed-point residual at which delta_n is accepted
+SERIES_CHUNK, SERIES_MAX_TERMS = 20000, 2_000_000  # t_beta_closed_form's residual terms per batch, in all
 
 
 def _phase_map(delta, n, beta: BoundaryAngle):
@@ -45,7 +47,7 @@ def _phase_map(delta, n, beta: BoundaryAngle):
     return 1.0 - np.arccos(arg) / PI
 
 
-def solve_delta(beta: BoundaryAngle | float, n: int, tol: float = 1e-14) -> float:
+def solve_delta(beta: BoundaryAngle | float, n: int) -> float:
     """Solve the phase equation for a single index n >= 2.
 
     Plain fixed-point iteration seeded at 1/2 (the map contracts like
@@ -53,23 +55,21 @@ def solve_delta(beta: BoundaryAngle | float, n: int, tol: float = 1e-14) -> floa
     """
     if n < DELTA_MIN_N:
         raise ConfigError(f"delta_n is defined only for n >= {DELTA_MIN_N}")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
     beta = as_angle(beta)
-    out = _solve_delta_array(beta, np.array([n], dtype=float), tol)
+    out = _solve_delta_array(beta, np.array([n], dtype=float))
     return float(out[0])
 
 
-def _solve_delta_array(beta: BoundaryAngle, ns: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def _solve_delta_array(beta: BoundaryAngle, ns: np.ndarray) -> np.ndarray:
     delta = np.full(ns.shape, 0.5)
     for _ in range(50):
         new = _phase_map(delta, ns, beta)
-        if np.all(np.abs(new - delta) <= tol):
+        if np.all(np.abs(new - delta) <= DELTA_TOL):
             delta = new
             break
         delta = new
     resid = np.abs(delta - _phase_map(delta, ns, beta))
-    bad = resid > tol
+    bad = resid > DELTA_TOL
     if bad.any():
         # The fixed point is unique on [-1, 1]; d - Phi(d) brackets it there.
         for i in np.flatnonzero(bad):
@@ -85,7 +85,7 @@ def _solve_delta_array(beta: BoundaryAngle, ns: np.ndarray, tol: float = 1e-14) 
                     break
             delta[i] = 0.5 * (lo + hi)
         resid = np.abs(delta - _phase_map(delta, ns, beta))
-        if np.any(resid > 100 * tol):
+        if np.any(resid > 100 * DELTA_TOL):
             worst = int(np.argmax(resid))
             raise NumericsError(
                 f"delta_n iteration stalled at n={int(ns[worst])}, residual {resid[worst]:.3e}"
@@ -108,23 +108,19 @@ class DeltaSequence:
     def n_max(self) -> int:
         return self.values.size + 1  # covers n = 2..n_max inclusive
 
-    def delta(self, n) -> np.ndarray:
-        n = np.asarray(n)
-        return self.values[n - 2]
-
     def omega(self, n) -> np.ndarray:
         """n + delta_n for n >= 2 (the unperturbed lambda_n)."""
         n = np.asarray(n, dtype=float)
         return n + self.values[np.asarray(n, dtype=int) - 2]
 
 
-def delta_sequence(beta: BoundaryAngle | float, n_max: int, tol: float = 1e-14) -> DeltaSequence:
+def delta_sequence(beta: BoundaryAngle | float, n_max: int) -> DeltaSequence:
     """delta_n for n = 2..n_max, plus root-found lambda_0, lambda_1 at q = 0."""
     beta = as_angle(beta)
     if n_max < DELTA_MIN_N:
         raise ConfigError("n_max must be at least 2")
     ns = np.arange(DELTA_MIN_N, n_max + 1, dtype=float)
-    values = _solve_delta_array(beta, ns, tol)
+    values = _solve_delta_array(beta, ns)
     lam0, lam1 = _low_mode_lambdas(beta, float(values[0]))
     return DeltaSequence(beta, values, (lam0, lam1))
 
@@ -222,8 +218,7 @@ def cos_halfint_closed(x):
     return full - 4.0 * np.cos(x / 2.0) - (4.0 / 9.0) * np.cos(1.5 * x)
 
 
-def t_beta_closed_form(beta: BoundaryAngle | float, x: float, *, delta: DeltaSequence | None = None,
-                       chunk: int = 20000, max_terms: int = 2_000_000) -> float:
+def t_beta_closed_form(beta: BoundaryAngle | float, x: float) -> float:
     """Accelerated value of sum_{n>=2} sin((n+delta_n)x)/(n+delta_n).
 
     Splits off the half-integer part and its first cot(beta) correction in
@@ -235,11 +230,10 @@ def t_beta_closed_form(beta: BoundaryAngle | float, x: float, *, delta: DeltaSeq
         raise DomainError(f"x={x} outside (0, 2*pi)")
     total = float(sin_halfint_closed(x)) + (x * beta.cot / PI) * float(cos_halfint_closed(x))
     # residual series with O(1/n^3) terms
-    n0 = DELTA_MIN_N
     tail = 0.0
     below = 0
-    while n0 < max_terms:
-        ns = np.arange(n0, min(n0 + chunk, max_terms), dtype=float)
+    for n0 in range(DELTA_MIN_N, SERIES_MAX_TERMS, SERIES_CHUNK):
+        ns = np.arange(n0, min(n0 + SERIES_CHUNK, SERIES_MAX_TERMS), dtype=float)
         dl = _solve_delta_array(beta, ns)
         om = ns + dl
         half = ns + 0.5
@@ -253,7 +247,6 @@ def t_beta_closed_form(beta: BoundaryAngle | float, x: float, *, delta: DeltaSeq
         below = _trailing_true(small, carry=below)
         if below >= 3:
             break
-        n0 += chunk
     return total + tail
 
 
@@ -296,6 +289,21 @@ def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
     # a non-Cauchy tail (fit_c_spread > 10%) is reported by validate(), not raised
     l_seq = lam - om - c / (2.0 * om)
     return float(c), l_seq
+
+
+def drift_constant(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
+    """fit_c refined twice on the data shifted by the estimate so far, so that the
+    nonlinearity of sqrt(mu) in a large c leaves no bias; (c, l_seq of the last pass)."""
+    c = 0.0
+    for _ in range(3):
+        dc, l_seq = fit_c(shift_spectrum(data, c), delta)
+        c += dc
+    return c, l_seq
+
+
+def shift_spectrum(data: SpectralData, c: float) -> SpectralData:
+    """The data of q - c: every eigenvalue moved by -c, the norming constants unchanged."""
+    return SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
 
 
 def fit_c_spread(data: SpectralData, delta: DeltaSequence) -> float:

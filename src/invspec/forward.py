@@ -1,5 +1,5 @@
-"""Forward solver: eigenvalues, eigenfunctions and norming constants of
--y'' + q y = mu y with y(0) = 0 and y(pi)cos(beta) + y'(pi)sin(beta) = 0.
+"""Forward solver: eigenvalues and norming constants of -y'' + q y = mu y with
+y(0) = 0 and y(pi)cos(beta) + y'(pi)sin(beta) = 0, and eigenfunctions on request.
 
 phi(x, mu), with phi(0) = 0 and phi'(0) = 1, crosses each cell by one
 fourth-order Magnus step on the potential's interpolant; there are four cells
@@ -27,12 +27,13 @@ at any x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp  # noqa: F401  solve_ivp: unused, perfbench/tracing.py wraps it
 from scipy.interpolate import CubicSpline
 
-from .asymptotics import DeltaSequence, delta_sequence, fit_c
+from .asymptotics import DeltaSequence, delta_sequence, drift_constant
 from .core import (
     PI,
     BoundaryAngle,
@@ -90,29 +91,38 @@ class EigenRecord:
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """Bundle of everything the forward solve produces."""
+    """The spectrum of (q, beta), one EigenRecord per eigenpair.  The
+    eigenfunctions and the q = 0 index corrections are computed when first read."""
 
     beta: BoundaryAngle
     q: Potential
     records: list
-    traces: list
-    quad: Grid              # Gauss grid used for inner products
-    phi_quad: np.ndarray    # records x quad-nodes matrix of phi values
-    delta: DeltaSequence
+
+    @cached_property
+    def traces(self) -> list:
+        """phi_n and phi_n' on the uniform grid of TRACE_NODES points."""
+        grid = make_grid(TRACE_NODES, RuleKind.TRAPEZOID)
+        phi, dphi = _solution(_Cells(self.q), np.array([r.mu for r in self.records]), grid.nodes)
+        return [SolutionTrace(grid, p, d, r.mu) for p, d, r in zip(phi, dphi, self.records)]
+
+    @cached_property
+    def delta(self) -> DeltaSequence:
+        return delta_sequence(self.beta, max(len(self.records), 3))
 
     def spectral_data(self) -> SpectralData:
         mus = np.array([r.mu for r in self.records])
         a = np.array([r.a for r in self.records])
         c = None
         if len(self.records) >= 12:
-            c, _ = fit_c(SpectralData(self.beta.beta, mus, a), self.delta)
+            c, _ = drift_constant(SpectralData(self.beta.beta, mus, a), self.delta)
         return SpectralData(self.beta.beta, mus, a, c_fit=c)
 
     def gram(self, k: int | None = None) -> np.ndarray:
-        """Inner-product matrix of the first k eigenfunctions on the Gauss grid."""
+        """Inner-product matrix of the first k eigenfunctions on a 256-node Gauss grid."""
         k = len(self.records) if k is None else k
-        ph = self.phi_quad[:k]
-        return (ph * self.quad.weights) @ ph.T
+        quad = make_grid(256, RuleKind.GAUSS)
+        ph, _ = _solution(_Cells(self.q), np.array([r.mu for r in self.records[:k]]), quad.nodes)
+        return (ph * quad.weights) @ ph.T
 
 
 class _Cells:
@@ -241,13 +251,6 @@ def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     return out[0], out[1]
 
 
-def shoot(q: Potential, mu: float, *, n_nodes: int = TRACE_NODES) -> SolutionTrace:
-    """phi and phi' for one mu on a uniform grid of n_nodes points."""
-    grid = make_grid(n_nodes, RuleKind.TRAPEZOID)
-    phi, dphi = _solution(_Cells(q), np.array([float(mu)]), grid.nodes)
-    return SolutionTrace(grid, phi[0], dphi[0], float(mu))
-
-
 def characteristic(q: Potential, beta: BoundaryAngle | float, mu) -> np.ndarray:
     """Omega(mu) = phi(pi)cos(beta) + phi'(pi)sin(beta); zeros are eigenvalues."""
     out = _omega(_Cells(q), as_angle(beta), mu)
@@ -260,11 +263,16 @@ def _count(cells: _Cells, beta: BoundaryAngle, mus: np.ndarray) -> tuple[np.ndar
     With m sign changes of phi across the cell edges in (0, pi], the Pruefer
     angle theta(pi) lies in (m pi, (m+1) pi], and eigenvalue n is where it
     reaches (n+1) pi - beta; it has been passed exactly when Omega(mu) phi(pi) < 0.
+    A non-finite Omega, where the cell products overflow, is refused.
     """
     counts, omega = np.empty(mus.size, dtype=int), np.empty(mus.size)
     for sl in _chunks(mus.size, cells.steps[0].size):
         phi, dphi = _edge_values(cells, mus[sl])
         omega[sl] = phi[:, -1] * np.cos(beta.beta) + dphi[:, -1] * np.sin(beta.beta)
+        bad = np.flatnonzero(~np.isfinite(omega[sl]))
+        if bad.size:
+            raise NumericsError(f"Omega(mu) is not finite at mu={mus[sl][bad[0]] + cells.shift:.12g} for "
+                                f"beta={beta.beta:.12g}: the solution overflows double precision")
         counts[sl] = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1) + (omega[sl] * phi[:, -1] < 0.0)
     return counts, omega
 
@@ -351,36 +359,29 @@ def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
                         f"mu={x[0] + shift:.12g} in bracket [{lo[0] + shift:.12g}, {hi[0] + shift:.12g}]")
 
 
-def norming_constants(q: Potential, mus: np.ndarray, *, trace_nodes: int = TRACE_NODES,
-                      quad: Grid | None = None
-                      ) -> tuple[list, list, Grid, np.ndarray]:
-    """Norming constants, by the Wronskian identity of the module docstring,
-    and traces for given eigenvalues.
-    Returns (records, traces, quad_grid, phi_at_quad).
-    """
-    cells = _Cells(q)
+def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
+    """Norming constants a_n of the given eigenvalues, by the Wronskian
+    identity of the module docstring."""
     mus = np.asarray(mus, dtype=float)
-    quad = quad or make_grid(256, RuleKind.GAUSS)
-    trace_grid = make_grid(trace_nodes, RuleKind.TRAPEZOID)
-    phi_pi, dphi_pi, phi_mu, dphi_mu = _sweep(cells, mus, deriv=True)
+    phi_pi, dphi_pi, phi_mu, dphi_mu = _sweep(_Cells(q), mus, deriv=True)
     bad = np.flatnonzero(np.abs(phi_pi) < 1e-12 * np.maximum(1.0, np.abs(dphi_pi)))
     if bad.size:
         raise NumericsError(f"eigenvalue {bad[0]}: phi(pi) vanishes with sin(beta) != 0; "
                             f"mu={mus[bad[0]]} is not a true root")
-    nt = trace_grid.n
-    phi, dphi = _solution(cells, mus, np.concatenate([trace_grid.nodes, quad.nodes]))
-    records = [EigenRecord(float(m), float(a)) for m, a in zip(mus, dphi_pi * phi_mu - phi_pi * dphi_mu)]
-    traces = [SolutionTrace(trace_grid, phi[n, :nt], dphi[n, :nt], float(m)) for n, m in enumerate(mus)]
-    return records, traces, quad, phi[:, nt:]
+    a = dphi_pi * phi_mu - phi_pi * dphi_mu
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise NumericsError(f"eigenvalue {bad[0]}: the norming constant overflows double precision; "
+                            f"mu={mus[bad[0]]:.12g}")
+    return a
 
 
 def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardSolution:
-    """Eigenvalues + norming constants + traces in one call."""
+    """The first N eigenvalues and their norming constants."""
     beta = as_angle(beta)
-    delta = delta_sequence(beta, max(N, 3))
     mus = eigenvalues(q, beta, N)
-    records, traces, quad, phi_quad = norming_constants(q, mus)
-    return ForwardSolution(beta, q, records, traces, quad, phi_quad, delta)
+    return ForwardSolution(beta, q, [EigenRecord(float(m), float(a))
+                                     for m, a in zip(mus, norming_constants(q, mus))])
 
 
 def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction:

@@ -40,9 +40,10 @@ from .asymptotics import (
     DeltaSequence,
     cos_halfint_closed,
     delta_sequence,
+    drift_constant,
     extract_s,
-    fit_c,
     fit_c_spread,
+    shift_spectrum,
     signed_sqrt,
     unperturbed_spectrum,
 )
@@ -86,9 +87,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
     spectrum is shifted by its drift constant.  Trend violations of the
     remainder sequences only warn, since a finite prefix cannot prove a limit.
 
-    ``c_fit`` is the drift constant: the tail fit of :func:`fit_c`, refined
-    twice on the data shifted by the estimate so far, so that the
-    nonlinearity of sqrt(mu) in a large c leaves no bias.
+    ``c_fit`` is the drift constant of :func:`drift_constant`.
     """
     beta = as_angle(beta)
     if data.count < 12:
@@ -112,11 +111,8 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
 
     c = None
     if mono and pos:
-        c = 0.0
-        for _ in range(3):
-            dc, l_seq = fit_c(_shifted(data, c), delta)
-            c += dc
-        shifted = _shifted(data, c)
+        c, l_seq = drift_constant(data, delta)
+        shifted = shift_spectrum(data, c)
 
         q_start = max(2, (3 * data.count) // 4)
         ns = np.arange(q_start, data.count)
@@ -155,12 +151,6 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         "count": data.count,
         "beta": beta.beta,
     }
-
-
-def _shifted(data: SpectralData, c: float) -> SpectralData:
-    """The data of q - c: every eigenvalue moved by -c, the norming constants
-    unchanged."""
-    return SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
 
 
 def _trend_check(name: str, seq: np.ndarray) -> dict:

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .asymptotics import shift_spectrum
 from .core import (
     PI,
     BoundaryAngle,
@@ -73,7 +74,7 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
-    shifted = SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
+    shifted = shift_spectrum(data, c)
     H = build_H(shifted, data.beta, max(DEFAULT_N_TERMS, data.count))
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)

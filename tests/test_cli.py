@@ -80,6 +80,14 @@ def test_roundtrip_empty_trim_exits_64(workdir):
     assert "trim" in r.stderr
 
 
+def test_forward_overflow_near_pi_exits_1(workdir):
+    # at beta = pi - 5e-3 the ground state's norming constant overflows: a
+    # numerical failure that names the eigenvalue, not a usage error
+    r = run_cli("forward", "q.csv", "--beta", "3.1366", "-N", "16", "-o", "fw_pi", cwd=workdir)
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    assert "numerical failure: eigenvalue 0" in r.stderr
+
+
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices

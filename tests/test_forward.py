@@ -21,8 +21,8 @@ from invspec.forward import (
     eigenvalues,
     expand,
     norming_constants,
-    shoot,
 )
+from invspec.inverse import validate
 
 
 def rk4_oracle(qf, mu, n_steps=20000):
@@ -104,34 +104,41 @@ def as_stack(entries):
     return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
 
 
-# --- shoot -------------------------------------------------------------------
+def solution_on_trace_grid(q, mu):
+    """x, phi and phi' for one mu on the uniform grid of TRACE_NODES points."""
+    x = make_grid(forward.TRACE_NODES, RuleKind.TRAPEZOID).nodes
+    phi, dphi = forward._solution(forward._Cells(q), np.array([mu]), x)
+    return x, phi[0], dphi[0]
+
+
+# --- solutions phi(x, mu) ---------------------------------------------------------
 
 
 def test_shoot_free_particle(q_zero):
     lam = 3.0
-    tr = shoot(q_zero, lam**2)
-    assert np.max(np.abs(tr.phi - np.sin(lam * tr.grid.nodes) / lam)) < 1e-10
-    assert tr.phi[0] == 0.0 and tr.dphi[0] == 1.0
+    x, phi, dphi = solution_on_trace_grid(q_zero, lam**2)
+    assert np.max(np.abs(phi - np.sin(lam * x) / lam)) < 1e-10
+    assert phi[0] == 0.0 and dphi[0] == 1.0
 
 
 def test_shoot_constant_shift():
     q1 = sample_potential(lambda x: np.ones_like(x))
     lam = 2.0
-    tr = shoot(q1, 1.0 + lam**2)
-    assert np.max(np.abs(tr.phi - np.sin(lam * tr.grid.nodes) / lam)) < 1e-10
+    x, phi, _ = solution_on_trace_grid(q1, 1.0 + lam**2)
+    assert np.max(np.abs(phi - np.sin(lam * x) / lam)) < 1e-10
 
 
 def test_shoot_matches_independent_rk4(q_cos):
-    tr = shoot(q_cos, 4.0)
+    x, phi, _ = solution_on_trace_grid(q_cos, 4.0)
     per_cell = 8  # oracle step = trace spacing / 8, so every 8th point aligns
-    oracle = rk4_oracle(interpolant(q_cos), 4.0, n_steps=per_cell * (tr.grid.n - 1))
-    assert np.max(np.abs(tr.phi - oracle[::per_cell, 0])) < 1e-8
+    oracle = rk4_oracle(interpolant(q_cos), 4.0, n_steps=per_cell * (x.size - 1))
+    assert np.max(np.abs(phi - oracle[::per_cell, 0])) < 1e-8
 
 
 def test_shoot_rejects_huge_potential():
     q = sample_potential(lambda x: 2e6 * np.ones_like(x))
     with pytest.raises(ConfigError):
-        shoot(q, 1.0)
+        solution_on_trace_grid(q, 1.0)
 
 
 # --- characteristic ------------------------------------------------------------
@@ -407,6 +414,63 @@ def test_norming_rejects_non_eigenvalue(q_zero):
         norming_constants(q_zero, np.array([1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflow_near_pi_is_a_numerics_error(q_cos):
+    # near beta = pi the ground state lies near -cot(beta)^2 and phi grows like
+    # exp(pi sqrt|mu|): at pi - 1e-3 the count's lowest point overflows, at
+    # pi - 5e-3 only the norming constant of the ground state does
+    beta = PI - 1e-3
+    count = r"Omega\(mu\) is not finite at mu=(\S+) for beta=3\.14059265359"
+    with pytest.raises(NumericsError, match=count) as err:
+        eigenvalues(q_cos, beta, 16)
+    assert float(re.search(count, str(err.value)).group(1)) < -1.0 / np.tan(beta) ** 2
+    beta = PI - 5e-3
+    mus = eigenvalues(q_cos, beta, 16)
+    norming = r"eigenvalue 0: the norming constant overflows double precision; mu=(\S+)$"
+    with pytest.raises(NumericsError, match=norming) as err:
+        norming_constants(q_cos, mus)
+    assert float(re.search(norming, str(err.value)).group(1)) == pytest.approx(-1.0 / np.tan(beta) ** 2,
+                                                                              rel=1e-3)
+
+
+# --- ForwardSolution ---------------------------------------------------------------
+
+
+def test_spectrum_samples_no_eigenfunction(q_cos, monkeypatch):
+    # mu_n, a_n and c_fit come from the sweeps alone; phi(x, mu) is sampled
+    # only when traces or gram() are read
+    def refuse(*args):
+        raise AssertionError("forward_solve sampled an eigenfunction")
+
+    monkeypatch.setattr(forward, "_solution", refuse)
+    data = forward.forward_solve(q_cos, PI / 3, 16).spectral_data()
+    assert data.count == 16 and data.c_fit is not None
+
+
+def test_traces_and_gram_sampled_on_read(q_cos):
+    sol = forward.forward_solve(q_cos, PI / 3, 16)
+    mus = np.array([r.mu for r in sol.records])
+    cells = forward._Cells(q_cos)
+    grid = make_grid(forward.TRACE_NODES, RuleKind.TRAPEZOID)
+    phi, dphi = forward._solution(cells, mus, grid.nodes)
+    assert sol.traces is sol.traces
+    for n, tr in enumerate(sol.traces):
+        assert tr.mu == mus[n] and np.array_equal(tr.grid.nodes, grid.nodes)
+        assert np.array_equal(tr.phi, phi[n]) and np.array_equal(tr.dphi, dphi[n])
+    quad = make_grid(256, RuleKind.GAUSS)
+    ph, _ = forward._solution(cells, mus[:5], quad.nodes)
+    assert np.array_equal(sol.gram(5), (ph * quad.weights) @ ph.T)
+
+
+def test_spectral_data_carries_validates_drift_constant():
+    # c = 30 is far enough from 0 that one tail fit in sqrt(mu) is biased
+    # (29.99954); the refined fit is the one validate reports
+    data = forward.forward_solve(sample_potential(lambda x: np.full_like(x, 30.0)), PI / 3, 64).spectral_data()
+    assert data.c_fit == validate(data, data.beta)["c_fit"]
+    assert abs(data.c_fit - 30.0) < 1e-9
+
+
 # --- expansion -----------------------------------------------------------------
 
 
@@ -451,9 +515,8 @@ def test_expand_requires_enough_records(fwd_zero_64):
 
 
 def test_trace_satisfies_equation(q_cos):
-    tr = shoot(q_cos, 7.0)
-    x = tr.grid.nodes
+    x, phi, _ = solution_on_trace_grid(q_cos, 7.0)
     h = x[1] - x[0]
-    phixx = (tr.phi[2:] - 2 * tr.phi[1:-1] + tr.phi[:-2]) / h**2
-    resid = -phixx + (interpolant(q_cos)(x[1:-1]) - 7.0) * tr.phi[1:-1]
+    phixx = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / h**2
+    resid = -phixx + (interpolant(q_cos)(x[1:-1]) - 7.0) * phi[1:-1]
     assert np.max(np.abs(resid)) < 5e-5  # second-order finite-difference floor

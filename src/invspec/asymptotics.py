@@ -142,7 +142,8 @@ def _low_mode_lambdas(beta: BoundaryAngle, delta2: float) -> tuple[float, float]
     for _ in range(60):
         ss = np.linspace(s_lo, upper, 400)
         mus = ss * np.abs(ss)
-        vals = characteristic_q0(beta, mus)
+        with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at the low end; see below
+            vals = characteristic_q0(beta, mus)
         sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         if sign_change.size >= 2:
             roots = []
@@ -153,6 +154,12 @@ def _low_mode_lambdas(beta: BoundaryAngle, delta2: float) -> tuple[float, float]
         s_lo = s_lo * 2.0 - 1.0
         if s_lo < -1e4:
             break
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NumericsError(f"failed to bracket the two lowest q = 0 eigenvalues for beta={beta.beta:.12g}: "
+                            f"the q = 0 characteristic function overflows double precision at "
+                            f"mu={mus[bad].max():.6g} and below, and its ground state lies near "
+                            f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
     raise NumericsError("failed to bracket the two lowest q = 0 eigenvalues")
 
 

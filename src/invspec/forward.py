@@ -6,8 +6,12 @@ fourth-order Magnus step on the potential's interpolant; there are four cells
 per sample interval, with edges on the samples.  On a cell of width h, with
 q1, q2 the interpolant at its Gauss points and qbar their mean, the step is
 exp(Omega), Omega = [[d, h], [h (qbar - mu), -d]], d = (sqrt(3)/12) h^2 (q1 - q2).
-As Omega^2 = s2 I, s2 = d^2 + h^2 (qbar - mu), exp(Omega) = mucos(-s2, 1) I +
-musin(-s2, 1) Omega and its mu-derivative are closed form on every branch.
+As Omega^2 = s2 I, s2 = d^2 + h^2 (qbar - mu), exp(Omega) = C(s2) I + S(s2) Omega
+with C = cosh sqrt(s2) and S = sinh sqrt(s2) / sqrt(s2), continued through
+s2 <= 0.  Both, and dS/ds2 for the mu-derivative, are Taylor series in s2
+summed by Horner's rule: on 1024 cells |s2| stays below 3e-3 up to mu = 300,
+where degree 4 reaches roundoff, and a batch with larger |s2| is quartered
+and restored by double-angle identities.
 The error is fourth order in the cell width: on q = cos x, eigenvalues move by
 1.2e-10, 7.7e-12, 4.8e-13 and 2.9e-14 at 256, 512, 1024 and 2048 cells, the
 same for n < 16 as for n < 256.
@@ -19,15 +23,17 @@ carrying d/dmu by the product rule, gives Omega(mu) = phi(pi) cos(beta) +
 phi'(pi) sin(beta) and Omega'(mu) for safeguarded Newton, and
 a = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi), the integral of phi^2
 (W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0).  phi and phi' at
-every cell edge are the second columns of the prefix products, from
-log2(cells) levels of Hillis-Steele doubling; their sign changes count the
-eigenvalues below mu, and one partial step from the edge below x gives them
-at any x.
+every cell edge come from the same tree: its levels are kept (the up-sweep),
+and (phi, phi') at the start of each block is carried down to its two
+halves (the down-sweep), about one 2x2 product and one matrix-vector product
+per cell in all.  Their sign changes count the eigenvalues below mu, and one
+partial step from the edge below x gives them at any x.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp  # noqa: F401  solve_ivp: unused, perfbench/tracing.py wraps it
@@ -45,8 +51,6 @@ from .core import (
     as_angle,
     interpolant,
     make_grid,
-    mucos,
-    musin,
     _frozen,
 )
 from .errors import ConfigError, NumericsError
@@ -60,6 +64,11 @@ NEWTON_MAX = 100
 TRACE_NODES = 2049
 MAX_ABS_Q = 1e6
 _GAUSS = np.sqrt(3.0) / 6.0  # a cell's Gauss points sit at 1/2 -+ _GAUSS of its width
+SERIES_TOL = 1e-17    # first omitted term of the propagator series
+# Taylor coefficients in s2 of C, S and dS/ds2 (see _series); degree 9 reaches |s2| = 1
+_C_COEF = np.array([1.0 / factorial(2 * k) for k in range(10)])
+_S_COEF = np.array([1.0 / factorial(2 * k + 1) for k in range(10)])
+_DS_COEF = np.array([(k + 1) / factorial(2 * k + 3) for k in range(10)])
 
 
 @dataclass(frozen=True)
@@ -145,23 +154,62 @@ class _Cells:
         return h, 0.5 * (q1 + q2) - self.shift, 0.5 * _GAUSS * h * h * (q1 - q2)
 
 
+def _series(s2: np.ndarray, deriv: bool = False):
+    """C = sum s2^k/(2k)!, S = sum s2^k/(2k+1)! and, with ``deriv``, dS/ds2
+    (else None): cosh and sinh(x)/x of x = sqrt(s2), cos and sin(x)/x of
+    x = sqrt(-s2).  Horner's rule at the least degree whose first omitted term
+    at max|s2| is below SERIES_TOL; where max|s2| > 1, the whole batch is
+    quartered j times and C(4u) = 2 C(u)^2 - 1, S(4u) = S(u) C(u),
+    S'(4u) = (S'(u) C(u) + S(u)^2/2)/4 restore it, which costs its smallest
+    entries up to about 4^j ulp.  Non-finite entries stay non-finite and do
+    not set j."""
+    m = float(np.max(np.abs(s2), initial=0.0))
+    if not np.isfinite(m):
+        m = float(np.max(np.abs(s2), initial=0.0, where=np.isfinite(s2)))
+    j = 0
+    while m > 1.0:
+        m *= 0.25
+        j += 1
+    K, term = 1, m * m / 24.0
+    while term >= SERIES_TOL:
+        K += 1
+        term *= m / ((2 * K + 1) * (2 * K + 2))
+    u = s2 * 0.25 ** j if j else s2
+    C, S = _horner(_C_COEF[:K + 1], u), _horner(_S_COEF[:K + 1], u)
+    dS = _horner(_DS_COEF[:K + 1], u) if deriv else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(j):
+            if deriv:
+                dS = 0.25 * (dS * C + 0.5 * S * S)
+            S = S * C
+            C = 2.0 * C * C - 1.0
+    return C, S, dS
+
+
+def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum coef[k] u^k, for at least two coefficients."""
+    out = coef[-1] * u
+    out += coef[-2]
+    for c in coef[-3::-1]:
+        out *= u
+        out += c
+    return out
+
+
 def _propagators(steps, mus: np.ndarray, deriv: bool = False):
     """Entries (m00, m01, m10, m11) of exp(Omega), each with rows mu and
     columns step, and with ``deriv`` their mu-derivatives (else None)."""
     h, qbar, d = steps
     v = h * (qbar - mus[:, None])           # Omega[1, 0]
     s2 = d * d + h * v
-    C, S = mucos(-s2, 1.0), musin(-s2, 1.0)
+    C, S, dS = _series(s2, deriv)
     Sd = S * d
     M = (C + Sd, S * h, S * v, C - Sd)
     if not deriv:
         return M, None
-    # dC/ds2 = S/2 and dS/ds2 = (C - S)/(2 s2), by its Taylor series where
-    # that would cancel; ds2/dmu = -h^2
-    small = np.abs(s2) < 1e-2
-    series = 1 / 6 + s2 * (1 / 60 + s2 * (1 / 1680 + s2 * (1 / 90720 + s2 / 7983360)))
+    # dC/ds2 = S/2, and ds2/dmu = -h^2
     dC = -0.5 * h * h * S
-    dS = -h * h * np.where(small, series, (C - S) / (2.0 * np.where(small, 1.0, s2)))
+    dS *= -h * h
     dSd = dS * d
     return M, (dC + dSd, dS * h, dS * v - S * h, dC - dSd)
 
@@ -174,18 +222,30 @@ def _mul(b, a):
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
 
 
-def _tree(M, dM):
-    """Entries of M[:, -1] @ ... @ M[:, 0], by multiplying adjacent pairs
-    level by level, and of its mu-derivative by the product rule when dM is given."""
-    while M[0].shape[1] > 1:
-        if M[0].shape[1] % 2:  # pad with the identity, whose derivative is zero
+def _levels(M, dM=None):
+    """The levels of the balanced-tree product M[:, -1] @ ... @ M[:, 0], from
+    the cells up to the single product: an odd width is padded with the
+    identity, then each column of the next level is the product of a pair of
+    adjacent columns.  With dM, each level carries its mu-derivative by the
+    product rule (else None)."""
+    while True:
+        if M[0].shape[1] % 2 and M[0].shape[1] > 1:  # the identity's derivative is zero
             M = _pad(M, (1.0, 0.0, 0.0, 1.0))
             dM = None if dM is None else _pad(dM, (0.0, 0.0, 0.0, 0.0))
+        yield M, dM
+        if M[0].shape[1] == 1:
+            return
         early, late = [m[:, 0::2] for m in M], [m[:, 1::2] for m in M]
         if dM is not None:
             dM = tuple(x + y for x, y in zip(_mul([m[:, 1::2] for m in dM], early),
                                              _mul(late, [m[:, 0::2] for m in dM])))
         M = _mul(late, early)
+
+
+def _tree(M, dM):
+    """Entries of M[:, -1] @ ... @ M[:, 0], and of its mu-derivative when dM is given."""
+    for M, dM in _levels(M, dM):
+        pass
     return tuple(m[:, 0] for m in M), None if dM is None else tuple(m[:, 0] for m in dM)
 
 
@@ -221,17 +281,21 @@ def _omega(cells: _Cells, beta: BoundaryAngle, mus, deriv: bool = False):
 
 
 def _edge_values(cells: _Cells, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi and phi' at every cell edge, rows mu: the second columns of the
-    prefix products M[:, j] @ ... @ M[:, 0], by Hillis-Steele doubling."""
-    P = _propagators(cells.steps, mus)[0]
-    n, s = P[0].shape[1], 1
-    while s < n:
-        # P[:, j] covered cells j-s+1..j; multiplying by P[:, j-s] covers j-2s+1..j
-        for p, new in zip(P, _mul([p[:, s:] for p in P], [p[:, :-s] for p in P])):
-            p[:, s:] = new
-        s *= 2
-    zeros, ones = np.zeros((mus.size, 1)), np.ones((mus.size, 1))
-    return np.hstack([zeros, P[1]]), np.hstack([ones, P[3]])
+    """phi and phi' at every cell edge, rows mu.  The up-sweep is _levels; the
+    down-sweep carries (phi, phi') at the start of each block to its halves:
+    the first starts where its parent does, the second after the first's product."""
+    levels = [L for L, _ in _levels(_propagators(cells.steps, mus)[0])]
+    top = levels.pop()
+    y0, y1 = np.zeros((mus.size, 1)), np.ones((mus.size, 1))
+    for L in reversed(levels):
+        k = L[0].shape[1] // 2
+        y0, y1 = y0[:, :k], y1[:, :k]
+        m00, m01, m10, m11 = (m[:, 0::2] for m in L)
+        odd0, odd1 = m00 * y0 + m01 * y1, m10 * y0 + m11 * y1
+        y0 = np.stack([y0, odd0], axis=2).reshape(mus.size, 2 * k)
+        y1 = np.stack([y1, odd1], axis=2).reshape(mus.size, 2 * k)
+    n = cells.steps[0].size
+    return np.hstack([y0[:, :n], top[1]]), np.hstack([y1[:, :n], top[3]])
 
 
 def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,13 +331,15 @@ def _count(cells: _Cells, beta: BoundaryAngle, mus: np.ndarray) -> tuple[np.ndar
     """
     counts, omega = np.empty(mus.size, dtype=int), np.empty(mus.size)
     for sl in _chunks(mus.size, cells.steps[0].size):
-        phi, dphi = _edge_values(cells, mus[sl])
-        omega[sl] = phi[:, -1] * np.cos(beta.beta) + dphi[:, -1] * np.sin(beta.beta)
+        # products of large phi overflow to inf of the right sign; a non-finite Omega is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, dphi = _edge_values(cells, mus[sl])
+            omega[sl] = phi[:, -1] * np.cos(beta.beta) + dphi[:, -1] * np.sin(beta.beta)
+            counts[sl] = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1) + (omega[sl] * phi[:, -1] < 0.0)
         bad = np.flatnonzero(~np.isfinite(omega[sl]))
         if bad.size:
             raise NumericsError(f"Omega(mu) is not finite at mu={mus[sl][bad[0]] + cells.shift:.12g} for "
                                 f"beta={beta.beta:.12g}: the solution overflows double precision")
-        counts[sl] = np.sum(phi[:, 1:-1] * phi[:, 2:] < 0.0, axis=1) + (omega[sl] * phi[:, -1] < 0.0)
     return counts, omega
 
 
@@ -363,12 +429,13 @@ def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
     """Norming constants a_n of the given eigenvalues, by the Wronskian
     identity of the module docstring."""
     mus = np.asarray(mus, dtype=float)
-    phi_pi, dphi_pi, phi_mu, dphi_mu = _sweep(_Cells(q), mus, deriv=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a_n is refused below
+        phi_pi, dphi_pi, phi_mu, dphi_mu = _sweep(_Cells(q), mus, deriv=True)
+        a = dphi_pi * phi_mu - phi_pi * dphi_mu
     bad = np.flatnonzero(np.abs(phi_pi) < 1e-12 * np.maximum(1.0, np.abs(dphi_pi)))
     if bad.size:
         raise NumericsError(f"eigenvalue {bad[0]}: phi(pi) vanishes with sin(beta) != 0; "
                             f"mu={mus[bad[0]]} is not a true root")
-    a = dphi_pi * phi_mu - phi_pi * dphi_mu
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         raise NumericsError(f"eigenvalue {bad[0]}: the norming constant overflows double precision; "

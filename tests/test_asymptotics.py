@@ -25,7 +25,7 @@ from invspec.core import (
     make_grid,
     sample_potential,
 )
-from invspec.errors import ConfigError, DomainError
+from invspec.errors import ConfigError, DomainError, NumericsError
 
 
 def oracle_bisect_delta(beta: float, n: int) -> float:
@@ -145,6 +145,29 @@ def test_unperturbed_negative_ground_state():
     # close to pi the ground eigenvalue dives below zero
     sp = unperturbed_spectrum(3.0, 3)
     assert sp.mu[0] < 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gap", [1e-3, 1e-5])
+def test_delta_sequence_near_pi_names_the_overflow(gap):
+    # the q = 0 ground state lies near -cot(beta)^2, where cosh(pi sqrt|mu|)
+    # overflows; the refusal names the angle and the overflow, without warnings
+    beta = PI - gap
+    message = (rf"beta={beta:.12g}: the q = 0 characteristic function overflows double precision "
+               rf"at mu=\S+ and below, and its ground state lies near -cot\(beta\)\^2 = ")
+    with pytest.raises(NumericsError, match=message):
+        delta_sequence(beta, 16)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_delta_sequence_near_pi_in_reach():
+    # at pi - 5e-3 the ground state is still in reach: it solves
+    # tanh(k pi) = -k tan(beta), so k = -cot(beta) once tanh(k pi) rounds to 1;
+    # the scan's grid overflows below it, without warnings
+    beta = PI - 5e-3
+    lam0, lam1 = delta_sequence(beta, 16).low_modes
+    assert lam0 * abs(lam0) == pytest.approx(-1.0 / np.tan(beta) ** 2, rel=1e-12)
+    assert 1.0 < lam1 < 1.5
 
 
 # --- closed-form series -------------------------------------------------------

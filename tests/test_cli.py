@@ -88,6 +88,16 @@ def test_forward_overflow_near_pi_exits_1(workdir):
     assert "numerical failure: eigenvalue 0" in r.stderr
 
 
+def test_forward_overflow_near_pi_prints_one_line(workdir):
+    # the overflow is refused where it happens, so numpy's warnings stay
+    # silent and the refusal is the only line on stderr
+    r = run_cli("forward", "q.csv", "--beta", "3.1366", "-N", "16", "-o", "fw_pi_line", cwd=workdir)
+    assert r.returncode == 1
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("invspec: numerical failure: eigenvalue 0: the norming constant overflows "
+                           "double precision; mu=-40118.135")
+
+
 def _subparsers(parser):
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices

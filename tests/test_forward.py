@@ -1,4 +1,5 @@
 import re
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from invspec.core import (
     as_angle,
     interpolant,
     make_grid,
+    mucos,
+    musin,
     sample_potential,
 )
 from invspec.asymptotics import unperturbed_spectrum
@@ -299,8 +302,8 @@ def test_count_matches_free_spectrum(q_zero, beta):
 
 @pytest.mark.parametrize("mu", [-3.0, 0.3, 2500.0])
 def test_sweep_derivative_matches_central_difference(q_cos, mu):
-    # mu = -3 lies below q (s2 > 0); at 0.3 some cells have |mu - qbar| < 1e-2,
-    # and every cell is on the series branch of dS/ds2; 2500 is past it
+    # mu = -3 lies below q (s2 > 0 on every cell); at 0.3 s2 changes sign
+    # along [0, pi] and some cells have |mu - qbar| < 1e-2; 2500 is far above q
     cells = forward._Cells(q_cos)
     beta = as_angle(PI / 3)
     _, d_omega = forward._omega(cells, beta, [mu], deriv=True)
@@ -310,35 +313,87 @@ def test_sweep_derivative_matches_central_difference(q_cos, mu):
 
 
 @pytest.fixture(scope="module")
-def cells_396():
-    """100 samples of cos: 396 cells, so the tree pads with the identity."""
-    return forward._Cells(sample_potential(np.cos, n_nodes=100))
+def cell_sets():
+    """100 samples of cos, 396 cells, so the tree pads odd widths with the
+    identity; and 257 samples, 1024 cells, a power of two."""
+    return [forward._Cells(sample_potential(np.cos, n_nodes=n)) for n in (100, 257)]
 
 
 @pytest.mark.parametrize("mu", [-3.0, 0.3, 2500.0])
-def test_cell_products_match_sequential_matmul(cells_396, mu):
-    # one mu on each branch: below q, |mu - qbar| small, far above q
-    cells = cells_396
-    mus = np.array([mu])
-    M, dM = (as_stack(e) for e in forward._propagators(cells.steps, mus, deriv=True))
-    P, dP = sequential_products(M, dM)
-
+def test_cell_products_match_sequential_matmul(cell_sets, mu):
+    # one mu below q, one inside its range, one far above it
     def close(got, ref):
         scale = np.max(np.abs(ref), axis=(-2, -1) if ref.ndim == 4 else -1, keepdims=True)
         return np.max(np.abs(got - ref) / scale) < 1e-13
 
-    E, dE = forward._tree(*forward._propagators(cells.steps, mus, deriv=True))
-    assert close(as_stack(E)[:, None], P[:, -1:]) and close(as_stack(dE)[:, None], dP[:, -1:])
-    sweep = forward._sweep(cells, mus, deriv=True)
-    assert close(sweep[:2, 0], P[0, -1, :, 1]) and close(sweep[2:, 0], dP[0, -1, :, 1])
-    phi, dphi = forward._edge_values(cells, mus)
-    assert close(np.stack([phi, dphi], axis=-1), P[:, :, :, 1])
+    mus = np.array([mu])
+    for cells in cell_sets:
+        M, dM = (as_stack(e) for e in forward._propagators(cells.steps, mus, deriv=True))
+        P, dP = sequential_products(M, dM)
+        E, dE = forward._tree(*forward._propagators(cells.steps, mus, deriv=True))
+        assert close(as_stack(E)[:, None], P[:, -1:]) and close(as_stack(dE)[:, None], dP[:, -1:])
+        sweep = forward._sweep(cells, mus, deriv=True)
+        assert close(sweep[:2, 0], P[0, -1, :, 1]) and close(sweep[2:, 0], dP[0, -1, :, 1])
+        phi, dphi = forward._edge_values(cells, mus)
+        assert close(np.stack([phi, dphi], axis=-1), P[:, :, :, 1])
 
-    x = np.array([0.0, 0.5 * (cells.edges[200] + cells.edges[201]), PI])
-    k = np.array([0, 200, len(cells.edges) - 2])
-    partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus)[0])
-    ref = (partial @ P[:, k, :, 1:])[..., 0]
-    assert close(np.stack(forward._solution(cells, mus, x), axis=-1), ref)
+        x = np.array([0.0, 0.5 * (cells.edges[200] + cells.edges[201]), PI])
+        k = np.array([0, 200, len(cells.edges) - 2])
+        partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus)[0])
+        ref = (partial @ P[:, k, :, 1:])[..., 0]
+        assert close(np.stack(forward._solution(cells, mus, x), axis=-1), ref)
+
+
+def test_edge_scan_work(cell_sets, monkeypatch):
+    # the up-sweep forms about one 2x2 product per cell and the down-sweep
+    # only matrix-vector products; doubling (Hillis-Steele) formed about
+    # log2(cells) products per cell, 9217 for 1024 cells
+    mus = np.array([-3.0, 0.3, 2500.0])
+    products, real_mul = [], forward._mul
+
+    def counting_mul(b, a):
+        products.append(b[0].size)
+        return real_mul(b, a)
+
+    monkeypatch.setattr(forward, "_mul", counting_mul)
+    for cells in cell_sets:
+        products.clear()
+        forward._edge_values(cells, mus)
+        assert 0 < sum(products) <= 2 * cells.steps[0].size * mus.size
+
+
+def series_reference(s2):
+    """C, S and dS/ds2 from core's closed forms; dS/ds2 by its Taylor series
+    where (C - S)/(2 s2) would cancel."""
+    C, S = mucos(-s2, 1.0), musin(-s2, 1.0)
+    k = np.arange(12)
+    taylor = np.polyval(((k + 1) / np.array([factorial(2 * j + 3) for j in k]))[::-1], s2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dS = np.where(np.abs(s2) < 1e-2, taylor, (C - S) / (2.0 * s2))
+    return C, S, dS
+
+
+def test_series_matches_closed_forms():
+    # each value alone, at its own degree and number of quarterings; s2 = 1e4
+    # is quartered 7 times
+    s2 = np.array([0.0, 1e-12, -1e-12, 1e-4, -1e-4, 0.3, -0.3, 1.0, -1.0, 5.0, -5.0, 30.0, -30.0, 1e4, -1e4])
+    bound = np.where(np.abs(s2) <= 30.0, 1e-14, 1e-13)
+    got = [np.concatenate(g) for g in zip(*(forward._series(s2[i:i + 1], deriv=True) for i in range(s2.size)))]
+    for g, r in zip(got, series_reference(s2)):
+        assert np.all(np.abs(g - r) <= bound * np.abs(r))
+    full, (C, S, dS) = forward._series(s2, deriv=True), forward._series(s2)
+    assert dS is None and np.array_equal(C, full[0]) and np.array_equal(S, full[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_non_finite_input(bad):
+    # a non-finite s2 comes back non-finite, and the finite entries beside it
+    # keep their values; _count refuses the non-finite Omega it leads to
+    s2 = np.array([0.3, bad, -30.0])
+    got = forward._series(s2, deriv=True)
+    for g, r in zip(got, forward._series(s2[[0, 2]], deriv=True)):
+        assert not np.isfinite(g[1]) and np.array_equal(g[[0, 2]], r)
 
 
 def test_forward_errors_name_their_cause(q_zero, monkeypatch):
@@ -414,12 +469,12 @@ def test_norming_rejects_non_eigenvalue(q_zero):
         norming_constants(q_zero, np.array([1.0]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_near_pi_is_a_numerics_error(q_cos):
     # near beta = pi the ground state lies near -cot(beta)^2 and phi grows like
     # exp(pi sqrt|mu|): at pi - 1e-3 the count's lowest point overflows, at
-    # pi - 5e-3 only the norming constant of the ground state does
+    # pi - 5e-3 only the norming constant of the ground state does; both are
+    # refused, so numpy warns of neither
     beta = PI - 1e-3
     count = r"Omega\(mu\) is not finite at mu=(\S+) for beta=3\.14059265359"
     with pytest.raises(NumericsError, match=count) as err:

@@ -281,31 +281,33 @@ def _drift_terms(data: SpectralData, delta: DeltaSequence):
     return om, lam, 2.0 * om * (lam - om)
 
 
-def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
-    """Estimate the eigenvalue drift constant and per-index remainders.
+def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, float, np.ndarray]:
+    """Estimate the eigenvalue drift constant, the third-order tail
+    coefficient and per-index remainders.
 
     g_n tends to c, and for smooth q its next term is of order 1/omega^2,
     not 1/omega; a least-squares fit of g against [1, 1/omega^2] over the
-    last third of the sequence extrapolates the limit.  Returns (c, l_seq)
-    with l_seq aligned to n >= 2.
+    last third of the sequence extrapolates the limit.  Half the 1/omega^2
+    coefficient is kappa in lambda_n ~ omega_n + c/(2 omega_n) + kappa/omega_n^3.
+    Returns (c, kappa, l_seq) with l_seq aligned to n >= 2.
     """
     if data.count < 12:
         raise ConfigError("fit_c needs at least 12 data points")
     om, lam, g = _drift_terms(data, delta)
-    c = _tail_intercept(om, g, frac=1.0 / 3.0)
+    c, slope = _tail_fit(om, g, frac=1.0 / 3.0)
     # a non-Cauchy tail (fit_c_spread > 10%) is reported by validate(), not raised
     l_seq = lam - om - c / (2.0 * om)
-    return float(c), l_seq
+    return c, 0.5 * slope, l_seq
 
 
-def drift_constant(data: SpectralData, delta: DeltaSequence) -> tuple[float, np.ndarray]:
+def drift_constant(data: SpectralData, delta: DeltaSequence) -> tuple[float, float, np.ndarray]:
     """fit_c refined twice on the data shifted by the estimate so far, so that the
-    nonlinearity of sqrt(mu) in a large c leaves no bias; (c, l_seq of the last pass)."""
+    nonlinearity of sqrt(mu) in a large c leaves no bias; (c, kappa, l_seq of the last pass)."""
     c = 0.0
     for _ in range(3):
-        dc, l_seq = fit_c(shift_spectrum(data, c), delta)
+        dc, kappa, l_seq = fit_c(shift_spectrum(data, c), delta)
         c += dc
-    return c, l_seq
+    return c, kappa, l_seq
 
 
 def shift_spectrum(data: SpectralData, c: float) -> SpectralData:
@@ -316,15 +318,17 @@ def shift_spectrum(data: SpectralData, c: float) -> SpectralData:
 def fit_c_spread(data: SpectralData, delta: DeltaSequence) -> float:
     """Gap between the last-third and last-sixth tail fits (Cauchy check)."""
     om, _, g = _drift_terms(data, delta)
-    return abs(_tail_intercept(om, g, 1.0 / 3.0) - _tail_intercept(om, g, 1.0 / 6.0))
+    return abs(_tail_fit(om, g, 1.0 / 3.0)[0] - _tail_fit(om, g, 1.0 / 6.0)[0])
 
 
-def _tail_intercept(om: np.ndarray, g: np.ndarray, frac: float) -> float:
+def _tail_fit(om: np.ndarray, g: np.ndarray, frac: float) -> tuple[float, float]:
+    """Least-squares fit of g against [1, 1/omega^2] over the last frac of the
+    sequence: (intercept, 1/omega^2 coefficient)."""
     m = max(4, int(np.ceil(om.size * frac)))
     omt, gt = om[-m:], g[-m:]
     A = np.column_stack([np.ones(omt.size), 1.0 / (omt * omt)])
     coef, *_ = np.linalg.lstsq(A, gt, rcond=None)
-    return float(coef[0])
+    return float(coef[0]), float(coef[1])
 
 
 def extract_s(data: SpectralData, delta: DeltaSequence) -> np.ndarray:

@@ -4,7 +4,8 @@ Subcommands: ``forward`` (potential CSV -> spectral JSON), ``inverse``
 (spectral JSON -> recovered potential CSV + report JSON), ``roundtrip``,
 ``example6`` (bundled closed-form oracle) and ``validate``.  Exit codes:
 0 success, 1 numerical failure, 2 admissibility hard-fail (unless
-``--force``), 64 usage errors (including a missing input file, an option
+``--force``) or data whose Gelfand-Levitan operator is not positive (also
+under ``--force``), 64 usage errors (including a missing input file, an option
 the subcommand does not take, fewer than five ``--x-nodes`` and a ``--trim``
 window holding no x node).  Each subcommand takes only the options its
 handler reads; the kernel series length is derived from the data count.
@@ -52,7 +53,6 @@ class Config:
     out_dir: str | None
     beta: float | None
     n_eigen: int | None
-    n_quad: int | None
     x_nodes: int | None
     trim: tuple[float, float] | None
     force: bool | None
@@ -71,18 +71,17 @@ _OPTIONS = {
     "out_dir": (("-o", "--out"), dict(default=".", metavar="OUT",
                                       help="output directory (default: cwd)")),
     "n_eigen": (("-N", "--n-eigen"), dict(type=int, default=64, help="number of eigenvalues")),
-    "n_quad": (("--quad",), dict(type=int, default=96, metavar="QUAD",
-                                 help="Gauss nodes per integral-equation row")),
     "x_nodes": (("--x-nodes",), dict(type=int, default=129,
-                                     help="uniform x nodes for the kernel diagonal")),
+                                     help="uniform x nodes on which the main equation is solved")),
     "trim": (("--trim",), dict(type=float, nargs=2, default=(0.05, PI), metavar=("LO", "HI"),
                                help="comparison interval for round trips")),
     "force": (("--force",), dict(action="store_true",
-                                 help="proceed past admissibility hard-failures")),
+                                 help="proceed past validation's hard failures (data "
+                                      "that are not positive are still refused)")),
     "json_logs": (("--json-logs",), dict(action="store_true",
                                          help="machine-readable progress lines on stderr")),
 }
-_INVERSE_OPTIONS = ("out_dir", "n_quad", "x_nodes", "force", "json_logs")
+_INVERSE_OPTIONS = ("out_dir", "x_nodes", "force", "json_logs")
 # Each subcommand takes only the options its handler reads ("beta" stands for
 # the required --beta | --beta-deg pair): (help, input file (name, help) or
 # None, options).
@@ -95,7 +94,7 @@ _COMMANDS = {
     "roundtrip": ("forward then inverse, with error metrics", ("potential", "potential CSV"),
                   _INVERSE_OPTIONS + ("beta", "n_eigen", "trim")),
     "example6": ("run the bundled closed-form example oracle", None,
-                 ("out_dir", "n_quad", "x_nodes", "force")),
+                 ("out_dir", "x_nodes", "force")),
     "validate": ("admissibility report for spectral JSON", ("data", "spectral JSON"), ("force",)),
 }
 
@@ -139,7 +138,7 @@ def _write_json(path: Path, doc: dict, cfg: Config) -> None:
 
 def _inverse_params(cfg: Config):
     from .roundtrip import InverseParams
-    return InverseParams(n_quad=cfg.n_quad, x_nodes=cfg.x_nodes, force=cfg.force)
+    return InverseParams(x_nodes=cfg.x_nodes, force=cfg.force)
 
 
 def _cmd_forward(cfg: Config) -> int:

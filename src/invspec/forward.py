@@ -123,7 +123,7 @@ class ForwardSolution:
         a = np.array([r.a for r in self.records])
         c = None
         if len(self.records) >= 12:
-            c, _ = drift_constant(SpectralData(self.beta.beta, mus, a), self.delta)
+            c, _, _ = drift_constant(SpectralData(self.beta.beta, mus, a), self.delta)
         return SpectralData(self.beta.beta, mus, a, c_fit=c)
 
     def gram(self, k: int | None = None) -> np.ndarray:
@@ -158,31 +158,34 @@ def _series(s2: np.ndarray, deriv: bool = False):
     """C = sum s2^k/(2k)!, S = sum s2^k/(2k+1)! and, with ``deriv``, dS/ds2
     (else None): cosh and sinh(x)/x of x = sqrt(s2), cos and sin(x)/x of
     x = sqrt(-s2).  Horner's rule at the least degree whose first omitted term
-    at max|s2| is below SERIES_TOL; where max|s2| > 1, the whole batch is
-    quartered j times and C(4u) = 2 C(u)^2 - 1, S(4u) = S(u) C(u),
-    S'(4u) = (S'(u) C(u) + S(u)^2/2)/4 restore it, which costs its smallest
-    entries up to about 4^j ulp.  Non-finite entries stay non-finite and do
-    not set j."""
+    at max|s2| is below SERIES_TOL.  An entry with |s2| > 1 is quartered j
+    times, the least j with |s2| 4^-j <= 1, and C(4u) = 2 C(u)^2 - 1,
+    S(4u) = S(u) C(u), S'(4u) = (S'(u) C(u) + S(u)^2/2)/4 restore it, at a cost
+    of up to about 4^j ulp to that entry alone.  Non-finite entries stay
+    non-finite and are not quartered."""
     m = float(np.max(np.abs(s2), initial=0.0))
     if not np.isfinite(m):
         m = float(np.max(np.abs(s2), initial=0.0, where=np.isfinite(s2)))
-    j = 0
-    while m > 1.0:
-        m *= 0.25
-        j += 1
+    u, j_max = s2, 0
+    if m > 1.0:
+        j = np.zeros(s2.shape, dtype=np.int64)
+        big = np.isfinite(s2) & (np.abs(s2) > 1.0)
+        j[big] = np.ceil(0.5 * np.log2(np.abs(s2[big])))
+        u = np.ldexp(s2, -2 * j)
+        m = float(np.max(np.abs(u), initial=0.0, where=np.isfinite(u)))
+        j_max = int(j.max())
     K, term = 1, m * m / 24.0
     while term >= SERIES_TOL:
         K += 1
         term *= m / ((2 * K + 1) * (2 * K + 2))
-    u = s2 * 0.25 ** j if j else s2
     C, S = _horner(_C_COEF[:K + 1], u), _horner(_S_COEF[:K + 1], u)
     dS = _horner(_DS_COEF[:K + 1], u) if deriv else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(j):
+        for step in range(j_max):
+            sel = j > step
             if deriv:
-                dS = 0.25 * (dS * C + 0.5 * S * S)
-            S = S * C
-            C = 2.0 * C * C - 1.0
+                dS = np.where(sel, 0.25 * (dS * C + 0.5 * S * S), dS)
+            S, C = np.where(sel, S * C, S), np.where(sel, 2.0 * C * C - 1.0, C)
     return C, S, dS
 
 

@@ -1,40 +1,39 @@
 """Inverse solver: from two spectral sequences to the potential and the
 recovered boundary angle.
 
-Pipeline: admissibility checks (which also fit the drift constant c of the
-eigenvalues, lambda_n ~ omega_n + c/(2 omega_n)) -> difference kernel H(t)
-built from the data against the unperturbed (q = 0) spectrum for the same
-angle -> symmetric kernel F(x,t) = (H(|x-t|) - H(x+t))/2 -> per-x Fredholm
-solves (Nystrom, Gauss-Legendre on [0, x]) for the transformation kernel row
-P(x, .) -> q(x) = 2 d/dx P(x,x), solutions phi rebuilt through the kernel,
-and the boundary angle from the constancy of phi'(pi)/phi(pi) over
-eigenvalues, with phi' from the x-derivative of the row equation.
+Pipeline: admissibility checks (which also fit the eigenvalue tail
+lambda_n ~ omega_n + c/(2 omega_n) + kappa/omega_n^3) -> difference kernel
+H(t) of the data against the unperturbed (q = 0) spectrum for the same
+angle -> F(x,t) = (H(|x-t|) - H(x+t))/2 -> the main equation
+P(x,t) + F(x,t) + int_0^x P(x,s) F(s,t) ds = 0 -> q(x) = 2 d/dx P(x,x),
+solutions phi rebuilt through the kernel, and the boundary angle from the
+constancy of phi'(pi)/phi(pi) over eigenvalues.
 
-Everything after validate expects drift-free data (c = 0).  A constant
-shift of q moves every eigenvalue by that constant and leaves phi and a_n
-unchanged, so (mu_n - c, a_n) are the exact data of q - c;
-:func:`invspec.roundtrip.inverse_pipeline` inverts those and adds c back.
+The main equation is discretized by the trapezoid rule on the nodes
+t_j = j h, h = pi/M, M = x_nodes - 1, where the slope jump of F along t = s
+falls on a node, so the error is a series in h^2; one Richardson step
+between the grids h and h/2 leaves O(h^4) (Atkinson, The Numerical Solution
+of Integral Equations of the Second Kind, CUP 1997, ch. 4).  One Cholesky
+factor of I + h F per grid gives the whole diagonal from its pivots, the
+discrete form of q = -2 (log det(I + F_x))'' (Dyson, Commun. Math. Phys. 47,
+1976), every row by triangular solves, and the refusal of data that are not
+positive.
 
-H is tabulated on a uniform grid of [0, 2*pi] and summed in two parts.
-Pairs with mu < 1 (zero, negative and the lowest modes) take the
-numerically stable form (cos(lt)-1)/mu plus per-index constants, which turns
-the degenerate zero-eigenvalue branches into exact limits of the regular
-formula.  Every other term is cos(lt)/(a mu) with l a half-integer plus an
-offset of at most 1/2; a Taylor series in the offset turns these sums into
-one FFT per order, with data and base terms cancelling in shared bins before
-any transform.  On drift-free data the truncation tail is the absolutely
-convergent cosine series of the fitted coefficient model, restored from its
-closed form.
+Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
+are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
+inverts those and adds c back.  H is tabulated on a uniform grid of
+[0, 2*pi] by FFT (see :func:`_halfint_expsum`), with the modes mu < 1 summed
+directly, and the truncation tail restored in closed form from the fitted
+coefficient model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .asymptotics import (
     DeltaSequence,
@@ -45,6 +44,7 @@ from .asymptotics import (
     fit_c_spread,
     shift_spectrum,
     signed_sqrt,
+    sin_halfint_closed,
     unperturbed_spectrum,
 )
 from .core import (
@@ -64,13 +64,11 @@ from .errors import AdmissibilityError, ConfigError, DataConsistencyError, Domai
 
 TWO_PI = 2.0 * PI
 DEFAULT_N_TERMS = 2000
-DEFAULT_N_QUAD = 96
 DEFAULT_X_NODES = 129
-CONDITION_LIMIT = 1e8   # on the 1-norm condition estimate of each Nystrom matrix
-PHI_BLOCK = 1 << 14     # mu values x x-nodes x row nodes per batch of KernelField.phi
-H_GRID_SIZE = 32769
-_H_GRID = np.linspace(0.0, TWO_PI, H_GRID_SIZE)
-_H_GRID.flags.writeable = False
+CONDITION_LIMIT = 1e8   # on the 1-norm condition number of I + h F
+H_GRID_SIZE = 4 * (DEFAULT_X_NODES - 1) + 1   # the H table of the default x grid
+# Gregory's corrections to the trapezoid weights at either end, through fourth differences
+_GREGORY_END = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,8 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
     spectrum is shifted by its drift constant.  Trend violations of the
     remainder sequences only warn, since a finite prefix cannot prove a limit.
 
-    ``c_fit`` is the drift constant of :func:`drift_constant`.
+    ``c_fit`` and ``kappa`` are the drift constant and the third-order tail
+    coefficient of :func:`drift_constant` (None when the fit is skipped).
     """
     beta = as_angle(beta)
     if data.count < 12:
@@ -109,9 +108,9 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         "detail": "" if pos else f"min a_n = {float(data.norming.min()):.3e}",
     })
 
-    c = None
+    c = kappa = None
     if mono and pos:
-        c, l_seq = drift_constant(data, delta)
+        c, kappa, l_seq = drift_constant(data, delta)
         shifted = shift_spectrum(data, c)
 
         q_start = max(2, (3 * data.count) // 4)
@@ -148,6 +147,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
         "status": "fail" if hard_fail else (
             "warn" if any(ch["status"] == "warn" for ch in checks) else "pass"),
         "c_fit": c,
+        "kappa": kappa,
         "count": data.count,
         "beta": beta.beta,
     }
@@ -171,14 +171,15 @@ def _trend_check(name: str, seq: np.ndarray) -> dict:
 
 
 def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
-                 mu_base: np.ndarray, a_base: np.ndarray
+                 mu_base: np.ndarray, a_base: np.ndarray, kappa: float
                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """Continue drift-free (mu_n, a_n) past the data by the fitted tail model.
 
-    Eigenvalues extend as omega, the unperturbed ones.  Norming constants extend
-    through the difference coefficient gamma_n = 1/k_n - 1/k_n(base), the
-    only combination the kernels depend on: fitting gamma_n ~ gamma/omega^2
-    from the data tail makes data identical to the base cancel exactly.
+    Eigenvalues extend as lambda_n^2 with lambda_n = omega_n + kappa/omega_n^3,
+    omega_n the unperturbed ones.  Norming constants extend through the
+    difference coefficient gamma_n = 1/k_n - 1/k_n(base), the only
+    combination the kernels depend on: fitting gamma_n ~ gamma/omega^2 from
+    the data tail makes data identical to the base cancel exactly.
     """
     if n_terms < data.count:
         raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
@@ -191,7 +192,7 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     a[:m] = data.norming
     if n_terms > m:
         om = delta.omega(np.arange(m, n_terms))
-        mu[m:] = mu_base[m:]
+        mu[m:] = (om + kappa / om**3) ** 2
         inv_k = 1.0 / (a_base[m:] * mu_base[m:]) + gamma / (om * om)
         a[m:] = 1.0 / (inv_k * mu[m:])
     return mu, a, float(gamma)
@@ -218,20 +219,24 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
 
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
-              a_b: np.ndarray) -> np.ndarray:
+              a_b: np.ndarray, deriv: bool = False) -> np.ndarray:
     """Stable truncated sum of the paired H series plus its constants, over
-    all the given terms.
+    all the given terms; with ``deriv`` its t-derivative, a sum of
+    -sin(lt)/(a l) terms.
 
     Terms are differenced before accumulation so identical data/base
     entries cancel exactly.
     """
+    term_of = (lambda mu, tt: -musin(mu, tt)) if deriv else mucosm1
     out = np.zeros_like(t)
     chunk = max(1, int(4_000_000 // max(t.size, 1)))
     for n0 in range(0, mu_d.size, chunk):
         n1 = min(n0 + chunk, mu_d.size)
-        term = (1.0 / a_d[n0:n1, None]) * mucosm1(mu_d[n0:n1, None], t[None, :])
-        term -= (1.0 / a_b[n0:n1, None]) * mucosm1(mu_b[n0:n1, None], t[None, :])
+        term = (1.0 / a_d[n0:n1, None]) * term_of(mu_d[n0:n1, None], t[None, :])
+        term -= (1.0 / a_b[n0:n1, None]) * term_of(mu_b[n0:n1, None], t[None, :])
         out += term.sum(axis=0)
+    if deriv:
+        return out
     reg_d = np.abs(mu_d) >= ZERO_MU_TOL
     reg_b = np.abs(mu_b) >= ZERO_MU_TOL
     const = float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
@@ -239,9 +244,14 @@ def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray
     return out + const
 
 
-def _halfint_expsum(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_n w_n exp(i lam_n t) at every node t_j = 2*pi*j/L (j = 0..L) of
-    the H grid, L = H_GRID_SIZE - 1, for real lam_n >= 0.
+def _table_nodes(L: int) -> np.ndarray:
+    """The L + 1 nodes t_j = 2*pi*j/L of an H table."""
+    return np.linspace(0.0, TWO_PI, L + 1)
+
+
+def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
+    """sum_n w_n exp(i lam_n t) at every node t_j = 2*pi*j/L (j = 0..L), for
+    real lam_n >= 0.
 
     Each frequency is lam = m + 1/2 + e with m its nearest bin, |e| <= 1/2,
     so exp(i lam t) = exp(i t/2) sum_k (i e t)^k/k! exp(i m t).  For each
@@ -251,7 +261,7 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     together cancel before any FFT.  The order K is the least one whose
     remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
     """
-    L = H_GRID_SIZE - 1
+    t = _table_nodes(L)
     m = np.rint(lam - 0.5)
     e = lam - 0.5 - m
     bins = m.astype(np.int64) % L
@@ -265,53 +275,47 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     for k in range(K + 1):
         coef[k] = np.bincount(bins, p, minlength=L)
         p = p * e
-    acc = np.zeros(H_GRID_SIZE, dtype=complex)
-    it = 1j * _H_GRID
+    acc = np.zeros(L + 1, dtype=complex)
+    it = 1j * t
     for k in range(K, -1, -1):
         y = scipy.fft.ifft(coef[k])  # takes a real-input path that numpy's ifft lacks
         y *= L
         acc *= it / (k + 1)
         acc[:-1] += y
         acc[-1] += y[0]
-    return np.exp(0.5j * _H_GRID) * acc
+    return np.exp(0.5j * t) * acc
 
 
-def _grid_pair_sum(mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
-                   a_b: np.ndarray) -> np.ndarray:
-    """:func:`_pair_sum` at every node of the H grid.
-
-    Pairs with mu < 1 on either side (zero, negative and the lowest modes)
-    are summed directly.  For the rest each term plus its constant is
-    w cos(sqrt(mu) t) with w = 1/(a mu), which :func:`_halfint_expsum` sums
-    with data weights w and base weights -w.
+def _grid_pair_sum(L: int, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
+                   a_b: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """:func:`_pair_sum` (with ``deriv`` its t-derivative) on the H table of
+    size L + 1.  Pairs with mu < 1 on either side (zero, negative and the
+    lowest modes) are summed directly.  Every other term plus its constant is
+    w cos(lt), w = 1/(a mu), with derivative -w l sin(lt), which
+    :func:`_halfint_expsum` sums with data weights w and base weights -w.
     """
     low = (mu_d < 1.0) | (mu_b < 1.0)
     hi = ~low
     lam = np.sqrt(np.concatenate([mu_d[hi], mu_b[hi]]))
     w = np.concatenate([1.0 / (a_d[hi] * mu_d[hi]), -1.0 / (a_b[hi] * mu_b[hi])])
-    return (_pair_sum(_H_GRID, mu_d[low], a_d[low], mu_b[low], a_b[low])
-            + _halfint_expsum(lam, w).real)
+    direct = _pair_sum(_table_nodes(L), mu_d[low], a_d[low], mu_b[low], a_b[low], deriv)
+    if deriv:
+        return direct - _halfint_expsum(lam, w * lam, L).imag
+    return direct + _halfint_expsum(lam, w, L).real
 
 
 class HFunction:
-    """Evaluator of the spectral difference kernel H on [0, 2*pi], for
-    drift-free data.
+    """The spectral difference kernel H on [0, 2*pi], for drift-free data.
 
-    Deterministic for fixed inputs: construction precomputes H on the
-    uniform grid t_j = 2*pi*j/L (L = H_GRID_SIZE - 1) and fits a cubic
-    spline; evaluation of H, or of H' by :meth:`derivative`, takes the cell
-    of t directly as floor(t L / (2 pi)) (no search, the grid being
-    uniform), gathers that cell's four spline coefficients in one pass and
-    applies Horner's rule in place.  On the grid, pairs with mu < 1 are
-    summed directly and every other term by FFTs of its Taylor expansion
-    about the nearest half-integer frequency (:func:`_halfint_expsum`); the
-    half-integer partial sum of the tail model takes one FFT.  With no drift
-    the tail past n_terms converges absolutely, so H is continuous up to
-    t = 2*pi and the spline serves the whole interval.
+    :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
+    converges absolutely, so H is continuous up to t = 2*pi.  Construction
+    computes the table of the default x grid (H_GRID_SIZE nodes); calling H
+    at arbitrary t evaluates the cubic spline through it.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
-                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
+                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
+                 kappa: float = 0.0):
         beta = as_angle(beta)
         if n_terms < 8:
             raise ConfigError(f"n_terms={n_terms} too small: the H series needs at least 8 terms")
@@ -323,7 +327,7 @@ class HFunction:
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
         self.mu_d, self.a_d, self.gamma_hat = _extend_data(
-            data, delta, n_terms, self.mu_b, self.a_b)
+            data, delta, n_terms, self.mu_b, self.a_b, kappa)
 
         zero_d = np.abs(self.mu_d[:data.count]) < ZERO_MU_TOL
         zero_b = np.abs(self.mu_b[:2]) < ZERO_MU_TOL
@@ -336,64 +340,44 @@ class HFunction:
             (True, True): "zero-in-both",
         }[(has_zero_d, has_zero_b)]
 
-        vals = (_grid_pair_sum(self.mu_d, self.a_d, self.mu_b, self.a_b)
-                + self._tail_correction())
-        # (L, 4): per cell, the cubic to constant coefficients side by side
-        self._coef = np.ascontiguousarray(CubicSpline(_H_GRID, vals).c.T)
-
-    # -- summation pieces ---------------------------------------------------
-
-    def _partial_halfint(self) -> np.ndarray:
-        """Partial sum over n = 2..n_terms-1 of cos((n+1/2)t)/(n+1/2)^2 on the
-        H grid."""
-        om = np.arange(2, self.n_terms) + 0.5
-        return _halfint_expsum(om, 1.0 / (om * om)).real
-
-    def _tail_correction(self) -> np.ndarray:
-        """Closed-form estimate of the truncated tail on the H grid: the
-        gamma/omega^2 cosine series of the model, at half-integer
-        frequencies."""
-        return self.gamma_hat * (cos_halfint_closed(_H_GRID) - self._partial_halfint())
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _cells(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Offset of each t into its grid cell (flattened), that cell's
-        spline coefficients, and t as an array (for the output shape)."""
-        t_arr = np.asarray(t, dtype=float)
-        t1 = t_arr.ravel()  # 1-d, so that every step below can write into its buffers
-        lo = float(np.minimum.reduce(t1, initial=np.inf))
-        hi = float(np.maximum.reduce(t1, initial=-np.inf))
-        if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
-            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
-        if lo < 0.0 or hi > TWO_PI:
-            t1 = np.clip(t1, 0.0, TWO_PI)
+        self._tables: dict[tuple[int, bool], np.ndarray] = {}
         L = H_GRID_SIZE - 1
-        s = t1 * (L / TWO_PI)
-        cell = s.astype(np.intp)  # L only at t = 2*pi, clipped to the last cell L - 1
-        np.subtract(t1, _H_GRID[:L].take(cell, out=s, mode="clip"), out=s)
-        return s, self._coef.take(cell, axis=0, mode="clip"), t_arr
+        self._spline = CubicSpline(_table_nodes(L), self.table(L))
+
+    def table(self, L: int, deriv: bool = False) -> np.ndarray:
+        """H, or with ``deriv`` H', at t_j = 2*pi*j/L, j = 0..L; H'(0) is the
+        limit from the right.  Cached and read-only.  A value that is not
+        finite is refused."""
+        key = (int(L), bool(deriv))
+        vals = self._tables.get(key)
+        if vals is None:
+            t = _table_nodes(L)
+            om = np.arange(2, self.n_terms) + 0.5
+            if deriv:  # minus the t-derivative of the cosine tail below
+                tail = _halfint_expsum(om, 1.0 / om, L).imag - sin_halfint_closed(t)
+            else:
+                tail = cos_halfint_closed(t) - _halfint_expsum(om, 1.0 / (om * om), L).real
+            vals = (_grid_pair_sum(L, self.mu_d, self.a_d, self.mu_b, self.a_b, deriv)
+                    + self.gamma_hat * tail)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                bad = int(np.argmin(finite))
+                raise NumericsError(f"non-finite kernel value {vals[bad]} at t={t[bad]:.4f}")
+            vals.flags.writeable = False
+            self._tables[key] = vals
+        return vals
 
     def __call__(self, t):
-        s, c, t_arr = self._cells(t)
-        out = c[:, 0] * s
-        for k in (1, 2):  # Horner's rule, in place
-            out += c[:, k]
-            out *= s
-        out += c[:, 3]
-        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
-
-    def derivative(self, t):
-        """H'(t) from the same spline: (3 c0 s + 2 c1) s + c2 in each cell."""
-        s, c, t_arr = self._cells(t)
-        out = 3.0 * c[:, 0] * s
-        out += 2.0 * c[:, 1]
-        out *= s
-        out += c[:, 2]
-        return out.reshape(t_arr.shape) if t_arr.ndim else float(out[0])
+        t_arr = np.asarray(t, dtype=float)
+        lo = float(np.min(t_arr, initial=np.inf))
+        hi = float(np.max(t_arr, initial=-np.inf))
+        if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
+            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
+        out = self._spline(np.clip(t_arr, 0.0, TWO_PI))
+        return out if t_arr.ndim else float(out)
 
     def eval_direct(self, t):
-        """Truncated summation without the dense-grid cache or tail model."""
+        """Truncated summation without the table or tail model."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b)
         return out if np.ndim(t) else float(out[0])
@@ -405,11 +389,13 @@ class HFunction:
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
-            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None) -> HFunction:
-    """Construct the H evaluator (see :class:`HFunction`) for drift-free
-    data, such as the pipeline's data shifted by their fitted drift constant;
-    any ``c_fit`` the data carry is not read."""
-    return HFunction(data, beta, n_terms, delta=delta)
+            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
+            kappa: float = 0.0) -> HFunction:
+    """Construct the H kernel (see :class:`HFunction`) for drift-free data,
+    such as the pipeline's data shifted by their fitted drift constant; any
+    ``c_fit`` the data carry is not read.  ``kappa`` is validate's third-order
+    tail coefficient; with 0 the eigenvalues past the data are the base ones."""
+    return HFunction(data, beta, n_terms, delta=delta, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -433,91 +419,59 @@ def build_F(H: HFunction) -> FKernel:
 
 
 # ---------------------------------------------------------------------------
-# Nystrom solve of the reconstruction integral equation
+# The main equation on a uniform grid
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GLRow:
-    """Solved row P(x, .) on Gauss nodes of [0, x], with its natural
-    interpolant P(x, t) = -F(x,t) - sum_k w_k P_k F(t_k, t).
+@dataclass(frozen=True)
+class TrapezoidSystem:
+    """The main equation on the nodes t_j = j h, h = pi/M: F(t_i, t_j) for
+    i, j = 1..M, the lower Cholesky factor of G = I + h F, P(t_k, t_k) for
+    k = 0..M from its pivots, the 1-norm condition number of G, and the step
+    in the H table per grid step."""
 
-    ``f`` holds F(x, t_k) at the nodes (the right-hand side, negated) and
-    ``f_xx`` holds F(x, x), both from the row's own kernel pass."""
-
-    x: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    f: np.ndarray
-    f_xx: float
+    h: float
+    stride: int
+    F: np.ndarray
+    factor: np.ndarray
+    diagonal: np.ndarray
     cond: float
-    lin_residual: float
-    F: FKernel
-
-    @cached_property
-    def diag(self) -> float:
-        """P(x, x), the interpolant at t = x: F(t_k, x) equals the stored
-        F(x, t_k) bit for bit, so no kernel value is evaluated again."""
-        return float(-self.f_xx - np.dot(self.weights * self.values, self.f))
 
 
-def _nystrom_system(F: FKernel, x: float, n_quad: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on [0, x], the Nystrom matrix I + A with
-    A[j,k] = w_k F(t_k, t_j), and F(x, t_k) followed by F(x, x).
-
-    One H call over one concatenated argument array gives every kernel value:
-    the upper triangle of the node matrix, F(x, t_k), and F(x, x) (from H(0)
-    and H(2x)).  The triangle is mirrored by a cached gather index:
-    |t_j - t_k| and t_j + t_k are symmetric bit for bit, so the matrix is the
-    fully evaluated one.  A kernel value that is not finite is refused.
-    """
-    nodes, weights = gauss_rule(n_quad, 0.0, x)
-    j, k, mirror = _upper_triangle(n_quad)
-    tj, tk = nodes[j], nodes[k]
-    Hv = F.H(np.concatenate([np.abs(tj - tk), np.abs(x - nodes), [0.0],
-                             tj + tk, x + nodes, [2.0 * x]]))
-    half = Hv.size // 2
-    Fv = 0.5 * (Hv[:half] - Hv[half:])  # triangle, then F(x, t_k), then F(x, x)
-    finite = np.isfinite(Fv)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NumericsError(f"non-finite kernel value {Fv[bad]} in the Nystrom row at x={x:.4f}")
-    A = Fv[mirror] * weights[None, :]  # row j, column k: w_k F(t_k, t_j)
-    A.ravel()[::n_quad + 1] += 1.0  # the identity, added on the diagonal in place
-    return nodes, weights, A, Fv[j.size:]
-
-
-def solve_gl(F: FKernel, x: float, n_quad: int = DEFAULT_N_QUAD) -> GLRow:
-    """Dense Nystrom solve of the second-kind equation at one x.
-
-    (I + A) p = -f with A[j,k] = w_k F(t_k, t_j), f_j = F(x, t_j), assembled
-    by :func:`_nystrom_system`.  One LU factorization serves the solve and a
-    1-norm condition estimate (LAPACK gecon, Hager-Higham), which is checked
-    before the solve: an estimate above CONDITION_LIMIT signals inadmissible
-    data (the continuous operator is invertible for admissible inputs).  The
-    LAPACK routines getrf, gecon and getrs are called directly.
-    """
-    if not (0.0 < x <= PI):
-        raise ConfigError(f"x={x} outside (0, pi]")
-    if n_quad < 16:
-        raise ConfigError(f"n_quad={n_quad}: must be at least 16")
-    nodes, weights, A, fx = _nystrom_system(F, x, n_quad)
-    lu, piv, info = dgetrf(A)
-    _check_info("getrf", info, x)
-    rcond, info = dgecon(lu, np.abs(A).sum(axis=0).max(), norm="1")
-    _check_info("gecon", info, x)
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf  # rcond 0: exactly singular (getrf info > 0)
+def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
+    """Assemble G = I + h F as Toeplitz minus Hankel from the H table and
+    factor it (LAPACK potrf).  Row k's matrix is the leading block G_k minus
+    (h/2) F[:, k] e_k^T, the half weight at its own end, and its right-hand
+    side -F[:, k]; by Sherman-Morrison its last entry is -z_k/(1 - h z_k/2)
+    with z_k = e_k^T G_k^(-1) F[:, k] = (1 - 1/l_k^2)/h, l_k the k-th pivot.
+    A positive info refuses the data: I + F_x is not positive at x = info h.
+    The 1-norm condition number comes from the inverse that potri forms
+    (pocon's estimate varies in its last bits with the alignment of its work
+    arrays, so reports of identical runs would differ)."""
+    h = PI / M
+    i = np.arange(1, M + 1) * stride
+    F = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
+    G = h * F
+    G.flat[::M + 1] += 1.0
+    factor, info = dpotrf(G, lower=1, clean=1)
+    _check_info("potrf", info, PI)
+    if info > 0:
+        raise AdmissibilityError(
+            f"data not positive: the Gelfand-Levitan operator I + F_x is not positive "
+            f"definite at x={info * h:.4f} (leading minor {info} of the {M}-node trapezoid "
+            f"matrix); some norming constant is not positive")
+    inv, info = dpotri(factor, lower=1)
+    _check_info("potri", info, PI)
+    inv = np.abs(np.tril(inv))
+    cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
     if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
-            f"ill-posed data: Nystrom 1-norm condition estimate {cond:.3e} at x={x:.4f} "
-            f"exceeds {CONDITION_LIMIT:.0e}")
-    rhs = -fx[:-1]  # a fresh array: a GLRow must not keep the kernel values alive
-    p, info = dgetrs(lu, piv, rhs)
-    _check_info("getrs", info, x)
-    resid = float(np.max(np.abs(A @ p - rhs)))
-    return GLRow(float(x), nodes, weights, p, -rhs, float(fx[-1]), cond, resid, F)
+            f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
+            f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
+    pivots = np.diagonal(factor)
+    z = (1.0 - 1.0 / (pivots * pivots)) / h
+    diagonal = np.concatenate([[0.0], -z / (1.0 - 0.5 * h * z)])
+    return TrapezoidSystem(h, stride, F, factor, diagonal, float(cond))
 
 
 def _check_info(routine: str, info: int, x: float) -> None:
@@ -526,30 +480,88 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-@lru_cache(maxsize=None)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices (j, k), j <= k, of the upper triangle of an n x n matrix, and
-    the n x n index of each entry's position in that triangle (its mirror
-    below the diagonal included); read-only because the cache hands the same
-    arrays to every caller."""
-    j, k = np.triu_indices(n)
-    mirror = np.empty((n, n), dtype=np.intp)
-    mirror[j, k] = mirror[k, j] = np.arange(j.size)
-    for a in (j, k, mirror):
-        a.flags.writeable = False
-    return j, k, mirror
+def _row(g: TrapezoidSystem, k: int, slopes: np.ndarray | None = None):
+    """Row k of one grid: P(t_k, t_j) for j = 0..k, from the leading k x k
+    block of the factor, the residual of its own equation at t = t_k when
+    P(t_k, t_k) is read from the pivots, and P_x(t_k, t_j) or None.
+
+    P_x needs the H' table ``slopes``; it solves the x-derivative of the row
+    equation, P_x + F_x(x, .) + P(x,x) F(x, .) + int P_x F = 0,
+    whose matrix is the row's own: P_x = w - (h/2) w_k P with
+    w = G_k^(-1) (right-hand side).  F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes
+    H'(0) from the right, the limit t -> x-.
+    """
+    h, f = g.h, g.F[:k, k - 1]
+    rhs = f[:, None]
+    if slopes is not None:
+        j = np.arange(1, k + 1) * g.stride
+        kk = k * g.stride
+        f_x = 0.5 * (slopes[kk - j] - slopes[kk + j])
+        rhs = np.column_stack([f, -(f_x + g.diagonal[k] * f)])
+    y, info = dpotrs(g.factor[:k, :k], rhs, lower=1)
+    _check_info("potrs", info, k * h)
+    p = np.zeros(k + 1)
+    p[1:] = -y[:, 0] / (1.0 - 0.5 * h * y[-1, 0])
+    residual = abs(g.diagonal[k] + f[-1] + h * (np.dot(p[1:], f) - 0.5 * p[-1] * f[-1]))
+    p_x = None
+    if slopes is not None:
+        p_x = np.zeros(k + 1)
+        p_x[1:] = y[:, 1] - 0.5 * h * y[-1, 1] * p[1:]
+    return p, residual, p_x
+
+
+def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float) -> np.ndarray:
+    """Weights c on the fine nodes tau_j = j h/2 (j = 0..2k) such that
+    c . s(tau) = (4 T_{h/2} - T_h)/3 for the integral of u s over [0, k h],
+    with u given on the coarse nodes (k + 1 values) and on the fine nodes
+    (2k + 1 values), and T the trapezoid rule."""
+    c = (2.0 * h / 3.0) * fine
+    c[::2] -= (h / 3.0) * coarse
+    c[[0, -1]] *= 0.5
+    return c
+
+
+@dataclass(frozen=True)
+class KernelRow:
+    """Row P(x, .) at a node x = t_k of the field's grid: ``values`` at
+    ``nodes`` t_0..t_k, one Richardson step from the grids h and h/2;
+    ``weights`` that integrate P(x, t) s(t) over [0, x] to the same order for
+    any smooth s sampled at ``fine_nodes`` (the h/2 grid); and the larger
+    residual of the two grids' row equations at t = x (see :func:`_row`)."""
+
+    x: float
+    nodes: np.ndarray
+    values: np.ndarray
+    fine_nodes: np.ndarray
+    weights: np.ndarray
+    residual: float
+
+
+def solve_gl(field: KernelField, x: float) -> KernelRow:
+    """The full row P(x, .) at a node x > 0 of the field's grid: the
+    trapezoid row on the grids h and h/2 (see :func:`_row`), combined by one
+    Richardson step."""
+    k = field.index(x)
+    if k == 0:
+        raise ConfigError(f"x={x} outside (0, pi]")
+    coarse, fine = field.grids
+    (p_c, res_c, _), (p_f, res_f, _) = _row(coarse, k), _row(fine, 2 * k)
+    return KernelRow(x=float(field.x_nodes[k]), nodes=field.x_nodes[:k + 1].copy(),
+                     values=(4.0 * p_f[::2] - p_c) / 3.0,
+                     fine_nodes=np.arange(2 * k + 1) * fine.h,
+                     weights=_richardson_weights(p_c, p_f, coarse.h),
+                     residual=max(res_c, res_f))
 
 
 class KernelField:
-    """Rows of the transformation kernel on an x-grid, solved lazily.
+    """The transformation kernel P on a uniform x grid of [0, pi].
 
-    Rows for arbitrary x are solved on demand and cached, so downstream
-    consumers (solution reconstruction at eigenvalues, consistency
-    quadratures on a Gauss x-grid) can share the same field.
-    """
+    Construction factors the trapezoid systems of the grids h = pi/M and h/2,
+    read from one H table on 4M + 1 nodes; the diagonal is their pivots'
+    P(x, x), combined by one Richardson step.  Rows are solved on demand at
+    grid nodes and cached."""
 
-    def __init__(self, F: FKernel, x_nodes: np.ndarray | None = None,
-                 n_quad: int = DEFAULT_N_QUAD):
+    def __init__(self, F: FKernel, x_nodes: np.ndarray | None = None):
         self.F = F
         self.x_nodes = (np.linspace(0.0, PI, DEFAULT_X_NODES)
                         if x_nodes is None else np.asarray(x_nodes, dtype=float))
@@ -558,97 +570,78 @@ class KernelField:
             raise ConfigError(f"x_nodes={self.x_nodes.size}: the kernel field needs at least 5 nodes")
         if self.x_nodes[0] != 0.0:
             raise ConfigError(f"x grid must start at 0, got first node {float(self.x_nodes[0])!r}")
-        self.n_quad = int(n_quad)
-        self._rows: dict[float, GLRow] = {}
+        trapezoid_grid(self.x_nodes)  # refuses a grid that is not uniform
+        if abs(self.x_nodes[-1] - PI) > 1e-12:
+            raise ConfigError(f"x grid must end at pi, got last node {float(self.x_nodes[-1])!r}")
+        M = self.x_nodes.size - 1
+        table = F.H.table(4 * M)
+        self.grids = (_factor(table, M, 2), _factor(table, 2 * M, 1))
+        coarse, fine = self.grids
+        self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
+        self.condition_max = max(coarse.cond, fine.cond)
+        self._rows: dict[int, KernelRow] = {}
 
-    def row(self, x: float) -> GLRow:
-        key = round(float(x), 12)
-        row = self._rows.get(key)
+    def index(self, x: float) -> int:
+        """k with x = t_k; an x off the grid is refused."""
+        h = self.grids[0].h
+        k = int(round(float(x) / h))
+        if not (0 <= k < self.x_nodes.size and abs(float(x) - k * h) <= 1e-9):
+            raise ConfigError(f"x={x} is not a node of the {self.x_nodes.size}-node x grid")
+        return k
+
+    def row(self, x: float) -> KernelRow:
+        k = self.index(x)
+        row = self._rows.get(k)
         if row is None:
-            row = solve_gl(self.F, x, self.n_quad)
-            self._rows[key] = row
+            row = solve_gl(self, x)
+            self._rows[k] = row
         return row
 
     def diag(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return self.row(x).diag
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.array([self.diag(x) for x in self.x_nodes])
-
-    @property
-    def condition_max(self) -> float:
-        return max(r.cond for r in self._rows.values())
+        return float(self.diagonal[self.index(x)])
 
     def phi(self, x, mus) -> np.ndarray:
         """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
-        mu and x, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0.
+        mu and grid node x, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0.
 
         The one rebuild of the solutions from the kernel: a scalar x gives a
-        vector over mu, an array of x a (mu, x) matrix.  The x-nodes are
-        taken in blocks of at most PHI_BLOCK mu values x x-nodes x row nodes.
+        vector over mu, an array of x a (mu, x) matrix.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros((mus.size, xs.size))
-        inside = np.flatnonzero(xs > 0.0)
-        step = max(1, PHI_BLOCK // (mus.size * self.n_quad))
-        for b0 in range(0, inside.size, step):
-            idx = inside[b0:b0 + step]
-            rows = [self.row(float(xs[i])) for i in idx]
-            nodes = np.stack([r.nodes for r in rows])
-            wv = np.stack([r.weights * r.values for r in rows])[:, :, None]
-            quad = musin(mus[:, None], nodes[:, None, :]) @ wv  # (x, mu, 1)
-            out[:, idx] = musin(mus[:, None], xs[idx]) + quad[:, :, 0].T
+        ks = [self.index(xi) for xi in xs]
+        S = musin(mus[:, None], np.arange(2 * max(ks) + 1) * self.grids[1].h)
+        out = musin(mus[:, None], xs)
+        for i, k in enumerate(ks):
+            if k:
+                out[:, i] += S[:, :2 * k + 1] @ self.row(xs[i]).weights
         return out if np.ndim(x) else out[:, 0]
 
-    def dphi(self, x: float, mus, p_xx: float | None = None) -> np.ndarray:
+    def dphi(self, x: float, mus) -> np.ndarray:
         """phi'(x, mu) = c(x) + P(x,x) s(x) + integral of P_x(x,t) s(t) dt for
-        each mu, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.  ``p_xx`` is
-        P(x,x) when the caller already holds it.
+        each mu at a grid node x, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.
 
-        P_x on the row's nodes solves the x-derivative of the row equation,
-        (I + A) P_x = -F_x(x, .) - P(x,x) F(x, .), with
-        F_x(x, t) = (H'(x - t) - H'(x + t))/2.  Cached rows keep no LU
-        factors, so the row's matrix is assembled and factored again.
+        P_x solves the x-derivative of the row equation on both grids (see
+        :func:`_row`), with H' from a table of its own, and one Richardson
+        step combines the two quadratures.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        if x <= 0.0:
+        k = self.index(x)
+        if k == 0:
             return np.ones(mus.size)
-        row = self.row(x)
-        p_xx = row.diag if p_xx is None else p_xx
-        A = _nystrom_system(self.F, row.x, self.n_quad)[2]
-        dH = self.F.H.derivative(np.concatenate([row.x - row.nodes, row.x + row.nodes]))
-        rhs = 0.5 * (dH[row.nodes.size:] - dH[:row.nodes.size]) - p_xx * row.f
-        lu, piv, info = dgetrf(A)
-        _check_info("getrf", info, row.x)
-        px, info = dgetrs(lu, piv, rhs)
-        _check_info("getrs", info, row.x)
-        return (mucos(mus, x) + p_xx * musin(mus, x)
-                + musin(mus[:, None], row.nodes) @ (row.weights * px))
-
-    def diagonal_residual(self, x: float) -> float:
-        """Residual of the diagonal identity P(x,x) + F(x,x) + integral of
-        P(x,s)F(s,x) ds (the t -> x limit of the row equation), from the
-        row's stored F values.  P(x,x) is the Nystrom interpolant at t = x,
-        built from these same terms, so the residual re-adds them and
-        measures roundoff only; it is not an independent identity."""
-        if x <= 0.0:
-            return 0.0
-        row = self.row(x)
-        return float(row.diag + row.f_xx + np.dot(row.weights * row.values, row.f))
+        coarse, fine = self.grids
+        slopes = self.F.H.table(4 * (self.x_nodes.size - 1), deriv=True)
+        p_x = [_row(g, kk, slopes)[2] for g, kk in ((coarse, k), (fine, 2 * k))]
+        weights = _richardson_weights(p_x[0], p_x[1], coarse.h)
+        xk = self.x_nodes[k]
+        return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
+                + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
 
 
-def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None,
-                       n_quad: int = DEFAULT_N_QUAD) -> KernelField:
-    """Solve all rows of the kernel over the x grid (default 129 uniform)."""
-    field = KernelField(F, x_nodes, n_quad)
-    for x in field.x_nodes:
-        if x > 0.0:
-            field.row(x)
-    return field
+def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None) -> KernelField:
+    """Factor the main equation on the x grid (default 129 uniform nodes),
+    which gives the whole kernel diagonal; rows follow on demand."""
+    return KernelField(F, x_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +654,8 @@ def recover_q(field: KernelField) -> Potential:
     q = 2 d/dx P(x,x).
 
     The diagonal is differentiated through an interpolating cubic spline,
-    with one-sided derivatives at the endpoints.  The grid must be uniformly
-    spaced: the result carries trapezoid weights.
+    with one-sided derivatives at the endpoints.  The result carries
+    trapezoid weights on the field's uniform grid.
     """
     grid = trapezoid_grid(field.x_nodes)
     dspl = CubicSpline(grid.nodes, field.diagonal).derivative()
@@ -692,8 +685,7 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
     own problem: the prediction carries no drift term.
     """
     mus = data.mu[:min(8, max(5, data.count // 4))]
-    d_pi = field.diag(PI)  # also feeds the prediction; evaluated once
-    ratios = -field.dphi(PI, mus, d_pi) / field.phi(PI, mus)
+    ratios = -field.dphi(PI, mus) / field.phi(PI, mus)
     med = float(np.median(ratios))
     dev = np.abs(ratios - med)
     spread = float(np.max(dev))
@@ -703,41 +695,43 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
             f"endpoint ratios disagree (spread {spread:.3e}, worst at index {n}, "
             f"mu={mus[n]:.6g}); data are not from a single problem")
     beta_tilde = float(np.pi / 2.0 - np.arctan(med))  # arccot into (0, pi)
-    prediction = as_angle(data.beta).cot - d_pi  # P(pi, pi) is half the integral of q
+    prediction = as_angle(data.beta).cot - field.diagonal[-1]  # P(pi, pi): half the integral of q
     return BetaRecovery(beta_tilde, med, spread, ratios, prediction,
                         abs(med - prediction))
 
 
 def consistency_suite(field: KernelField, data: SpectralData) -> dict:
-    """Post-hoc identities: diagonal residual, completeness defect of the
-    rebuilt solutions for f(x)=x and f(x)=sin(x), and their Gram matrix
-    against the data's norming constants, over the first 20 pairs on a
-    64-node Gauss x-grid.  The rebuilt solutions have frequencies up to
-    sqrt(mu_19) (about 20), so the integrands are smooth with frequencies up
-    to about 40 over [0, pi], which a 64-node Gauss rule integrates to
-    roundoff.  Expects drift-free data, the eigenvalues of the field's own
-    problem.
+    """Post-hoc identities over the first 20 pairs of drift-free data:
+    completeness defect of the rebuilt solutions for f(x)=x and f(x)=sin(x),
+    their Gram matrix against the norming constants, and the largest
+    diagonal residual of the rows solved for them (roundoff for admissible
+    data: it checks the pivots against the solved rows).
 
-    The diagonal residual is roundoff only (2.8e-17 on the bundled
-    example): P(x,x) is the Nystrom interpolant at t = x, built from the
-    same terms the residual re-adds, so it checks the arithmetic, not the
-    data.  The completeness and Gram defects are the independent checks."""
+    phi is rebuilt at every grid node.  Each integral splits as
+    phi = s + (phi - s): the free solutions s carry the oscillation and
+    integrate on a 64-node Gauss rule to roundoff; the kernel's share, about
+    |P|/sqrt(mu) of them, integrates on the grid by Gregory's rule."""
     k_terms = min(20, data.count)
-    diag_res = max(abs(field.diagonal_residual(x)) for x in field.x_nodes)
-
+    mus, a = data.mu[:k_terms], data.norming[:k_terms]
+    x = field.x_nodes
+    w = trapezoid_grid(x).weights.copy()
+    w[:_GREGORY_END.size] += (x[1] - x[0]) * _GREGORY_END
+    w[-_GREGORY_END.size:] += (x[1] - x[0]) * _GREGORY_END[::-1]
+    phi = field.phi(x, mus)
+    s = musin(mus[:, None], x)
     xg, wg = gauss_rule(64, 0.0, PI)
-    phi_mat = field.phi(xg, data.mu[:k_terms])
+    sg = musin(mus[:, None], xg)
+    diag_res = max(field.row(xi).residual for xi in x[1:])
 
-    a = data.norming[:k_terms]
     parseval = {}
-    for name, f in (("x", xg.copy()), ("sin", np.sin(xg))):
-        f2 = float(np.dot(wg, f * f))
-        coef = phi_mat @ (wg * f)
+    for name, f in (("x", np.asarray), ("sin", np.sin)):
+        fg = f(xg)
+        f2 = float(np.dot(wg, fg * fg))
+        coef = sg @ (wg * fg) + (phi - s) @ (w * f(x))
         parseval[name] = abs(f2 - float(np.sum(coef * coef / a))) / f2
 
-    G = (phi_mat * wg) @ phi_mat.T
-    denom = np.sqrt(np.outer(a, a))
-    off = np.abs(G - np.diag(np.diag(G))) / denom
+    G = (sg * wg) @ sg.T + (phi * w) @ phi.T - (s * w) @ s.T
+    off = np.abs(G - np.diag(np.diag(G))) / np.sqrt(np.outer(a, a))
     gram_off = float(np.max(off)) if k_terms > 1 else 0.0
     gram_diag = float(np.max(np.abs(np.diag(G) - a) / a))
 

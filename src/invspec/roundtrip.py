@@ -20,7 +20,6 @@ from .core import (
 from .errors import AdmissibilityError, ConfigError
 from .forward import forward_solve
 from .inverse import (
-    DEFAULT_N_QUAD,
     DEFAULT_N_TERMS,
     DEFAULT_X_NODES,
     BetaRecovery,
@@ -41,7 +40,6 @@ DEFAULT_TRIM = (0.05, PI)
 class InverseParams:
     """Knobs of the inverse pipeline (defaults match the module contracts)."""
 
-    n_quad: int = DEFAULT_N_QUAD
     x_nodes: int = DEFAULT_X_NODES
     force: bool = False
 
@@ -74,11 +72,12 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
+    kappa = 0.0 if report["kappa"] is None else report["kappa"]
     shifted = shift_spectrum(data, c)
-    H = build_H(shifted, data.beta, max(DEFAULT_N_TERMS, data.count))
+    H = build_H(shifted, data.beta, max(DEFAULT_N_TERMS, data.count), kappa=kappa)
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)
-    field = solve_kernel_field(F, x_nodes, params.n_quad)
+    field = solve_kernel_field(F, x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)
     beta_rec = recover_beta(field, shifted)
@@ -96,7 +95,6 @@ class RoundTripReport:
     beta_gap: float
     angle_identity_gap: float
     n_eigen: int
-    n_quad: int
     x_nodes: int
     trim: tuple[float, float]
     consistency: dict
@@ -139,7 +137,6 @@ def roundtrip(q: Potential, beta: BoundaryAngle | float, n_eigen: int,
         beta_gap=beta_gap,
         angle_identity_gap=inv.beta_rec.prediction_gap,
         n_eigen=n_eigen,
-        n_quad=params.n_quad,
         x_nodes=params.x_nodes,
         trim=(float(trim[0]), float(trim[1])),
         consistency=inv.consistency,

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from invspec.asymptotics import (
     delta_sequence,
+    drift_constant,
     extract_s,
     fit_c,
     fit_c_spread,
@@ -229,7 +230,7 @@ def test_fit_c_zero_for_pure_tail():
     ns = np.arange(40)
     om = np.array([delta.low_modes[0], delta.low_modes[1]] + list(delta.omega(ns[2:])))
     data = SpectralData(beta.beta, om * np.abs(om), np.ones(40))
-    c, l_seq = fit_c(data, delta)
+    c, _, l_seq = fit_c(data, delta)
     assert abs(c) < 1e-12
     assert np.max(np.abs(l_seq)) < 1e-12
 
@@ -241,10 +242,29 @@ def test_fit_c_recovers_constructed_constant():
     lam = om + 1.0 / (2.0 * om)
     mu = np.concatenate([[delta.low_modes[0] ** 2, delta.low_modes[1] ** 2], lam**2])
     data = SpectralData(beta.beta, mu, np.ones(40))
-    c, l_seq = fit_c(data, delta)
+    c, _, l_seq = fit_c(data, delta)
     assert c == pytest.approx(1.0, abs=1e-8)
     assert np.max(np.abs(l_seq)) < 1e-8
     assert fit_c_spread(data, delta) < 1e-8
+
+
+@pytest.mark.parametrize("c_true", [0.0, 1.0])
+def test_fit_c_recovers_third_order_coefficient(c_true):
+    # lambda_n = omega_n + c/(2 omega_n) + kappa/omega_n^3 makes g_n exactly
+    # c + 2 kappa/omega_n^2.  drift_constant hands on the kappa of its last
+    # pass, that of the shifted data sqrt(lambda_n^2 - c), which is
+    # kappa + c^2/8 up to terms in 1/omega^5; on drift-free data it is kappa
+    beta = as_angle(PI / 3)
+    delta = delta_sequence(beta, 64)
+    om = delta.omega(np.arange(2, 64))
+    lam = om + c_true / (2.0 * om) + 0.7 / om**3
+    mu = np.concatenate([[delta.low_modes[0] ** 2, delta.low_modes[1] ** 2], lam**2])
+    data = SpectralData(beta.beta, mu, np.ones(64))
+    c, kappa, _ = fit_c(data, delta)
+    assert c == pytest.approx(c_true, abs=1e-10) and kappa == pytest.approx(0.7, abs=1e-8)
+    if c_true == 0.0:
+        c, kappa, _ = drift_constant(data, delta)
+        assert c == pytest.approx(0.0, abs=1e-10) and kappa == pytest.approx(0.7, abs=1e-8)
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0))
@@ -255,7 +275,7 @@ def test_fit_c_hypothesis(c_true):
     lam = om + c_true / (2.0 * om)
     mu = np.concatenate([[0.01], [1.0], lam**2])
     data = SpectralData(beta.beta, mu, np.ones(30))
-    c, _ = fit_c(data, delta)
+    c, _, _ = fit_c(data, delta)
     assert c == pytest.approx(c_true, abs=1e-7)
 
 

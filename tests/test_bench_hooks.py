@@ -1,10 +1,13 @@
 """The benchmark's traced run (``perfbench/run.py --trace 1``) wraps library
-functions by module attribute.  These tests fail when a rename in ``invspec``
-would leave a wrapper pointing at nothing or an empty span.
+functions by module attribute, and its checks read the inverse result's
+attributes.  These tests fail when a rename in ``invspec`` would leave a
+wrapper pointing at nothing or an empty span, or a check reading a name that
+is gone.
 
-``perfbench/tracing.py`` is compiled from its source text, so nothing is
-written under ``perfbench/``.
+``perfbench/tracing.py``, ``references.py`` and ``workloads.py`` are compiled
+from their source text, so nothing is written under ``perfbench/``.
 """
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -18,15 +21,39 @@ import invspec.roundtrip as roundtrip
 from invspec.core import PI, sample_potential
 from invspec.roundtrip import example6_data
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _compile(name: str, path: Path) -> types.ModuleType:
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
-    return module
+    return _compile("perfbench_tracing", PERFBENCH / "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports references.py by its plain name, and its
+    # dataclasses look their module up in sys.modules while they are built
+    names = ("references", "perfbench_workloads")
+    saved = {name: sys.modules.pop(name, None) for name in names}
+    try:
+        sys.modules["references"] = _compile("references", PERFBENCH / "references.py")
+        module = sys.modules["perfbench_workloads"] = types.ModuleType("perfbench_workloads")
+        module.__file__ = str(PERFBENCH / "workloads.py")
+        exec(compile((PERFBENCH / "workloads.py").read_text(), module.__file__, "exec"),
+             module.__dict__)
+        return module
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+            if saved[name] is not None:
+                sys.modules[name] = saved[name]
 
 
 def test_tracer_patches_existing_attributes(tracing):
@@ -56,7 +83,7 @@ def test_traced_pipeline_counts_rows_and_field_time(tracing):
     finally:
         tracer.uninstall()
     layer = tracer.summary((0, Counter()))
-    assert layer["inverse.rows_solved"] == 192
+    assert layer["inverse.rows_solved"] == 128
     assert layer["inverse.kernel_field_s"] > 0.0
 
 
@@ -71,3 +98,15 @@ def test_traced_forward_solve_fills_forward_spans(tracing):
     layer = tracer.summary((0, Counter()))
     assert layer["forward.eigenvalues_s"] > 0.0
     assert layer["forward.norming_constants_s"] > 0.0
+
+
+def test_benchmark_checks_accept_the_inverse_outputs(workloads):
+    # the inverse workloads' reads and checks: F at arbitrary points, P rows
+    # at every 16th grid node, q, the angle, condition_max and the spread
+    ex6 = roundtrip.inverse_pipeline(workloads.ex6_data(workloads.EX6_COUNT))
+    verdict = workloads.check_ex6(workloads.read_inverse(ex6, with_kernels=True))
+    assert verdict.failures == []
+    cos = workloads.load_cos_data()
+    verdict = workloads.check_cos_inverse(workloads.read_inverse(roundtrip.inverse_pipeline(cos)),
+                                          cos.beta)
+    assert verdict.failures == []

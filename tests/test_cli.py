@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,8 @@ from invspec.roundtrip import example6_data
 # the directory holding the imported package, so that the child process runs
 # the same source tree from any cwd, installed or not
 SRC_DIR = str(Path(invspec.__file__).resolve().parents[1])
+# the forward data of q = cos x at beta = pi/3, N = 64, that the benchmark inverts
+COS_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cos_beta60_n64.json"
 
 
 def run_cli(*args, cwd):
@@ -106,13 +109,13 @@ def _subparsers(parser):
 def test_cli_option_contract():
     # each subcommand takes exactly the options its handler reads; a removed
     # knob must not come back unnoticed
-    inverse = {("-o", "--out"), ("--quad",), ("--x-nodes",), ("--force",), ("--json-logs",)}
+    inverse = {("-o", "--out"), ("--x-nodes",), ("--force",), ("--json-logs",)}
     beta = {("--beta",), ("--beta-deg",)}
     expected = {
         "forward": beta | {("-o", "--out"), ("-N", "--n-eigen"), ("--json-logs",)},
         "inverse": inverse,
         "roundtrip": inverse | beta | {("-N", "--n-eigen"), ("--trim",)},
-        "example6": {("-o", "--out"), ("--quad",), ("--x-nodes",), ("--force",)},
+        "example6": {("-o", "--out"), ("--x-nodes",), ("--force",)},
         "validate": {("--force",)},
     }
     subs = _subparsers(cli._build_parser())
@@ -122,8 +125,8 @@ def test_cli_option_contract():
                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
         assert options == expected[name], name
     counts = {name: len(options) for name, options in expected.items()}
-    assert counts == {"forward": 5, "inverse": 5, "roundtrip": 9, "example6": 4, "validate": 1}
-    assert sum(counts.values()) == 24
+    assert counts == {"forward": 5, "inverse": 4, "roundtrip": 8, "example6": 3, "validate": 1}
+    assert sum(counts.values()) == 21
     removed = {
         "forward": ["forward", "q.csv", "--beta", "1", "--quad", "64"],
         "inverse": ["inverse", "ref.json", "--n-terms", "800"],
@@ -132,7 +135,8 @@ def test_cli_option_contract():
         "validate": ["validate", "ref.json", "-o", "out"],
     }
     for argv in [*removed.values(), ["inverse", "ref.json", "--no-accelerate"],
-                 ["inverse", "ref.json", "--smoothing", "0.1"]]:
+                 ["inverse", "ref.json", "--smoothing", "0.1"], ["inverse", "ref.json", "--quad", "96"],
+                 ["roundtrip", "q.csv", "--beta", "1", "--quad", "96"], ["example6", "--quad", "96"]]:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 64, argv
@@ -143,8 +147,8 @@ def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
     assert doc["count"] == 16 and len(doc["mu"]) == 16
     assert doc["config"]["command"] == "forward"
     # options forward does not take read null; the series length is no option
-    assert doc["config"]["n_quad"] is None and doc["config"]["force"] is None
-    assert "n_terms" not in doc["config"]
+    assert doc["config"]["x_nodes"] is None and doc["config"]["force"] is None
+    assert "n_terms" not in doc["config"] and "n_quad" not in doc["config"]
 
     r = run_cli("validate", "fw/spectral.json", cwd=workdir)
     assert r.returncode == 0
@@ -157,7 +161,8 @@ def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
         assert key in rep
     assert rep["branch"] == "regular"
     assert rep["config"]["n_eigen"] is None and rep["config"]["trim"] is None
-    assert rep["config"]["n_quad"] == 96 and "n_terms" not in rep["config"]
+    assert rep["config"]["x_nodes"] == 129
+    assert "n_terms" not in rep["config"] and "n_quad" not in rep["config"]
     assert (inverse_out / "q_recovered.csv").exists()
 
 
@@ -207,6 +212,19 @@ def test_validate_bad_data_exits_2(workdir):
 def test_inverse_bad_data_blocked_unless_forced(workdir):
     r = run_cli("inverse", "bad.json", "-o", "blocked", cwd=workdir)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("index", [3, 0, 10])
+def test_inverse_force_refuses_non_positive_data(workdir, index):
+    # --force passes validate's hard failures, but not data whose
+    # Gelfand-Levitan operator is not positive: exit 2, naming x, no output
+    doc = json.loads(COS_DATA.read_text())
+    doc["a"][index] = -doc["a"][index]
+    (workdir / f"neg{index}.json").write_text(json.dumps(doc))
+    r = run_cli("inverse", f"neg{index}.json", "--force", "-o", f"neg{index}", cwd=workdir)
+    assert r.returncode == 2 and "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert re.search(r"validation failure: data not positive: .* at x=\d\.\d{4}", r.stderr)
+    assert not (workdir / f"neg{index}" / "q_recovered.csv").exists()
 
 
 def test_example6_command(workdir):

@@ -1,9 +1,11 @@
+import json
+import warnings
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.interpolate import CubicSpline
 
 import invspec.inverse as inverse
 from invspec.asymptotics import unperturbed_spectrum
@@ -23,9 +25,11 @@ from invspec.errors import (
     NumericsError,
 )
 from invspec.inverse import (
-    _H_GRID,
+    H_GRID_SIZE,
     _grid_pair_sum,
+    _halfint_expsum,
     _pair_sum,
+    _table_nodes,
     build_F,
     build_H,
     consistency_suite,
@@ -36,6 +40,7 @@ from invspec.inverse import (
     validate,
 )
 from invspec.roundtrip import (
+    InverseParams,
     example6_F,
     example6_P,
     example6_data,
@@ -44,6 +49,13 @@ from invspec.roundtrip import (
 )
 
 BETA_STAR = PI - np.arctan(PI)  # q = 0 problem with a zero eigenvalue
+COS_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cos_beta60_n64.json"
+
+
+def _stored_cos() -> SpectralData:
+    """The forward data of q = cos x at beta = pi/3, N = 64, that the benchmark inverts."""
+    rec = json.loads(COS_DATA.read_text())
+    return SpectralData(rec["beta"], np.array(rec["mu"]), np.array(rec["a"]))
 
 
 # --- validation -----------------------------------------------------------------
@@ -141,32 +153,29 @@ def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
     cases = [(fwd_cos_64.spectral_data(), PI / 3),
              (shifted, 2 * PI / 3),
              (example6_data(400), PI / 2)]
+    L = H_GRID_SIZE - 1
     for data, beta in cases:
-        H = build_H(data, beta, 2000)
+        H = build_H(data, beta, 2000, kappa=1e-3)  # data and base terms differ past the data too
         terms = (H.mu_d, H.a_d, H.mu_b, H.a_b)
-        assert np.max(np.abs(_grid_pair_sum(*terms) - _pair_sum(_H_GRID, *terms))) < 1e-10
+        # the direct derivative rounds sin(lt) at lt up to 1.3e4 in terms of
+        # size 1e3, so it is good to about 5e-8 only
+        for deriv, tol in ((False, 1e-10), (True, 2e-7)):
+            direct = _pair_sum(_table_nodes(L), *terms, deriv=deriv)
+            assert np.max(np.abs(_grid_pair_sum(L, *terms, deriv=deriv) - direct)) < tol
 
 
 def test_h_partial_halfint_fft_matches_loop():
-    H = build_H(example6_data(40), PI / 2, 2000)
-    sc = H._partial_halfint()
-    sc_ref = np.zeros_like(_H_GRID)
-    for om in np.arange(2, 2000) + 0.5:
-        sc_ref += np.cos(om * _H_GRID) / (om * om)
-    assert np.max(np.abs(sc - sc_ref)) < 1e-12
-
-
-def test_h_uniform_cell_evaluation_matches_spline(fwd_cos_64):
-    # the direct cell lookup and Horner evaluation reproduce the cubic spline
-    # through the grid values, including just below each node, where the
-    # computed cell index may fall one cell early
-    rng = np.random.default_rng(7)
-    t = np.concatenate([rng.uniform(0.0, 2 * PI, 2000), _H_GRID[:-1],
-                        np.nextafter(_H_GRID[1:-1], 0.0), [0.0, 2 * PI - 1e-9]])
-    for data, beta in ((example6_data(40), PI / 2), (fwd_cos_64.spectral_data(), PI / 3)):
-        H = build_H(data, beta)
-        vals = _grid_pair_sum(H.mu_d, H.a_d, H.mu_b, H.a_b) + H._tail_correction()
-        assert np.max(np.abs(H(t) - CubicSpline(_H_GRID, vals)(t))) <= 1e-14
+    # the partial sums of the tail model and of its derivative
+    L = H_GRID_SIZE - 1
+    t = _table_nodes(L)
+    om = np.arange(2, 2000) + 0.5
+    cos_ref = np.zeros_like(t)
+    sin_ref = np.zeros_like(t)
+    for w in om:
+        cos_ref += np.cos(w * t) / (w * w)
+        sin_ref += np.sin(w * t) / w
+    assert np.max(np.abs(_halfint_expsum(om, 1.0 / (om * om), L).real - cos_ref)) < 1e-12
+    assert np.max(np.abs(_halfint_expsum(om, 1.0 / om, L).imag - sin_ref)) < 1e-11
 
 
 def test_h_branches_detected():
@@ -299,126 +308,154 @@ def setup_module(module):
 
 def test_solve_gl_reference_rows(ex6_inverse):
     field = ex6_inverse.field
-    for x in (PI / 2, PI / 4, 2.5, PI):
+    for x in (PI / 2, PI / 4, field.x_nodes[102], PI):
         row = field.row(float(x))
         assert np.max(np.abs(row.values - example6_P(x, row.nodes))) < 1e-8
 
 
 def test_solve_gl_zero_kernel():
     sp = unperturbed_spectrum(PI / 3, 24)
-    F = build_F(build_H(sp, PI / 3, 400))
-    row = solve_gl(F, PI / 2)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)))
+    row = solve_gl(field, PI / 2)
     assert np.max(np.abs(row.values)) < 1e-11
-    assert row.cond < 1.5
+    assert field.condition_max < 1.5
 
 
 def test_solve_gl_offnode_residual():
-    F = _F_CACHE["F"]
-    x = 2.0
-    row = solve_gl(F, x, 48)
-    # independent interpolation of node values; residual of the equation at
-    # off-node points stays within 10x the node (linear-system) residual floor
+    # an independent interpolation of the row's node values satisfies the
+    # main equation at off-node points, its integral taken by Gauss rules on
+    # either side of the kink at s = t
     from scipy.interpolate import CubicSpline
-    interp = CubicSpline(np.concatenate([[0.0], row.nodes]),
-                         np.concatenate([[0.0], row.values]))
-    t_off = np.linspace(0.05, x - 0.05, 17)
-    lhs = interp(t_off) + F(x, t_off)
-    for j, t in enumerate(t_off):
-        lhs[j] += float(np.dot(row.weights * row.values, F(row.nodes, t)))
-    floor = max(row.lin_residual, 1e-9)
-    assert np.max(np.abs(lhs)) <= 10.0 * floor
+    F = _F_CACHE["F"]
+    field = solve_kernel_field(F)
+    x = float(field.x_nodes[82])
+    row = field.row(x)
+    interp = CubicSpline(row.nodes, row.values)
+    resid = []
+    for t in np.linspace(0.05, x - 0.05, 17):
+        total = float(interp(t) + F(x, t))
+        for lo, hi in ((0.0, t), (t, x)):
+            s, w = gauss_rule(64, lo, hi)
+            total += float(np.dot(w * interp(s), F(s, t)))
+        resid.append(abs(total))
+    assert max(resid) <= 1e-8
 
 
 def test_solve_gl_domain_checks():
-    F = _F_CACHE["F"]
+    field = solve_kernel_field(_F_CACHE["F"])
     with pytest.raises(ConfigError):
-        solve_gl(F, 0.0)
-    with pytest.raises(ConfigError, match="n_quad=8"):
-        solve_gl(F, 1.0, 8)
+        solve_gl(field, 0.0)
+    with pytest.raises(ConfigError, match="x=1.0 is not a node of the 129-node x grid"):
+        solve_gl(field, 1.0)
 
 
-def _full_nystrom_matrix(row):
-    F = row.F
-    return np.eye(row.nodes.size) + F(row.nodes[:, None], row.nodes[None, :]) * row.weights[None, :]
+def _trapezoid_row_matrix(g, k):
+    """Row k of one grid's trapezoid system, assembled densely: row j,
+    column i is delta_ji + w_i h F(t_i, t_j), with the half weight at i = k."""
+    w = np.full(k, g.h)
+    w[-1] = g.h / 2.0
+    return np.eye(k) + g.F[:k, :k] * w[None, :]
 
 
 def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
-    # gecon bounds the 1-norm condition number from below, and is not far off
-    F = build_F(build_H(fwd_cos_64.spectral_data(), PI / 3))
-    for x in (0.4, 2.0, PI):
-        row = solve_gl(F, x)
-        exact = np.linalg.cond(_full_nystrom_matrix(row), 1)
-        assert exact / 10.0 <= row.cond <= exact * (1.0 + 1e-12)
+    # the condition number taken from potri's inverse is that of I + h F in the 1-norm
+    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    for g in field.grids:
+        exact = np.linalg.cond(np.eye(g.F.shape[0]) + g.h * g.F, 1)
+        assert exact / 10.0 <= g.cond <= exact * (1.0 + 1e-12)
+    assert field.condition_max == max(g.cond for g in field.grids)
 
 
 def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
-    # the mirrored upper triangle and the LU solve give the values that the
-    # fully evaluated matrix and np.linalg.solve give, bit for bit
-    F = build_F(build_H(fwd_cos_64.spectral_data(), PI / 3))
-    for x in (0.4, 2.0, PI):
-        row = solve_gl(F, x)
-        expected = np.linalg.solve(_full_nystrom_matrix(row), -F(x, row.nodes))
-        assert np.array_equal(row.values, expected)
+    # each grid's row from the leading block of the Cholesky factor is the
+    # dense solve of its trapezoid row system, and the field's row is their
+    # Richardson combination
+    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    for k in (16, 82, 128):
+        parts = []
+        for g, kk in zip(field.grids, (k, 2 * k)):
+            p = inverse._row(g, kk)[0]
+            expected = np.linalg.solve(_trapezoid_row_matrix(g, kk), -g.F[:kk, kk - 1])
+            assert p[0] == 0.0
+            assert np.max(np.abs(p[1:] - expected)) <= 1e-13 * np.max(np.abs(expected))
+            parts.append(p)
+        row = solve_gl(field, field.x_nodes[k])
+        assert np.array_equal(row.values, (4.0 * parts[1][::2] - parts[0]) / 3.0)
 
 
-def _nystrom_interpolant(row, t):
-    """P(x, t) = -F(x, t) - sum_k w_k P_k F(t_k, t), the row's natural
-    interpolant, with every kernel value evaluated afresh."""
+def _nystrom_interpolant(row, F, t):
+    """P(x, t) = -F(x, t) - int_0^x P(x, s) F(s, t) ds by the trapezoid rule
+    on the row's nodes, with every kernel value evaluated afresh."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return -row.F(row.x, t) - (row.weights * row.values) @ row.F(row.nodes[:, None], t[None, :])
+    w = np.full(row.nodes.size, row.nodes[1])
+    w[[0, -1]] /= 2.0
+    return -F(row.x, t) - (w * row.values) @ F(row.nodes[:, None], t[None, :])
 
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
 def test_row_diagonal_matches_extension(case, fwd_cos_64):
-    # P(x,x) from the row's stored F(x, t_k) is the interpolant at t = x
+    # P(x,x) from the pivots is the last entry of the row solved with the
+    # leading block of the same factor, on each grid
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
-    F = build_F(build_H(data, data.beta))
-    for x in (0.4, 2.0, PI):
-        row = solve_gl(F, x)
-        assert abs(row.diag - _nystrom_interpolant(row, x)[0]) <= 1e-15
+    field = solve_kernel_field(build_F(build_H(data, data.beta)))
+    for g in field.grids:
+        M = g.F.shape[0]
+        for k in (M // 8, M // 2, M):
+            assert abs(inverse._row(g, k)[0][-1] - g.diagonal[k]) <= 1e-13
 
 
 def test_solved_row_holds_no_kernel_buffer():
-    # a cached row keeps n_quad-sized arrays, never a view into the row's
-    # whole buffer of kernel values
-    row = solve_gl(_F_CACHE["F"], 2.0)
-    for arr in (row.nodes, row.weights, row.values, row.f):
+    # a cached row keeps arrays of its own size, never a view into the
+    # field's grid or factor
+    field = solve_kernel_field(_F_CACHE["F"])
+    row = solve_gl(field, field.x_nodes[64])
+    for arr in (row.nodes, row.values, row.fine_nodes, row.weights):
         assert arr.base is None or arr.base.nbytes <= arr.nbytes
 
 
 def _count_h_calls(monkeypatch) -> list:
+    """Records H evaluated at points, and each FFT summation of an H table."""
     calls = []
-    real = inverse.HFunction.__call__
+    real_call, real_sum = inverse.HFunction.__call__, inverse._halfint_expsum
 
     def counting(self, t):
-        calls.append(np.size(t))
-        return real(self, t)
+        calls.append(("points", np.size(t)))
+        return real_call(self, t)
+
+    def counting_sum(lam, w, L):
+        calls.append(("table", L))
+        return real_sum(lam, w, L)
 
     monkeypatch.setattr(inverse.HFunction, "__call__", counting)
+    monkeypatch.setattr(inverse, "_halfint_expsum", counting_sum)
     return calls
 
 
 def test_solve_gl_evaluates_H_once(monkeypatch):
-    F = _F_CACHE["F"]
+    # a 65-node field sums one H table of 257 nodes (the explicit terms and
+    # the tail model, one FFT pass each); its rows read that table only
+    F = build_F(build_H(example6_data(30), PI / 2, 400))
     calls = _count_h_calls(monkeypatch)
-    row = solve_gl(F, 2.0)
-    n = row.nodes.size
-    assert calls == [2 * (n * (n + 1) // 2 + n + 1)]
-
-
-def test_diagonal_consumers_add_no_H_call(monkeypatch):
-    calls = _count_h_calls(monkeypatch)
-    field = solve_kernel_field(_F_CACHE["F"])
-    assert len(calls) == field.x_nodes.size - 1
+    field = solve_kernel_field(F, np.linspace(0.0, PI, 65))
+    assert calls == [("table", 256), ("table", 256)]
     calls.clear()
-    recover_q(field)
-    for x in field.x_nodes:
-        field.diagonal_residual(x)
+    solve_gl(field, field.x_nodes[40])
     assert calls == []
 
 
-def test_pipeline_solves_192_rows(monkeypatch):
-    # 128 field rows (x > 0 on the 129-node grid) and 64 consistency rows
+def test_diagonal_consumers_add_no_H_call(monkeypatch):
+    # the default grid's table is summed when H is built; the field, the
+    # diagonal and recover_q read it
+    calls = _count_h_calls(monkeypatch)
+    field = solve_kernel_field(_F_CACHE["F"])
+    recover_q(field)
+    field.diag(PI)
+    assert calls == []
+
+
+def test_pipeline_solves_one_row_per_node(monkeypatch):
+    # one row per x node > 0 of the 129-node grid: the consistency
+    # quadratures read every node, and recover_beta's x = pi row is one of them
     calls = []
     real = inverse.solve_gl
 
@@ -428,58 +465,63 @@ def test_pipeline_solves_192_rows(monkeypatch):
 
     monkeypatch.setattr(inverse, "solve_gl", counting)
     inverse_pipeline(example6_data(40))
-    assert len(calls) == 192
+    assert len(calls) == 128 and len(set(calls)) == 128
 
 
 def test_non_finite_kernel_value_is_refused(monkeypatch):
-    # a NaN from H must not reach LAPACK, which would pass it through silently
-    F = _F_CACHE["F"]
-    real = inverse.HFunction.__call__
+    # a NaN from the H sums must not reach LAPACK, which would pass it through silently
+    F = build_F(build_H(example6_data(30), PI / 2, 400))
+    real = inverse._grid_pair_sum
 
-    def one_nan(self, t):
-        out = real(self, t)
+    def one_nan(*args, **kwargs):
+        out = real(*args, **kwargs)
         out[5] = np.nan
         return out
 
-    monkeypatch.setattr(inverse.HFunction, "__call__", one_nan)
-    with pytest.raises(NumericsError, match=r"non-finite kernel value nan .* at x=2\.0000"):
-        solve_gl(F, 2.0)
+    monkeypatch.setattr(inverse, "_grid_pair_sum", one_nan)
+    with pytest.raises(NumericsError, match=r"non-finite kernel value nan at t=0\.1227"):
+        solve_kernel_field(F, np.linspace(0.0, PI, 65))
 
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
 def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
-    # the one rebuild of phi, over the 64 consistency Gauss nodes at once,
-    # against the per-node formula on each row
+    # the one rebuild of phi, over every 8th grid node at once, against the
+    # per-node formula on each row
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
     field = solve_kernel_field(build_F(build_H(data, data.beta)))
     mus = data.mu[:20]
-    xg = gauss_rule(64, 0.0, PI)[0]
-    batched = field.phi(xg, mus)
-    assert batched.shape == (mus.size, xg.size)
-    for i, x in enumerate(xg):
-        row = field.row(float(x))
-        ref = musin(mus, x) + musin(mus[:, None], row.nodes) @ (row.weights * row.values)
+    xs = field.x_nodes[::8]
+    batched = field.phi(xs, mus)
+    assert batched.shape == (mus.size, xs.size)
+    for i, x in enumerate(xs):
+        ref = musin(mus, x)
+        if x > 0.0:
+            row = field.row(float(x))
+            ref = ref + musin(mus[:, None], row.fine_nodes) @ row.weights
         assert np.max(np.abs(batched[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(field.phi(float(x), mus), batched[:, i])
     if case == "example6":
         # recover_beta's x = pi column is the per-node formula bit for bit
         ks = data.mu[:8]  # the first min(8, max(5, count // 4)) eigenvalues
         row = field.row(PI)
-        phi_pi = musin(ks, PI) + musin(ks[:, None], row.nodes) @ (row.weights * row.values)
-        expected = -field.dphi(PI, ks, field.diag(PI)) / phi_pi
+        phi_pi = musin(ks, PI) + musin(ks[:, None], row.fine_nodes) @ row.weights
+        expected = -field.dphi(PI, ks) / phi_pi
         assert np.array_equal(recover_beta(field, data).ratios, expected)
 
 
 def test_kernel_field_boundary_column(ex6_inverse):
+    # F(., 0) = 0, so P(x, 0) = 0 on every row, and the natural interpolant
+    # of the row at t = 0 vanishes with kernel values evaluated afresh
     field = ex6_inverse.field
-    for x in (0.5, 1.5, PI):
+    for x in (field.x_nodes[20], field.x_nodes[60], PI):
         row = field.row(x)
-        assert abs(_nystrom_interpolant(row, 0.0)[0]) <= 10.0 * row.lin_residual + 1e-14
+        assert row.values[0] == 0.0
+        assert abs(_nystrom_interpolant(row, field.F, 0.0)[0]) <= 1e-14
 
 
 def test_diagonal_identity_residual(ex6_inverse):
     field = ex6_inverse.field
-    res = [abs(field.diagonal_residual(x)) for x in field.x_nodes]
+    res = [field.row(x).residual for x in field.x_nodes[1:]]
     assert max(res) < 1e-6
 
 
@@ -491,10 +533,44 @@ def test_ill_posed_data_raises():
     bad = SpectralData(PI / 2, data.mu, a, 0.0)
     F = build_F(build_H(bad, PI / 2, 200))
     with pytest.raises(AdmissibilityError, match=r"condition estimate [\d.e+]+ at x=\d"):
-        solve_kernel_field(F, np.linspace(0.0, PI, 17), 32)
+        solve_kernel_field(F, np.linspace(0.0, PI, 17))
+
+
+@pytest.mark.parametrize("index, x", [(3, 1.4726), (0, 2.3562), (10, 1.5953)])
+def test_non_positive_data_refused_under_force(index, x):
+    # a negated norming constant makes I + F_x indefinite: the Cholesky
+    # factorization refuses the data, naming the x where the first leading
+    # minor fails, even when validate's hard failure is forced past, so no
+    # sqrt(a_m a_n) of a negative product is ever taken
+    data = _stored_cos()
+    a = data.norming.copy()
+    a[index] = -a[index]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError, match=rf"not positive definite at x={x}"):
+            inverse_pipeline(SpectralData(data.beta, data.mu, a), InverseParams(force=True))
+
+
+def test_small_positive_norming_constant_still_inverts():
+    # a_0 x 0.01 is admissible data of another problem: positive, condition about 169
+    data = _stored_cos()
+    a = data.norming.copy()
+    a[0] *= 0.01
+    inv = inverse_pipeline(SpectralData(data.beta, data.mu, a))
+    assert inv.field.condition_max < 1e3
+    assert np.all(np.isfinite(inv.q_hat.values))
 
 
 # --- recovery ------------------------------------------------------------------------
+
+
+def test_stored_cos_inverse_reaches_third_order_tail():
+    # eigenvalues past the data extend as (omega + kappa/omega^3)^2: the sup
+    # error on [0.05, pi] falls from 1.07e-3 (extension by omega) to 2.5e-5
+    inv = inverse_pipeline(_stored_cos())
+    x = inv.q_hat.grid.nodes
+    keep = x >= 0.05
+    assert np.max(np.abs(inv.q_hat.values - np.cos(x))[keep]) <= 1e-4
 
 
 def test_recover_q_reference(ex6_inverse):
@@ -506,31 +582,30 @@ def test_recover_q_reference(ex6_inverse):
 
 def test_recover_q_zero_kernel():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0, PI, 33), 48)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 33))
     q = recover_q(field)
     assert np.max(np.abs(q.values)) < 1e-8
 
 
 def test_recover_q_rejects_nonuniform_output_grid():
-    # q carries trapezoid weights, so the field's x grid must be uniform
+    # q carries trapezoid weights, so the field's x grid must be uniform;
+    # the field refuses such a grid before any factorization
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0.0, PI, 33) ** 2 / PI, 48)
-    with pytest.raises(ConfigError):
-        recover_q(field)
+    F = build_F(build_H(sp, PI / 3, 400))
+    with pytest.raises(ConfigError, match="uniformly spaced"):
+        recover_q(solve_kernel_field(F, np.linspace(0.0, PI, 33) ** 2 / PI))
 
 
 def test_kernel_field_needs_five_nodes():
     # five x nodes is the floor of the CLI contract
     F = _F_CACHE["F"]
     with pytest.raises(ConfigError, match="x_nodes=4"):
-        solve_kernel_field(F, np.linspace(0.0, PI, 4), 32)
+        solve_kernel_field(F, np.linspace(0.0, PI, 4))
 
 
 def test_kernel_field_grid_names_its_first_node():
     with pytest.raises(ConfigError, match="must start at 0, got first node 0.5"):
-        solve_kernel_field(_F_CACHE["F"], np.linspace(0.5, PI, 9), 32)
+        solve_kernel_field(_F_CACHE["F"], np.linspace(0.5, PI, 9))
 
 
 def test_recover_q_integral_consistency(ex6_inverse):
@@ -539,7 +614,7 @@ def test_recover_q_integral_consistency(ex6_inverse):
     q = ex6_inverse.q_hat
     qf = interpolant(q)
     from scipy.integrate import quad
-    for x in (0.5, 1.5, 2.8, PI):
+    for x in field.x_nodes[[20, 61, 114, 128]]:  # about 0.5, 1.5, 2.8 and pi
         val, _ = quad(qf, 0.0, x, limit=200)
         assert val == pytest.approx(2.0 * field.diag(x), abs=1e-6)
 
@@ -548,24 +623,23 @@ def test_kernel_field_solutions_zero_kernel():
     # zero kernel: phi and phi' are the free solutions on every branch of mu
     # (hyperbolic, zero, trigonometric), vectorized over mu
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0, PI, 33), 48)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 33))
     mus = np.array([-3.0, 0.0, 2.0, 40.0])
-    for x in (0.0, 0.7, 2.0, PI):
+    for x in field.x_nodes[[0, 7, 21, 32]]:  # 0, about 0.7 and 2.0, and pi
         assert np.max(np.abs(field.phi(x, mus) - musin(mus, x))) < 1e-9
         assert np.max(np.abs(field.dphi(x, mus) - mucos(mus, x))) < 1e-9
 
 
 def test_reconstruct_phi_satisfies_equation(ex6_inverse):
-    # phi rebuilt through the kernel solves -phi'' + q phi = mu phi
+    # phi rebuilt through the kernel solves -phi'' + q phi = mu phi; phi''
+    # by the fourth-order central stencil on the field's grid
     mu = 0.25
-    n = 513
-    xs = np.linspace(0.0, PI, n)
+    xs = ex6_inverse.field.x_nodes
     step = xs[1] - xs[0]
-    phi = np.array([ex6_inverse.field.phi(x, mu)[0] for x in xs])
-    qv = example6_q(xs[1:-1])
-    phixx = (phi[2:] - 2 * phi[1:-1] + phi[:-2]) / step**2
-    resid = -phixx + (qv - mu) * phi[1:-1]
+    phi = ex6_inverse.field.phi(xs, mu)[0]
+    qv = example6_q(xs[2:-2])
+    phixx = (-phi[4:] + 16 * phi[3:-1] - 30 * phi[2:-2] + 16 * phi[1:-3] - phi[:-4]) / (12 * step**2)
+    resid = -phixx + (qv - mu) * phi[2:-2]
     assert np.max(np.abs(resid)) < 1e-4
 
 
@@ -610,8 +684,7 @@ def test_dphi_at_pi_on_constant_data(c):
 def test_recover_beta_unperturbed_identity():
     beta = PI / 3
     sp = unperturbed_spectrum(beta, 24)
-    field = solve_kernel_field(build_F(build_H(sp, beta, 400)),
-                               np.linspace(0, PI, 65), 64)
+    field = solve_kernel_field(build_F(build_H(sp, beta, 400)), np.linspace(0, PI, 65))
     br = recover_beta(field, sp)
     assert br.beta_tilde == pytest.approx(beta, abs=1e-8)
 
@@ -638,8 +711,7 @@ def test_consistency_suite_reference(ex6_inverse):
 
 def test_consistency_suite_unperturbed():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)),
-                               np.linspace(0, PI, 65), 64)
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 65))
     cons = consistency_suite(field, sp)
     assert cons["diagonal_residual_max"] < 1e-9
     assert cons["gram_offdiag_max"] < 1e-8

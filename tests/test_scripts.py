@@ -28,8 +28,8 @@ def test_convergence_study_writes_csv(tmp_path):
     out = tmp_path / "study.csv"
     assert _load("convergence_study").main(["--n-eigen", "16", "-o", str(out)]) == 0
     header, *rows = out.read_text().splitlines()
-    assert header == "n_eigen,n_quad,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s"
+    assert header == "n_eigen,x_nodes,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s"
     assert len(rows) == 1
-    n_eigen, n_quad, sup, l1, gap, _ = rows[0].split(",")
-    assert (n_eigen, n_quad) == ("16", "96")
+    n_eigen, x_nodes, sup, l1, gap, _ = rows[0].split(",")
+    assert (n_eigen, x_nodes) == ("16", "129")
     assert 0.0 <= float(sup) < 5e-2 and 0.0 <= float(l1) and 0.0 <= float(gap) < 5e-3

@@ -14,10 +14,13 @@ t_j = j h, h = pi/M, M = x_nodes - 1, where the slope jump of F along t = s
 falls on a node, so the error is a series in h^2; one Richardson step
 between the grids h and h/2 leaves O(h^4) (Atkinson, The Numerical Solution
 of Integral Equations of the Second Kind, CUP 1997, ch. 4).  One Cholesky
-factor of I + h F per grid gives the whole diagonal from its pivots, the
+factor L of I + h F per grid gives the whole diagonal from its pivots, the
 discrete form of q = -2 (log det(I + F_x))'' (Dyson, Commun. Math. Phys. 47,
-1976), every row by triangular solves, and the refusal of data that are not
-positive.
+1976), and the refusal of data that are not positive; its inverse L^(-1),
+taken once per grid (trtri), gives every row in O(M^2) with no solve, the
+condition number, and the x-derivative of a row by two triangular products.
+The solutions phi are rebuilt at all nodes by one matrix product with the
+rows' quadrature weights.
 
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .asymptotics import (
     DeltaSequence,
@@ -76,7 +79,8 @@ _GREGORY_END = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
 # ---------------------------------------------------------------------------
 
 
-def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
+def validate(data: SpectralData, beta: BoundaryAngle | float, *,
+             delta: DeltaSequence | None = None) -> dict:
     """Admissibility report for (mu_n, a_n) against the given angle.
 
     Hard failures (block the inverse solve unless forced): non-monotone or
@@ -87,11 +91,13 @@ def validate(data: SpectralData, beta: BoundaryAngle | float) -> dict:
 
     ``c_fit`` and ``kappa`` are the drift constant and the third-order tail
     coefficient of :func:`drift_constant` (None when the fit is skipped).
+    A given ``delta`` is used when it reaches n = count + 2.
     """
     beta = as_angle(beta)
     if data.count < 12:
         raise ConfigError(f"validation needs at least 12 data points, got {data.count}")
-    delta = delta_sequence(beta, data.count + 2)
+    if delta is None or delta.n_max < data.count + 2:
+        delta = delta_sequence(beta, data.count + 2)
     checks = []
 
     mono = bool(np.all(np.diff(data.mu) > 0))
@@ -310,7 +316,8 @@ class HFunction:
     :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
     computes the table of the default x grid (H_GRID_SIZE nodes); calling H
-    at arbitrary t evaluates the cubic spline through it.
+    at arbitrary t evaluates the cubic spline through it, built on the first
+    call.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -341,8 +348,8 @@ class HFunction:
         }[(has_zero_d, has_zero_b)]
 
         self._tables: dict[tuple[int, bool], np.ndarray] = {}
-        L = H_GRID_SIZE - 1
-        self._spline = CubicSpline(_table_nodes(L), self.table(L))
+        self.table(H_GRID_SIZE - 1)
+        self._spline = None
 
     def table(self, L: int, deriv: bool = False) -> np.ndarray:
         """H, or with ``deriv`` H', at t_j = 2*pi*j/L, j = 0..L; H'(0) is the
@@ -373,6 +380,9 @@ class HFunction:
         hi = float(np.max(t_arr, initial=-np.inf))
         if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
             raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
+        if self._spline is None:
+            L = H_GRID_SIZE - 1
+            self._spline = CubicSpline(_table_nodes(L), self.table(L))
         out = self._spline(np.clip(t_arr, 0.0, TWO_PI))
         return out if t_arr.ndim else float(out)
 
@@ -426,28 +436,37 @@ def build_F(H: HFunction) -> FKernel:
 @dataclass(frozen=True)
 class TrapezoidSystem:
     """The main equation on the nodes t_j = j h, h = pi/M: F(t_i, t_j) for
-    i, j = 1..M, the lower Cholesky factor of G = I + h F, P(t_k, t_k) for
-    k = 0..M from its pivots, the 1-norm condition number of G, and the step
-    in the H table per grid step."""
+    i, j = 1..M, the inverse W = L^(-1) of the lower Cholesky factor L of
+    G = I + h F, the rows P(t_k, t_j) for k, j = 0..M (lower triangular, zero
+    in row and column 0), P(t_k, t_k) for k = 0..M from the pivots, the
+    1-norm condition number of G, and the step in the H table per grid step."""
 
     h: float
     stride: int
     F: np.ndarray
-    factor: np.ndarray
+    inv_factor: np.ndarray
+    rows: np.ndarray
     diagonal: np.ndarray
     cond: float
 
 
 def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
-    """Assemble G = I + h F as Toeplitz minus Hankel from the H table and
-    factor it (LAPACK potrf).  Row k's matrix is the leading block G_k minus
-    (h/2) F[:, k] e_k^T, the half weight at its own end, and its right-hand
-    side -F[:, k]; by Sherman-Morrison its last entry is -z_k/(1 - h z_k/2)
-    with z_k = e_k^T G_k^(-1) F[:, k] = (1 - 1/l_k^2)/h, l_k the k-th pivot.
+    """Assemble G = I + h F as Toeplitz minus Hankel from the H table, factor
+    it (LAPACK potrf) and invert the factor (trtri): W = L^(-1).
+
+    Row k's matrix is the leading block G_k minus (h/2) F[:, k] e_k^T, the
+    half weight at its own end, and its right-hand side -F[:, k]; by
+    Sherman-Morrison its solution is -y/(1 - h y_k/2) with
+    y = G_k^(-1) F[:, k].  As F[:, k] = (G_k e_k - e_k)/h and
+    G_k^(-1) e_k = W[k, :k]^T / l_k, with l_k the k-th pivot and W's leading
+    block the inverse of L's, y = (e_k - W[k, :k]/l_k)/h: every row at once.
+    y_k = (1 - 1/l_k^2)/h, so the pivots alone give the diagonal; in the rows
+    it is taken as (F_kk - sum_{j<k} L_kj^2/h)/l_k^2, the same number without
+    the cancellation of 1 - 1/l_k^2, which costs eps/h.
     A positive info refuses the data: I + F_x is not positive at x = info h.
-    The 1-norm condition number comes from the inverse that potri forms
-    (pocon's estimate varies in its last bits with the alignment of its work
-    arrays, so reports of identical runs would differ)."""
+    The 1-norm condition number comes from G^(-1) = W^T W (lauum; trtri then
+    lauum is potri).  pocon's estimate varies in its last bits with the
+    alignment of its work arrays, so reports of identical runs would differ."""
     h = PI / M
     i = np.arange(1, M + 1) * stride
     F = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
@@ -460,18 +479,27 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
             f"data not positive: the Gelfand-Levitan operator I + F_x is not positive "
             f"definite at x={info * h:.4f} (leading minor {info} of the {M}-node trapezoid "
             f"matrix); some norming constant is not positive")
-    inv, info = dpotri(factor, lower=1)
-    _check_info("potri", info, PI)
+    W, info = dtrtri(factor, lower=1)
+    _check_info("trtri", info, PI)
+    inv, info = dlauum(W, lower=1)
+    _check_info("lauum", info, PI)
     inv = np.abs(np.tril(inv))
     cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
     if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
             f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
-    pivots = np.diagonal(factor)
+    pivots = np.diagonal(factor).copy()
     z = (1.0 - 1.0 / (pivots * pivots)) / h
     diagonal = np.concatenate([[0.0], -z / (1.0 - 0.5 * h * z)])
-    return TrapezoidSystem(h, stride, F, factor, diagonal, float(cond))
+    np.fill_diagonal(factor, 0.0)
+    y_k = (np.diagonal(F) - np.einsum("ij,ij->i", factor, factor) / h) / (pivots * pivots)
+    rows = np.zeros((M + 1, M + 1))
+    y = rows[1:, 1:]  # filled in place: -y/(1 - h y_k/2) is y/(h y_k/2 - 1)
+    np.divide(W, -h * pivots[:, None], out=y)
+    np.fill_diagonal(y, y_k)
+    y /= (0.5 * h * y_k - 1.0)[:, None]
+    return TrapezoidSystem(h, stride, F, W, rows, diagonal, float(cond))
 
 
 def _check_info(routine: str, info: int, x: float) -> None:
@@ -480,34 +508,34 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-def _row(g: TrapezoidSystem, k: int, slopes: np.ndarray | None = None):
-    """Row k of one grid: P(t_k, t_j) for j = 0..k, from the leading k x k
-    block of the factor, the residual of its own equation at t = t_k when
-    P(t_k, t_k) is read from the pivots, and P_x(t_k, t_j) or None.
+def _residuals(g: TrapezoidSystem, k):
+    """The residual of row k's own equation at t = t_k when P(t_k, t_k) is
+    read from the pivots, for one k >= 1 or an array of them: roundoff for
+    admissible data, so it checks the pivots against the rows."""
+    fkk = g.F[k - 1, k - 1]
+    dots = np.einsum("...j,...j->...", g.rows[k, 1:], g.F[k - 1])
+    return np.abs(g.diagonal[k] + fkk + g.h * (dots - 0.5 * g.rows[k, k] * fkk))
 
-    P_x needs the H' table ``slopes``; it solves the x-derivative of the row
-    equation, P_x + F_x(x, .) + P(x,x) F(x, .) + int P_x F = 0,
+
+def _slope_row(g: TrapezoidSystem, k: int, slopes: np.ndarray) -> np.ndarray:
+    """P_x(t_k, t_j) for j = 0..k on one grid, from the H' table ``slopes``.
+
+    It solves the x-derivative of the row equation,
+    P_x + F_x(x, .) + P(x,x) F(x, .) + int P_x F = 0,
     whose matrix is the row's own: P_x = w - (h/2) w_k P with
-    w = G_k^(-1) (right-hand side).  F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes
-    H'(0) from the right, the limit t -> x-.
+    w = G_k^(-1) r = W_k^T (W_k r), r the right-hand side.
+    F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes H'(0) from the right, the limit
+    t -> x-.
     """
-    h, f = g.h, g.F[:k, k - 1]
-    rhs = f[:, None]
-    if slopes is not None:
-        j = np.arange(1, k + 1) * g.stride
-        kk = k * g.stride
-        f_x = 0.5 * (slopes[kk - j] - slopes[kk + j])
-        rhs = np.column_stack([f, -(f_x + g.diagonal[k] * f)])
-    y, info = dpotrs(g.factor[:k, :k], rhs, lower=1)
-    _check_info("potrs", info, k * h)
-    p = np.zeros(k + 1)
-    p[1:] = -y[:, 0] / (1.0 - 0.5 * h * y[-1, 0])
-    residual = abs(g.diagonal[k] + f[-1] + h * (np.dot(p[1:], f) - 0.5 * p[-1] * f[-1]))
-    p_x = None
-    if slopes is not None:
-        p_x = np.zeros(k + 1)
-        p_x[1:] = y[:, 1] - 0.5 * h * y[-1, 1] * p[1:]
-    return p, residual, p_x
+    j = np.arange(1, k + 1) * g.stride
+    kk = k * g.stride
+    f = g.F[k - 1, :k]
+    r = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[k] * f)
+    W = g.inv_factor[:k, :k]
+    w = W.T @ (W @ r)
+    p_x = np.zeros(k + 1)
+    p_x[1:] = w - 0.5 * g.h * w[-1] * g.rows[k, 1:k + 1]
+    return p_x
 
 
 def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float) -> np.ndarray:
@@ -527,7 +555,7 @@ class KernelRow:
     ``nodes`` t_0..t_k, one Richardson step from the grids h and h/2;
     ``weights`` that integrate P(x, t) s(t) over [0, x] to the same order for
     any smooth s sampled at ``fine_nodes`` (the h/2 grid); and the larger
-    residual of the two grids' row equations at t = x (see :func:`_row`)."""
+    residual of the two grids' row equations at t = x (see :func:`_residuals`)."""
 
     x: float
     nodes: np.ndarray
@@ -538,28 +566,27 @@ class KernelRow:
 
 
 def solve_gl(field: KernelField, x: float) -> KernelRow:
-    """The full row P(x, .) at a node x > 0 of the field's grid: the
-    trapezoid row on the grids h and h/2 (see :func:`_row`), combined by one
-    Richardson step."""
+    """The full row P(x, .) at a node x > 0 of the field's grid: the rows of
+    the grids h and h/2 at x, combined by one Richardson step."""
     k = field.index(x)
     if k == 0:
         raise ConfigError(f"x={x} outside (0, pi]")
     coarse, fine = field.grids
-    (p_c, res_c, _), (p_f, res_f, _) = _row(coarse, k), _row(fine, 2 * k)
     return KernelRow(x=float(field.x_nodes[k]), nodes=field.x_nodes[:k + 1].copy(),
-                     values=(4.0 * p_f[::2] - p_c) / 3.0,
+                     values=(4.0 * fine.rows[2 * k, :2 * k + 1:2] - coarse.rows[k, :k + 1]) / 3.0,
                      fine_nodes=np.arange(2 * k + 1) * fine.h,
-                     weights=_richardson_weights(p_c, p_f, coarse.h),
-                     residual=max(res_c, res_f))
+                     weights=field.weights[k, :2 * k + 1].copy(),
+                     residual=float(max(_residuals(coarse, k), _residuals(fine, 2 * k))))
 
 
 class KernelField:
     """The transformation kernel P on a uniform x grid of [0, pi].
 
     Construction factors the trapezoid systems of the grids h = pi/M and h/2,
-    read from one H table on 4M + 1 nodes; the diagonal is their pivots'
-    P(x, x), combined by one Richardson step.  Rows are solved on demand at
-    grid nodes and cached."""
+    read from one H table on 4M + 1 nodes, and inverts their factors; the
+    diagonal is their pivots' P(x, x), combined by one Richardson step.
+    ``weights`` holds, in row k, the :func:`_richardson_weights` of the row
+    at t_k on the h/2 grid (zero past t_k)."""
 
     def __init__(self, F: FKernel, x_nodes: np.ndarray | None = None):
         self.F = F
@@ -579,7 +606,11 @@ class KernelField:
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
         self.condition_max = max(coarse.cond, fine.cond)
-        self._rows: dict[int, KernelRow] = {}
+        # _richardson_weights of every row at once; column 0 is zero, as P(x, 0) = 0
+        self.weights = (2.0 * coarse.h / 3.0) * fine.rows[::2]
+        self.weights[:, ::2] -= (coarse.h / 3.0) * coarse.rows
+        k = np.arange(M + 1)
+        self.weights[k, 2 * k] *= 0.5
 
     def index(self, x: float) -> int:
         """k with x = t_k; an x off the grid is refused."""
@@ -590,12 +621,7 @@ class KernelField:
         return k
 
     def row(self, x: float) -> KernelRow:
-        k = self.index(x)
-        row = self._rows.get(k)
-        if row is None:
-            row = solve_gl(self, x)
-            self._rows[k] = row
-        return row
+        return solve_gl(self, x)
 
     def diag(self, x: float) -> float:
         return float(self.diagonal[self.index(x)])
@@ -604,17 +630,16 @@ class KernelField:
         """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
         mu and grid node x, with s = sin(sqrt(mu) t)/sqrt(mu); phi(0, mu) = 0.
 
-        The one rebuild of the solutions from the kernel: a scalar x gives a
-        vector over mu, an array of x a (mu, x) matrix.
+        The one rebuild of the solutions from the kernel, one matrix product
+        with the rows of ``weights``: a scalar x gives a vector over mu, an
+        array of x a (mu, x) matrix.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ks = [self.index(xi) for xi in xs]
-        S = musin(mus[:, None], np.arange(2 * max(ks) + 1) * self.grids[1].h)
-        out = musin(mus[:, None], xs)
-        for i, k in enumerate(ks):
-            if k:
-                out[:, i] += S[:, :2 * k + 1] @ self.row(xs[i]).weights
+        ks = np.array([self.index(xi) for xi in xs])
+        n = 2 * int(ks.max()) + 1
+        S = musin(mus[:, None], np.arange(n) * self.grids[1].h)
+        out = musin(mus[:, None], xs) + S @ self.weights[ks, :n].T
         return out if np.ndim(x) else out[:, 0]
 
     def dphi(self, x: float, mus) -> np.ndarray:
@@ -622,8 +647,8 @@ class KernelField:
         each mu at a grid node x, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.
 
         P_x solves the x-derivative of the row equation on both grids (see
-        :func:`_row`), with H' from a table of its own, and one Richardson
-        step combines the two quadratures.
+        :func:`_slope_row`), with H' from a table of its own, and one
+        Richardson step combines the two quadratures.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         k = self.index(x)
@@ -631,8 +656,8 @@ class KernelField:
             return np.ones(mus.size)
         coarse, fine = self.grids
         slopes = self.F.H.table(4 * (self.x_nodes.size - 1), deriv=True)
-        p_x = [_row(g, kk, slopes)[2] for g, kk in ((coarse, k), (fine, 2 * k))]
-        weights = _richardson_weights(p_x[0], p_x[1], coarse.h)
+        weights = _richardson_weights(_slope_row(coarse, k, slopes),
+                                      _slope_row(fine, 2 * k, slopes), coarse.h)
         xk = self.x_nodes[k]
         return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
@@ -640,7 +665,7 @@ class KernelField:
 
 def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None) -> KernelField:
     """Factor the main equation on the x grid (default 129 uniform nodes),
-    which gives the whole kernel diagonal; rows follow on demand."""
+    which gives the whole kernel diagonal and every row."""
     return KernelField(F, x_nodes)
 
 
@@ -704,8 +729,8 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     """Post-hoc identities over the first 20 pairs of drift-free data:
     completeness defect of the rebuilt solutions for f(x)=x and f(x)=sin(x),
     their Gram matrix against the norming constants, and the largest
-    diagonal residual of the rows solved for them (roundoff for admissible
-    data: it checks the pivots against the solved rows).
+    diagonal residual over every row of both grids (roundoff for admissible
+    data: it checks the pivots against the rows).
 
     phi is rebuilt at every grid node.  Each integral splits as
     phi = s + (phi - s): the free solutions s carry the oscillation and
@@ -721,7 +746,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     s = musin(mus[:, None], x)
     xg, wg = gauss_rule(64, 0.0, PI)
     sg = musin(mus[:, None], xg)
-    diag_res = max(field.row(xi).residual for xi in x[1:])
+    diag_res = max(float(_residuals(g, np.arange(1, g.rows.shape[0])).max()) for g in field.grids)
 
     parseval = {}
     for name, f in (("x", np.asarray), ("sin", np.sin)):

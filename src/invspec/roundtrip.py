@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asymptotics import shift_spectrum
+from .asymptotics import delta_sequence, shift_spectrum
 from .core import (
     PI,
     BoundaryAngle,
@@ -66,15 +66,18 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
 
     The H series carries DEFAULT_N_TERMS explicit terms, or the data count
     when that is larger, so every pair is used: from 500 terms on, the
-    recovered q agrees to four digits whatever the count."""
-    report = validate(data, data.beta)
+    recovered q agrees to four digits whatever the count.  One delta
+    sequence serves validate and the H build."""
+    n_terms = max(DEFAULT_N_TERMS, data.count)
+    delta = delta_sequence(data.beta, max(n_terms, data.count + 2))
+    report = validate(data, data.beta, delta=delta)
     if report["hard_fail"] and not params.force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
     kappa = 0.0 if report["kappa"] is None else report["kappa"]
     shifted = shift_spectrum(data, c)
-    H = build_H(shifted, data.beta, max(DEFAULT_N_TERMS, data.count), kappa=kappa)
+    H = build_H(shifted, data.beta, n_terms, delta=delta, kappa=kappa)
     F = build_F(H)
     x_nodes = np.linspace(0.0, PI, params.x_nodes)
     field = solve_kernel_field(F, x_nodes)

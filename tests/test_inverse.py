@@ -366,21 +366,43 @@ def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
     assert field.condition_max == max(g.cond for g in field.grids)
 
 
-def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
-    # each grid's row from the leading block of the Cholesky factor is the
-    # dense solve of its trapezoid row system, and the field's row is their
-    # Richardson combination
+def test_condition_is_the_potri_value(fwd_cos_64):
+    # the inverse from trtri then lauum is potri's, so the condition number
+    # is the one potri's inverse of the same factor gives, bit for bit
+    from scipy.linalg.lapack import dpotrf, dpotri
     field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
-    for k in (16, 82, 128):
-        parts = []
-        for g, kk in zip(field.grids, (k, 2 * k)):
-            p = inverse._row(g, kk)[0]
-            expected = np.linalg.solve(_trapezoid_row_matrix(g, kk), -g.F[:kk, kk - 1])
-            assert p[0] == 0.0
-            assert np.max(np.abs(p[1:] - expected)) <= 1e-13 * np.max(np.abs(expected))
-            parts.append(p)
-        row = solve_gl(field, field.x_nodes[k])
-        assert np.array_equal(row.values, (4.0 * parts[1][::2] - parts[0]) / 3.0)
+    for g in field.grids:
+        G = g.h * g.F
+        G.flat[::G.shape[0] + 1] += 1.0
+        factor, info = dpotrf(G, lower=1, clean=1)
+        inv, info = dpotri(factor, lower=1)
+        inv = np.abs(np.tril(inv))
+        cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
+        assert g.cond == float(cond)
+
+
+def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
+    # every row of each grid's rows matrix is the dense solve of its own
+    # trapezoid row system, the field's row is the Richardson combination of
+    # the two grids' rows, and its weights are the field's row of weights
+    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    for g in field.grids:
+        M = g.F.shape[0]
+        assert not np.any(g.rows[0]) and not np.any(g.rows[:, 0])
+        assert not np.any(np.triu(g.rows, 1))
+        for k in range(1, M + 1):
+            expected = np.linalg.solve(_trapezoid_row_matrix(g, k), -g.F[:k, k - 1])
+            assert np.max(np.abs(g.rows[k, 1:k + 1] - expected)) <= 1e-13 * np.max(np.abs(expected))
+    coarse, fine = field.grids
+    for k in range(1, field.x_nodes.size):
+        p_c, p_f = coarse.rows[k, :k + 1], fine.rows[2 * k, :2 * k + 1]
+        assert np.array_equal(field.weights[k, :2 * k + 1],
+                              inverse._richardson_weights(p_c, p_f, coarse.h))
+        assert not np.any(field.weights[k, 2 * k + 1:])
+        if k in (16, 82, 128):
+            row = solve_gl(field, field.x_nodes[k])
+            assert np.array_equal(row.values, (4.0 * p_f[::2] - p_c) / 3.0)
+            assert np.array_equal(row.weights, field.weights[k, :2 * k + 1])
 
 
 def _nystrom_interpolant(row, F, t):
@@ -394,14 +416,12 @@ def _nystrom_interpolant(row, F, t):
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
 def test_row_diagonal_matches_extension(case, fwd_cos_64):
-    # P(x,x) from the pivots is the last entry of the row solved with the
-    # leading block of the same factor, on each grid
+    # P(x,x) from the pivots is the last entry of every row taken from the
+    # inverse of the same factor, on each grid
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
     field = solve_kernel_field(build_F(build_H(data, data.beta)))
     for g in field.grids:
-        M = g.F.shape[0]
-        for k in (M // 8, M // 2, M):
-            assert abs(inverse._row(g, k)[0][-1] - g.diagonal[k]) <= 1e-13
+        assert np.max(np.abs(np.diagonal(g.rows) - g.diagonal)) <= 1e-13
 
 
 def test_solved_row_holds_no_kernel_buffer():
@@ -453,9 +473,10 @@ def test_diagonal_consumers_add_no_H_call(monkeypatch):
     assert calls == []
 
 
-def test_pipeline_solves_one_row_per_node(monkeypatch):
-    # one row per x node > 0 of the 129-node grid: the consistency
-    # quadratures read every node, and recover_beta's x = pi row is one of them
+def test_pipeline_solves_no_row(monkeypatch):
+    # the field holds every row from its factors, and phi reads them as one
+    # matrix: the pipeline asks for no KernelRow, and each field.row goes
+    # through solve_gl once
     calls = []
     real = inverse.solve_gl
 
@@ -464,8 +485,45 @@ def test_pipeline_solves_one_row_per_node(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(inverse, "solve_gl", counting)
-    inverse_pipeline(example6_data(40))
-    assert len(calls) == 128 and len(set(calls)) == 128
+    field = inverse_pipeline(example6_data(40)).field
+    assert calls == []
+    for x in (PI / 2, PI, PI / 2):
+        field.row(x)
+    assert calls == [PI / 2, PI, PI / 2]
+
+
+def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
+    # validate and the H build share the pipeline's delta sequence, and the
+    # spline through the H table is built only when H is called at points
+    import invspec.asymptotics as asymptotics
+    import invspec.roundtrip as roundtrip
+    deltas, splines = [], []
+    real_delta, real_spline = asymptotics.delta_sequence, inverse.CubicSpline
+
+    def counting_delta(beta, n_max):
+        deltas.append(n_max)
+        return real_delta(beta, n_max)
+
+    def counting_spline(x, y, *args, **kwargs):
+        splines.append(np.size(x))
+        return real_spline(x, y, *args, **kwargs)
+
+    for module in (asymptotics, inverse, roundtrip):
+        monkeypatch.setattr(module, "delta_sequence", counting_delta)
+    monkeypatch.setattr(inverse, "CubicSpline", counting_spline)
+    data = example6_data(40)
+    result = inverse_pipeline(data)
+    assert deltas == [2000]
+    assert H_GRID_SIZE not in splines  # recover_q's spline has the 129 x nodes
+    H = result.field.F.H
+    H(1.0)
+    H(2.0)
+    assert splines.count(H_GRID_SIZE) == 1
+    # a sequence longer than validate needs gives validate's own report
+    deltas.clear()
+    long = real_delta(data.beta, 2000)
+    assert validate(data, data.beta, delta=long) == validate(data, data.beta)
+    assert deltas == [42]
 
 
 def test_non_finite_kernel_value_is_refused(monkeypatch):
@@ -485,21 +543,22 @@ def test_non_finite_kernel_value_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
 def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
-    # the one rebuild of phi, over every 8th grid node at once, against the
-    # per-node formula on each row
+    # the one rebuild of phi, over every grid node as one matrix product,
+    # against the per-node formula on each row: to roundoff, as a matrix
+    # product and a matrix-vector product sum in different orders; at a
+    # single node phi is that formula bit for bit
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
     field = solve_kernel_field(build_F(build_H(data, data.beta)))
     mus = data.mu[:20]
-    xs = field.x_nodes[::8]
+    xs = field.x_nodes
     batched = field.phi(xs, mus)
     assert batched.shape == (mus.size, xs.size)
-    for i, x in enumerate(xs):
-        ref = musin(mus, x)
-        if x > 0.0:
-            row = field.row(float(x))
-            ref = ref + musin(mus[:, None], row.fine_nodes) @ row.weights
+    assert not np.any(batched[:, 0])
+    for i, x in enumerate(xs[1:], 1):
+        row = field.row(float(x))
+        ref = musin(mus, x) + musin(mus[:, None], row.fine_nodes) @ row.weights
         assert np.max(np.abs(batched[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(field.phi(float(x), mus), batched[:, i])
+        assert np.array_equal(field.phi(float(x), mus), ref)
     if case == "example6":
         # recover_beta's x = pi column is the per-node formula bit for bit
         ks = data.mu[:8]  # the first min(8, max(5, count // 4)) eigenvalues

@@ -3,15 +3,16 @@ y(0) = 0 and y(pi)cos(beta) + y'(pi)sin(beta) = 0, and eigenfunctions on request
 
 phi(x, mu), with phi(0) = 0 and phi'(0) = 1, crosses each cell by one
 fourth-order Magnus step on the potential's interpolant; there are four cells
-per sample interval, with edges on the samples.  On a cell of width h, with
-q1, q2 the interpolant at its Gauss points and qbar their mean, the step is
+per sample interval (more at large N, see _Cells), edges on the samples.  On
+a cell of width h, with q1, q2 the interpolant at its Gauss points and qbar
+their mean, the step is
 exp(Omega), Omega = [[d, h], [h (qbar - mu), -d]], d = (sqrt(3)/12) h^2 (q1 - q2).
 As Omega^2 = s2 I, s2 = d^2 + h^2 (qbar - mu), exp(Omega) = C(s2) I + S(s2) Omega
 with C = cosh sqrt(s2) and S = sinh sqrt(s2) / sqrt(s2), continued through
-s2 <= 0.  Both, and dS/ds2 for the mu-derivative, are Taylor series in s2
-summed by Horner's rule: on 1024 cells |s2| stays below 3e-3 up to mu = 300,
-where degree 4 reaches roundoff, and a batch with larger |s2| is quartered
-and restored by double-angle identities.
+s2 <= 0.  Both are Taylor series in s2 summed by Horner's rule: on 1024
+cells |s2| stays below 3e-3 up to mu = 300, where degree 4 reaches roundoff,
+and a batch with larger |s2| is quartered and restored by double-angle
+identities.
 The error is fourth order in the cell width: on q = cos x, eigenvalues move by
 1.2e-10, 7.7e-12, 4.8e-13 and 2.9e-14 at 256, 512, 1024 and 2048 cells, the
 same for n < 16 as for n < 256.
@@ -19,11 +20,14 @@ same for n < 16 as for n < 256.
 A 2x2 matrix is held as its four entries (m00, m01, m10, m11), each an
 array with rows mu and columns cell, and products are written out entry by
 entry.  A balanced-tree product of the cell matrices, batched over mu and
-carrying d/dmu by the product rule, gives Omega(mu) = phi(pi) cos(beta) +
-phi'(pi) sin(beta) and Omega'(mu) for safeguarded Newton, and
+taken at mu + i eps (eps = COMPLEX_STEP; a complex step, exact to roundoff
+with no subtraction: Squire and Trapp, SIAM Review 40, 1998), gives in its
+real part and its imaginary part over eps Omega(mu) = phi(pi) cos(beta) +
+phi'(pi) sin(beta) and Omega'(mu) for safeguarded Newton, and, at every mu,
 a = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi), the integral of phi^2
-(W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0).  phi and phi' at
-every cell edge come from the same tree: its levels are kept (the up-sweep),
+(W = phi' phi_mu - phi phi_mu' has W' = phi^2, W(0) = 0): the Newton step
+that accepts a root gives its a_n.  phi and phi' at every cell edge come
+from the same tree in real arithmetic: its levels are kept (the up-sweep),
 and (phi, phi') at the start of each block is carried down to its two
 halves (the down-sweep), about one 2x2 product and one matrix-vector product
 per cell in all.  Their sign changes count the eigenvalues below mu, and one
@@ -56,19 +60,20 @@ from .core import (
 from .errors import ConfigError, NumericsError
 
 CELLS_PER_INTERVAL = 4
-# mu values x cells per batch: a Newton step at N <= 16 on 1024 cells is one
-# batch of 128 KiB entry arrays; 2^16 gained no time and raised peak RSS by 2.5 MiB
+# mu values x cells per batch, a complex entry counting two: 128 KiB entry arrays
+# (16 mu x 1024 cells real, 8 complex); 256 KiB complex arrays cost 1300 page
+# faults per forward solve (11.4 ms, not 6.8); 2^16 gained no time, +2.5 MiB RSS
 SWEEP_SIZE = 1 << 14
 NEWTON_TOL = 1e-12    # relative Newton step at which a root is accepted
+COMPLEX_STEP = 1e-20  # Im of mu in Newton's sweeps; 1e-150 made subnormal products 3x slower
 NEWTON_MAX = 100
 TRACE_NODES = 2049
 MAX_ABS_Q = 1e6
 _GAUSS = np.sqrt(3.0) / 6.0  # a cell's Gauss points sit at 1/2 -+ _GAUSS of its width
 SERIES_TOL = 1e-17    # first omitted term of the propagator series
-# Taylor coefficients in s2 of C, S and dS/ds2 (see _series); degree 9 reaches |s2| = 1
+# Taylor coefficients in s2 of C and S (see _series); degree 9 reaches |s2| = 1
 _C_COEF = np.array([1.0 / factorial(2 * k) for k in range(10)])
 _S_COEF = np.array([1.0 / factorial(2 * k + 1) for k in range(10)])
-_DS_COEF = np.array([(k + 1) / factorial(2 * k + 3) for k in range(10)])
 
 
 @dataclass(frozen=True)
@@ -135,17 +140,30 @@ class ForwardSolution:
 
 
 class _Cells:
-    """The interpolant of q - shift cut into cells, with each cell's Magnus data."""
+    """The interpolant of q - shift cut into cells, with each cell's Magnus data:
+    CELLS_PER_INTERVAL 2^j per sample interval, j the least with every cell's
+    phase step h sqrt(top(N)^2 - min qbar) <= pi/2, so below the bracket top
+    of the first N eigenvalues no cell holds two zeros of phi."""
 
-    def __init__(self, q: Potential, shift: float = 0.0):
+    def __init__(self, q: Potential, shift: float = 0.0, N: int = 0):
         if np.max(np.abs(q.values)) > MAX_ABS_Q:
             raise ConfigError("potential samples exceed 1e6; out of numerical reach")
         self.qf = interpolant(q)
         self.shift = shift
         knots = np.unique(np.clip(np.concatenate([[0.0], q.grid.nodes, [PI]]), 0.0, PI))
-        frac = np.arange(CELLS_PER_INTERVAL) / CELLS_PER_INTERVAL
-        self.edges = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(), PI)
-        self.steps = self.magnus(self.edges[:-1], self.edges[1:])
+        per = CELLS_PER_INTERVAL
+        while True:
+            frac = np.arange(per) / per
+            self.edges = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(), PI)
+            self.steps = self.magnus(self.edges[:-1], self.edges[1:])
+            h, qbar, _ = self.steps
+            if N < 1 or h.max() * np.sqrt(self.top(N) ** 2 - qbar.min()) <= 0.5 * PI:
+                break
+            per *= 2
+
+    def top(self, N: int) -> float:
+        """sqrt(N^2 + max(0, max qbar) + 1), above sqrt(mu) of eigenvalue N - 1 as delta_n < 1."""
+        return float(np.sqrt(N * N + max(0.0, self.steps[1].max()) + 1.0))
 
     def magnus(self, a: np.ndarray, b: np.ndarray):
         """(h, qbar, d) of the Magnus steps from a to b."""
@@ -154,39 +172,37 @@ class _Cells:
         return h, 0.5 * (q1 + q2) - self.shift, 0.5 * _GAUSS * h * h * (q1 - q2)
 
 
-def _series(s2: np.ndarray, deriv: bool = False):
-    """C = sum s2^k/(2k)!, S = sum s2^k/(2k+1)! and, with ``deriv``, dS/ds2
-    (else None): cosh and sinh(x)/x of x = sqrt(s2), cos and sin(x)/x of
-    x = sqrt(-s2).  Horner's rule at the least degree whose first omitted term
-    at max|s2| is below SERIES_TOL.  An entry with |s2| > 1 is quartered j
-    times, the least j with |s2| 4^-j <= 1, and C(4u) = 2 C(u)^2 - 1,
-    S(4u) = S(u) C(u), S'(4u) = (S'(u) C(u) + S(u)^2/2)/4 restore it, at a cost
-    of up to about 4^j ulp to that entry alone.  Non-finite entries stay
-    non-finite and are not quartered."""
-    m = float(np.max(np.abs(s2), initial=0.0))
-    if not np.isfinite(m):
-        m = float(np.max(np.abs(s2), initial=0.0, where=np.isfinite(s2)))
-    u, j_max = s2, 0
+def _series(s2: np.ndarray):
+    """C = sum s2^k/(2k)! and S = sum s2^k/(2k+1)!: cosh and sinh(x)/x of
+    x = sqrt(s2), cos and sin(x)/x of x = sqrt(-s2), for real or complex s2.
+    Horner's rule at the least degree whose first omitted term at max|s2| is
+    below SERIES_TOL.  An entry with |s2| > 1 is quartered j times, the least
+    j with |s2| 4^-j <= 1, and C(4u) = 2 C(u)^2 - 1, S(4u) = S(u) C(u) restore
+    it, at a cost of up to about 4^j ulp to that entry alone.  At s2 + i t,
+    Im S / t is dS/ds2 of the summed polynomial, one degree lower, so complex
+    s2 take one more.  Non-finite entries stay non-finite and are not quartered."""
+    r = np.abs(s2)
+    finite = np.isfinite(r)
+    m, u, j_max = float(np.max(r, initial=0.0, where=finite)), s2, 0
     if m > 1.0:
         j = np.zeros(s2.shape, dtype=np.int64)
-        big = np.isfinite(s2) & (np.abs(s2) > 1.0)
-        j[big] = np.ceil(0.5 * np.log2(np.abs(s2[big])))
-        u = np.ldexp(s2, -2 * j)
-        m = float(np.max(np.abs(u), initial=0.0, where=np.isfinite(u)))
+        big = finite & (r > 1.0)
+        j[big] = np.ceil(0.5 * np.log2(r[big]))
+        u = s2.copy()
+        u[big] *= np.ldexp(1.0, -2 * j[big])
+        m = float(np.max(np.abs(u), initial=0.0, where=finite))
         j_max = int(j.max())
     K, term = 1, m * m / 24.0
     while term >= SERIES_TOL:
         K += 1
         term *= m / ((2 * K + 1) * (2 * K + 2))
-    C, S = _horner(_C_COEF[:K + 1], u), _horner(_S_COEF[:K + 1], u)
-    dS = _horner(_DS_COEF[:K + 1], u) if deriv else None
+    K += np.iscomplexobj(s2)
     with np.errstate(over="ignore", invalid="ignore"):
+        C, S = _horner(_C_COEF[:K + 1], u), _horner(_S_COEF[:K + 1], u)
         for step in range(j_max):
             sel = j > step
-            if deriv:
-                dS = np.where(sel, 0.25 * (dS * C + 0.5 * S * S), dS)
             S, C = np.where(sel, S * C, S), np.where(sel, 2.0 * C * C - 1.0, C)
-    return C, S, dS
+    return C, S
 
 
 def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -199,22 +215,14 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagators(steps, mus: np.ndarray, deriv: bool = False):
+def _propagators(steps, mus: np.ndarray):
     """Entries (m00, m01, m10, m11) of exp(Omega), each with rows mu and
-    columns step, and with ``deriv`` their mu-derivatives (else None)."""
+    columns step; mu real, or complex for a complex step."""
     h, qbar, d = steps
     v = h * (qbar - mus[:, None])           # Omega[1, 0]
-    s2 = d * d + h * v
-    C, S, dS = _series(s2, deriv)
+    C, S = _series(d * d + h * v)
     Sd = S * d
-    M = (C + Sd, S * h, S * v, C - Sd)
-    if not deriv:
-        return M, None
-    # dC/ds2 = S/2, and ds2/dmu = -h^2
-    dC = -0.5 * h * h * S
-    dS *= -h * h
-    dSd = dS * d
-    return M, (dC + dSd, dS * h, dS * v - S * h, dC - dSd)
+    return C + Sd, S * h, S * v, C - Sd
 
 
 def _mul(b, a):
@@ -225,69 +233,45 @@ def _mul(b, a):
             b10 * a00 + b11 * a10, b10 * a01 + b11 * a11)
 
 
-def _levels(M, dM=None):
+def _levels(M):
     """The levels of the balanced-tree product M[:, -1] @ ... @ M[:, 0], from
     the cells up to the single product: an odd width is padded with the
     identity, then each column of the next level is the product of a pair of
-    adjacent columns.  With dM, each level carries its mu-derivative by the
-    product rule (else None)."""
+    adjacent columns."""
     while True:
-        if M[0].shape[1] % 2 and M[0].shape[1] > 1:  # the identity's derivative is zero
-            M = _pad(M, (1.0, 0.0, 0.0, 1.0))
-            dM = None if dM is None else _pad(dM, (0.0, 0.0, 0.0, 0.0))
-        yield M, dM
+        if M[0].shape[1] % 2 and M[0].shape[1] > 1:
+            M = tuple(np.concatenate([m, np.full((m.shape[0], 1), e)], axis=1)
+                      for m, e in zip(M, (1.0, 0.0, 0.0, 1.0)))
+        yield M
         if M[0].shape[1] == 1:
             return
-        early, late = [m[:, 0::2] for m in M], [m[:, 1::2] for m in M]
-        if dM is not None:
-            dM = tuple(x + y for x, y in zip(_mul([m[:, 1::2] for m in dM], early),
-                                             _mul(late, [m[:, 0::2] for m in dM])))
-        M = _mul(late, early)
-
-
-def _tree(M, dM):
-    """Entries of M[:, -1] @ ... @ M[:, 0], and of its mu-derivative when dM is given."""
-    for M, dM in _levels(M, dM):
-        pass
-    return tuple(m[:, 0] for m in M), None if dM is None else tuple(m[:, 0] for m in dM)
-
-
-def _pad(M, entries):
-    """One more column per entry array, holding the given matrix."""
-    return tuple(np.concatenate([m, np.full((m.shape[0], 1), e)], axis=1) for m, e in zip(M, entries))
+        M = _mul([m[:, 1::2] for m in M], [m[:, 0::2] for m in M])
 
 
 def _chunks(count: int, width: int):
     """Slices of ``count`` mu values, each batch holding at most SWEEP_SIZE
-    mu values x ``width`` cells."""
+    mu values x ``width`` entries per row."""
     step = max(1, SWEEP_SIZE // width)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
-def _sweep(cells: _Cells, mus: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """Rows phi(pi), phi'(pi), and with ``deriv`` phi_mu(pi), phi_mu'(pi):
-    the second column of the product of all cell matrices and of its mu-derivative."""
-    out = np.empty((4 if deriv else 2, mus.size))
-    for sl in _chunks(mus.size, cells.steps[0].size):
-        E, dE = _tree(*_propagators(cells.steps, mus[sl], deriv))
-        out[:2, sl] = E[1], E[3]
-        if deriv:
-            out[2:, sl] = dE[1], dE[3]
-    return out
-
-
-def _omega(cells: _Cells, beta: BoundaryAngle, mus, deriv: bool = False):
-    """Omega(mu), and with ``deriv`` the pair (Omega, Omega')."""
-    y = _sweep(cells, np.atleast_1d(np.asarray(mus, dtype=float)), deriv)
-    w = np.array([np.cos(beta.beta), np.sin(beta.beta)])
-    return (w @ y[:2], w @ y[2:]) if deriv else w @ y
+def _sweep(cells: _Cells, mus: np.ndarray) -> np.ndarray:
+    """Rows phi(pi), phi'(pi), phi_mu(pi) and phi_mu'(pi): the second column
+    of the product of all cell matrices at mu + i COMPLEX_STEP, its real part
+    and its imaginary part over COMPLEX_STEP."""
+    out = np.empty((2, mus.size), dtype=complex)
+    for sl in _chunks(mus.size, 2 * cells.steps[0].size):  # complex entries take twice the bytes
+        for E in _levels(_propagators(cells.steps, mus[sl] + 1j * COMPLEX_STEP)):
+            pass
+        out[:, sl] = E[1][:, 0], E[3][:, 0]
+    return np.concatenate([out.real, out.imag / COMPLEX_STEP])
 
 
 def _edge_values(cells: _Cells, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi and phi' at every cell edge, rows mu.  The up-sweep is _levels; the
     down-sweep carries (phi, phi') at the start of each block to its halves:
     the first starts where its parent does, the second after the first's product."""
-    levels = [L for L, _ in _levels(_propagators(cells.steps, mus)[0])]
+    levels = list(_levels(_propagators(cells.steps, mus)))
     top = levels.pop()
     y0, y1 = np.zeros((mus.size, 1)), np.ones((mus.size, 1))
     for L in reversed(levels):
@@ -312,7 +296,7 @@ def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
     out = np.empty((2, mus.size, x.size))
     for sl in _chunks(mus.size, max(n, x.size)):
         y0, y1 = (e[:, k] for e in _edge_values(cells, mus[sl]))
-        p00, p01, p10, p11 = _propagators(partial, mus[sl])[0]
+        p00, p01, p10, p11 = _propagators(partial, mus[sl])
         out[0, sl] = p00 * y0 + p01 * y1
         out[1, sl] = p10 * y0 + p11 * y1
     return out[0], out[1]
@@ -320,7 +304,9 @@ def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
 
 def characteristic(q: Potential, beta: BoundaryAngle | float, mu) -> np.ndarray:
     """Omega(mu) = phi(pi)cos(beta) + phi'(pi)sin(beta); zeros are eigenvalues."""
-    out = _omega(_Cells(q), as_angle(beta), mu)
+    beta = as_angle(beta)
+    y = _sweep(_Cells(q), np.atleast_1d(np.asarray(mu, dtype=float)))
+    out = np.array([np.cos(beta.beta), np.sin(beta.beta)]) @ y[:2]
     return out if np.ndim(mu) else float(out[0])
 
 
@@ -346,27 +332,27 @@ def _count(cells: _Cells, beta: BoundaryAngle, mus: np.ndarray) -> tuple[np.ndar
     return counts, omega
 
 
-def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int) -> np.ndarray:
-    """First N eigenvalues, strictly increasing.
+def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int, *, norming: bool = False):
+    """First N eigenvalues, strictly increasing; with ``norming``, the pair (mus, a).
 
     The roots are found for q - mean(q), then moved back by mean(q): a
     constant shift of q moves every eigenvalue by the same amount, and the
     Magnus step sees only qbar - mu.  In s = sign(mu) sqrt|mu| every root
     lies between -sqrt(max(0, -cot(beta))^2 + max(0, -min qbar) + 1), below
-    the q = 0 ground state moved down by comparison, and
-    sqrt(N^2 + max(0, max qbar) + 1), as delta_n < 1.  _count on half steps
-    of s between the two, with any step that holds more than one root halved
-    until none does, brackets each root by its index; Newton refines it
-    inside its bracket.  Error messages give mu for q itself.
+    the q = 0 ground state moved down by comparison, and _Cells.top(N).
+    _count on half steps of s between the two, with any step that holds more
+    than one root halved until none does, brackets each root by its index;
+    Newton refines it inside its bracket, and a_n comes from the sweep that
+    accepts root n.  Error messages give mu for q itself.
     """
     beta = as_angle(beta)
     shift = q.mean
-    cells = _Cells(q, shift)
+    cells = _Cells(q, shift, N)
     if N < 1:
         raise ConfigError("N must be at least 1")
     qbar = cells.steps[1]
     s_lo = -np.sqrt(max(0.0, -qbar.min()) + max(0.0, -1.0 / np.tan(beta.beta)) ** 2 + 1.0)
-    s_hi = np.sqrt(N * N + max(0.0, qbar.max()) + 1.0)
+    s_hi = cells.top(N)
     s = np.linspace(s_lo, s_hi, int(np.ceil(2.0 * (s_hi - s_lo))) + 1)
     counts, omega = _count(cells, beta, s * np.abs(s))
     if counts[0] != 0 or counts[-1] < N:
@@ -391,49 +377,52 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int) -> np.ndarray
     i = np.flatnonzero(np.diff(counts) == 1)[:N]
     mu = s * np.abs(s)
     lo, hi = mu[i], mu[i + 1]
-    mus = _newton(cells, beta, lo, hi, omega[i], omega[i + 1])
+    mus, rows = _newton(cells, beta, lo, hi, omega[i], omega[i + 1])
     tol = NEWTON_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     out = np.flatnonzero((mus < lo - tol) | (mus > hi + tol))
     if out.size:
         n = out[0]
         raise NumericsError(f"eigenvalue {n}: Newton left its bracket: mu={mus[n] + shift:.12g} "
                             f"outside [{lo[n] + shift:.12g}, {hi[n] + shift:.12g}]")
-    return mus + shift
+    mus = mus + shift
+    return (mus, _norming(rows, mus)) if norming else mus
 
 
 def _newton(cells: _Cells, beta: BoundaryAngle, lo: np.ndarray, hi: np.ndarray,
-            f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+            f_lo: np.ndarray, f_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root of Omega in each bracket [lo, hi], with Omega(lo) = f_lo and
     Omega(hi) = f_hi of opposite signs: Newton from the secant point,
     bisecting whenever a step would leave the bracket, which every
     evaluation shrinks.  Each step sweeps only the brackets still open;
-    ``idx`` maps them back to the caller's order."""
+    ``idx`` maps them back to the caller's order.  Also returns the _sweep
+    rows of the step that accepted each root."""
+    w = np.array([np.cos(beta.beta), np.sin(beta.beta)])
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    roots = np.empty_like(x)
+    roots, rows = np.empty_like(x), np.empty((4, x.size))
     idx = np.arange(x.size)
     for _ in range(NEWTON_MAX):
-        f, df = _omega(cells, beta, x, deriv=True)
+        y = _sweep(cells, x)
+        f, df = w @ y[:2], w @ y[2:]
         left = np.sign(f) == np.sign(f_lo)
         lo, f_lo, hi = np.where(left, x, lo), np.where(left, f, f_lo), np.where(left, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             new = x - f / df
         small = np.abs(new - x) <= NEWTON_TOL * np.maximum(1.0, np.abs(x))
         x = np.where(small | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
-        roots[idx[small]] = x[small]
+        roots[idx[small]], rows[:, idx[small]] = x[small], y[:, small]
         if small.all():
-            return roots
+            return roots, rows
         idx, x, lo, hi, f_lo = (a[~small] for a in (idx, x, lo, hi, f_lo))
     shift = cells.shift
     raise NumericsError(f"eigenvalue {idx[0]}: Newton did not converge in {NEWTON_MAX} steps; "
                         f"mu={x[0] + shift:.12g} in bracket [{lo[0] + shift:.12g}, {hi[0] + shift:.12g}]")
 
 
-def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
-    """Norming constants a_n of the given eigenvalues, by the Wronskian
-    identity of the module docstring."""
-    mus = np.asarray(mus, dtype=float)
+def _norming(y: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """a_n = phi'(pi) phi_mu(pi) - phi(pi) phi_mu'(pi) from the _sweep rows y at
+    or near mu_n (the identity holds at every mu); mus, for messages, are q's."""
+    phi_pi, dphi_pi, phi_mu, dphi_mu = y
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a_n is refused below
-        phi_pi, dphi_pi, phi_mu, dphi_mu = _sweep(_Cells(q), mus, deriv=True)
         a = dphi_pi * phi_mu - phi_pi * dphi_mu
     bad = np.flatnonzero(np.abs(phi_pi) < 1e-12 * np.maximum(1.0, np.abs(dphi_pi)))
     if bad.size:
@@ -446,12 +435,19 @@ def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
     return a
 
 
+def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
+    """Norming constants a_n of the given eigenvalues, from one complex-step sweep."""
+    mus = np.asarray(mus, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a_n is refused by _norming
+        y = _sweep(_Cells(q), mus)
+    return _norming(y, mus)
+
+
 def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardSolution:
     """The first N eigenvalues and their norming constants."""
     beta = as_angle(beta)
-    mus = eigenvalues(q, beta, N)
-    return ForwardSolution(beta, q, [EigenRecord(float(m), float(a))
-                                     for m, a in zip(mus, norming_constants(q, mus))])
+    mus, a = eigenvalues(q, beta, N, norming=True)
+    return ForwardSolution(beta, q, [EigenRecord(float(m), float(x)) for m, x in zip(mus, a)])
 
 
 def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction:

@@ -290,6 +290,20 @@ def test_eigenvalue_index_by_oscillation(f, beta):
     assert [t.interior_zero_count() for t in sol.traces] == list(range(N))
 
 
+def test_cells_follow_N(q_cos):
+    # 1024 cells for every N below about 500; from N = 1030 on, a cell of 1024
+    # could hold two zeros and the edge count would come up short, and 4096
+    # cells keep h sqrt(mu - qbar) <= pi/2 up to the bracket top
+    assert forward._Cells(q_cos, q_cos.mean, 16).steps[0].size == 1024
+    assert forward._Cells(q_cos, q_cos.mean, 1100).steps[0].size == 4096
+    N = 1100
+    mus = eigenvalues(q_cos, PI / 3, N)
+    assert mus.size == N and np.all(np.diff(mus) > 0.0)
+    # q has mean zero: mu_n - mu_n^0 is O(1/n^2), about 0.06/n^2 here
+    n = np.arange(100, N)
+    assert np.max(n * n * np.abs(mus[n] - unperturbed_spectrum(PI / 3, N).mu[n])) < 0.1
+
+
 @pytest.mark.parametrize("beta", [PI / 3, PI / 2, 2 * PI / 3, PI - 0.05], ids=["pi/3", "pi/2", "2pi/3", "pi-0.05"])
 def test_count_matches_free_spectrum(q_zero, beta):
     mu0 = unperturbed_spectrum(beta, 40).mu
@@ -306,7 +320,8 @@ def test_sweep_derivative_matches_central_difference(q_cos, mu):
     # along [0, pi] and some cells have |mu - qbar| < 1e-2; 2500 is far above q
     cells = forward._Cells(q_cos)
     beta = as_angle(PI / 3)
-    _, d_omega = forward._omega(cells, beta, [mu], deriv=True)
+    y = forward._sweep(cells, np.array([mu]))
+    d_omega = np.array([np.cos(beta.beta), np.sin(beta.beta)]) @ y[2:]
     eps = 1e-4 * np.sqrt(max(1.0, abs(mu)))
     fd = (characteristic(q_cos, beta, mu + eps) - characteristic(q_cos, beta, mu - eps)) / (2 * eps)
     assert d_omega[0] == pytest.approx(fd, rel=1e-7)
@@ -327,19 +342,21 @@ def test_cell_products_match_sequential_matmul(cell_sets, mu):
         return np.max(np.abs(got - ref) / scale) < 1e-13
 
     mus = np.array([mu])
+    eps = forward.COMPLEX_STEP
     for cells in cell_sets:
-        M, dM = (as_stack(e) for e in forward._propagators(cells.steps, mus, deriv=True))
-        P, dP = sequential_products(M, dM)
-        E, dE = forward._tree(*forward._propagators(cells.steps, mus, deriv=True))
-        assert close(as_stack(E)[:, None], P[:, -1:]) and close(as_stack(dE)[:, None], dP[:, -1:])
-        sweep = forward._sweep(cells, mus, deriv=True)
+        M = as_stack(forward._propagators(cells.steps, mus))
+        P, dP = sequential_products(M, as_stack(propagator_derivatives(cells.steps, mus)))
+        *_, E = forward._levels(forward._propagators(cells.steps, mus + 1j * eps))
+        E = as_stack(E)[:, None]
+        assert close(E.real, P[:, -1:]) and close(E.imag / eps, dP[:, -1:])
+        sweep = forward._sweep(cells, mus)
         assert close(sweep[:2, 0], P[0, -1, :, 1]) and close(sweep[2:, 0], dP[0, -1, :, 1])
         phi, dphi = forward._edge_values(cells, mus)
         assert close(np.stack([phi, dphi], axis=-1), P[:, :, :, 1])
 
         x = np.array([0.0, 0.5 * (cells.edges[200] + cells.edges[201]), PI])
         k = np.array([0, 200, len(cells.edges) - 2])
-        partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus)[0])
+        partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus))
         ref = (partial @ P[:, k, :, 1:])[..., 0]
         assert close(np.stack(forward._solution(cells, mus, x), axis=-1), ref)
 
@@ -373,16 +390,31 @@ def series_reference(s2):
     return C, S, dS
 
 
+def series_with_derivative(s2):
+    """C and S from _series at s2, and dS/ds2 by the complex step, Im S(s2 + i eps)/eps."""
+    eps = forward.COMPLEX_STEP
+    C, S = forward._series(s2)
+    return C, S, forward._series(s2 + 1j * eps)[1].imag / eps
+
+
+def propagator_derivatives(steps, mus):
+    """mu-derivatives of the entries of _propagators, from the closed forms of
+    series_reference: dC/ds2 = S/2, ds2/dmu = -h^2 and dv/dmu = -h."""
+    h, qbar, d = steps
+    v = h * (qbar - mus[:, None])
+    C, S, dS = series_reference(d * d + h * v)
+    dC, dS = -0.5 * h * h * S, -h * h * dS
+    return dC + dS * d, dS * h, dS * v - S * h, dC - dS * d
+
+
 def test_series_matches_closed_forms():
     # each value alone, at its own degree and number of quarterings; s2 = 1e4
     # is quartered 7 times
     s2 = np.array([0.0, 1e-12, -1e-12, 1e-4, -1e-4, 0.3, -0.3, 1.0, -1.0, 5.0, -5.0, 30.0, -30.0, 1e4, -1e4])
     bound = np.where(np.abs(s2) <= 30.0, 1e-14, 1e-13)
-    got = [np.concatenate(g) for g in zip(*(forward._series(s2[i:i + 1], deriv=True) for i in range(s2.size)))]
+    got = [np.concatenate(g) for g in zip(*(series_with_derivative(s2[i:i + 1]) for i in range(s2.size)))]
     for g, r in zip(got, series_reference(s2)):
         assert np.all(np.abs(g - r) <= bound * np.abs(r))
-    full, (C, S, dS) = forward._series(s2, deriv=True), forward._series(s2)
-    assert dS is None and np.array_equal(C, full[0]) and np.array_equal(S, full[1])
 
 
 def test_series_quarters_each_entry_on_its_own():
@@ -391,7 +423,7 @@ def test_series_quarters_each_entry_on_its_own():
     # 1.2e-12 relative
     s2 = np.array([0.0, 1e-12, -1e-12, 1e-4, -1e-4, 0.3, -0.3, 1.0, -1.0, 5.0, -5.0, 30.0, -30.0, 1e4, -1e4])
     small = np.abs(s2) <= 30.0
-    for g, r in zip(forward._series(s2, deriv=True), series_reference(s2)):
+    for g, r in zip(series_with_derivative(s2), series_reference(s2)):
         assert np.all(np.abs(g - r)[small] <= 1e-14 * np.abs(r)[small])
 
 
@@ -401,8 +433,8 @@ def test_series_non_finite_input(bad):
     # a non-finite s2 comes back non-finite, and the finite entries beside it
     # keep their values; _count refuses the non-finite Omega it leads to
     s2 = np.array([0.3, bad, -30.0])
-    got = forward._series(s2, deriv=True)
-    for g, r in zip(got, forward._series(s2[[0, 2]], deriv=True)):
+    got = series_with_derivative(s2)
+    for g, r in zip(got, series_with_derivative(s2[[0, 2]])):
         assert not np.isfinite(g[1]) and np.array_equal(g[[0, 2]], r)
 
 
@@ -422,7 +454,7 @@ def test_forward_errors_name_their_cause(q_zero, monkeypatch):
         # index 1, around 9/4
         lo, hi = np.array([0.24, 1.5, 6.0]), np.array([0.26, 3.5, 6.5])
         cells = forward._Cells(q_zero)
-        f_lo = np.sign(forward._omega(cells, beta, lo))
+        f_lo = np.sign(characteristic(q_zero, beta, lo))
         with pytest.raises(NumericsError, match=newton) as err:
             forward._newton(cells, beta, lo, hi, f_lo, -f_lo)
         i, mu, lo, hi = (float(g) for g in re.search(newton, str(err.value)).groups())
@@ -431,7 +463,7 @@ def test_forward_errors_name_their_cause(q_zero, monkeypatch):
     # that the Sturm count gives eigenvalue n
     bracket = r"eigenvalue 0: Newton left its bracket: mu={} outside \[(\S+), (\S+)\]"
     with monkeypatch.context() as m:
-        m.setattr(forward, "_newton", lambda cells, beta, lo, *rest: (np.arange(lo.size) + 1.5) ** 2)
+        m.setattr(forward, "_newton", lambda cells, beta, lo, *rest: ((np.arange(lo.size) + 1.5) ** 2, None))
         for c, mu in ((0.0, "2.25"), (30.0, "32.25")):  # q = 30 is solved as q = 0
             with pytest.raises(NumericsError, match=bracket.format(mu)) as err:
                 eigenvalues(sample_potential(lambda x: np.full_like(x, c)), beta, 4)
@@ -497,6 +529,38 @@ def test_overflow_near_pi_is_a_numerics_error(q_cos):
         norming_constants(q_cos, mus)
     assert float(re.search(norming, str(err.value)).group(1)) == pytest.approx(-1.0 / np.tan(beta) ** 2,
                                                                               rel=1e-3)
+
+
+@pytest.mark.parametrize("beta", [0.05, PI / 3, 2 * PI / 3, PI - 0.05], ids=["0.05", "pi/3", "2pi/3", "pi-0.05"])
+@pytest.mark.parametrize("f", [np.cos, lambda x: np.full_like(x, -2.0), lambda x: np.where(x < PI / 2, 0.0, 2.0)],
+                         ids=["cos", "const", "step"])
+def test_fused_norming_matches_norming_constants(f, beta):
+    # forward_solve reads a_n from the Newton sweep that accepts mu_n, one
+    # step before the root, on the cells of q - mean(q)
+    q = sample_potential(f)
+    sol = forward.forward_solve(q, beta, 16)
+    mus = np.array([r.mu for r in sol.records])
+    a = np.array([r.a for r in sol.records])
+    ref = norming_constants(q, mus)
+    assert np.max(np.abs(a - ref) / ref) < 1e-11
+
+
+def test_forward_solve_builds_one_set_of_cells(q_cos, monkeypatch):
+    # one set of cells, and no sweep after the last Newton step
+    built, real_cells = [], forward._Cells
+    monkeypatch.setattr(forward, "_Cells", lambda *args: built.append(args) or real_cells(*args))
+    monkeypatch.setattr(forward, "norming_constants", None)
+    assert len(forward.forward_solve(q_cos, PI / 3, 16).records) == 16
+    assert len(built) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forward_solve_refuses_overflowing_norming_constant(q_cos):
+    # at pi - 5e-3 the eigenvalues are found, but a_0 overflows
+    beta = PI - 5e-3
+    with pytest.raises(NumericsError, match=r"eigenvalue 0: the norming constant overflows double precision; "
+                                            r"mu=(\S+)$"):
+        forward.forward_solve(q_cos, beta, 16)
 
 
 # --- ForwardSolution ---------------------------------------------------------------

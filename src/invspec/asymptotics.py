@@ -194,12 +194,9 @@ def unperturbed_spectrum(beta: BoundaryAngle | float, N: int, delta: DeltaSequen
     lam0, lam1 = delta.low_modes
     mu = np.empty(N)
     mu[0] = lam0 * abs(lam0)
-    if N > 1:
-        mu[1] = lam1 * abs(lam1)
-    if N > 2:
-        ns = np.arange(2, N)
-        om = delta.omega(ns)
-        mu[2:] = om * om
+    mu[1] = lam1 * abs(lam1)
+    om = delta.omega(np.arange(2, N))
+    mu[2:] = om * om
     return SpectralData(beta=beta.beta, mu=mu, norming=unperturbed_norming(mu), c_fit=0.0)
 
 

@@ -5,9 +5,9 @@ Subcommands: ``forward`` (potential CSV -> spectral JSON), ``inverse``
 ``example6`` (bundled closed-form oracle) and ``validate``.  Exit codes:
 0 success, 1 numerical failure, 2 admissibility hard-fail (unless
 ``--force``) or data whose Gelfand-Levitan operator is not positive (also
-under ``--force``), 64 usage errors (including a missing input file, an option
-the subcommand does not take, fewer than five ``--x-nodes`` and a ``--trim``
-window holding no x node).  Each subcommand takes only the options its
+under ``--force``), 64 usage errors (including a missing input file, a
+malformed potential CSV or spectral JSON, an option the subcommand does not
+take, fewer than five ``--x-nodes`` and a ``--trim`` window holding no x node).  Each subcommand takes only the options its
 handler reads; the kernel series length is derived from the data count.
 Identical configurations produce bit-identical outputs, and every JSON
 artifact embeds its resolved configuration, with null for the options its
@@ -26,6 +26,7 @@ from .core import (
     PI,
     SpectralData,
     as_angle,
+    interpolant,
     read_potential_csv,
     write_grid_function_csv,
 )
@@ -36,6 +37,9 @@ from .errors import (
     DomainError,
     NumericsError,
 )
+from .forward import forward_solve
+from .inverse import validate
+from .roundtrip import InverseParams, example6_oracle, inverse_pipeline, roundtrip
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -136,13 +140,11 @@ def _write_json(path: Path, doc: dict, cfg: Config) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _inverse_params(cfg: Config):
-    from .roundtrip import InverseParams
+def _inverse_params(cfg: Config) -> InverseParams:
     return InverseParams(x_nodes=cfg.x_nodes, force=cfg.force)
 
 
 def _cmd_forward(cfg: Config) -> int:
-    from .forward import forward_solve
     q = read_potential_csv(cfg.input_path)
     beta = as_angle(cfg.beta)
     _log(cfg, "forward-start", n_eigen=cfg.n_eigen, beta=beta.beta)
@@ -159,7 +161,6 @@ def _cmd_forward(cfg: Config) -> int:
 
 
 def _cmd_validate(cfg: Config) -> int:
-    from .inverse import validate
     data = SpectralData.from_json(Path(cfg.input_path).read_text())
     report = validate(data, data.beta)
     for ch in report["checks"]:
@@ -173,7 +174,6 @@ def _cmd_validate(cfg: Config) -> int:
 
 
 def _cmd_inverse(cfg: Config) -> int:
-    from .roundtrip import inverse_pipeline
     data = SpectralData.from_json(Path(cfg.input_path).read_text())
     _log(cfg, "inverse-start", count=data.count, beta=data.beta)
     t0 = time.time()
@@ -202,7 +202,6 @@ def _cmd_inverse(cfg: Config) -> int:
 
 
 def _cmd_roundtrip(cfg: Config) -> int:
-    from .roundtrip import roundtrip
     q = read_potential_csv(cfg.input_path)
     beta = as_angle(cfg.beta)
     _log(cfg, "roundtrip-start", n_eigen=cfg.n_eigen)
@@ -210,7 +209,6 @@ def _cmd_roundtrip(cfg: Config) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "roundtrip.json", report.to_dict(), cfg)
-    from .core import interpolant
     xs = inv.field.x_nodes
     q_true = interpolant(q)(xs)
     with open(out / "compare.csv", "w") as fh:
@@ -223,7 +221,6 @@ def _cmd_roundtrip(cfg: Config) -> int:
 
 
 def _cmd_example6(cfg: Config) -> int:
-    from .roundtrip import example6_oracle
     report = example6_oracle(_inverse_params(cfg))
     for ch in report["checks"]:
         mark = "PASS" if ch["pass"] else "FAIL"

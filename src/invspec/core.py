@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BarycentricInterpolator, CubicSpline
+from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 
@@ -43,7 +43,6 @@ class Grid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    rule_kind: RuleKind
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(self.nodes))
@@ -53,40 +52,24 @@ class Grid:
     def n(self) -> int:
         return self.nodes.size
 
-    def validate(self) -> None:
-        x, w = self.nodes, self.weights
-        if x.size != w.size:
-            raise ConfigError("grid nodes and weights differ in length")
-        if not np.all(np.diff(x) > 0):
-            raise ConfigError("grid nodes must be strictly increasing")
-        if x[0] < -1e-12 or x[-1] > PI + 1e-12:
-            raise ConfigError("grid nodes must lie in [0, pi]")
-        if not np.all(w > 0):
-            raise ConfigError("grid weights must be positive")
-        if abs(float(w.sum()) - PI) > 1e-12 * PI:
-            raise ConfigError("grid weights must sum to pi")
 
-
-def make_grid(n_nodes: int, rule_kind: RuleKind | str = RuleKind.GAUSS) -> Grid:
+def make_grid(n_nodes: int, rule: RuleKind | str = RuleKind.GAUSS) -> Grid:
     """Build a quadrature grid covering [0, pi].
 
     Parameters
     ----------
     n_nodes : int
         Number of nodes, at least 8.
-    rule_kind : RuleKind or str
+    rule : RuleKind or str
         One of ``uniform-trapezoid``, ``gauss-legendre``.
     """
-    rule_kind = RuleKind(rule_kind)
+    rule = RuleKind(rule)
     if n_nodes < MIN_GRID_NODES:
         raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
-    if rule_kind is RuleKind.GAUSS:
+    if rule is RuleKind.GAUSS:
         xi, wi = _reference_gauss(n_nodes)
-        grid = Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0), rule_kind)
-    else:
-        grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
-    grid.validate()
-    return grid
+        return Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0))
+    return trapezoid_grid(np.linspace(0.0, PI, n_nodes))
 
 
 def trapezoid_grid(nodes) -> Grid:
@@ -99,7 +82,7 @@ def trapezoid_grid(nodes) -> Grid:
     step = (nodes[-1] - nodes[0]) / (nodes.size - 1)
     weights = np.full(nodes.size, step)
     weights[0] = weights[-1] = step / 2.0
-    return Grid(nodes, weights, RuleKind.TRAPEZOID)
+    return Grid(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -170,11 +153,8 @@ def integrate(f: GridFunction) -> float:
 
 
 def interpolant(f: GridFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable interpolant: piecewise cubic on uniform grids, barycentric on
-    Gauss grids (whose global polynomial interpolation is stable)."""
-    if f.grid.rule_kind is RuleKind.GAUSS:
-        bary = BarycentricInterpolator(f.grid.nodes, f.values)
-        return lambda x: bary(x)
+    """Callable interpolant: the cubic spline through the samples (every
+    function interpolated here lives on a uniform trapezoid grid)."""
     spline = CubicSpline(f.grid.nodes, f.values)
     return lambda x: spline(x)
 
@@ -278,6 +258,9 @@ class SpectralData:
     def __post_init__(self):
         object.__setattr__(self, "mu", _frozen(self.mu))
         object.__setattr__(self, "norming", _frozen(self.norming))
+        for name, arr in (("mu", self.mu), ("norming", self.norming)):
+            if arr.ndim != 1:
+                raise ConfigError(f"{name} must be a 1-D array, got shape {arr.shape}")
         if self.mu.size != self.norming.size:
             raise ConfigError(f"mu and norming must have equal length, got {self.mu.size} "
                               f"and {self.norming.size}")
@@ -306,17 +289,33 @@ class SpectralData:
 
     @staticmethod
     def from_json(text: str) -> "SpectralData":
-        doc = json.loads(text)
+        """Parse spectral JSON; a malformed document or field is refused with
+        a ConfigError that names it."""
         try:
-            data = SpectralData(
-                beta=float(doc["beta"]),
-                mu=np.asarray(doc["mu"], dtype=float),
-                norming=np.asarray(doc["a"], dtype=float),
-                c_fit=None if doc.get("c_fit") is None else float(doc["c_fit"]),
-            )
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise ConfigError(f"spectral JSON missing field {exc}") from exc
-        if "count" in doc and int(doc["count"]) != data.count:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"spectral JSON is malformed: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"spectral JSON must be an object, got {type(doc).__name__}")
+
+        def read(name, convert):
+            if name not in doc:
+                raise ConfigError(f"spectral JSON missing field {name!r}")
+            try:
+                return convert(doc[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"spectral JSON field {name!r} is malformed: {exc}") from exc
+
+        def floats(v):
+            return np.asarray(v, dtype=float)
+
+        data = SpectralData(
+            beta=read("beta", float),
+            mu=read("mu", floats),
+            norming=read("a", floats),
+            c_fit=None if doc.get("c_fit") is None else read("c_fit", float),
+        )
+        if "count" in doc and read("count", int) != data.count:
             raise ConfigError(f"spectral JSON count {int(doc['count'])} disagrees with "
                               f"array length {data.count}")
         return data
@@ -342,9 +341,7 @@ def _grid_from_nodes(nodes: np.ndarray) -> Grid:
         raise ConfigError("CSV grid must span [0, pi]")
     nodes = nodes.copy()
     nodes[0], nodes[-1] = 0.0, PI  # absorb roundoff from the 17-digit format
-    grid = trapezoid_grid(nodes)
-    grid.validate()
-    return grid
+    return trapezoid_grid(nodes)
 
 
 def read_potential_csv(path) -> Potential:

@@ -123,7 +123,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
         ns = np.arange(q_start, data.count)
         om = delta.omega(ns)
         lam = signed_sqrt(shifted.mu[ns])
-        tail_gap = float(np.max(np.abs(lam - om))) if ns.size else np.inf
+        tail_gap = float(np.max(np.abs(lam - om)))
         tail_ok = tail_gap < 0.25
         checks.append({
             "name": "tail-tracks-unperturbed-order",
@@ -208,10 +208,9 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
                a_base: np.ndarray) -> float:
     """Tail coefficient of 1/k_n - 1/k_n(base) ~ gamma/omega^2, least squares
     over the last third of the regular (nonzero-mu) indices."""
-    hi = min(data.count, mu_base.size)
-    if hi < 6:
+    if data.count < 6:
         return 0.0
-    ns = np.arange(2, hi)
+    ns = np.arange(2, data.count)
     ok = (np.abs(data.mu[ns]) >= ZERO_MU_TOL) & (np.abs(mu_base[ns]) >= ZERO_MU_TOL)
     ns = ns[ok]
     if ns.size < 4:
@@ -220,8 +219,7 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
     g = 1.0 / (data.norming[ns] * data.mu[ns]) - 1.0 / (a_base[ns] * mu_base[ns])
     m = max(4, ns.size // 3)
     w = 1.0 / (om[-m:] * om[-m:])
-    denom = float(np.dot(w, w))
-    return float(np.dot(g[-m:], w) / denom) if denom else 0.0
+    return float(np.dot(g[-m:], w) / float(np.dot(w, w)))
 
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
@@ -419,10 +417,6 @@ class FKernel:
         t = np.asarray(t, dtype=float)
         return 0.5 * (self.H(np.abs(x - t)) - self.H(x + t))
 
-    @property
-    def branch(self) -> str:
-        return self.H.branch
-
 
 def build_F(H: HFunction) -> FKernel:
     return FKernel(H)
@@ -508,9 +502,9 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-def _residuals(g: TrapezoidSystem, k):
-    """The residual of row k's own equation at t = t_k when P(t_k, t_k) is
-    read from the pivots, for one k >= 1 or an array of them: roundoff for
+def _residuals(g: TrapezoidSystem, k: np.ndarray) -> np.ndarray:
+    """The residuals of rows k's own equations at t = t_k when P(t_k, t_k) is
+    read from the pivots, for an array of rows k >= 1: roundoff for
     admissible data, so it checks the pivots against the rows."""
     fkk = g.F[k - 1, k - 1]
     dots = np.einsum("...j,...j->...", g.rows[k, 1:], g.F[k - 1])
@@ -552,31 +546,24 @@ def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float) -> np.nd
 @dataclass(frozen=True)
 class KernelRow:
     """Row P(x, .) at a node x = t_k of the field's grid: ``values`` at
-    ``nodes`` t_0..t_k, one Richardson step from the grids h and h/2;
-    ``weights`` that integrate P(x, t) s(t) over [0, x] to the same order for
-    any smooth s sampled at ``fine_nodes`` (the h/2 grid); and the larger
-    residual of the two grids' row equations at t = x (see :func:`_residuals`)."""
+    ``nodes`` t_0..t_k, one Richardson step from the grids h and h/2."""
 
     x: float
     nodes: np.ndarray
     values: np.ndarray
-    fine_nodes: np.ndarray
-    weights: np.ndarray
-    residual: float
 
 
 def solve_gl(field: KernelField, x: float) -> KernelRow:
     """The full row P(x, .) at a node x > 0 of the field's grid: the rows of
-    the grids h and h/2 at x, combined by one Richardson step."""
+    the grids h and h/2 at x, combined by one Richardson step.  The solutions
+    phi are rebuilt from ``field.weights``, not from rows (see
+    :meth:`KernelField.phi`)."""
     k = field.index(x)
     if k == 0:
         raise ConfigError(f"x={x} outside (0, pi]")
     coarse, fine = field.grids
     return KernelRow(x=float(field.x_nodes[k]), nodes=field.x_nodes[:k + 1].copy(),
-                     values=(4.0 * fine.rows[2 * k, :2 * k + 1:2] - coarse.rows[k, :k + 1]) / 3.0,
-                     fine_nodes=np.arange(2 * k + 1) * fine.h,
-                     weights=field.weights[k, :2 * k + 1].copy(),
-                     residual=float(max(_residuals(coarse, k), _residuals(fine, 2 * k))))
+                     values=(4.0 * fine.rows[2 * k, :2 * k + 1:2] - coarse.rows[k, :k + 1]) / 3.0)
 
 
 class KernelField:
@@ -622,9 +609,6 @@ class KernelField:
 
     def row(self, x: float) -> KernelRow:
         return solve_gl(self, x)
-
-    def diag(self, x: float) -> float:
-        return float(self.diagonal[self.index(x)])
 
     def phi(self, x, mus) -> np.ndarray:
         """phi(x, mu) = s(x) + integral of P(x,t) s(t) dt over [0, x] for each
@@ -696,9 +680,6 @@ class BetaRecovery:
     prediction: float       # cot(beta) - P(pi, pi) = cot(beta) - (integral q)/2, drift-free
     prediction_gap: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=float))
-
 
 def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
     """Boundary angle from the constancy of -phi'(pi, mu_n)/phi(pi, mu_n).
@@ -766,6 +747,6 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
         "gram_offdiag_max": gram_off,
         "gram_diag_rel_max": gram_diag,
         "condition_max": field.condition_max,
-        "branch": field.F.branch,
+        "branch": field.F.H.branch,
         "k_terms": k_terms,
     }

@@ -52,7 +52,6 @@ class InverseResult:
     field: KernelField
     validation: dict
     consistency: dict
-    params: InverseParams
 
 
 def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()) -> InverseResult:
@@ -86,7 +85,7 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     beta_rec = recover_beta(field, shifted)
     cons = consistency_suite(field, shifted)
     data = SpectralData(data.beta, data.mu, data.norming, c_fit=c)
-    return InverseResult(data, q_hat, beta_rec, field, report, cons, params)
+    return InverseResult(data, q_hat, beta_rec, field, report, cons)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import invspec
 from invspec import cli
 from invspec.core import PI, SpectralData, sample_potential, write_grid_function_csv
 from invspec.roundtrip import example6_data
+from test_core import MALFORMED_CSV, MALFORMED_JSON
 
 
 # the directory holding the imported package, so that the child process runs
@@ -81,6 +82,35 @@ def test_roundtrip_empty_trim_exits_64(workdir):
                 cwd=workdir)
     assert r.returncode == 64 and "Traceback" not in r.stderr
     assert "trim" in r.stderr
+
+
+def test_malformed_spectral_json_exits_64_without_traceback(workdir):
+    (workdir / "cut.json").write_text(MALFORMED_JSON["cut-off"][0])
+    r = run_cli("validate", "cut.json", cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert r.stderr.startswith("invspec: usage error: spectral JSON is malformed")
+
+
+@pytest.mark.parametrize("command", ["validate", "inverse"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_spectral_json_exits_64(workdir, case, command, capsys, monkeypatch):
+    # both readers of spectral JSON refuse a malformed document or field as
+    # a usage error that names it; run in process (main is what
+    # python -m invspec calls), where an escaping exception fails the test
+    text, match = MALFORMED_JSON[case]
+    (workdir / f"malformed-{case}.json").write_text(text)
+    monkeypatch.chdir(workdir)
+    assert cli.main([command, f"malformed-{case}.json"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("invspec: usage error: ")
+    assert re.search(match, err)
+
+
+def test_malformed_potential_csv_exits_64(workdir):
+    (workdir / "uneven.csv").write_text(MALFORMED_CSV["non-uniform"])
+    r = run_cli("forward", "uneven.csv", "--beta", "1", cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert r.stderr.startswith("invspec: usage error: ")
 
 
 def test_forward_overflow_near_pi_exits_1(workdir):

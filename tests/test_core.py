@@ -11,7 +11,6 @@ from invspec.core import (
     RuleKind,
     SpectralData,
     integrate,
-    interpolant,
     make_grid,
     mucos,
     mucosm1,
@@ -34,7 +33,6 @@ def test_make_grid_rejects_small():
 def test_trapezoid_grid_on_any_uniform_span():
     g = trapezoid_grid(np.linspace(0.5, 2.5, 5))
     assert np.array_equal(g.weights, [0.25, 0.5, 0.5, 0.5, 0.25])
-    assert g.rule_kind is RuleKind.TRAPEZOID
     for bad in (np.array([0.0, 0.1, 0.3, 0.6]), np.array([0.0, 1.0, 0.5]), np.array([1.0])):
         with pytest.raises(ConfigError):
             trapezoid_grid(bad)
@@ -86,13 +84,6 @@ def test_grid_refinement_improves():
         g = make_grid(n, RuleKind.TRAPEZOID)
         errs.append(abs(integrate(GridFunction(g, np.sin(g.nodes))) - exact))
     assert errs[1] < errs[0] and errs[2] < errs[1]
-
-
-def test_interpolate_smooth_accuracy():
-    # barycentric branch of the interpolant, on a Gauss grid
-    g = make_grid(64, RuleKind.GAUSS)
-    f = GridFunction(g, np.sin(g.nodes))
-    assert abs(interpolant(f)(1.0) - np.sin(1.0)) < 1e-8
 
 
 def test_boundary_angle_range():
@@ -155,9 +146,29 @@ def test_grid_function_csv_roundtrip(tmp_path):
     assert np.allclose(back.grid.nodes, q.grid.nodes, atol=1e-15)
 
 
-def test_potential_csv_requires_full_span(tmp_path):
+def _csv(xs, header="x,value", value="1.0"):
+    return header + "\n" + "".join(f"{float(x)!r},{value}\n" for x in xs)
+
+
+_X9 = np.linspace(0.0, PI, 9)
+# potential CSVs that the reader refuses: each names one way a grid can be
+# malformed (out of order, uneven, too short, not spanning [0, pi],
+# mislabelled, not numeric)
+MALFORMED_CSV = {
+    "decreasing": _csv(np.concatenate([_X9[:3], _X9[4:2:-1], _X9[5:]])),
+    "non-uniform": _csv(PI * np.linspace(0.0, 1.0, 9) ** 2),
+    "five-nodes": _csv(np.linspace(0.0, PI, 5)),
+    "span-0-3": _csv(np.linspace(0.0, 3.0, 9)),
+    "span-0.5-0.69": _csv(0.5 + 0.01 * np.arange(20)),
+    "wrong-header": _csv(_X9, header="t,q"),
+    "text-values": _csv(_X9, value="abc"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_malformed_potential_csv_is_refused(case, tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("x,value\n0.5,1.0\n" + "\n".join(f"{0.5 + 0.01*i},1.0" for i in range(1, 20)))
+    path.write_text(MALFORMED_CSV[case])
     with pytest.raises(ConfigError):
         read_potential_csv(path)
 
@@ -190,6 +201,34 @@ def test_spectral_data_errors_name_the_offending_value():
     a[3] = np.inf
     with pytest.raises(ConfigError, match=r"must be finite: norming\[3\] = inf"):
         SpectralData(1.0, np.arange(12) + 0.5, a)
+    with pytest.raises(ConfigError, match=r"norming must be a 1-D array, got shape \(3, 4\)"):
+        SpectralData(1.0, np.arange(12) + 0.5, np.ones((3, 4)))
+
+
+_GOOD_JSON = SpectralData(1.0, np.arange(12) + 0.5, np.ones(12)).to_json()
+
+
+def _json_with(**fields):
+    return json.dumps({**json.loads(_GOOD_JSON), **fields})
+
+
+# spectral JSON that the reader refuses, with what its error names
+MALFORMED_JSON = {
+    "cut-off": (_GOOD_JSON[:60], "spectral JSON is malformed"),
+    "not-an-object": ("[1, 2, 3]", "must be an object, got list"),
+    "text-mu": (_json_with(mu="abc"), "field 'mu' is malformed"),
+    "text-beta": (_json_with(beta="x"), "field 'beta' is malformed"),
+    "text-count": (_json_with(count="n"), "field 'count' is malformed"),
+    "2x2-arrays": (_json_with(count=4, mu=[[1.0, 4.0], [9.0, 16.0]], a=[[1.0, 1.0], [1.0, 1.0]]),
+                   r"mu must be a 1-D array, got shape \(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_spectral_json_names_the_field(case):
+    text, match = MALFORMED_JSON[case]
+    with pytest.raises(ConfigError, match=match):
+        SpectralData.from_json(text)
 
 
 def test_spectral_json_count_mismatch_names_both_counts():

@@ -383,8 +383,9 @@ def test_condition_is_the_potri_value(fwd_cos_64):
 
 def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
     # every row of each grid's rows matrix is the dense solve of its own
-    # trapezoid row system, the field's row is the Richardson combination of
-    # the two grids' rows, and its weights are the field's row of weights
+    # trapezoid row system, the field's row of weights is the Richardson
+    # weights of the two grids' rows, and its row is their Richardson
+    # combination
     field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
     for g in field.grids:
         M = g.F.shape[0]
@@ -402,7 +403,6 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
         if k in (16, 82, 128):
             row = solve_gl(field, field.x_nodes[k])
             assert np.array_equal(row.values, (4.0 * p_f[::2] - p_c) / 3.0)
-            assert np.array_equal(row.weights, field.weights[k, :2 * k + 1])
 
 
 def _nystrom_interpolant(row, F, t):
@@ -429,7 +429,7 @@ def test_solved_row_holds_no_kernel_buffer():
     # field's grid or factor
     field = solve_kernel_field(_F_CACHE["F"])
     row = solve_gl(field, field.x_nodes[64])
-    for arr in (row.nodes, row.values, row.fine_nodes, row.weights):
+    for arr in (row.nodes, row.values):
         assert arr.base is None or arr.base.nbytes <= arr.nbytes
 
 
@@ -469,7 +469,7 @@ def test_diagonal_consumers_add_no_H_call(monkeypatch):
     calls = _count_h_calls(monkeypatch)
     field = solve_kernel_field(_F_CACHE["F"])
     recover_q(field)
-    field.diag(PI)
+    field.diagonal[field.index(PI)]
     assert calls == []
 
 
@@ -554,16 +554,18 @@ def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
     batched = field.phi(xs, mus)
     assert batched.shape == (mus.size, xs.size)
     assert not np.any(batched[:, 0])
-    for i, x in enumerate(xs[1:], 1):
-        row = field.row(float(x))
-        ref = musin(mus, x) + musin(mus[:, None], row.fine_nodes) @ row.weights
-        assert np.max(np.abs(batched[:, i] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    fine_h = field.grids[1].h
+    for k, x in enumerate(xs[1:], 1):
+        ref = (musin(mus, x) + musin(mus[:, None], np.arange(2 * k + 1) * fine_h)
+               @ field.weights[k, :2 * k + 1])
+        assert np.max(np.abs(batched[:, k] - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(field.phi(float(x), mus), ref)
     if case == "example6":
         # recover_beta's x = pi column is the per-node formula bit for bit
         ks = data.mu[:8]  # the first min(8, max(5, count // 4)) eigenvalues
-        row = field.row(PI)
-        phi_pi = musin(ks, PI) + musin(ks[:, None], row.fine_nodes) @ row.weights
+        k = xs.size - 1
+        phi_pi = (musin(ks, PI) + musin(ks[:, None], np.arange(2 * k + 1) * fine_h)
+                  @ field.weights[k, :2 * k + 1])
         expected = -field.dphi(PI, ks) / phi_pi
         assert np.array_equal(recover_beta(field, data).ratios, expected)
 
@@ -579,9 +581,11 @@ def test_kernel_field_boundary_column(ex6_inverse):
 
 
 def test_diagonal_identity_residual(ex6_inverse):
+    # every row of both grids satisfies its own equation at t = x with
+    # P(x, x) read from the pivots
     field = ex6_inverse.field
-    res = [field.row(x).residual for x in field.x_nodes[1:]]
-    assert max(res) < 1e-6
+    res = [inverse._residuals(g, np.arange(1, g.rows.shape[0])) for g in field.grids]
+    assert max(float(r.max()) for r in res) < 1e-6
 
 
 def test_ill_posed_data_raises():
@@ -675,7 +679,7 @@ def test_recover_q_integral_consistency(ex6_inverse):
     from scipy.integrate import quad
     for x in field.x_nodes[[20, 61, 114, 128]]:  # about 0.5, 1.5, 2.8 and pi
         val, _ = quad(qf, 0.0, x, limit=200)
-        assert val == pytest.approx(2.0 * field.diag(x), abs=1e-6)
+        assert val == pytest.approx(2.0 * field.diagonal[field.index(x)], abs=1e-6)
 
 
 def test_kernel_field_solutions_zero_kernel():

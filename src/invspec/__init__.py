@@ -13,12 +13,12 @@ from .core import (
     Grid,
     GridFunction,
     Potential,
-    RuleKind,
     SpectralData,
+    gauss_rule,
     integrate,
-    make_grid,
     read_potential_csv,
     sample_potential,
+    trapezoid_grid,
     write_grid_function_csv,
 )
 from .asymptotics import (

@@ -22,8 +22,8 @@ from .core import (
     Potential,
     SpectralData,
     as_angle,
+    gauss_rule,
     interpolant,
-    make_grid,
     mucos,
     musin,
     _frozen,
@@ -358,10 +358,10 @@ def refined_asymptotics_check(q: Potential, q_prime: GridFunction, beta: Boundar
     if n_hi >= data.count:
         raise ConfigError("n_hi beyond available data")
     delta = delta_sequence(beta, n_hi + 1)
-    quad = make_grid(256, "gauss-legendre")
-    qv = interpolant(q)(quad.nodes)
-    qpv = interpolant(q_prime)(quad.nodes)
-    q_int = float(np.dot(quad.weights, qv))
+    xq, wq = gauss_rule(256, 0.0, PI)
+    qv = interpolant(q)(xq)
+    qpv = interpolant(q_prime)(xq)
+    q_int = float(np.dot(wq, qv))
     q_mean = q_int / PI
     q0 = float(interpolant(q)(0.0))
     q_beta = 5.0 / PI * q_int + 2.0 * (q0 + beta.cot)
@@ -371,9 +371,9 @@ def refined_asymptotics_check(q: Potential, q_prime: GridFunction, beta: Boundar
     lam = signed_sqrt(data.mu[ns])
     a = data.norming[ns]
 
-    phase = 2.0 * np.outer(om, quad.nodes)
-    l_n = (quad.weights * qpv * np.sin(phase)).sum(axis=1) / (4.0 * PI * om * om)
-    s_n = 0.25 * (quad.weights * (PI - quad.nodes) * qpv * np.cos(phase)).sum(axis=1)
+    phase = 2.0 * np.outer(om, xq)
+    l_n = (wq * qpv * np.sin(phase)).sum(axis=1) / (4.0 * PI * om * om)
+    s_n = 0.25 * (wq * (PI - xq) * qpv * np.cos(phase)).sum(axis=1)
 
     lam_resid = lam - (om + q_mean / (2.0 * om) + l_n)
     a_rel = a * 2.0 * om * om / PI - 1.0 - q_beta / (2.0 * om * om) - 2.0 * s_n / (PI * om * om)

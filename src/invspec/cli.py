@@ -6,9 +6,11 @@ Subcommands: ``forward`` (potential CSV -> spectral JSON), ``inverse``
 0 success, 1 numerical failure, 2 admissibility hard-fail (unless
 ``--force``) or data whose Gelfand-Levitan operator is not positive (also
 under ``--force``), 64 usage errors (including a missing input file, a
-malformed potential CSV or spectral JSON, an option the subcommand does not
-take, fewer than five ``--x-nodes`` and a ``--trim`` window holding no x node).  Each subcommand takes only the options its
-handler reads; the kernel series length is derived from the data count.
+malformed potential CSV or spectral JSON, an input file that is not UTF-8
+text, an option the subcommand does not take, fewer than five ``--x-nodes``
+and a ``--trim`` window holding no x node).  Each subcommand takes only the
+options its handler reads; the kernel series length is derived from the
+data count.
 Identical configurations produce bit-identical outputs, and every JSON
 artifact embeds its resolved configuration, with null for the options its
 subcommand does not take.
@@ -28,6 +30,7 @@ from .core import (
     as_angle,
     interpolant,
     read_potential_csv,
+    read_text,
     write_grid_function_csv,
 )
 from .errors import (
@@ -38,8 +41,8 @@ from .errors import (
     NumericsError,
 )
 from .forward import forward_solve
-from .inverse import validate
-from .roundtrip import InverseParams, example6_oracle, inverse_pipeline, roundtrip
+from .inverse import DEFAULT_X_NODES, validate
+from .roundtrip import DEFAULT_TRIM, InverseParams, example6_oracle, inverse_pipeline, roundtrip
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -75,9 +78,9 @@ _OPTIONS = {
     "out_dir": (("-o", "--out"), dict(default=".", metavar="OUT",
                                       help="output directory (default: cwd)")),
     "n_eigen": (("-N", "--n-eigen"), dict(type=int, default=64, help="number of eigenvalues")),
-    "x_nodes": (("--x-nodes",), dict(type=int, default=129,
+    "x_nodes": (("--x-nodes",), dict(type=int, default=DEFAULT_X_NODES,
                                      help="uniform x nodes on which the main equation is solved")),
-    "trim": (("--trim",), dict(type=float, nargs=2, default=(0.05, PI), metavar=("LO", "HI"),
+    "trim": (("--trim",), dict(type=float, nargs=2, default=DEFAULT_TRIM, metavar=("LO", "HI"),
                                help="comparison interval for round trips")),
     "force": (("--force",), dict(action="store_true",
                                  help="proceed past validation's hard failures (data "
@@ -161,7 +164,7 @@ def _cmd_forward(cfg: Config) -> int:
 
 
 def _cmd_validate(cfg: Config) -> int:
-    data = SpectralData.from_json(Path(cfg.input_path).read_text())
+    data = SpectralData.from_json(read_text(cfg.input_path))
     report = validate(data, data.beta)
     for ch in report["checks"]:
         mark = {"pass": "PASS", "warn": "WARN", "fail": "FAIL"}[ch["status"]]
@@ -174,7 +177,7 @@ def _cmd_validate(cfg: Config) -> int:
 
 
 def _cmd_inverse(cfg: Config) -> int:
-    data = SpectralData.from_json(Path(cfg.input_path).read_text())
+    data = SpectralData.from_json(read_text(cfg.input_path))
     _log(cfg, "inverse-start", count=data.count, beta=data.beta)
     t0 = time.time()
     inv = inverse_pipeline(data, _inverse_params(cfg))

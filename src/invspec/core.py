@@ -6,10 +6,11 @@ function here is pure.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -26,13 +27,9 @@ MIN_GRID_NODES = 8
 ZERO_MU_TOL = 1e-10
 
 
-class RuleKind(str, Enum):
-    TRAPEZOID = "uniform-trapezoid"
-    GAUSS = "gauss-legendre"
-
-
 def _frozen(a) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+    """A read-only copy, so freezing never touches the caller's array."""
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -53,28 +50,11 @@ class Grid:
         return self.nodes.size
 
 
-def make_grid(n_nodes: int, rule: RuleKind | str = RuleKind.GAUSS) -> Grid:
-    """Build a quadrature grid covering [0, pi].
-
-    Parameters
-    ----------
-    n_nodes : int
-        Number of nodes, at least 8.
-    rule : RuleKind or str
-        One of ``uniform-trapezoid``, ``gauss-legendre``.
-    """
-    rule = RuleKind(rule)
-    if n_nodes < MIN_GRID_NODES:
-        raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
-    if rule is RuleKind.GAUSS:
-        xi, wi = _reference_gauss(n_nodes)
-        return Grid((xi + 1.0) * (PI / 2.0), wi * (PI / 2.0))
-    return trapezoid_grid(np.linspace(0.0, PI, n_nodes))
-
-
 def trapezoid_grid(nodes) -> Grid:
     """Trapezoid rule on uniformly spaced nodes (any span, at least two
-    nodes): step (x[-1] - x[0])/(n - 1), halved at both ends."""
+    nodes): step (x[-1] - x[0])/(n - 1), halved at both ends.  The one
+    builder of a trapezoid grid; ``trapezoid_grid(np.linspace(0.0, PI, n))``
+    is the uniform grid of n nodes on [0, pi]."""
     nodes = np.asarray(nodes, dtype=float)
     h = np.diff(nodes)
     if h.size == 0 or not np.all(h > 0) or h.max() - h.min() > 1e-9 * h.mean():
@@ -94,7 +74,8 @@ def _reference_gauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_rule(n_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to an arbitrary interval [a, b]."""
+    """Gauss-Legendre nodes/weights mapped to an arbitrary interval [a, b];
+    ``Grid(*gauss_rule(n, 0.0, PI))`` is the n-node Gauss grid of [0, pi]."""
     xi, wi = _reference_gauss(n_nodes)
     half = (b - a) / 2.0
     return a + (xi + 1.0) * half, wi * half
@@ -152,11 +133,10 @@ def integrate(f: GridFunction) -> float:
     return float(np.dot(f.grid.weights, f.values))
 
 
-def interpolant(f: GridFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable interpolant: the cubic spline through the samples (every
-    function interpolated here lives on a uniform trapezoid grid)."""
-    spline = CubicSpline(f.grid.nodes, f.values)
-    return lambda x: spline(x)
+def interpolant(f: GridFunction) -> CubicSpline:
+    """The cubic spline through the samples (every function interpolated
+    here lives on a uniform trapezoid grid)."""
+    return CubicSpline(f.grid.nodes, f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +289,19 @@ class SpectralData:
         def floats(v):
             return np.asarray(v, dtype=float)
 
+        def integer(v):
+            if type(v) is not int:  # bool is an int subclass, and int() truncates 64.9
+                raise TypeError(f"must be an integer, got {v!r}")
+            return v
+
         data = SpectralData(
             beta=read("beta", float),
             mu=read("mu", floats),
             norming=read("a", floats),
             c_fit=None if doc.get("c_fit") is None else read("c_fit", float),
         )
-        if "count" in doc and read("count", int) != data.count:
-            raise ConfigError(f"spectral JSON count {int(doc['count'])} disagrees with "
+        if "count" in doc and read("count", integer) != data.count:
+            raise ConfigError(f"spectral JSON count {doc['count']} disagrees with "
                               f"array length {data.count}")
         return data
 
@@ -349,21 +334,32 @@ def read_potential_csv(path) -> Potential:
     return Potential(_grid_from_nodes(rows[:, 0]), rows[:, 1])
 
 
+def read_text(path) -> str:
+    """The text of an input file, which must be UTF-8: other bytes are a
+    ConfigError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _read_csv_rows(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "x,value":
-            raise ConfigError(f"{path}: expected header 'x,value'")
-        try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed CSV ({exc})") from exc
+    header, _, body = read_text(path).partition("\n")
+    if header.strip().replace(" ", "") != "x,value":
+        raise ConfigError(f"{path}: expected header 'x,value'")
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed CSV ({exc})") from exc
     if rows.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns")
     return rows
 
 
 def sample_potential(func: Callable[[np.ndarray], np.ndarray], n_nodes: int = 257) -> Potential:
-    """Sample a callable potential on a uniform trapezoid grid."""
-    grid = make_grid(n_nodes, RuleKind.TRAPEZOID)
+    """Sample a callable potential on the uniform trapezoid grid of n_nodes
+    (at least 8) nodes on [0, pi]."""
+    if n_nodes < MIN_GRID_NODES:
+        raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
+    grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
     return Potential(grid, np.asarray(func(grid.nodes), dtype=float) * np.ones(grid.n))

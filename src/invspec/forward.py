@@ -50,11 +50,11 @@ from .core import (
     Grid,
     GridFunction,
     Potential,
-    RuleKind,
     SpectralData,
     as_angle,
+    gauss_rule,
     interpolant,
-    make_grid,
+    trapezoid_grid,
     _frozen,
 )
 from .errors import ConfigError, NumericsError
@@ -115,7 +115,7 @@ class ForwardSolution:
     @cached_property
     def traces(self) -> list:
         """phi_n and phi_n' on the uniform grid of TRACE_NODES points."""
-        grid = make_grid(TRACE_NODES, RuleKind.TRAPEZOID)
+        grid = trapezoid_grid(np.linspace(0.0, PI, TRACE_NODES))
         phi, dphi = _solution(_Cells(self.q), np.array([r.mu for r in self.records]), grid.nodes)
         return [SolutionTrace(grid, p, d, r.mu) for p, d, r in zip(phi, dphi, self.records)]
 
@@ -134,9 +134,9 @@ class ForwardSolution:
     def gram(self, k: int | None = None) -> np.ndarray:
         """Inner-product matrix of the first k eigenfunctions on a 256-node Gauss grid."""
         k = len(self.records) if k is None else k
-        quad = make_grid(256, RuleKind.GAUSS)
-        ph, _ = _solution(_Cells(self.q), np.array([r.mu for r in self.records[:k]]), quad.nodes)
-        return (ph * quad.weights) @ ph.T
+        xq, wq = gauss_rule(256, 0.0, PI)
+        ph, _ = _solution(_Cells(self.q), np.array([r.mu for r in self.records[:k]]), xq)
+        return (ph * wq) @ ph.T
 
 
 class _Cells:

@@ -313,9 +313,9 @@ class HFunction:
 
     :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
-    computes the table of the default x grid (H_GRID_SIZE nodes); calling H
-    at arbitrary t evaluates the cubic spline through it, built on the first
-    call.
+    sums no table: the kernel field sums the tables of its x grid, and the
+    first call of H at arbitrary t sums the table of the default x grid
+    (H_GRID_SIZE nodes) and builds the cubic spline through it.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -346,7 +346,6 @@ class HFunction:
         }[(has_zero_d, has_zero_b)]
 
         self._tables: dict[tuple[int, bool], np.ndarray] = {}
-        self.table(H_GRID_SIZE - 1)
         self._spline = None
 
     def table(self, L: int, deriv: bool = False) -> np.ndarray:
@@ -567,28 +566,27 @@ def solve_gl(field: KernelField, x: float) -> KernelRow:
 
 
 class KernelField:
-    """The transformation kernel P on a uniform x grid of [0, pi].
+    """The transformation kernel P on the uniform x grid of ``x_nodes`` nodes
+    on [0, pi].
 
-    Construction factors the trapezoid systems of the grids h = pi/M and h/2,
-    read from one H table on 4M + 1 nodes, and inverts their factors; the
-    diagonal is their pivots' P(x, x), combined by one Richardson step.
-    ``weights`` holds, in row k, the :func:`_richardson_weights` of the row
-    at t_k on the h/2 grid (zero past t_k)."""
+    ``grid`` is that trapezoid grid, built once here, and ``x_nodes`` its
+    nodes.  Construction factors the trapezoid systems of the grids
+    h = pi/M and h/2, read from one H table on ``table_size`` + 1 = 4M + 1
+    nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
+    combined by one Richardson step.  ``weights`` holds, in row k, the
+    :func:`_richardson_weights` of the row at t_k on the h/2 grid (zero past
+    t_k)."""
 
-    def __init__(self, F: FKernel, x_nodes: np.ndarray | None = None):
-        self.F = F
-        self.x_nodes = (np.linspace(0.0, PI, DEFAULT_X_NODES)
-                        if x_nodes is None else np.asarray(x_nodes, dtype=float))
-        if self.x_nodes.size < 5:
+    def __init__(self, F: FKernel, x_nodes: int = DEFAULT_X_NODES):
+        if x_nodes < 5:
             # a floor of the CLI contract (fewer than five --x-nodes exit 64)
-            raise ConfigError(f"x_nodes={self.x_nodes.size}: the kernel field needs at least 5 nodes")
-        if self.x_nodes[0] != 0.0:
-            raise ConfigError(f"x grid must start at 0, got first node {float(self.x_nodes[0])!r}")
-        trapezoid_grid(self.x_nodes)  # refuses a grid that is not uniform
-        if abs(self.x_nodes[-1] - PI) > 1e-12:
-            raise ConfigError(f"x grid must end at pi, got last node {float(self.x_nodes[-1])!r}")
-        M = self.x_nodes.size - 1
-        table = F.H.table(4 * M)
+            raise ConfigError(f"x_nodes={x_nodes}: the kernel field needs at least 5 nodes")
+        self.F = F
+        self.grid = trapezoid_grid(np.linspace(0.0, PI, x_nodes))
+        self.x_nodes = self.grid.nodes
+        M = x_nodes - 1
+        self.table_size = 4 * M
+        table = F.H.table(self.table_size)
         self.grids = (_factor(table, M, 2), _factor(table, 2 * M, 1))
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
@@ -639,7 +637,7 @@ class KernelField:
         if k == 0:
             return np.ones(mus.size)
         coarse, fine = self.grids
-        slopes = self.F.H.table(4 * (self.x_nodes.size - 1), deriv=True)
+        slopes = self.F.H.table(self.table_size, deriv=True)
         weights = _richardson_weights(_slope_row(coarse, k, slopes),
                                       _slope_row(fine, 2 * k, slopes), coarse.h)
         xk = self.x_nodes[k]
@@ -647,9 +645,10 @@ class KernelField:
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
 
 
-def solve_kernel_field(F: FKernel, x_nodes: np.ndarray | None = None) -> KernelField:
-    """Factor the main equation on the x grid (default 129 uniform nodes),
-    which gives the whole kernel diagonal and every row."""
+def solve_kernel_field(F: FKernel, x_nodes: int = DEFAULT_X_NODES) -> KernelField:
+    """Factor the main equation on the uniform grid of ``x_nodes`` nodes on
+    [0, pi] (at least 5), which gives the whole kernel diagonal and every
+    row."""
     return KernelField(F, x_nodes)
 
 
@@ -666,9 +665,8 @@ def recover_q(field: KernelField) -> Potential:
     with one-sided derivatives at the endpoints.  The result carries
     trapezoid weights on the field's uniform grid.
     """
-    grid = trapezoid_grid(field.x_nodes)
-    dspl = CubicSpline(grid.nodes, field.diagonal).derivative()
-    return Potential(grid, 2.0 * dspl(grid.nodes))
+    dspl = CubicSpline(field.x_nodes, field.diagonal).derivative()
+    return Potential(field.grid, 2.0 * dspl(field.x_nodes))
 
 
 @dataclass(frozen=True)
@@ -720,7 +718,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     k_terms = min(20, data.count)
     mus, a = data.mu[:k_terms], data.norming[:k_terms]
     x = field.x_nodes
-    w = trapezoid_grid(x).weights.copy()
+    w = field.grid.weights.copy()
     w[:_GREGORY_END.size] += (x[1] - x[0]) * _GREGORY_END
     w[-_GREGORY_END.size:] += (x[1] - x[0]) * _GREGORY_END[::-1]
     phi = field.phi(x, mus)

@@ -78,8 +78,7 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     shifted = shift_spectrum(data, c)
     H = build_H(shifted, data.beta, n_terms, delta=delta, kappa=kappa)
     F = build_F(H)
-    x_nodes = np.linspace(0.0, PI, params.x_nodes)
-    field = solve_kernel_field(F, x_nodes)
+    field = solve_kernel_field(F, params.x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)
     beta_rec = recover_beta(field, shifted)

@@ -19,11 +19,12 @@ from invspec.asymptotics import (
 )
 from invspec.core import (
     PI,
+    Grid,
     GridFunction,
     SpectralData,
     as_angle,
+    gauss_rule,
     integrate,
-    make_grid,
     sample_potential,
 )
 from invspec.errors import ConfigError, DomainError, NumericsError
@@ -120,7 +121,7 @@ def test_unperturbed_low_mode_matches_tan_equation():
 
 def test_unperturbed_norming_matches_quadrature():
     sp = unperturbed_spectrum(PI / 3, 8)
-    grid = make_grid(256, "gauss-legendre")
+    grid = Grid(*gauss_rule(256, 0.0, PI))
     for mu, a in zip(sp.mu, sp.norming):
         lam = np.sqrt(mu)
         f = GridFunction(grid, (np.sin(lam * grid.nodes) / lam) ** 2)

@@ -106,6 +106,18 @@ def test_malformed_spectral_json_exits_64(workdir, case, command, capsys, monkey
     assert re.search(match, err)
 
 
+@pytest.mark.parametrize("command", ["validate", "inverse", "forward", "roundtrip"])
+def test_non_utf8_input_exits_64(workdir, command):
+    # a file that is not UTF-8 text is a usage error naming the file, for the
+    # spectral JSON readers and the potential CSV readers alike
+    name = f"latin-{command}.in"
+    (workdir / name).write_bytes(b"\xff\xfex,value\n")
+    beta = ["--beta", "1"] if command in ("forward", "roundtrip") else []
+    r = run_cli(command, name, *beta, cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert r.stderr.startswith(f"invspec: usage error: {name}: not UTF-8 text")
+
+
 def test_malformed_potential_csv_exits_64(workdir):
     (workdir / "uneven.csv").write_text(MALFORMED_CSV["non-uniform"])
     r = run_cli("forward", "uneven.csv", "--beta", "1", cwd=workdir)

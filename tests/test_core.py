@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 from invspec.core import (
     PI,
     BoundaryAngle,
+    Grid,
     GridFunction,
-    RuleKind,
     SpectralData,
+    gauss_rule,
     integrate,
-    make_grid,
     mucos,
     mucosm1,
     musin,
@@ -22,12 +22,23 @@ from invspec.core import (
 )
 from invspec.errors import ConfigError
 
-RULES = [RuleKind.TRAPEZOID, RuleKind.GAUSS]
+
+def _trapezoid(n):
+    return trapezoid_grid(np.linspace(0.0, PI, n))
 
 
-def test_make_grid_rejects_small():
-    with pytest.raises(ConfigError):
-        make_grid(2, RuleKind.TRAPEZOID)
+def _gauss(n):
+    return Grid(*gauss_rule(n, 0.0, PI))
+
+
+# the two quadrature rules on [0, pi] by the n-node grid builder
+RULES = {"uniform-trapezoid": _trapezoid, "gauss-legendre": _gauss}
+
+
+def test_sample_potential_rejects_small():
+    with pytest.raises(ConfigError, match="n_nodes=7 below minimum 8"):
+        sample_potential(np.cos, 7)
+    assert sample_potential(np.cos, 8).grid.n == 8
 
 
 def test_trapezoid_grid_on_any_uniform_span():
@@ -40,26 +51,26 @@ def test_trapezoid_grid_on_any_uniform_span():
 
 @pytest.mark.parametrize("rule", RULES)
 def test_weights_sum_to_pi(rule):
-    g = make_grid(10, rule)
+    g = RULES[rule](10)
     assert abs(g.weights.sum() - PI) < 1e-12 * PI
     assert np.all(g.weights > 0)
     assert np.all(np.diff(g.nodes) > 0)
 
 
 def test_gauss_integrates_sine():
-    g = make_grid(64, RuleKind.GAUSS)
+    g = _gauss(64)
     f = GridFunction(g, np.sin(g.nodes))
     assert abs(integrate(f) - 2.0) < 1e-14
 
 
 def test_integrate_constant_and_linear():
-    g = make_grid(64, RuleKind.GAUSS)
+    g = _gauss(64)
     assert abs(integrate(GridFunction(g, np.ones(g.n))) - PI) < 1e-12
     assert abs(integrate(GridFunction(g, g.nodes)) - PI**2 / 2) < 1e-12
 
 
 def test_integrate_oscillatory_square():
-    g = make_grid(64, RuleKind.GAUSS)
+    g = _gauss(64)
     f = GridFunction(g, np.sin(3.5 * g.nodes) ** 2)
     assert abs(integrate(f) - PI / 2) < 1e-12
 
@@ -67,9 +78,9 @@ def test_integrate_oscillatory_square():
 @pytest.mark.parametrize("rule", RULES)
 def test_quadrature_polynomial_exactness(rule):
     # trapezoid: linear; gauss-n: degree 2n-1
-    deg = {RuleKind.TRAPEZOID: 1, RuleKind.GAUSS: 17}[rule]
+    deg = {"uniform-trapezoid": 1, "gauss-legendre": 17}[rule]
     n = 9
-    g = make_grid(n, rule)
+    g = RULES[rule](n)
     coeffs = np.arange(1, deg + 2, dtype=float)
     poly = np.polynomial.Polynomial(coeffs)
     exact = poly.integ()(PI) - poly.integ()(0.0)
@@ -81,7 +92,7 @@ def test_grid_refinement_improves():
     exact = 2.0
     errs = []
     for n in (16, 32, 64):
-        g = make_grid(n, RuleKind.TRAPEZOID)
+        g = _trapezoid(n)
         errs.append(abs(integrate(GridFunction(g, np.sin(g.nodes))) - exact))
     assert errs[1] < errs[0] and errs[2] < errs[1]
 
@@ -219,6 +230,10 @@ MALFORMED_JSON = {
     "text-mu": (_json_with(mu="abc"), "field 'mu' is malformed"),
     "text-beta": (_json_with(beta="x"), "field 'beta' is malformed"),
     "text-count": (_json_with(count="n"), "field 'count' is malformed"),
+    # a count is a JSON integer: not truncated from 12.9, read from "12" or True
+    "fractional-count": (_json_with(count=12.9), r"field 'count' is malformed: .*12\.9"),
+    "string-count": (_json_with(count="12"), "field 'count' is malformed"),
+    "bool-count": (_json_with(count=True), "field 'count' is malformed"),
     "2x2-arrays": (_json_with(count=4, mu=[[1.0, 4.0], [9.0, 16.0]], a=[[1.0, 1.0], [1.0, 1.0]]),
                    r"mu must be a 1-D array, got shape \(2, 2\)"),
 }
@@ -236,3 +251,20 @@ def test_spectral_json_count_mismatch_names_both_counts():
     doc["count"] = 13
     with pytest.raises(ConfigError, match="count 13 disagrees with array length 12"):
         SpectralData.from_json(json.dumps(doc))
+
+
+def test_frozen_arrays_are_copies():
+    # freezing an instance's arrays leaves the caller's own arrays writable
+    mu, a = np.arange(12) + 0.5, np.ones(12)
+    d = SpectralData(1.0, mu, a)
+    assert d.mu is not mu and d.norming is not a
+    mu[0] = 3.0
+    a[0] = 2.0
+    assert d.mu[0] == 0.5 and d.norming[0] == 1.0
+    nodes = np.linspace(0.0, PI, 9)
+    g = trapezoid_grid(nodes)
+    nodes[1] = 0.0
+    assert g.nodes[1] > 0.0
+    for arr in (d.mu, d.norming, g.nodes, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0

@@ -8,13 +8,13 @@ from scipy.optimize import brentq
 from invspec.core import (
     PI,
     GridFunction,
-    RuleKind,
     as_angle,
+    gauss_rule,
     interpolant,
-    make_grid,
     mucos,
     musin,
     sample_potential,
+    trapezoid_grid,
 )
 from invspec.asymptotics import unperturbed_spectrum
 from invspec.errors import ConfigError, NumericsError
@@ -109,7 +109,7 @@ def as_stack(entries):
 
 def solution_on_trace_grid(q, mu):
     """x, phi and phi' for one mu on the uniform grid of TRACE_NODES points."""
-    x = make_grid(forward.TRACE_NODES, RuleKind.TRAPEZOID).nodes
+    x = np.linspace(0.0, PI, forward.TRACE_NODES)
     phi, dphi = forward._solution(forward._Cells(q), np.array([mu]), x)
     return x, phi[0], dphi[0]
 
@@ -581,15 +581,15 @@ def test_traces_and_gram_sampled_on_read(q_cos):
     sol = forward.forward_solve(q_cos, PI / 3, 16)
     mus = np.array([r.mu for r in sol.records])
     cells = forward._Cells(q_cos)
-    grid = make_grid(forward.TRACE_NODES, RuleKind.TRAPEZOID)
-    phi, dphi = forward._solution(cells, mus, grid.nodes)
+    x = np.linspace(0.0, PI, forward.TRACE_NODES)
+    phi, dphi = forward._solution(cells, mus, x)
     assert sol.traces is sol.traces
     for n, tr in enumerate(sol.traces):
-        assert tr.mu == mus[n] and np.array_equal(tr.grid.nodes, grid.nodes)
+        assert tr.mu == mus[n] and np.array_equal(tr.grid.nodes, x)
         assert np.array_equal(tr.phi, phi[n]) and np.array_equal(tr.dphi, dphi[n])
-    quad = make_grid(256, RuleKind.GAUSS)
-    ph, _ = forward._solution(cells, mus[:5], quad.nodes)
-    assert np.array_equal(sol.gram(5), (ph * quad.weights) @ ph.T)
+    xq, wq = gauss_rule(256, 0.0, PI)
+    ph, _ = forward._solution(cells, mus[:5], xq)
+    assert np.array_equal(sol.gram(5), (ph * wq) @ ph.T)
 
 
 def test_spectral_data_carries_validates_drift_constant():
@@ -611,7 +611,7 @@ def test_expand_reproduces_eigenfunction(fwd_zero_64):
 
 
 def test_expand_uniform_convergence_interior(fwd_zero_64):
-    grid = make_grid(257, RuleKind.TRAPEZOID)
+    grid = trapezoid_grid(np.linspace(0.0, PI, 257))
     f = GridFunction(grid, grid.nodes.copy())
     mask = grid.nodes >= 0.3
     errs = []
@@ -623,7 +623,7 @@ def test_expand_uniform_convergence_interior(fwd_zero_64):
 
 
 def test_expand_vanishing_endpoint_converges_everywhere(fwd_zero_64):
-    grid = make_grid(257, RuleKind.TRAPEZOID)
+    grid = trapezoid_grid(np.linspace(0.0, PI, 257))
     f = GridFunction(grid, np.sin(grid.nodes))
     errs = []
     for N in (8, 16, 32, 64):
@@ -634,7 +634,7 @@ def test_expand_vanishing_endpoint_converges_everywhere(fwd_zero_64):
 
 
 def test_expand_requires_enough_records(fwd_zero_64):
-    grid = make_grid(64, RuleKind.TRAPEZOID)
+    grid = trapezoid_grid(np.linspace(0.0, PI, 64))
     f = GridFunction(grid, np.sin(grid.nodes))
     with pytest.raises(ConfigError):
         expand(f, fwd_zero_64.records, fwd_zero_64.traces, 100)

@@ -456,7 +456,7 @@ def test_solve_gl_evaluates_H_once(monkeypatch):
     # the tail model, one FFT pass each); its rows read that table only
     F = build_F(build_H(example6_data(30), PI / 2, 400))
     calls = _count_h_calls(monkeypatch)
-    field = solve_kernel_field(F, np.linspace(0.0, PI, 65))
+    field = solve_kernel_field(F, 65)
     assert calls == [("table", 256), ("table", 256)]
     calls.clear()
     solve_gl(field, field.x_nodes[40])
@@ -464,13 +464,33 @@ def test_solve_gl_evaluates_H_once(monkeypatch):
 
 
 def test_diagonal_consumers_add_no_H_call(monkeypatch):
-    # the default grid's table is summed when H is built; the field, the
-    # diagonal and recover_q read it
+    # the field sums the default grid's table of 513 nodes; the diagonal and
+    # recover_q read it
+    F = build_F(build_H(example6_data(30), PI / 2, 400))
     calls = _count_h_calls(monkeypatch)
-    field = solve_kernel_field(_F_CACHE["F"])
+    field = solve_kernel_field(F)
+    assert calls == [("table", 512), ("table", 512)]
+    calls.clear()
     recover_q(field)
     field.diagonal[field.index(PI)]
     assert calls == []
+
+
+def test_H_tables_follow_the_x_grid(monkeypatch):
+    # build_H sums no table; a 65-node pipeline sums the 257-node tables of
+    # H (for the field) and H' (for phi'), each in two FFT passes, and no
+    # table of the default grid
+    calls = _count_h_calls(monkeypatch)
+    build_H(example6_data(30), PI / 2, 400)
+    assert calls == []
+    inverse_pipeline(example6_data(40), InverseParams(x_nodes=65))
+    assert calls == [("table", 256)] * 4
+
+
+def test_pipeline_q_hat_shares_the_field_grid(ex6_inverse):
+    # the x grid is built once, by the field, and q_hat carries it
+    assert ex6_inverse.q_hat.grid is ex6_inverse.field.grid
+    assert ex6_inverse.field.x_nodes is ex6_inverse.field.grid.nodes
 
 
 def test_pipeline_solves_no_row(monkeypatch):
@@ -538,7 +558,7 @@ def test_non_finite_kernel_value_is_refused(monkeypatch):
 
     monkeypatch.setattr(inverse, "_grid_pair_sum", one_nan)
     with pytest.raises(NumericsError, match=r"non-finite kernel value nan at t=0\.1227"):
-        solve_kernel_field(F, np.linspace(0.0, PI, 65))
+        solve_kernel_field(F, 65)
 
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
@@ -596,7 +616,7 @@ def test_ill_posed_data_raises():
     bad = SpectralData(PI / 2, data.mu, a, 0.0)
     F = build_F(build_H(bad, PI / 2, 200))
     with pytest.raises(AdmissibilityError, match=r"condition estimate [\d.e+]+ at x=\d"):
-        solve_kernel_field(F, np.linspace(0.0, PI, 17))
+        solve_kernel_field(F, 17)
 
 
 @pytest.mark.parametrize("index, x", [(3, 1.4726), (0, 2.3562), (10, 1.5953)])
@@ -645,30 +665,16 @@ def test_recover_q_reference(ex6_inverse):
 
 def test_recover_q_zero_kernel():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 33))
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 33)
     q = recover_q(field)
     assert np.max(np.abs(q.values)) < 1e-8
-
-
-def test_recover_q_rejects_nonuniform_output_grid():
-    # q carries trapezoid weights, so the field's x grid must be uniform;
-    # the field refuses such a grid before any factorization
-    sp = unperturbed_spectrum(PI / 3, 24)
-    F = build_F(build_H(sp, PI / 3, 400))
-    with pytest.raises(ConfigError, match="uniformly spaced"):
-        recover_q(solve_kernel_field(F, np.linspace(0.0, PI, 33) ** 2 / PI))
 
 
 def test_kernel_field_needs_five_nodes():
     # five x nodes is the floor of the CLI contract
     F = _F_CACHE["F"]
     with pytest.raises(ConfigError, match="x_nodes=4"):
-        solve_kernel_field(F, np.linspace(0.0, PI, 4))
-
-
-def test_kernel_field_grid_names_its_first_node():
-    with pytest.raises(ConfigError, match="must start at 0, got first node 0.5"):
-        solve_kernel_field(_F_CACHE["F"], np.linspace(0.5, PI, 9))
+        solve_kernel_field(F, 4)
 
 
 def test_recover_q_integral_consistency(ex6_inverse):
@@ -686,7 +692,7 @@ def test_kernel_field_solutions_zero_kernel():
     # zero kernel: phi and phi' are the free solutions on every branch of mu
     # (hyperbolic, zero, trigonometric), vectorized over mu
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 33))
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 33)
     mus = np.array([-3.0, 0.0, 2.0, 40.0])
     for x in field.x_nodes[[0, 7, 21, 32]]:  # 0, about 0.7 and 2.0, and pi
         assert np.max(np.abs(field.phi(x, mus) - musin(mus, x))) < 1e-9
@@ -747,7 +753,7 @@ def test_dphi_at_pi_on_constant_data(c):
 def test_recover_beta_unperturbed_identity():
     beta = PI / 3
     sp = unperturbed_spectrum(beta, 24)
-    field = solve_kernel_field(build_F(build_H(sp, beta, 400)), np.linspace(0, PI, 65))
+    field = solve_kernel_field(build_F(build_H(sp, beta, 400)), 65)
     br = recover_beta(field, sp)
     assert br.beta_tilde == pytest.approx(beta, abs=1e-8)
 
@@ -774,7 +780,7 @@ def test_consistency_suite_reference(ex6_inverse):
 
 def test_consistency_suite_unperturbed():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), np.linspace(0, PI, 65))
+    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 65)
     cons = consistency_suite(field, sp)
     assert cons["diagonal_residual_max"] < 1e-9
     assert cons["gram_offdiag_max"] < 1e-8

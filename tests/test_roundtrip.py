@@ -67,8 +67,7 @@ def test_roundtrip_report_fields(roundtrip_cos):
 
 
 def _q_hat(data, n_terms):
-    field = solve_kernel_field(build_F(build_H(data, data.beta, n_terms)),
-                               np.linspace(0.0, PI, 129))
+    field = solve_kernel_field(build_F(build_H(data, data.beta, n_terms)), 129)
     return recover_q(field).values
 
 

@@ -148,9 +148,16 @@ _SMALL_MU = 1e-6
 
 
 def musin(mu, x):
-    """sin(lambda x)/lambda as a function of mu = lambda^2; equals x at mu = 0."""
+    """sin(lambda x)/lambda as a function of mu = lambda^2; equals x at mu = 0.
+
+    When every mu is above the small-mu band (a NaN is not) it is computed by
+    broadcasting, with no masks; the values are the masked path's."""
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
+    if np.all(mu > _SMALL_MU):
+        lam = np.sqrt(mu)
+        out = np.sin(lam * x) / lam
+        return out if out.ndim else float(out)
     mu, x = np.broadcast_arrays(mu, x)
     out = np.empty(mu.shape, dtype=float)
     pos = mu > _SMALL_MU
@@ -170,9 +177,13 @@ def musin(mu, x):
 
 
 def mucos(mu, x):
-    """cos(lambda x) as a function of mu = lambda^2 (cosh for mu < 0)."""
+    """cos(lambda x) as a function of mu = lambda^2 (cosh for mu < 0); like
+    :func:`musin`, by broadcasting when every mu is above the small-mu band."""
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
+    if np.all(mu > _SMALL_MU):
+        out = np.cos(np.sqrt(mu) * x)
+        return out if out.ndim else float(out)
     mu, x = np.broadcast_arrays(mu, x)
     out = np.empty(mu.shape, dtype=float)
     pos = mu > _SMALL_MU

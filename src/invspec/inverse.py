@@ -13,12 +13,15 @@ The main equation is discretized by the trapezoid rule on the nodes
 t_j = j h, h = pi/M, M = x_nodes - 1, where the slope jump of F along t = s
 falls on a node, so the error is a series in h^2; one Richardson step
 between the grids h and h/2 leaves O(h^4) (Atkinson, The Numerical Solution
-of Integral Equations of the Second Kind, CUP 1997, ch. 4).  One Cholesky
-factor L of I + h F per grid gives the whole diagonal from its pivots, the
-discrete form of q = -2 (log det(I + F_x))'' (Dyson, Commun. Math. Phys. 47,
-1976), and the refusal of data that are not positive; its inverse L^(-1),
-taken once per grid (trtri), gives every row in O(M^2) with no solve, the
-condition number, and the x-derivative of a row by two triangular products.
+of Integral Equations of the Second Kind, CUP 1997, ch. 4).  F on a grid is
+Toeplitz minus Hankel, read as sliding windows of one H table with no index
+matrix.  One Cholesky factor L of I + h F per grid gives the whole diagonal
+from its pivots, the discrete form of q = -2 (log det(I + F_x))'' (Dyson,
+Commun. Math. Phys. 47, 1976), and the refusal of data that are not
+positive; its inverse L^(-1), taken once per grid (trtri), gives every row in
+O(M^2) with no solve, the condition number, and the x-derivative of a row by
+two triangular products.  The factor and its inverse overwrite I + h F where
+it lies, so a grid keeps only F, L^(-1) and its rows.
 The solutions phi are rebuilt at all nodes by one matrix product with the
 rows' quadrature weights.
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
@@ -444,8 +448,15 @@ class TrapezoidSystem:
 
 
 def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
-    """Assemble G = I + h F as Toeplitz minus Hankel from the H table, factor
-    it (LAPACK potrf) and invert the factor (trtri): W = L^(-1).
+    """Assemble G = I + h F from the H table, factor it (LAPACK potrf) and
+    invert the factor (trtri): W = L^(-1), all in place.
+
+    With v = table[::stride], F is Toeplitz v[|i-j|] minus Hankel v[i+j]
+    over 2 (i, j = 1..M), both read as sliding windows of v, so no index
+    matrix is built.  G is exactly symmetric, so G.T is the same matrix in
+    Fortran order: potrf factors it where it lies, and trtri inverts that
+    factor where it lies, which leaves F, G's buffer (as L then W) and the
+    rows the only M x M matrices kept.
 
     Row k's matrix is the leading block G_k minus (h/2) F[:, k] e_k^T, the
     half weight at its own end, and its right-hand side -F[:, k]; by
@@ -457,36 +468,43 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     it is taken as (F_kk - sum_{j<k} L_kj^2/h)/l_k^2, the same number without
     the cancellation of 1 - 1/l_k^2, which costs eps/h.
     A positive info refuses the data: I + F_x is not positive at x = info h.
-    The 1-norm condition number comes from G^(-1) = W^T W (lauum; trtri then
-    lauum is potri).  pocon's estimate varies in its last bits with the
-    alignment of its work arrays, so reports of identical runs would differ."""
+    The 1-norm condition number comes from G's column sums, taken before the
+    factor overwrites G, and from G^(-1) = W^T W (lauum; trtri then lauum is
+    potri), whose upper triangle is zero as potrf cleaned L's.  pocon's
+    estimate varies in its last bits with the alignment of its work arrays,
+    so reports of identical runs would differ."""
     h = PI / M
-    i = np.arange(1, M + 1) * stride
-    F = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
+    v = table[::stride]
+    toeplitz = sliding_window_view(np.concatenate([v[M - 1:0:-1], v[:M]]), M)[::-1]
+    F = np.subtract(toeplitz, sliding_window_view(v[2:2 * M + 1], M), out=np.empty((M, M)))
+    F *= 0.5
     G = h * F
     G.flat[::M + 1] += 1.0
-    factor, info = dpotrf(G, lower=1, clean=1)
+    work = np.abs(G)
+    g_norm = work.sum(axis=0).max()
+    factor, info = dpotrf(G.T, lower=1, clean=1, overwrite_a=1)
     _check_info("potrf", info, PI)
     if info > 0:
         raise AdmissibilityError(
             f"data not positive: the Gelfand-Levitan operator I + F_x is not positive "
             f"definite at x={info * h:.4f} (leading minor {info} of the {M}-node trapezoid "
             f"matrix); some norming constant is not positive")
-    W, info = dtrtri(factor, lower=1)
-    _check_info("trtri", info, PI)
-    inv, info = dlauum(W, lower=1)
-    _check_info("lauum", info, PI)
-    inv = np.abs(np.tril(inv))
-    cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
-    if not cond <= CONDITION_LIMIT:
-        raise AdmissibilityError(
-            f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
-            f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
     pivots = np.diagonal(factor).copy()
     z = (1.0 - 1.0 / (pivots * pivots)) / h
     diagonal = np.concatenate([[0.0], -z / (1.0 - 0.5 * h * z)])
     np.fill_diagonal(factor, 0.0)
     y_k = (np.diagonal(F) - np.einsum("ij,ij->i", factor, factor) / h) / (pivots * pivots)
+    np.fill_diagonal(factor, pivots)
+    W, info = dtrtri(factor, lower=1, overwrite_c=1)
+    _check_info("trtri", info, PI)
+    inv, info = dlauum(W, lower=1)
+    _check_info("lauum", info, PI)
+    inv = np.abs(inv, out=work)  # |G|'s C-order buffer: the condition sums' bits need C order
+    cond = g_norm * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
+    if not cond <= CONDITION_LIMIT:
+        raise AdmissibilityError(
+            f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
+            f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
     rows = np.zeros((M + 1, M + 1))
     y = rows[1:, 1:]  # filled in place: -y/(1 - h y_k/2) is y/(h y_k/2 - 1)
     np.divide(W, -h * pivots[:, None], out=y)
@@ -501,13 +519,14 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-def _residuals(g: TrapezoidSystem, k: np.ndarray) -> np.ndarray:
-    """The residuals of rows k's own equations at t = t_k when P(t_k, t_k) is
-    read from the pivots, for an array of rows k >= 1: roundoff for
-    admissible data, so it checks the pivots against the rows."""
-    fkk = g.F[k - 1, k - 1]
-    dots = np.einsum("...j,...j->...", g.rows[k, 1:], g.F[k - 1])
-    return np.abs(g.diagonal[k] + fkk + g.h * (dots - 0.5 * g.rows[k, k] * fkk))
+def _residuals(g: TrapezoidSystem) -> np.ndarray:
+    """The residual of each row k = 1..M's own equation at t = t_k when
+    P(t_k, t_k) is read from the pivots: roundoff for admissible data, so it
+    checks the pivots against the rows.  It reads the rows and F in place."""
+    fkk = np.diagonal(g.F)
+    y = g.rows[1:, 1:]
+    dots = np.einsum("ij,ij->i", y, g.F)
+    return np.abs(g.diagonal[1:] + fkk + g.h * (dots - 0.5 * np.diagonal(y) * fkk))
 
 
 def _slope_row(g: TrapezoidSystem, k: int, slopes: np.ndarray) -> np.ndarray:
@@ -599,11 +618,18 @@ class KernelField:
 
     def index(self, x: float) -> int:
         """k with x = t_k; an x off the grid is refused."""
+        return int(self._indices(np.array([float(x)]))[0])
+
+    def _indices(self, xs: np.ndarray) -> np.ndarray:
+        """k with xs = t_k for each x, in one test; the first x off the grid
+        is refused."""
         h = self.grids[0].h
-        k = int(round(float(x) / h))
-        if not (0 <= k < self.x_nodes.size and abs(float(x) - k * h) <= 1e-9):
+        ks = np.rint(xs / h)
+        on = (ks >= 0) & (ks < self.x_nodes.size) & (np.abs(xs - ks * h) <= 1e-9)
+        if not on.all():
+            x = float(xs[np.argmin(on)])
             raise ConfigError(f"x={x} is not a node of the {self.x_nodes.size}-node x grid")
-        return k
+        return ks.astype(np.intp)
 
     def row(self, x: float) -> KernelRow:
         return solve_gl(self, x)
@@ -618,7 +644,7 @@ class KernelField:
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        ks = np.array([self.index(xi) for xi in xs])
+        ks = self._indices(xs)
         n = 2 * int(ks.max()) + 1
         S = musin(mus[:, None], np.arange(n) * self.grids[1].h)
         out = musin(mus[:, None], xs) + S @ self.weights[ks, :n].T
@@ -725,7 +751,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     s = musin(mus[:, None], x)
     xg, wg = gauss_rule(64, 0.0, PI)
     sg = musin(mus[:, None], xg)
-    diag_res = max(float(_residuals(g, np.arange(1, g.rows.shape[0])).max()) for g in field.grids)
+    diag_res = max(float(_residuals(g).max()) for g in field.grids)
 
     parseval = {}
     for name, f in (("x", np.asarray), ("sin", np.sin)):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,33 @@ def test_mucos_branches():
     assert mucos(4.0, 1.0) == pytest.approx(np.cos(2.0), rel=1e-15)
     assert mucos(-4.0, 1.0) == pytest.approx(np.cosh(2.0), rel=1e-15)
     assert mucos(0.0, 0.7) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("f", [musin, mucos], ids=["musin", "mucos"])
+def test_all_positive_mu_matches_the_masked_path(f):
+    # an all-positive mu takes the broadcasting path; the same entries inside
+    # a mixed-sign array take the masked path and give the same bits
+    pos = np.array([2e-6, 0.3, 1.0, 4.0, 37.5, 1e4])
+    mixed = np.concatenate([[-9.0, 0.0, 5e-7], pos])
+    x = np.linspace(0.0, PI, 33)
+    assert f(pos[:, None], x).tobytes() == f(mixed[:, None], x)[3:].tobytes()
+    assert f(pos, 0.7).tobytes() == f(mixed, 0.7)[3:].tobytes()
+    assert f(4.0, x).tobytes() == f(np.array([-1.0, 4.0])[:, None], x)[1].tobytes()
+    assert f(4.0, 1.0) == f(np.array([-1.0, 4.0]), 1.0)[1]
+    assert isinstance(f(4.0, 1.0), float)
+
+
+@pytest.mark.parametrize("f", [musin, mucos], ids=["musin", "mucos"])
+def test_nan_mu_takes_the_masked_path(f):
+    # NaN is not above the small-mu band: the masked path gives NaN for it,
+    # the other entries' values, and no RuntimeWarning
+    mu = np.array([np.nan, 4.0, 9.0])
+    x = np.linspace(0.0, PI, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = f(mu[:, None], x)
+    assert np.isnan(out[0]).all()
+    assert out[1:].tobytes() == f(mu[1:, None], x).tobytes()
 
 
 @given(st.floats(min_value=-1e-5, max_value=1e-5), st.floats(min_value=0.01, max_value=6.2))

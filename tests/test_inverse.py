@@ -604,8 +604,43 @@ def test_diagonal_identity_residual(ex6_inverse):
     # every row of both grids satisfies its own equation at t = x with
     # P(x, x) read from the pivots
     field = ex6_inverse.field
-    res = [inverse._residuals(g, np.arange(1, g.rows.shape[0])) for g in field.grids]
+    res = [inverse._residuals(g) for g in field.grids]
+    assert [r.size for r in res] == [g.F.shape[0] for g in field.grids]
     assert max(float(r.max()) for r in res) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["cos", "example6-400"])
+def test_factor_assembles_F_from_windows_of_the_table(case):
+    # F, read as sliding windows of the H table, is the fancy-index build
+    # 0.5 * (table[|i-j| s] - table[(i+j) s]) bit for bit on both grids, and
+    # factoring in place leaves the read-only table as it found it
+    data = _stored_cos() if case == "cos" else example6_data(400)
+    H = build_H(data, data.beta)
+    field = solve_kernel_field(build_F(H))
+    table = H.table(field.table_size)
+    before = table.copy()
+    for g in field.grids:
+        M = g.F.shape[0]
+        i = np.arange(1, M + 1) * g.stride
+        expected = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
+        assert g.F.tobytes() == expected.tobytes()
+        again = inverse._factor(table, M, g.stride)
+        assert again.F.tobytes() == expected.tobytes()
+        assert again.inv_factor.tobytes() == g.inv_factor.tobytes()
+    assert not table.flags.writeable
+    assert table.tobytes() == before.tobytes()
+
+
+def test_phi_refuses_an_off_grid_x_in_a_node_array(ex6_inverse):
+    # the whole array is checked at once, and the first x off the grid is named
+    field = ex6_inverse.field
+    xs = field.x_nodes.copy()
+    xs[40] += 1e-3
+    xs[90] = 5.0
+    with pytest.raises(ConfigError, match=rf"x={float(xs[40])!r} is not a node of the 129-node x grid"):
+        field.phi(xs, [1.0, 4.0])
+    with pytest.raises(ConfigError, match="x=nan is not a node"):
+        field.phi(np.array([0.0, np.nan]), [1.0])
 
 
 def test_ill_posed_data_raises():

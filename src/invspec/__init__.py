@@ -30,7 +30,7 @@ from .asymptotics import (
     unperturbed_spectrum,
 )
 from .forward import characteristic, eigenvalues, expand, forward_solve, norming_constants
-from .inverse import build_F, build_H, recover_beta, recover_q, solve_gl, solve_kernel_field, validate
+from .inverse import build_H, recover_beta, recover_q, solve_gl, solve_kernel_field, validate
 from .roundtrip import InverseParams, RoundTripReport, example6_oracle, inverse_pipeline
 
 __version__ = "0.1.0"

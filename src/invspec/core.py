@@ -204,12 +204,12 @@ def mucosm1(mu, x):
     """(cos(lambda x) - 1)/mu, stable for every mu; equals -x^2/2 at mu = 0.
 
     Uses cos(z) - 1 = -2 sin^2(z/2) (and the sinh analogue), so there is no
-    cancellation even for tiny |mu|.
+    cancellation even for tiny |mu|.  A NaN mu, in none of the masks, gives NaN.
     """
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
     mu, x = np.broadcast_arrays(mu, x)
-    out = np.empty(mu.shape, dtype=float)
+    out = np.full(mu.shape, np.nan)
     tiny = np.abs(mu) < 1e-14
     pos = (mu > 0) & ~tiny
     neg = (mu < 0) & ~tiny

@@ -7,7 +7,9 @@ H(t) of the data against the unperturbed (q = 0) spectrum for the same
 angle -> F(x,t) = (H(|x-t|) - H(x+t))/2 -> the main equation
 P(x,t) + F(x,t) + int_0^x P(x,s) F(s,t) ds = 0 -> q(x) = 2 d/dx P(x,x),
 solutions phi rebuilt through the kernel, and the boundary angle from the
-constancy of phi'(pi)/phi(pi) over eigenvalues.
+constancy of phi'(pi)/phi(pi) over eigenvalues.  In code the chain is
+build_H -> solve_kernel_field(H, x_nodes): the field reads H's tables, and
+F at points off its grids is the field's :meth:`KernelField.F`.
 
 The main equation is discretized by the trapezoid rule on the nodes
 t_j = j h, h = pi/M, M = x_nodes - 1, where the slope jump of F along t = s
@@ -236,13 +238,9 @@ def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray
     entries cancel exactly.
     """
     term_of = (lambda mu, tt: -musin(mu, tt)) if deriv else mucosm1
-    out = np.zeros_like(t)
-    chunk = max(1, int(4_000_000 // max(t.size, 1)))
-    for n0 in range(0, mu_d.size, chunk):
-        n1 = min(n0 + chunk, mu_d.size)
-        term = (1.0 / a_d[n0:n1, None]) * term_of(mu_d[n0:n1, None], t[None, :])
-        term -= (1.0 / a_b[n0:n1, None]) * term_of(mu_b[n0:n1, None], t[None, :])
-        out += term.sum(axis=0)
+    term = (1.0 / a_d[:, None]) * term_of(mu_d[:, None], t[None, :])
+    term -= (1.0 / a_b[:, None]) * term_of(mu_b[:, None], t[None, :])
+    out = term.sum(axis=0)
     if deriv:
         return out
     reg_d = np.abs(mu_d) >= ZERO_MU_TOL
@@ -317,9 +315,9 @@ class HFunction:
 
     :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
-    sums no table: the kernel field sums the tables of its x grid, and the
-    first call of H at arbitrary t sums the table of the default x grid
-    (H_GRID_SIZE nodes) and builds the cubic spline through it.
+    sums no table: the kernel field sums the tables of its x grid, and
+    :meth:`KernelField.F` reads the table of the default x grid
+    (H_GRID_SIZE nodes).  H is read at table nodes only.
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -350,7 +348,6 @@ class HFunction:
         }[(has_zero_d, has_zero_b)]
 
         self._tables: dict[tuple[int, bool], np.ndarray] = {}
-        self._spline = None
 
     def table(self, L: int, deriv: bool = False) -> np.ndarray:
         """H, or with ``deriv`` H', at t_j = 2*pi*j/L, j = 0..L; H'(0) is the
@@ -375,29 +372,6 @@ class HFunction:
             self._tables[key] = vals
         return vals
 
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        lo = float(np.min(t_arr, initial=np.inf))
-        hi = float(np.max(t_arr, initial=-np.inf))
-        if not (lo >= -1e-12 and hi <= TWO_PI + 1e-12):  # NaN fails too
-            raise DomainError(f"H evaluated outside [0, 2*pi] (t from {lo:.6g} to {hi:.6g})")
-        if self._spline is None:
-            L = H_GRID_SIZE - 1
-            self._spline = CubicSpline(_table_nodes(L), self.table(L))
-        out = self._spline(np.clip(t_arr, 0.0, TWO_PI))
-        return out if t_arr.ndim else float(out)
-
-    def eval_direct(self, t):
-        """Truncated summation without the table or tail model."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _pair_sum(t_arr, self.mu_d, self.a_d, self.mu_b, self.a_b)
-        return out if np.ndim(t) else float(out[0])
-
-    def truncation_tail_bound(self) -> float:
-        """Generous bound on |true tail| of the direct n_terms-term sum, at
-        every t: twice the model's sum of |gamma|/omega^2 past n_terms."""
-        return 2.0 * abs(self.gamma_hat) / self.n_terms
-
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
             n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
@@ -407,22 +381,6 @@ def build_H(data: SpectralData, beta: BoundaryAngle | float,
     ``c_fit`` the data carry is not read.  ``kappa`` is validate's third-order
     tail coefficient; with 0 the eigenvalues past the data are the base ones."""
     return HFunction(data, beta, n_terms, delta=delta, kappa=kappa)
-
-
-@dataclass(frozen=True)
-class FKernel:
-    """Symmetric kernel F(x,t) = (H(|x-t|) - H(x+t))/2 on [0, pi]^2."""
-
-    H: HFunction
-
-    def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return 0.5 * (self.H(np.abs(x - t)) - self.H(x + t))
-
-
-def build_F(H: HFunction) -> FKernel:
-    return FKernel(H)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +543,8 @@ def solve_gl(field: KernelField, x: float) -> KernelRow:
 
 
 class KernelField:
-    """The transformation kernel P on the uniform x grid of ``x_nodes`` nodes
-    on [0, pi].
+    """The transformation kernel P, from the H kernel ``H``, on the uniform
+    x grid of ``x_nodes`` nodes on [0, pi].
 
     ``grid`` is that trapezoid grid, built once here, and ``x_nodes`` its
     nodes.  Construction factors the trapezoid systems of the grids
@@ -594,18 +552,18 @@ class KernelField:
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
     combined by one Richardson step.  ``weights`` holds, in row k, the
     :func:`_richardson_weights` of the row at t_k on the h/2 grid (zero past
-    t_k)."""
+    t_k).  The field reads attributes of ``H`` and never calls it."""
 
-    def __init__(self, F: FKernel, x_nodes: int = DEFAULT_X_NODES):
+    def __init__(self, H: HFunction, x_nodes: int = DEFAULT_X_NODES):
         if x_nodes < 5:
             # a floor of the CLI contract (fewer than five --x-nodes exit 64)
             raise ConfigError(f"x_nodes={x_nodes}: the kernel field needs at least 5 nodes")
-        self.F = F
+        self.H = H
         self.grid = trapezoid_grid(np.linspace(0.0, PI, x_nodes))
         self.x_nodes = self.grid.nodes
         M = x_nodes - 1
         self.table_size = 4 * M
-        table = F.H.table(self.table_size)
+        table = H.table(self.table_size)
         self.grids = (_factor(table, M, 2), _factor(table, 2 * M, 1))
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
@@ -615,6 +573,25 @@ class KernelField:
         self.weights[:, ::2] -= (coarse.h / 3.0) * coarse.rows
         k = np.arange(M + 1)
         self.weights[k, 2 * k] *= 0.5
+        self._spline = None
+
+    def F(self, x, t):
+        """F(x, t) = (H(|x-t|) - H(x+t))/2 at any x, t in [0, pi], through the
+        cubic spline of the H table of the default x grid (H_GRID_SIZE
+        nodes), built on the first call; the main equation reads F on its
+        grids only.  Arguments past [0, pi] by roundoff are taken at its
+        ends, others (and NaN) are refused."""
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        lo = float(np.minimum(np.min(x, initial=np.inf), np.min(t, initial=np.inf)))
+        hi = float(np.maximum(np.max(x, initial=-np.inf), np.max(t, initial=-np.inf)))
+        if not (lo >= -1e-12 and hi <= PI + 1e-12):  # NaN fails too
+            raise DomainError(f"F evaluated outside [0, pi] (x and t from {lo:.6g} to {hi:.6g})")
+        if self._spline is None:
+            L = H_GRID_SIZE - 1
+            self._spline = CubicSpline(_table_nodes(L), self.H.table(L))
+        out = 0.5 * (self._spline(np.abs(x - t)) - self._spline(np.clip(x + t, 0.0, TWO_PI)))
+        return out if out.ndim else float(out)
 
     def index(self, x: float) -> int:
         """k with x = t_k; an x off the grid is refused."""
@@ -645,7 +622,7 @@ class KernelField:
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         ks = self._indices(xs)
-        n = 2 * int(ks.max()) + 1
+        n = 2 * int(ks.max(initial=0)) + 1
         S = musin(mus[:, None], np.arange(n) * self.grids[1].h)
         out = musin(mus[:, None], xs) + S @ self.weights[ks, :n].T
         return out if np.ndim(x) else out[:, 0]
@@ -663,7 +640,7 @@ class KernelField:
         if k == 0:
             return np.ones(mus.size)
         coarse, fine = self.grids
-        slopes = self.F.H.table(self.table_size, deriv=True)
+        slopes = self.H.table(self.table_size, deriv=True)
         weights = _richardson_weights(_slope_row(coarse, k, slopes),
                                       _slope_row(fine, 2 * k, slopes), coarse.h)
         xk = self.x_nodes[k]
@@ -671,11 +648,11 @@ class KernelField:
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
 
 
-def solve_kernel_field(F: FKernel, x_nodes: int = DEFAULT_X_NODES) -> KernelField:
-    """Factor the main equation on the uniform grid of ``x_nodes`` nodes on
-    [0, pi] (at least 5), which gives the whole kernel diagonal and every
-    row."""
-    return KernelField(F, x_nodes)
+def solve_kernel_field(H: HFunction, x_nodes: int = DEFAULT_X_NODES) -> KernelField:
+    """Factor the main equation of the H kernel ``H`` on the uniform grid of
+    ``x_nodes`` nodes on [0, pi] (at least 5), which gives the whole kernel
+    diagonal and every row."""
+    return KernelField(H, x_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +748,6 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
         "gram_offdiag_max": gram_off,
         "gram_diag_rel_max": gram_diag,
         "condition_max": field.condition_max,
-        "branch": field.F.H.branch,
+        "branch": field.H.branch,
         "k_terms": k_terms,
     }

@@ -24,7 +24,6 @@ from .inverse import (
     DEFAULT_X_NODES,
     BetaRecovery,
     KernelField,
-    build_F,
     build_H,
     consistency_suite,
     recover_beta,
@@ -55,7 +54,7 @@ class InverseResult:
 
 
 def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()) -> InverseResult:
-    """validate -> H -> F -> kernel rows -> q, recovered angle, diagnostics.
+    """validate -> H -> kernel field -> q, recovered angle, diagnostics.
 
     The one place that knows the drift constant c: validate fits it, the
     kernel layer inverts the drift-free data (mu_n - c, a_n) of q - c, and c
@@ -77,8 +76,7 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     kappa = 0.0 if report["kappa"] is None else report["kappa"]
     shifted = shift_spectrum(data, c)
     H = build_H(shifted, data.beta, n_terms, delta=delta, kappa=kappa)
-    F = build_F(H)
-    field = solve_kernel_field(F, params.x_nodes)
+    field = solve_kernel_field(H, params.x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)
     beta_rec = recover_beta(field, shifted)

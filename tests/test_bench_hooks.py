@@ -121,3 +121,18 @@ def test_benchmark_checks_accept_the_inverse_outputs(workloads):
     verdict = workloads.check_cos_inverse(workloads.read_inverse(roundtrip.inverse_pipeline(cos)),
                                           cos.beta)
     assert verdict.failures == []
+
+
+def test_traced_pipeline_kernel_reads_pass_the_checks(tracing, workloads):
+    # under the tracer the field is handed a counting wrapper of H that only
+    # takes (x, t): a field that reads H's tables and never calls H gives F
+    # at arbitrary points and the P rows that the benchmark's checks accept
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = roundtrip.inverse_pipeline(example6_data(40))
+        view = workloads.read_inverse(result, with_kernels=True)
+    finally:
+        tracer.uninstall()
+    assert isinstance(result.field.H, tracing.CountingF)
+    assert workloads.check_ex6(view).failures == []

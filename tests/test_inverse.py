@@ -30,7 +30,6 @@ from invspec.inverse import (
     _halfint_expsum,
     _pair_sum,
     _table_nodes,
-    build_F,
     build_H,
     consistency_suite,
     recover_beta,
@@ -128,22 +127,27 @@ def test_validate_needs_enough_data():
 
 def test_h_reference_closed_form():
     H = build_H(example6_data(40), PI / 2, 1000)
-    ts = np.linspace(0.0, 2 * PI, 501)
-    assert np.max(np.abs(H(ts) - (2 / PI) * np.cos(ts / 2))) < 1e-10
+    L = H_GRID_SIZE - 1
+    ts = _table_nodes(L)
+    assert np.max(np.abs(H.table(L) - (2 / PI) * np.cos(ts / 2))) < 1e-10
 
 
 def test_h_identical_data_vanishes():
     sp = unperturbed_spectrum(PI / 3, 24)
     H = build_H(sp, PI / 3, 400)
-    assert np.max(np.abs(H(np.linspace(0, 2 * PI, 200)))) < 1e-11
+    assert np.max(np.abs(H.table(H_GRID_SIZE - 1))) < 1e-11
 
 
 def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
+    # the table, with its tail model, against the direct n_terms-term sum at
+    # every table node; twice the model's sum of |gamma|/omega^2 past
+    # n_terms bounds the true tail of the direct sum at every t
     data = fwd_cos_64.spectral_data()
     H = build_H(data, PI / 3, 2000)
-    t = 1.0
-    direct = H.eval_direct(t)
-    assert abs(H(t) - direct) <= 2.0 * H.truncation_tail_bound() + 1e-12
+    L = H_GRID_SIZE - 1
+    direct = _pair_sum(_table_nodes(L), H.mu_d, H.a_d, H.mu_b, H.a_b)
+    tail_bound = 2.0 * abs(H.gamma_hat) / H.n_terms
+    assert np.max(np.abs(H.table(L) - direct)) <= 2.0 * tail_bound + 1e-12
 
 
 def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
@@ -208,25 +212,26 @@ def test_h_zero_branch_is_limit_of_regular():
     mu0 = data.mu.copy()
     mu0[0] = 0.0
     H0 = build_H(SpectralData(PI / 2, mu0, data.norming, 0.0), PI / 2, 300)
-    ts = np.linspace(0.1, 2 * PI - 0.1, 9)
+    L = H_GRID_SIZE - 1
+    nodes = slice(8, L - 7, 62)  # nine table nodes from t = 0.098 to 2 pi - 0.098
     eps = 1e-6
-    acc = np.zeros_like(ts)
+    acc = np.zeros(9)
     for s in (+eps, -eps):
         mu = data.mu.copy()
         mu[0] = s
-        acc += build_H(SpectralData(PI / 2, mu, data.norming, 0.0), PI / 2, 300)(ts)
-    assert np.max(np.abs(acc / 2.0 - H0(ts))) < 1e-9
+        acc += build_H(SpectralData(PI / 2, mu, data.norming, 0.0), PI / 2, 300).table(L)[nodes]
+    assert np.max(np.abs(acc / 2.0 - H0.table(L)[nodes])) < 1e-9
 
 
 def test_h_zero_in_both_gives_xt_kernel():
     sp = unperturbed_spectrum(BETA_STAR, 24)
     a3 = sp.norming.copy()
     a3[0] *= 0.7
-    F = build_F(build_H(SpectralData(BETA_STAR, sp.mu, a3, 0.0), BETA_STAR, 400))
+    field = solve_kernel_field(build_H(SpectralData(BETA_STAR, sp.mu, a3, 0.0), BETA_STAR, 400))
     coef = 1.0 / a3[0] - 1.0 / sp.norming[0]
     for x in (0.3, 1.1, 2.9):
         for t in (0.2, 0.9):
-            assert float(F(x, t)) == pytest.approx(coef * x * t, abs=5e-8)
+            assert field.F(x, t) == pytest.approx(coef * x * t, abs=5e-8)
 
 
 def test_h_needs_valid_truncation():
@@ -240,42 +245,43 @@ def test_h_refuses_to_drop_data():
         build_H(example6_data(40), PI / 2, 20)
 
 
-def test_h_rejects_arguments_outside_its_domain():
-    H = _F_CACHE["F"].H
-    for t in (-0.1, 2 * PI + 0.1, np.array([0.5, 2 * PI + 0.1]), np.nan):
+def test_f_rejects_arguments_outside_its_domain():
+    F = _FIELD["ex6"].F
+    for x, t in ((-0.1, 0.5), (0.5, PI + 0.1), (np.array([0.5, PI + 0.1]), 0.5),
+                 (np.nan, 0.5), (0.5, np.array([0.2, np.nan]))):
         with pytest.raises(DomainError):
-            H(t)
+            F(x, t)
     # roundoff past either end is clipped, not refused
-    assert H(-1e-13) == H(0.0)
-    assert H(2 * PI + 1e-13) == H(2 * PI)
+    assert F(-1e-13, -1e-13) == F(0.0, 0.0)
+    assert F(PI + 1e-13, PI + 1e-13) == F(PI, PI)
 
 
 # --- F kernel ---------------------------------------------------------------------
 
 
 def test_f_reference_closed_form():
-    F = build_F(build_H(example6_data(40), PI / 2, 1000))
+    field = solve_kernel_field(build_H(example6_data(40), PI / 2, 1000))
     xs = np.linspace(0.0, PI, 20)
     X, T = np.meshgrid(xs, xs)
-    assert np.max(np.abs(F(X, T) - example6_F(X, T))) < 1e-10
+    assert np.max(np.abs(field.F(X, T) - example6_F(X, T))) < 1e-10
 
 
 def test_f_vanishes_with_h():
     sp = unperturbed_spectrum(PI / 3, 24)
-    F = build_F(build_H(sp, PI / 3, 400))
+    field = solve_kernel_field(build_H(sp, PI / 3, 400))
     xs = np.linspace(0, PI, 30)
     X, T = np.meshgrid(xs, xs)
-    assert np.max(np.abs(F(X, T))) < 1e-11
+    assert np.max(np.abs(field.F(X, T))) < 1e-11
 
 
 @given(st.floats(min_value=0.0, max_value=3.14), st.floats(min_value=0.0, max_value=3.14))
 def test_f_symmetry(x, t):
-    F = _F_CACHE["F"]
-    assert float(F(x, t)) == float(F(t, x))  # identical expression both ways
+    F = _FIELD["ex6"].F
+    assert F(x, t) == F(t, x)  # identical expression both ways
 
 
 def test_f_boundary_rows_vanish():
-    F = _F_CACHE["F"]
+    F = _FIELD["ex6"].F
     ts = np.linspace(0, PI, 40)
     assert np.max(np.abs(F(ts, np.zeros_like(ts)))) == 0.0
     assert np.max(np.abs(F(np.zeros_like(ts), ts))) == 0.0
@@ -285,7 +291,7 @@ def test_f_series_form_agreement(fwd_cos_64):
     # pairing form vs direct sine-product series at a few points
     data = fwd_cos_64.spectral_data()
     H = build_H(data, PI / 3, 800)
-    F = build_F(H)
+    F = solve_kernel_field(H).F
     base = unperturbed_spectrum(PI / 3, 800, delta=H.delta)
     lam_d = np.sqrt(H.mu_d)
     lam_b = np.sqrt(H.mu_b)
@@ -296,11 +302,11 @@ def test_f_series_form_agreement(fwd_cos_64):
         assert float(F(x, t)) == pytest.approx(float(series), abs=2e-4)
 
 
-_F_CACHE = {}
+_FIELD = {}
 
 
 def setup_module(module):
-    _F_CACHE["F"] = build_F(build_H(example6_data(30), PI / 2, 400))
+    _FIELD["ex6"] = solve_kernel_field(build_H(example6_data(30), PI / 2, 400))
 
 
 # --- integral-equation solve -------------------------------------------------------
@@ -315,7 +321,7 @@ def test_solve_gl_reference_rows(ex6_inverse):
 
 def test_solve_gl_zero_kernel():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)))
+    field = solve_kernel_field(build_H(sp, PI / 3, 400))
     row = solve_gl(field, PI / 2)
     assert np.max(np.abs(row.values)) < 1e-11
     assert field.condition_max < 1.5
@@ -326,8 +332,8 @@ def test_solve_gl_offnode_residual():
     # main equation at off-node points, its integral taken by Gauss rules on
     # either side of the kink at s = t
     from scipy.interpolate import CubicSpline
-    F = _F_CACHE["F"]
-    field = solve_kernel_field(F)
+    field = _FIELD["ex6"]
+    F = field.F
     x = float(field.x_nodes[82])
     row = field.row(x)
     interp = CubicSpline(row.nodes, row.values)
@@ -342,7 +348,7 @@ def test_solve_gl_offnode_residual():
 
 
 def test_solve_gl_domain_checks():
-    field = solve_kernel_field(_F_CACHE["F"])
+    field = _FIELD["ex6"]
     with pytest.raises(ConfigError):
         solve_gl(field, 0.0)
     with pytest.raises(ConfigError, match="x=1.0 is not a node of the 129-node x grid"):
@@ -359,7 +365,7 @@ def _trapezoid_row_matrix(g, k):
 
 def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
     # the condition number taken from potri's inverse is that of I + h F in the 1-norm
-    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
         exact = np.linalg.cond(np.eye(g.F.shape[0]) + g.h * g.F, 1)
         assert exact / 10.0 <= g.cond <= exact * (1.0 + 1e-12)
@@ -370,7 +376,7 @@ def test_condition_is_the_potri_value(fwd_cos_64):
     # the inverse from trtri then lauum is potri's, so the condition number
     # is the one potri's inverse of the same factor gives, bit for bit
     from scipy.linalg.lapack import dpotrf, dpotri
-    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
         G = g.h * g.F
         G.flat[::G.shape[0] + 1] += 1.0
@@ -386,7 +392,7 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
     # trapezoid row system, the field's row of weights is the Richardson
     # weights of the two grids' rows, and its row is their Richardson
     # combination
-    field = solve_kernel_field(build_F(build_H(fwd_cos_64.spectral_data(), PI / 3)))
+    field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
         M = g.F.shape[0]
         assert not np.any(g.rows[0]) and not np.any(g.rows[:, 0])
@@ -419,7 +425,7 @@ def test_row_diagonal_matches_extension(case, fwd_cos_64):
     # P(x,x) from the pivots is the last entry of every row taken from the
     # inverse of the same factor, on each grid
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
-    field = solve_kernel_field(build_F(build_H(data, data.beta)))
+    field = solve_kernel_field(build_H(data, data.beta))
     for g in field.grids:
         assert np.max(np.abs(np.diagonal(g.rows) - g.diagonal)) <= 1e-13
 
@@ -427,26 +433,26 @@ def test_row_diagonal_matches_extension(case, fwd_cos_64):
 def test_solved_row_holds_no_kernel_buffer():
     # a cached row keeps arrays of its own size, never a view into the
     # field's grid or factor
-    field = solve_kernel_field(_F_CACHE["F"])
+    field = _FIELD["ex6"]
     row = solve_gl(field, field.x_nodes[64])
     for arr in (row.nodes, row.values):
         assert arr.base is None or arr.base.nbytes <= arr.nbytes
 
 
 def _count_h_calls(monkeypatch) -> list:
-    """Records H evaluated at points, and each FFT summation of an H table."""
+    """Records F evaluated at points, and each FFT summation of an H table."""
     calls = []
-    real_call, real_sum = inverse.HFunction.__call__, inverse._halfint_expsum
+    real_call, real_sum = inverse.KernelField.F, inverse._halfint_expsum
 
-    def counting(self, t):
-        calls.append(("points", np.size(t)))
-        return real_call(self, t)
+    def counting(self, x, t):
+        calls.append(("points", np.broadcast(np.asarray(x), np.asarray(t)).size))
+        return real_call(self, x, t)
 
     def counting_sum(lam, w, L):
         calls.append(("table", L))
         return real_sum(lam, w, L)
 
-    monkeypatch.setattr(inverse.HFunction, "__call__", counting)
+    monkeypatch.setattr(inverse.KernelField, "F", counting)
     monkeypatch.setattr(inverse, "_halfint_expsum", counting_sum)
     return calls
 
@@ -454,9 +460,9 @@ def _count_h_calls(monkeypatch) -> list:
 def test_solve_gl_evaluates_H_once(monkeypatch):
     # a 65-node field sums one H table of 257 nodes (the explicit terms and
     # the tail model, one FFT pass each); its rows read that table only
-    F = build_F(build_H(example6_data(30), PI / 2, 400))
+    H = build_H(example6_data(30), PI / 2, 400)
     calls = _count_h_calls(monkeypatch)
-    field = solve_kernel_field(F, 65)
+    field = solve_kernel_field(H, 65)
     assert calls == [("table", 256), ("table", 256)]
     calls.clear()
     solve_gl(field, field.x_nodes[40])
@@ -466,9 +472,9 @@ def test_solve_gl_evaluates_H_once(monkeypatch):
 def test_diagonal_consumers_add_no_H_call(monkeypatch):
     # the field sums the default grid's table of 513 nodes; the diagonal and
     # recover_q read it
-    F = build_F(build_H(example6_data(30), PI / 2, 400))
+    H = build_H(example6_data(30), PI / 2, 400)
     calls = _count_h_calls(monkeypatch)
-    field = solve_kernel_field(F)
+    field = solve_kernel_field(H)
     assert calls == [("table", 512), ("table", 512)]
     calls.clear()
     recover_q(field)
@@ -514,7 +520,8 @@ def test_pipeline_solves_no_row(monkeypatch):
 
 def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
     # validate and the H build share the pipeline's delta sequence, and the
-    # spline through the H table is built only when H is called at points
+    # spline through the H table is built only when the field's F is called
+    # at points
     import invspec.asymptotics as asymptotics
     import invspec.roundtrip as roundtrip
     deltas, splines = [], []
@@ -535,9 +542,8 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
     result = inverse_pipeline(data)
     assert deltas == [2000]
     assert H_GRID_SIZE not in splines  # recover_q's spline has the 129 x nodes
-    H = result.field.F.H
-    H(1.0)
-    H(2.0)
+    result.field.F(1.0, 0.5)
+    result.field.F(2.0, 0.5)
     assert splines.count(H_GRID_SIZE) == 1
     # a sequence longer than validate needs gives validate's own report
     deltas.clear()
@@ -548,7 +554,7 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
 
 def test_non_finite_kernel_value_is_refused(monkeypatch):
     # a NaN from the H sums must not reach LAPACK, which would pass it through silently
-    F = build_F(build_H(example6_data(30), PI / 2, 400))
+    H = build_H(example6_data(30), PI / 2, 400)
     real = inverse._grid_pair_sum
 
     def one_nan(*args, **kwargs):
@@ -558,7 +564,7 @@ def test_non_finite_kernel_value_is_refused(monkeypatch):
 
     monkeypatch.setattr(inverse, "_grid_pair_sum", one_nan)
     with pytest.raises(NumericsError, match=r"non-finite kernel value nan at t=0\.1227"):
-        solve_kernel_field(F, 65)
+        solve_kernel_field(H, 65)
 
 
 @pytest.mark.parametrize("case", ["cos", "example6"])
@@ -568,7 +574,7 @@ def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
     # product and a matrix-vector product sum in different orders; at a
     # single node phi is that formula bit for bit
     data = fwd_cos_64.spectral_data() if case == "cos" else example6_data(40)
-    field = solve_kernel_field(build_F(build_H(data, data.beta)))
+    field = solve_kernel_field(build_H(data, data.beta))
     mus = data.mu[:20]
     xs = field.x_nodes
     batched = field.phi(xs, mus)
@@ -616,7 +622,7 @@ def test_factor_assembles_F_from_windows_of_the_table(case):
     # factoring in place leaves the read-only table as it found it
     data = _stored_cos() if case == "cos" else example6_data(400)
     H = build_H(data, data.beta)
-    field = solve_kernel_field(build_F(H))
+    field = solve_kernel_field(H)
     table = H.table(field.table_size)
     before = table.copy()
     for g in field.grids:
@@ -643,15 +649,21 @@ def test_phi_refuses_an_off_grid_x_in_a_node_array(ex6_inverse):
         field.phi(np.array([0.0, np.nan]), [1.0])
 
 
+def test_phi_of_no_x_is_an_empty_matrix(ex6_inverse):
+    # an empty array of x gives a (mu, 0) matrix, as any array of x gives (mu, x)
+    out = ex6_inverse.field.phi(np.array([]), [1.0, 4.0])
+    assert out.shape == (2, 0)
+
+
 def test_ill_posed_data_raises():
     # wildly inconsistent norming constants drive the system singular
     data = example6_data(24)
     a = data.norming.copy()
     a[:12] *= 1e-9
     bad = SpectralData(PI / 2, data.mu, a, 0.0)
-    F = build_F(build_H(bad, PI / 2, 200))
+    H = build_H(bad, PI / 2, 200)
     with pytest.raises(AdmissibilityError, match=r"condition estimate [\d.e+]+ at x=\d"):
-        solve_kernel_field(F, 17)
+        solve_kernel_field(H, 17)
 
 
 @pytest.mark.parametrize("index, x", [(3, 1.4726), (0, 2.3562), (10, 1.5953)])
@@ -700,16 +712,15 @@ def test_recover_q_reference(ex6_inverse):
 
 def test_recover_q_zero_kernel():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 33)
+    field = solve_kernel_field(build_H(sp, PI / 3, 400), 33)
     q = recover_q(field)
     assert np.max(np.abs(q.values)) < 1e-8
 
 
 def test_kernel_field_needs_five_nodes():
     # five x nodes is the floor of the CLI contract
-    F = _F_CACHE["F"]
     with pytest.raises(ConfigError, match="x_nodes=4"):
-        solve_kernel_field(F, 4)
+        solve_kernel_field(_FIELD["ex6"].H, 4)
 
 
 def test_recover_q_integral_consistency(ex6_inverse):
@@ -727,7 +738,7 @@ def test_kernel_field_solutions_zero_kernel():
     # zero kernel: phi and phi' are the free solutions on every branch of mu
     # (hyperbolic, zero, trigonometric), vectorized over mu
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 33)
+    field = solve_kernel_field(build_H(sp, PI / 3, 400), 33)
     mus = np.array([-3.0, 0.0, 2.0, 40.0])
     for x in field.x_nodes[[0, 7, 21, 32]]:  # 0, about 0.7 and 2.0, and pi
         assert np.max(np.abs(field.phi(x, mus) - musin(mus, x))) < 1e-9
@@ -788,7 +799,7 @@ def test_dphi_at_pi_on_constant_data(c):
 def test_recover_beta_unperturbed_identity():
     beta = PI / 3
     sp = unperturbed_spectrum(beta, 24)
-    field = solve_kernel_field(build_F(build_H(sp, beta, 400)), 65)
+    field = solve_kernel_field(build_H(sp, beta, 400), 65)
     br = recover_beta(field, sp)
     assert br.beta_tilde == pytest.approx(beta, abs=1e-8)
 
@@ -815,7 +826,7 @@ def test_consistency_suite_reference(ex6_inverse):
 
 def test_consistency_suite_unperturbed():
     sp = unperturbed_spectrum(PI / 3, 24)
-    field = solve_kernel_field(build_F(build_H(sp, PI / 3, 400)), 65)
+    field = solve_kernel_field(build_H(sp, PI / 3, 400), 65)
     cons = consistency_suite(field, sp)
     assert cons["diagonal_residual_max"] < 1e-9
     assert cons["gram_offdiag_max"] < 1e-8

@@ -4,7 +4,7 @@ import pytest
 from invspec.core import PI, SpectralData, sample_potential
 from invspec.errors import ConfigError
 from invspec.forward import forward_solve
-from invspec.inverse import build_F, build_H, recover_q, solve_kernel_field
+from invspec.inverse import build_H, recover_q, solve_kernel_field
 from invspec.roundtrip import (
     example6_F,
     example6_P,
@@ -67,7 +67,7 @@ def test_roundtrip_report_fields(roundtrip_cos):
 
 
 def _q_hat(data, n_terms):
-    field = solve_kernel_field(build_F(build_H(data, data.beta, n_terms)), 129)
+    field = solve_kernel_field(build_H(data, data.beta, n_terms), 129)
     return recover_q(field).values
 
 
@@ -83,9 +83,9 @@ def test_recovered_q_flat_in_series_length(case, tol, fwd_cos_64):
 
 def test_series_length_follows_data_count(ex6_inverse):
     # more pairs than the default series length: every pair is used
-    assert ex6_inverse.field.F.H.n_terms == 2000
+    assert ex6_inverse.field.H.n_terms == 2000
     inv = inverse_pipeline(example6_data(2100))
-    assert inv.field.F.H.n_terms == 2100
+    assert inv.field.H.n_terms == 2100
     x = inv.field.x_nodes
     keep = x >= 0.05
     assert np.max(np.abs(inv.q_hat.values[keep] - example6_q(x[keep]))) < 1e-6

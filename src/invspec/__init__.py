@@ -2,7 +2,7 @@
 
 The forward half computes eigenvalues and norming constants of
 -y'' + q y = mu y on [0, pi] with y(0) = 0 and a Robin condition at pi from
-closed-form fourth-order Magnus cell propagators and Newton's method; the
+closed-form sixth-order Magnus cell propagators and Newton's method; the
 inverse half reconstructs the potential and the boundary angle
 from two spectral sequences through the Gelfand-Levitan main equation,
 solved on one uniform grid from one Cholesky factor per grid.

@@ -2,20 +2,24 @@
 y(0) = 0 and y(pi)cos(beta) + y'(pi)sin(beta) = 0, and eigenfunctions on request.
 
 phi(x, mu), with phi(0) = 0 and phi'(0) = 1, crosses each cell by one
-fourth-order Magnus step on the potential's interpolant; there are four cells
-per sample interval (more at large N, see _Cells), edges on the samples.  On
-a cell of width h, with q1, q2 the interpolant at its Gauss points and qbar
-their mean, the step is
-exp(Omega), Omega = [[d, h], [h (qbar - mu), -d]], d = (sqrt(3)/12) h^2 (q1 - q2).
-As Omega^2 = s2 I, s2 = d^2 + h^2 (qbar - mu), exp(Omega) = C(s2) I + S(s2) Omega
+sixth-order Magnus step on the potential's interpolant (Blanes, Casas and Ros,
+BIT 40, 2000); there are two cells per sample interval (more at large N, see
+_Cells), edges on the samples.  On a cell of width h, with w_i = q_i - mu at
+its three Gauss points 1/2 -+ sqrt(15)/10 and 1/2 of the width,
+k2 = (sqrt(15)/3) h (w3 - w1) and k3 = (10/3) h (w3 - 2 w2 + w1), the step is
+exp(Omega), Omega = [[a, b], [c, -a]] with
+    b = h + (h^3 k2^2/30 - 2 h^2 k3/3)/120,
+    a = (-20 h k2 + h^2 k2 k3/30)/240 + (h^3 k2/180) w2,
+    c = k3/12 + (h k3^2/30 - h k2^2)/120 + (h + h^2 k3/180 + h^3 k2^2/3600) w2.
+k2 and k3 do not depend on mu, so a and c are affine in mu and b is constant.
+As Omega^2 = s2 I, s2 = a^2 + b c, exp(Omega) = C(s2) I + S(s2) Omega
 with C = cosh sqrt(s2) and S = sinh sqrt(s2) / sqrt(s2), continued through
-s2 <= 0.  Both are Taylor series in s2 summed by Horner's rule: on 1024
-cells |s2| stays below 3e-3 up to mu = 300, where degree 4 reaches roundoff,
-and a batch with larger |s2| is quartered and restored by double-angle
-identities.
-The error is fourth order in the cell width: on q = cos x, eigenvalues move by
-1.2e-10, 7.7e-12, 4.8e-13 and 2.9e-14 at 256, 512, 1024 and 2048 cells, the
-same for n < 16 as for n < 256.
+s2 <= 0: Taylor series in s2 summed by Horner's rule (see _series).
+The error is sixth order in the cell width: on q = exp x the first 16
+eigenvalues move by 7.1e-10, 1.1e-11 and 1.1e-13 at 256, 512 and 1024 cells
+(the fourth-order step with two Gauss points: 2.2e-7, 1.3e-8 and 8.4e-10),
+against 16384 cells; on q = cos x they agree from 512 cells on to 6e-14, two
+ulp of mu_15.
 
 A 2x2 matrix is held as its four entries (m00, m01, m10, m11), each an
 array with rows mu and columns cell, and products are written out entry by
@@ -59,17 +63,18 @@ from .core import (
 )
 from .errors import ConfigError, NumericsError
 
-CELLS_PER_INTERVAL = 4
-# mu values x cells per batch, a complex entry counting two: 128 KiB entry arrays
-# (16 mu x 1024 cells real, 8 complex); 256 KiB complex arrays cost 1300 page
-# faults per forward solve (11.4 ms, not 6.8); 2^16 gained no time, +2.5 MiB RSS
-SWEEP_SIZE = 1 << 14
+CELLS_PER_INTERVAL = 2
+# mu values x cells per batch, a complex entry counting two: 96 KiB entry arrays
+# (24 mu x 512 cells real, 12 complex).  2^14 makes them 128 KiB, glibc's mmap
+# threshold: about 900 page faults per N=16 solve, 6.5 ms, not 5.4; 2^13 took
+# 10-20% longer at N = 64, 256 and 1000 (more batches of the same work)
+SWEEP_SIZE = 3 << 12
 NEWTON_TOL = 1e-12    # relative Newton step at which a root is accepted
 COMPLEX_STEP = 1e-20  # Im of mu in Newton's sweeps; 1e-150 made subnormal products 3x slower
 NEWTON_MAX = 100
 TRACE_NODES = 2049
 MAX_ABS_Q = 1e6
-_GAUSS = np.sqrt(3.0) / 6.0  # a cell's Gauss points sit at 1/2 -+ _GAUSS of its width
+_GAUSS = np.sqrt(15.0) / 10.0  # a cell's outer Gauss points sit at 1/2 -+ _GAUSS of its width
 SERIES_TOL = 1e-17    # first omitted term of the propagator series
 # Taylor coefficients in s2 of C and S (see _series); degree 9 reaches |s2| = 1
 _C_COEF = np.array([1.0 / factorial(2 * k) for k in range(10)])
@@ -116,7 +121,8 @@ class ForwardSolution:
     def traces(self) -> list:
         """phi_n and phi_n' on the uniform grid of TRACE_NODES points."""
         grid = trapezoid_grid(np.linspace(0.0, PI, TRACE_NODES))
-        phi, dphi = _solution(_Cells(self.q), np.array([r.mu for r in self.records]), grid.nodes)
+        mus = np.array([r.mu for r in self.records])
+        phi, dphi = _solution(_cells_for(self.q, mus), mus, grid.nodes)
         return [SolutionTrace(grid, p, d, r.mu) for p, d, r in zip(phi, dphi, self.records)]
 
     @cached_property
@@ -135,7 +141,8 @@ class ForwardSolution:
         """Inner-product matrix of the first k eigenfunctions on a 256-node Gauss grid."""
         k = len(self.records) if k is None else k
         xq, wq = gauss_rule(256, 0.0, PI)
-        ph, _ = _solution(_Cells(self.q), np.array([r.mu for r in self.records[:k]]), xq)
+        mus = np.array([r.mu for r in self.records[:k]])
+        ph, _ = _solution(_cells_for(self.q, mus), mus, xq)
         return (ph * wq) @ ph.T
 
 
@@ -143,7 +150,8 @@ class _Cells:
     """The interpolant of q - shift cut into cells, with each cell's Magnus data:
     CELLS_PER_INTERVAL 2^j per sample interval, j the least with every cell's
     phase step h sqrt(top(N)^2 - min qbar) <= pi/2, so below the bracket top
-    of the first N eigenvalues no cell holds two zeros of phi."""
+    of the first N eigenvalues no cell holds two zeros of phi, and |s2| stays
+    below about (pi/2)^2 = 2.47.  qbar is the cell's Gauss mean of q - shift."""
 
     def __init__(self, q: Potential, shift: float = 0.0, N: int = 0):
         if np.max(np.abs(q.values)) > MAX_ABS_Q:
@@ -156,31 +164,48 @@ class _Cells:
             frac = np.arange(per) / per
             self.edges = np.append((knots[:-1, None] + np.diff(knots)[:, None] * frac).ravel(), PI)
             self.steps = self.magnus(self.edges[:-1], self.edges[1:])
-            h, qbar, _ = self.steps
-            if N < 1 or h.max() * np.sqrt(self.top(N) ** 2 - qbar.min()) <= 0.5 * PI:
+            qbar = self.steps[0]
+            if N < 1 or np.diff(self.edges).max() * np.sqrt(self.top(N) ** 2 - qbar.min()) <= 0.5 * PI:
                 break
             per *= 2
 
     def top(self, N: int) -> float:
         """sqrt(N^2 + max(0, max qbar) + 1), above sqrt(mu) of eigenvalue N - 1 as delta_n < 1."""
-        return float(np.sqrt(N * N + max(0.0, self.steps[1].max()) + 1.0))
+        return float(np.sqrt(N * N + max(0.0, self.steps[0].max()) + 1.0))
 
-    def magnus(self, a: np.ndarray, b: np.ndarray):
-        """(h, qbar, d) of the Magnus steps from a to b."""
-        h = b - a
-        q1, q2 = self.qf(a + (0.5 - _GAUSS) * h), self.qf(a + (0.5 + _GAUSS) * h)
-        return h, 0.5 * (q1 + q2) - self.shift, 0.5 * _GAUSS * h * h * (q1 - q2)
+    def magnus(self, x0: np.ndarray, x1: np.ndarray):
+        """(qbar, a0, a1, b, c0, c1) of the Magnus steps from x0 to x1, whose
+        exponents are [[a0 - a1 mu, b], [c0 - c1 mu, a1 mu - a0]]."""
+        h = x1 - x0
+        q1, q2, q3 = (self.qf(x0 + t * h) for t in (0.5 - _GAUSS, 0.5, 0.5 + _GAUSS))
+        k2, k3 = (np.sqrt(15.0) / 3.0) * h * (q3 - q1), (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+        a1 = h ** 3 * k2 / 180.0
+        c1 = h + h * h * k3 / 180.0 + h ** 3 * k2 * k2 / 3600.0
+        w2 = q2 - self.shift
+        a0 = (-20.0 * h * k2 + h * h * k2 * k3 / 30.0) / 240.0 + a1 * w2
+        c0 = k3 / 12.0 + (h * k3 * k3 / 30.0 - h * k2 * k2) / 120.0 + c1 * w2
+        b = h + (h ** 3 * k2 * k2 / 30.0 - 2.0 * h * h * k3 / 3.0) / 120.0
+        return (5.0 * q1 + 8.0 * q2 + 5.0 * q3) / 18.0 - self.shift, a0, a1, b, c0, c1
+
+
+def _cells_for(q: Potential, mus: np.ndarray) -> _Cells:
+    """The cells of q fine enough for every finite mu given: with N >= sqrt(mu),
+    top(N)^2 > mu."""
+    mu = np.max(mus, initial=0.0, where=np.isfinite(mus))
+    return _Cells(q, 0.0, max(1, int(np.ceil(np.sqrt(mu)))))
 
 
 def _series(s2: np.ndarray):
     """C = sum s2^k/(2k)! and S = sum s2^k/(2k+1)!: cosh and sinh(x)/x of
     x = sqrt(s2), cos and sin(x)/x of x = sqrt(-s2), for real or complex s2.
     Horner's rule at the least degree whose first omitted term at max|s2| is
-    below SERIES_TOL.  An entry with |s2| > 1 is quartered j times, the least
-    j with |s2| 4^-j <= 1, and C(4u) = 2 C(u)^2 - 1, S(4u) = S(u) C(u) restore
-    it, at a cost of up to about 4^j ulp to that entry alone.  At s2 + i t,
-    Im S / t is dS/ds2 of the summed polynomial, one degree lower, so complex
-    s2 take one more.  Non-finite entries stay non-finite and are not quartered."""
+    below SERIES_TOL: on 512 cells |s2| stays below 1.2e-2 up to mu = 300,
+    where degree 5 reaches roundoff.  An entry with |s2| > 1 is quartered j
+    times, the least j with |s2| 4^-j <= 1, and C(4u) = 2 C(u)^2 - 1,
+    S(4u) = S(u) C(u) restore it, at a cost of up to about 4^j ulp to that
+    entry alone.  At s2 + i t, Im S / t is dS/ds2 of the summed polynomial,
+    one degree lower, so complex s2 take one more.  Non-finite entries stay
+    non-finite and are not quartered."""
     r = np.abs(s2)
     finite = np.isfinite(r)
     m, u, j_max = float(np.max(r, initial=0.0, where=finite)), s2, 0
@@ -218,11 +243,11 @@ def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _propagators(steps, mus: np.ndarray):
     """Entries (m00, m01, m10, m11) of exp(Omega), each with rows mu and
     columns step; mu real, or complex for a complex step."""
-    h, qbar, d = steps
-    v = h * (qbar - mus[:, None])           # Omega[1, 0]
-    C, S = _series(d * d + h * v)
-    Sd = S * d
-    return C + Sd, S * h, S * v, C - Sd
+    _, a0, a1, b, c0, c1 = steps
+    a, c = a0 - a1 * mus[:, None], c0 - c1 * mus[:, None]
+    C, S = _series(a * a + b * c)
+    Sa = S * a
+    return C + Sa, S * b, S * c, C - Sa
 
 
 def _mul(b, a):
@@ -305,7 +330,8 @@ def _solution(cells: _Cells, mus: np.ndarray, x: np.ndarray) -> tuple[np.ndarray
 def characteristic(q: Potential, beta: BoundaryAngle | float, mu) -> np.ndarray:
     """Omega(mu) = phi(pi)cos(beta) + phi'(pi)sin(beta); zeros are eigenvalues."""
     beta = as_angle(beta)
-    y = _sweep(_Cells(q), np.atleast_1d(np.asarray(mu, dtype=float)))
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    y = _sweep(_cells_for(q, mus), mus)
     out = np.array([np.cos(beta.beta), np.sin(beta.beta)]) @ y[:2]
     return out if np.ndim(mu) else float(out[0])
 
@@ -337,7 +363,7 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int, *, norming: b
 
     The roots are found for q - mean(q), then moved back by mean(q): a
     constant shift of q moves every eigenvalue by the same amount, and the
-    Magnus step sees only qbar - mu.  In s = sign(mu) sqrt|mu| every root
+    Magnus step sees only q - mu.  In s = sign(mu) sqrt|mu| every root
     lies between -sqrt(max(0, -cot(beta))^2 + max(0, -min qbar) + 1), below
     the q = 0 ground state moved down by comparison, and _Cells.top(N).
     _count on half steps of s between the two, with any step that holds more
@@ -350,7 +376,7 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int, *, norming: b
     cells = _Cells(q, shift, N)
     if N < 1:
         raise ConfigError("N must be at least 1")
-    qbar = cells.steps[1]
+    qbar = cells.steps[0]
     s_lo = -np.sqrt(max(0.0, -qbar.min()) + max(0.0, -1.0 / np.tan(beta.beta)) ** 2 + 1.0)
     s_hi = cells.top(N)
     s = np.linspace(s_lo, s_hi, int(np.ceil(2.0 * (s_hi - s_lo))) + 1)
@@ -439,7 +465,7 @@ def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
     """Norming constants a_n of the given eigenvalues, from one complex-step sweep."""
     mus = np.asarray(mus, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a_n is refused by _norming
-        y = _sweep(_Cells(q), mus)
+        y = _sweep(_cells_for(q, mus), mus)
     return _norming(y, mus)
 
 

@@ -291,17 +291,53 @@ def test_eigenvalue_index_by_oscillation(f, beta):
 
 
 def test_cells_follow_N(q_cos):
-    # 1024 cells for every N below about 500; from N = 1030 on, a cell of 1024
-    # could hold two zeros and the edge count would come up short, and 4096
-    # cells keep h sqrt(mu - qbar) <= pi/2 up to the bracket top
-    assert forward._Cells(q_cos, q_cos.mean, 16).steps[0].size == 1024
-    assert forward._Cells(q_cos, q_cos.mean, 1100).steps[0].size == 4096
+    # 512 cells up to N = 255, then twice as many each time N doubles; from
+    # N = 1030 on, a cell of 1024 could hold two zeros and the edge count
+    # would come up short, and at N = 1100 4096 cells keep h sqrt(mu - qbar)
+    # <= pi/2 up to the bracket top
+    for N, cells in ((16, 512), (255, 512), (256, 1024), (1100, 4096)):
+        assert forward._Cells(q_cos, q_cos.mean, N).steps[0].size == cells
     N = 1100
     mus = eigenvalues(q_cos, PI / 3, N)
     assert mus.size == N and np.all(np.diff(mus) > 0.0)
     # q has mean zero: mu_n - mu_n^0 is O(1/n^2), about 0.06/n^2 here
     n = np.arange(100, N)
     assert np.max(n * n * np.abs(mus[n] - unperturbed_spectrum(PI / 3, N).mu[n])) < 0.1
+
+
+def test_magnus_step_is_sixth_order(monkeypatch):
+    # on q = exp x, halving the cells cuts the eigenvalue error 2^6 = 64
+    # times; a fourth-order step cuts it 16 times
+    q = sample_potential(np.exp)
+
+    def mus(per):
+        monkeypatch.setattr(forward, "CELLS_PER_INTERVAL", per)
+        return eigenvalues(q, PI / 2, 16)
+
+    ref = mus(16)
+    err = [np.max(np.abs(mus(per) - ref)) for per in (1, 2)]
+    assert err[0] > 40.0 * err[1]
+
+
+def test_eigenvalues_match_fine_cells(q_cos, monkeypatch):
+    # on 2 cells per sample interval the first 64 eigenvalues of cos x agree
+    # with those on 64 cells per interval to roundoff (4.8e-13 with the
+    # fourth-order step on 4 cells)
+    mus = eigenvalues(q_cos, PI / 3, 64)
+    monkeypatch.setattr(forward, "CELLS_PER_INTERVAL", 64)
+    ref = eigenvalues(q_cos, PI / 3, 64)
+    assert np.max(np.abs(mus - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
+
+
+def test_traces_follow_the_record_count(q_cos, monkeypatch):
+    # the cells of the traces are fine enough for mu_299: on the 512 cells of
+    # a solve without N, phi_299 was off by 5.7e-10
+    sol = forward.forward_solve(q_cos, PI / 3, 300)
+    mus = np.array([r.mu for r in sol.records])
+    phi = np.array([t.phi for t in sol.traces])
+    monkeypatch.setattr(forward, "CELLS_PER_INTERVAL", 64)
+    ref, _ = forward._solution(forward._Cells(q_cos), mus, sol.traces[0].grid.nodes)
+    assert np.max(np.abs(phi - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) < 1e-11
 
 
 @pytest.mark.parametrize("beta", [PI / 3, PI / 2, 2 * PI / 3, PI - 0.05], ids=["pi/3", "pi/2", "2pi/3", "pi-0.05"])
@@ -329,8 +365,8 @@ def test_sweep_derivative_matches_central_difference(q_cos, mu):
 
 @pytest.fixture(scope="module")
 def cell_sets():
-    """100 samples of cos, 396 cells, so the tree pads odd widths with the
-    identity; and 257 samples, 1024 cells, a power of two."""
+    """100 samples of cos, 198 cells, so the tree pads odd widths with the
+    identity; and 257 samples, 512 cells, a power of two."""
     return [forward._Cells(sample_potential(np.cos, n_nodes=n)) for n in (100, 257)]
 
 
@@ -354,8 +390,8 @@ def test_cell_products_match_sequential_matmul(cell_sets, mu):
         phi, dphi = forward._edge_values(cells, mus)
         assert close(np.stack([phi, dphi], axis=-1), P[:, :, :, 1])
 
-        x = np.array([0.0, 0.5 * (cells.edges[200] + cells.edges[201]), PI])
-        k = np.array([0, 200, len(cells.edges) - 2])
+        x = np.array([0.0, 0.5 * (cells.edges[100] + cells.edges[101]), PI])
+        k = np.array([0, 100, len(cells.edges) - 2])
         partial = as_stack(forward._propagators(cells.magnus(cells.edges[k], x), mus))
         ref = (partial @ P[:, k, :, 1:])[..., 0]
         assert close(np.stack(forward._solution(cells, mus, x), axis=-1), ref)
@@ -399,12 +435,14 @@ def series_with_derivative(s2):
 
 def propagator_derivatives(steps, mus):
     """mu-derivatives of the entries of _propagators, from the closed forms of
-    series_reference: dC/ds2 = S/2, ds2/dmu = -h^2 and dv/dmu = -h."""
-    h, qbar, d = steps
-    v = h * (qbar - mus[:, None])
-    C, S, dS = series_reference(d * d + h * v)
-    dC, dS = -0.5 * h * h * S, -h * h * dS
-    return dC + dS * d, dS * h, dS * v - S * h, dC - dS * d
+    series_reference: with Omega = [[a, b], [c, -a]], da/dmu = -a1, dc/dmu = -c1,
+    ds2/dmu = -(2 a a1 + b c1) and dC/ds2 = S/2."""
+    _, a0, a1, b, c0, c1 = steps
+    a, c = a0 - a1 * mus[:, None], c0 - c1 * mus[:, None]
+    C, S, dS = series_reference(a * a + b * c)
+    ds2 = -(2.0 * a * a1 + b * c1)
+    dC, dS = 0.5 * S * ds2, dS * ds2
+    return dC + dS * a - S * a1, dS * b, dS * c - S * c1, dC - dS * a + S * a1
 
 
 def test_series_matches_closed_forms():

@@ -141,87 +141,77 @@ def interpolant(f: GridFunction) -> CubicSpline:
 
 # ---------------------------------------------------------------------------
 # Analytic continuation helpers: trigonometric expressions in lambda = sqrt(mu)
-# extended through mu <= 0 (hyperbolic for mu < 0, polynomial limits at 0).
+# extended through mu <= 0 (hyperbolic for mu < 0, polynomial limits at 0),
+# each one call to _continued with its own band and branch formulas.
 # ---------------------------------------------------------------------------
 
 _SMALL_MU = 1e-6
 
 
-def musin(mu, x):
-    """sin(lambda x)/lambda as a function of mu = lambda^2; equals x at mu = 0.
+def _continued(mu, x, band, above, below, near):
+    """f(mu, x) continued through mu <= 0: ``above(mu, x)`` where mu > band,
+    ``below`` where mu < -band and the series ``near`` where |mu| <= band,
+    each branch called on its own entries of the broadcast mu and x.
 
-    When every mu is above the small-mu band (a NaN is not) it is computed by
-    broadcasting, with no masks; the values are the masked path's."""
+    When every mu is above the band it is ``above`` on the whole arrays, by
+    broadcasting with no masks; the values are the masked path's.  A NaN mu
+    is above no band and falls in no mask, so it gives NaN.  A 0-d result
+    is returned as a float."""
     mu = np.asarray(mu, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.all(mu > _SMALL_MU):
-        lam = np.sqrt(mu)
-        out = np.sin(lam * x) / lam
-        return out if out.ndim else float(out)
-    mu, x = np.broadcast_arrays(mu, x)
-    out = np.empty(mu.shape, dtype=float)
-    pos = mu > _SMALL_MU
-    neg = mu < -_SMALL_MU
-    mid = ~(pos | neg)
-    if pos.any():
-        lam = np.sqrt(mu[pos])
-        out[pos] = np.sin(lam * x[pos]) / lam
-    if neg.any():
-        k = np.sqrt(-mu[neg])
-        out[neg] = np.sinh(k * x[neg]) / k
-    if mid.any():
-        m, t = mu[mid], x[mid]
-        t2 = t * t
-        out[mid] = t * (1.0 - m * t2 / 6.0 * (1.0 - m * t2 / 20.0 * (1.0 - m * t2 / 42.0)))
+    if np.all(mu > band):
+        out = above(mu, x)
+    else:
+        mu, x = np.broadcast_arrays(mu, x)
+        out = np.full(mu.shape, np.nan)
+        for mask, branch in ((mu > band, above), (mu < -band, below), (np.abs(mu) <= band, near)):
+            if mask.any():
+                out[mask] = branch(mu[mask], x[mask])
     return out if out.ndim else float(out)
+
+
+def musin(mu, x):
+    """sin(lambda x)/lambda as a function of mu = lambda^2; equals x at mu = 0."""
+    def above(m, t):
+        lam = np.sqrt(m)
+        return np.sin(lam * t) / lam
+
+    def below(m, t):
+        k = np.sqrt(-m)
+        return np.sinh(k * t) / k
+
+    def near(m, t):
+        t2 = t * t
+        return t * (1.0 - m * t2 / 6.0 * (1.0 - m * t2 / 20.0 * (1.0 - m * t2 / 42.0)))
+
+    return _continued(mu, x, _SMALL_MU, above, below, near)
 
 
 def mucos(mu, x):
-    """cos(lambda x) as a function of mu = lambda^2 (cosh for mu < 0); like
-    :func:`musin`, by broadcasting when every mu is above the small-mu band."""
-    mu = np.asarray(mu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.all(mu > _SMALL_MU):
-        out = np.cos(np.sqrt(mu) * x)
-        return out if out.ndim else float(out)
-    mu, x = np.broadcast_arrays(mu, x)
-    out = np.empty(mu.shape, dtype=float)
-    pos = mu > _SMALL_MU
-    neg = mu < -_SMALL_MU
-    mid = ~(pos | neg)
-    if pos.any():
-        out[pos] = np.cos(np.sqrt(mu[pos]) * x[pos])
-    if neg.any():
-        out[neg] = np.cosh(np.sqrt(-mu[neg]) * x[neg])
-    if mid.any():
-        m, t = mu[mid], x[mid]
+    """cos(lambda x) as a function of mu = lambda^2 (cosh for mu < 0)."""
+    def near(m, t):
         t2 = t * t
-        out[mid] = 1.0 - m * t2 / 2.0 * (1.0 - m * t2 / 12.0 * (1.0 - m * t2 / 30.0))
-    return out if out.ndim else float(out)
+        return 1.0 - m * t2 / 2.0 * (1.0 - m * t2 / 12.0 * (1.0 - m * t2 / 30.0))
+
+    return _continued(mu, x, _SMALL_MU, lambda m, t: np.cos(np.sqrt(m) * t),
+                      lambda m, t: np.cosh(np.sqrt(-m) * t), near)
 
 
 def mucosm1(mu, x):
     """(cos(lambda x) - 1)/mu, stable for every mu; equals -x^2/2 at mu = 0.
 
     Uses cos(z) - 1 = -2 sin^2(z/2) (and the sinh analogue), so there is no
-    cancellation even for tiny |mu|.  A NaN mu, in none of the masks, gives NaN.
+    cancellation even for tiny |mu|.
     """
-    mu = np.asarray(mu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    mu, x = np.broadcast_arrays(mu, x)
-    out = np.full(mu.shape, np.nan)
-    tiny = np.abs(mu) < 1e-14
-    pos = (mu > 0) & ~tiny
-    neg = (mu < 0) & ~tiny
-    if pos.any():
-        s = np.sin(np.sqrt(mu[pos]) * x[pos] / 2.0)
-        out[pos] = -2.0 * s * s / mu[pos]
-    if neg.any():
-        s = np.sinh(np.sqrt(-mu[neg]) * x[neg] / 2.0)
-        out[neg] = 2.0 * s * s / mu[neg]
-    if tiny.any():
-        out[tiny] = -x[tiny] ** 2 / 2.0
-    return out if out.ndim else float(out)
+    def above(m, t):
+        s = np.sin(np.sqrt(m) * t / 2.0)
+        return -2.0 * s * s / m
+
+    def below(m, t):
+        s = np.sinh(np.sqrt(-m) * t / 2.0)
+        return 2.0 * s * s / m
+
+    return _continued(mu, x, 1e-14, above, below, lambda m, t: -t ** 2 / 2.0)
 
 
 # ---------------------------------------------------------------------------

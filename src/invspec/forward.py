@@ -371,11 +371,11 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int, *, norming: b
     Newton refines it inside its bracket, and a_n comes from the sweep that
     accepts root n.  Error messages give mu for q itself.
     """
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ConfigError(f"N must be an integer of at least 1, got {N!r}")
     beta = as_angle(beta)
     shift = q.mean
     cells = _Cells(q, shift, N)
-    if N < 1:
-        raise ConfigError("N must be at least 1")
     qbar = cells.steps[0]
     s_lo = -np.sqrt(max(0.0, -qbar.min()) + max(0.0, -1.0 / np.tan(beta.beta)) ** 2 + 1.0)
     s_hi = cells.top(N)

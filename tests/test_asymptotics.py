@@ -74,6 +74,20 @@ def test_delta_in_bounds_with_small_residual(beta, n):
     assert abs(d - phi) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 10])
+@pytest.mark.parametrize("eps", [1e-9, 1e-6])
+def test_delta_at_extreme_angles_matches_closed_forms(eps, n):
+    # with t = tan(beta) -> 0 the phase equation is linear in delta up to
+    # O((n t)^3): delta_n = 1 - (n+1) t/(pi + t) near 0 and n t/(pi - t) with
+    # t = tan(pi - beta) near pi; both agree with 50-digit references to
+    # 3e-17 and 7e-16
+    t = np.tan(eps)
+    assert abs(solve_delta(eps, n) - (1.0 - (n + 1) * t / (PI + t))) <= 1e-15
+    beta = PI - eps
+    t = -np.tan(beta)  # tan(pi - beta) of the beta held in double precision
+    assert abs(solve_delta(beta, n) - n * t / (PI - t)) <= 2e-15
+
+
 def test_delta_tail_expansion_residual_bounded():
     beta = as_angle(PI / 4)
     ns = np.arange(10, 201)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from invspec.asymptotics import unperturbed_norming
 from invspec.core import (
     PI,
     BoundaryAngle,
@@ -126,12 +127,23 @@ def test_mucos_branches():
     assert mucos(0.0, 0.7) == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("f", [musin, mucos], ids=["musin", "mucos"])
-def test_all_positive_mu_matches_the_masked_path(f):
-    # an all-positive mu takes the broadcasting path; the same entries inside
-    # a mixed-sign array take the masked path and give the same bits
-    pos = np.array([2e-6, 0.3, 1.0, 4.0, 37.5, 1e4])
-    mixed = np.concatenate([[-9.0, 0.0, 5e-7], pos])
+def _norming(mu, x):
+    # unperturbed_norming ignores x; mu is broadcast to the shape f(mu, x) has
+    return unperturbed_norming(np.broadcast_to(mu, np.broadcast(mu, x).shape))
+
+
+# each function with its small-mu band
+CONTINUED = [(musin, 1e-6), (mucos, 1e-6), (mucosm1, 1e-14), (_norming, 1e-4)]
+CONTINUED_IDS = ["musin", "mucos", "mucosm1", "unperturbed_norming"]
+
+
+@pytest.mark.parametrize("f, band", CONTINUED, ids=CONTINUED_IDS)
+def test_all_positive_mu_matches_the_masked_path(f, band):
+    # an all-positive mu above the band takes the broadcasting path; the same
+    # entries inside a mixed-sign array take the masked path and give the
+    # same bits
+    pos = np.array([2 * band, 0.3, 1.0, 4.0, 37.5, 1e4])
+    mixed = np.concatenate([[-9.0, 0.0, band / 2], pos])
     x = np.linspace(0.0, PI, 33)
     assert f(pos[:, None], x).tobytes() == f(mixed[:, None], x)[3:].tobytes()
     assert f(pos, 0.7).tobytes() == f(mixed, 0.7)[3:].tobytes()
@@ -140,9 +152,8 @@ def test_all_positive_mu_matches_the_masked_path(f):
     assert isinstance(f(4.0, 1.0), float)
 
 
-# mucosm1 runs first: after the others, an entry it left unwritten could
-# reuse their freed NaN output and pass
-@pytest.mark.parametrize("f", [mucosm1, musin, mucos], ids=["mucosm1", "musin", "mucos"])
+@pytest.mark.parametrize("f", [mucosm1, musin, mucos, _norming],
+                         ids=["mucosm1", "musin", "mucos", "unperturbed_norming"])
 def test_nan_mu_takes_the_masked_path(f):
     # NaN is not above the small-mu band, and falls in none of the masks:
     # the masked path gives NaN for it, the other entries' values, and no

@@ -195,6 +195,23 @@ def test_eigenvalues_constant_shift(q_zero):
     assert np.max(np.abs(shifted - base - 0.7)) < 1e-8
 
 
+@pytest.mark.parametrize("N", [2.5, 3.0, "3", None, True, 0, -2, np.int64(0)],
+                         ids=["2.5", "3.0", "str", "None", "True", "0", "-2", "int64-0"])
+def test_eigenvalues_refuse_a_count_that_is_not_a_positive_integer(q_cos, N, monkeypatch):
+    # refused before any cell is built; 2.5 once escaped as a TypeError from
+    # a slice inside the cells
+    def no_cells(*args, **kwargs):
+        raise AssertionError("cells built before N was checked")
+
+    monkeypatch.setattr(forward, "_Cells", no_cells)
+    with pytest.raises(ConfigError, match="N must be an integer of at least 1"):
+        eigenvalues(q_cos, 1.0, N)
+
+
+def test_eigenvalues_take_a_numpy_integer_count(q_cos):
+    assert eigenvalues(q_cos, 1.0, np.int64(3)).tobytes() == eigenvalues(q_cos, 1.0, 3).tobytes()
+
+
 def test_eigenvalues_self_convergence(q_cos):
     mus = eigenvalues(q_cos, PI / 3, 8)
     # recompute each root by bisection on the characteristic at tighter output

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from invspec.core import PI, sample_potential
-from invspec.roundtrip import InverseParams, roundtrip
+from invspec.roundtrip import roundtrip
 
 POTENTIALS = {
     "cos": np.cos,
@@ -38,9 +38,8 @@ def main(argv=None):
     for n_eigen in args.n_eigen:
         for x_nodes in args.x_nodes:
             t0 = time.time()
-            params = InverseParams(x_nodes=x_nodes)
             report, _ = roundtrip(q, args.beta, n_eigen,
-                                  trim=(0.1 * PI, 0.95 * PI), params=params)
+                                  trim=(0.1 * PI, 0.95 * PI), x_nodes=x_nodes)
             rows.append((n_eigen, x_nodes, report.q_sup_error,
                          report.q_l1_error, report.angle_identity_gap,
                          time.time() - t0))

@@ -26,6 +26,7 @@ from .core import (
     interpolant,
     mucos,
     musin,
+    _check_count,
     _continued,
     _frozen,
 )
@@ -49,8 +50,7 @@ def _phase_map(delta, n, beta: BoundaryAngle):
 
 def solve_delta(beta: BoundaryAngle | float, n: int) -> float:
     """Solve the phase equation for a single index n >= 2 (see _solve_delta_array)."""
-    if n < DELTA_MIN_N:
-        raise ConfigError(f"delta_n is defined only for n >= {DELTA_MIN_N}")
+    _check_count("n", n, DELTA_MIN_N)
     beta = as_angle(beta)
     out = _solve_delta_array(beta, np.array([n], dtype=float))
     return float(out[0])
@@ -103,8 +103,7 @@ class DeltaSequence:
 def delta_sequence(beta: BoundaryAngle | float, n_max: int) -> DeltaSequence:
     """delta_n for n = 2..n_max, plus root-found lambda_0, lambda_1 at q = 0."""
     beta = as_angle(beta)
-    if n_max < DELTA_MIN_N:
-        raise ConfigError("n_max must be at least 2")
+    _check_count("n_max", n_max, DELTA_MIN_N)
     ns = np.arange(DELTA_MIN_N, n_max + 1, dtype=float)
     values = _solve_delta_array(beta, ns)
     lam0, lam1 = _low_mode_lambdas(beta, float(values[0]))
@@ -143,7 +142,9 @@ def _low_mode_lambdas(beta: BoundaryAngle, delta2: float) -> tuple[float, float]
                             f"the q = 0 characteristic function overflows double precision at "
                             f"mu={mus[bad].max():.6g} and below, and its ground state lies near "
                             f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
-    raise NumericsError("failed to bracket the two lowest q = 0 eigenvalues")
+    raise NumericsError(f"failed to bracket the two lowest q = 0 eigenvalues for beta={beta.beta:.12g}: "
+                        f"{sign_change.size} sign change(s) of the q = 0 characteristic function "
+                        f"on s in [{s_lo:.6g}, {upper:.6g}]")
 
 
 def unperturbed_norming(mu) -> np.ndarray:
@@ -167,8 +168,7 @@ def unperturbed_spectrum(beta: BoundaryAngle | float, N: int, delta: DeltaSequen
     """Spectral data of the q = 0 problem: lambda_n = n + delta_n for n >= 2,
     the two low modes from root finding, and closed-form norming constants."""
     beta = as_angle(beta)
-    if N < 3:
-        raise ConfigError("N must be at least 3")
+    _check_count("N", N, 3)
     if delta is None or delta.n_max < N - 1:
         delta = delta_sequence(beta, max(N, 3))
     lam0, lam1 = delta.low_modes
@@ -269,7 +269,7 @@ def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, float, np.nd
     Returns (c, kappa, l_seq) with l_seq aligned to n >= 2.
     """
     if data.count < 12:
-        raise ConfigError("fit_c needs at least 12 data points")
+        raise ConfigError(f"fit_c needs at least 12 data points, got {data.count}")
     om, lam, g = _drift_terms(data, delta)
     c, slope = _tail_fit(om, g, frac=1.0 / 3.0)
     # a non-Cauchy tail (fit_c_spread > 10%) is reported by validate(), not raised
@@ -336,7 +336,7 @@ def refined_asymptotics_check(q: Potential, q_prime: GridFunction, beta: Boundar
     beta = as_angle(beta)
     n_hi = n_hi if n_hi is not None else data.count - 1
     if n_hi >= data.count:
-        raise ConfigError("n_hi beyond available data")
+        raise ConfigError(f"n_hi={n_hi} beyond the {data.count} data points")
     delta = delta_sequence(beta, n_hi + 1)
     xq, wq = gauss_rule(256, 0.0, PI)
     qv = interpolant(q)(xq)

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .forward import forward_solve
 from .inverse import DEFAULT_X_NODES, validate
-from .roundtrip import DEFAULT_TRIM, InverseParams, example6_oracle, inverse_pipeline, roundtrip
+from .roundtrip import DEFAULT_TRIM, example6_oracle, inverse_pipeline, roundtrip
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -143,10 +143,6 @@ def _write_json(path: Path, doc: dict, cfg: Config) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _inverse_params(cfg: Config) -> InverseParams:
-    return InverseParams(x_nodes=cfg.x_nodes, force=cfg.force)
-
-
 def _cmd_forward(cfg: Config) -> int:
     q = read_potential_csv(cfg.input_path)
     beta = as_angle(cfg.beta)
@@ -180,7 +176,7 @@ def _cmd_inverse(cfg: Config) -> int:
     data = SpectralData.from_json(read_text(cfg.input_path))
     _log(cfg, "inverse-start", count=data.count, beta=data.beta)
     t0 = time.time()
-    inv = inverse_pipeline(data, _inverse_params(cfg))
+    inv = inverse_pipeline(data, x_nodes=cfg.x_nodes, force=cfg.force)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_grid_function_csv(inv.q_hat, out / "q_recovered.csv")
@@ -208,7 +204,8 @@ def _cmd_roundtrip(cfg: Config) -> int:
     q = read_potential_csv(cfg.input_path)
     beta = as_angle(cfg.beta)
     _log(cfg, "roundtrip-start", n_eigen=cfg.n_eigen)
-    report, inv = roundtrip(q, beta, cfg.n_eigen, trim=cfg.trim, params=_inverse_params(cfg))
+    report, inv = roundtrip(q, beta, cfg.n_eigen, trim=cfg.trim,
+                            x_nodes=cfg.x_nodes, force=cfg.force)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "roundtrip.json", report.to_dict(), cfg)
@@ -224,7 +221,7 @@ def _cmd_roundtrip(cfg: Config) -> int:
 
 
 def _cmd_example6(cfg: Config) -> int:
-    report = example6_oracle(_inverse_params(cfg))
+    report = example6_oracle(x_nodes=cfg.x_nodes, force=cfg.force)
     for ch in report["checks"]:
         mark = "PASS" if ch["pass"] else "FAIL"
         print(f"{mark}  {ch['name']}: error {ch['error']:.3e} (tol {ch['tol']:.0e})")

@@ -27,6 +27,13 @@ MIN_GRID_NODES = 8
 ZERO_MU_TOL = 1e-10
 
 
+def _check_count(name: str, value, floor: int) -> None:
+    """Refuse a count that is not an integer of at least ``floor``: a bool
+    (an int subclass) or a float is refused, a numpy integer accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+        raise ConfigError(f"{name}={value!r} is not an integer of at least {floor}")
+
+
 def _frozen(a) -> np.ndarray:
     """A read-only copy, so freezing never touches the caller's array."""
     out = np.array(a, dtype=float, order="C")
@@ -91,9 +98,12 @@ class GridFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
         if self.values.size != self.grid.n:
-            raise ConfigError("values length does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("grid function values must be finite")
+            raise ConfigError(f"values length {self.values.size} does not match the grid's "
+                              f"{self.grid.n} nodes")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ConfigError(f"grid function values must be finite: values[{bad[0]}] = "
+                              f"{self.values[bad[0]]}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +297,15 @@ class SpectralData:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"spectral JSON field {name!r} is malformed: {exc}") from exc
 
+        def number(v):
+            if isinstance(v, (bool, str)):  # float() reads true as 1.0 and "0.5" as 0.5
+                raise TypeError(f"must be a number, got {v!r}")
+            return float(v)
+
         def floats(v):
+            for i, x in enumerate(v if isinstance(v, list) else ()):
+                if isinstance(x, (bool, str)):
+                    raise TypeError(f"entry {i} must be a number, got {x!r}")
             return np.asarray(v, dtype=float)
 
         def integer(v):
@@ -296,10 +314,10 @@ class SpectralData:
             return v
 
         data = SpectralData(
-            beta=read("beta", float),
+            beta=read("beta", number),
             mu=read("mu", floats),
             norming=read("a", floats),
-            c_fit=None if doc.get("c_fit") is None else read("c_fit", float),
+            c_fit=None if doc.get("c_fit") is None else read("c_fit", number),
         )
         if "count" in doc and read("count", integer) != data.count:
             raise ConfigError(f"spectral JSON count {doc['count']} disagrees with "
@@ -322,9 +340,10 @@ def write_grid_function_csv(f: GridFunction, path) -> None:
 def _grid_from_nodes(nodes: np.ndarray) -> Grid:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.size < MIN_GRID_NODES:
-        raise ConfigError("CSV grid needs at least 8 nodes")
+        raise ConfigError(f"CSV grid needs at least {MIN_GRID_NODES} nodes, got {nodes.size}")
     if abs(nodes[0]) > 1e-9 or abs(nodes[-1] - PI) > 1e-9:
-        raise ConfigError("CSV grid must span [0, pi]")
+        raise ConfigError(f"CSV grid must span [0, pi], got {nodes.size} nodes from "
+                          f"{float(nodes[0])!r} to {float(nodes[-1])!r}")
     nodes = nodes.copy()
     nodes[0], nodes[-1] = 0.0, PI  # absorb roundoff from the 17-digit format
     return trapezoid_grid(nodes)
@@ -360,7 +379,6 @@ def _read_csv_rows(path) -> np.ndarray:
 def sample_potential(func: Callable[[np.ndarray], np.ndarray], n_nodes: int = 257) -> Potential:
     """Sample a callable potential on the uniform trapezoid grid of n_nodes
     (at least 8) nodes on [0, pi]."""
-    if n_nodes < MIN_GRID_NODES:
-        raise ConfigError(f"n_nodes={n_nodes} below minimum {MIN_GRID_NODES}")
+    _check_count("n_nodes", n_nodes, MIN_GRID_NODES)
     grid = trapezoid_grid(np.linspace(0.0, PI, n_nodes))
     return Potential(grid, np.asarray(func(grid.nodes), dtype=float) * np.ones(grid.n))

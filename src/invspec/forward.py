@@ -59,6 +59,7 @@ from .core import (
     gauss_rule,
     interpolant,
     trapezoid_grid,
+    _check_count,
     _frozen,
 )
 from .errors import ConfigError, NumericsError
@@ -371,8 +372,7 @@ def eigenvalues(q: Potential, beta: BoundaryAngle | float, N: int, *, norming: b
     Newton refines it inside its bracket, and a_n comes from the sweep that
     accepts root n.  Error messages give mu for q itself.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ConfigError(f"N must be an integer of at least 1, got {N!r}")
+    _check_count("N", N, 1)
     beta = as_angle(beta)
     shift = q.mean
     cells = _Cells(q, shift, N)
@@ -483,7 +483,7 @@ def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction
     rule on the shared uniform trace grid.
     """
     if N > len(records):
-        raise ConfigError("N exceeds the available records")
+        raise ConfigError(f"N={N} exceeds the {len(records)} available records")
     tgrid = traces[0].grid
     fx = interpolant(f)(tgrid.nodes)
     out = np.zeros(f.grid.n)

@@ -30,9 +30,9 @@ rows' quadrature weights.
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
 inverts those and adds c back.  H is tabulated on a uniform grid of
-[0, 2*pi] by FFT (see :func:`_halfint_expsum`), with the modes mu < 1 summed
-directly, and the truncation tail restored in closed form from the fitted
-coefficient model.
+[0, 2*pi]: the modes mu < 1 directly, every other term, the tail model's
+partial sum among them, in one FFT sum (see :class:`HFunction`), and the
+model's whole series in closed form.  phi and phi' share one Richardson rule.
 """
 from __future__ import annotations
 
@@ -68,6 +68,7 @@ from .core import (
     mucosm1,
     musin,
     trapezoid_grid,
+    _check_count,
 )
 from .errors import AdmissibilityError, ConfigError, DataConsistencyError, DomainError, NumericsError
 
@@ -214,8 +215,6 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
                a_base: np.ndarray) -> float:
     """Tail coefficient of 1/k_n - 1/k_n(base) ~ gamma/omega^2, least squares
     over the last third of the regular (nonzero-mu) indices."""
-    if data.count < 6:
-        return 0.0
     ns = np.arange(2, data.count)
     ok = (np.abs(data.mu[ns]) >= ZERO_MU_TOL) & (np.abs(mu_base[ns]) >= ZERO_MU_TOL)
     ns = ns[ok]
@@ -292,44 +291,26 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
     return np.exp(0.5j * t) * acc
 
 
-def _grid_pair_sum(L: int, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
-                   a_b: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """:func:`_pair_sum` (with ``deriv`` its t-derivative) on the H table of
-    size L + 1.  Pairs with mu < 1 on either side (zero, negative and the
-    lowest modes) are summed directly.  Every other term plus its constant is
-    w cos(lt), w = 1/(a mu), with derivative -w l sin(lt), which
-    :func:`_halfint_expsum` sums with data weights w and base weights -w.
-    """
-    low = (mu_d < 1.0) | (mu_b < 1.0)
-    hi = ~low
-    lam = np.sqrt(np.concatenate([mu_d[hi], mu_b[hi]]))
-    w = np.concatenate([1.0 / (a_d[hi] * mu_d[hi]), -1.0 / (a_b[hi] * mu_b[hi])])
-    direct = _pair_sum(_table_nodes(L), mu_d[low], a_d[low], mu_b[low], a_b[low], deriv)
-    if deriv:
-        return direct - _halfint_expsum(lam, w * lam, L).imag
-    return direct + _halfint_expsum(lam, w, L).real
-
-
 class HFunction:
     """The spectral difference kernel H on [0, 2*pi], for drift-free data.
 
     :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
-    sums no table: the kernel field sums the tables of its x grid, and
-    :meth:`KernelField.F` reads the table of the default x grid
-    (H_GRID_SIZE nodes).  H is read at table nodes only.
+    sums no table and splits the terms once: pairs with mu < 1 on either side
+    for :func:`_pair_sum`, and every other term w cos(lam t) for one
+    :func:`_halfint_expsum` per table (data at sqrt(mu) with w = 1/(a mu),
+    base with -w, and the tail model's partial sum at n + 1/2, n < n_terms,
+    with -gamma/(n + 1/2)^2, whose whole series is added in closed form).
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
                  n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
                  kappa: float = 0.0):
         beta = as_angle(beta)
-        if n_terms < 8:
-            raise ConfigError(f"n_terms={n_terms} too small: the H series needs at least 8 terms")
+        _check_count("n_terms", n_terms, 8)
         if delta is None or delta.n_max < n_terms:
             delta = delta_sequence(beta, n_terms)
         self.n_terms = int(n_terms)
-        self.delta = delta
 
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
@@ -347,6 +328,14 @@ class HFunction:
             (True, True): "zero-in-both",
         }[(has_zero_d, has_zero_b)]
 
+        low = (self.mu_d < 1.0) | (self.mu_b < 1.0)
+        hi = ~low
+        self._low = (self.mu_d[low], self.a_d[low], self.mu_b[low], self.a_b[low])
+        om = np.arange(2, self.n_terms) + 0.5
+        self._lam = np.concatenate([np.sqrt(self.mu_d[hi]), np.sqrt(self.mu_b[hi]), om])
+        self._w = np.concatenate([1.0 / (self.a_d[hi] * self.mu_d[hi]),
+                                  -1.0 / (self.a_b[hi] * self.mu_b[hi]),
+                                  -self.gamma_hat / (om * om)])
         self._tables: dict[tuple[int, bool], np.ndarray] = {}
 
     def table(self, L: int, deriv: bool = False) -> np.ndarray:
@@ -357,13 +346,13 @@ class HFunction:
         vals = self._tables.get(key)
         if vals is None:
             t = _table_nodes(L)
-            om = np.arange(2, self.n_terms) + 0.5
-            if deriv:  # minus the t-derivative of the cosine tail below
-                tail = _halfint_expsum(om, 1.0 / om, L).imag - sin_halfint_closed(t)
+            vals = _pair_sum(t, *self._low, deriv)
+            if deriv:
+                vals -= _halfint_expsum(self._lam, self._w * self._lam, L).imag
+                vals -= self.gamma_hat * sin_halfint_closed(t)
             else:
-                tail = cos_halfint_closed(t) - _halfint_expsum(om, 1.0 / (om * om), L).real
-            vals = (_grid_pair_sum(L, self.mu_d, self.a_d, self.mu_b, self.a_b, deriv)
-                    + self.gamma_hat * tail)
+                vals += _halfint_expsum(self._lam, self._w, L).real
+                vals += self.gamma_hat * cos_halfint_closed(t)
             finite = np.isfinite(vals)
             if not finite.all():
                 bad = int(np.argmin(finite))
@@ -508,14 +497,17 @@ def _slope_row(g: TrapezoidSystem, k: int, slopes: np.ndarray) -> np.ndarray:
     return p_x
 
 
-def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float) -> np.ndarray:
-    """Weights c on the fine nodes tau_j = j h/2 (j = 0..2k) such that
+def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float,
+                        ends: int | np.ndarray) -> np.ndarray:
+    """Weights c on the fine nodes tau_j = j h/2 such that
     c . s(tau) = (4 T_{h/2} - T_h)/3 for the integral of u s over [0, k h],
-    with u given on the coarse nodes (k + 1 values) and on the fine nodes
-    (2k + 1 values), and T the trapezoid rule."""
+    T the trapezoid rule, for one row of u or a matrix of rows on the coarse
+    and fine nodes, each zero past its end node ``ends`` = 2k (one per row).
+    Column 0 is zero, as P(x, 0) = 0, so its half weight needs no code."""
     c = (2.0 * h / 3.0) * fine
-    c[::2] -= (h / 3.0) * coarse
-    c[[0, -1]] *= 0.5
+    c[..., ::2] -= (h / 3.0) * coarse
+    rows = np.atleast_2d(c)  # a view of c
+    rows[np.arange(rows.shape[0]), ends] *= 0.5
     return c
 
 
@@ -551,13 +543,11 @@ class KernelField:
     h = pi/M and h/2, read from one H table on ``table_size`` + 1 = 4M + 1
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
     combined by one Richardson step.  ``weights`` holds, in row k, the
-    :func:`_richardson_weights` of the row at t_k on the h/2 grid (zero past
-    t_k).  The field reads attributes of ``H`` and never calls it."""
+    :func:`_richardson_weights` of the rows at t_k (zero past t_k), all rows
+    in one call.  The field reads ``H`` through its tables only."""
 
     def __init__(self, H: HFunction, x_nodes: int = DEFAULT_X_NODES):
-        if x_nodes < 5:
-            # a floor of the CLI contract (fewer than five --x-nodes exit 64)
-            raise ConfigError(f"x_nodes={x_nodes}: the kernel field needs at least 5 nodes")
+        _check_count("x_nodes", x_nodes, 5)  # a floor of the CLI contract: fewer exit 64
         self.H = H
         self.grid = trapezoid_grid(np.linspace(0.0, PI, x_nodes))
         self.x_nodes = self.grid.nodes
@@ -568,11 +558,7 @@ class KernelField:
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
         self.condition_max = max(coarse.cond, fine.cond)
-        # _richardson_weights of every row at once; column 0 is zero, as P(x, 0) = 0
-        self.weights = (2.0 * coarse.h / 3.0) * fine.rows[::2]
-        self.weights[:, ::2] -= (coarse.h / 3.0) * coarse.rows
-        k = np.arange(M + 1)
-        self.weights[k, 2 * k] *= 0.5
+        self.weights = _richardson_weights(coarse.rows, fine.rows[::2], coarse.h, 2 * np.arange(M + 1))
         self._spline = None
 
     def F(self, x, t):
@@ -642,7 +628,7 @@ class KernelField:
         coarse, fine = self.grids
         slopes = self.H.table(self.table_size, deriv=True)
         weights = _richardson_weights(_slope_row(coarse, k, slopes),
-                                      _slope_row(fine, 2 * k, slopes), coarse.h)
+                                      _slope_row(fine, 2 * k, slopes), coarse.h, 2 * k)
         xk = self.x_nodes[k]
         return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
@@ -678,8 +664,7 @@ class BetaRecovery:
     cot_beta_tilde: float
     spread: float
     ratios: np.ndarray
-    prediction: float       # cot(beta) - P(pi, pi) = cot(beta) - (integral q)/2, drift-free
-    prediction_gap: float
+    prediction_gap: float   # |cot(beta~) - (cot(beta) - P(pi, pi))|, P(pi, pi) = (integral q)/2
 
 
 def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
@@ -703,8 +688,7 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
             f"mu={mus[n]:.6g}); data are not from a single problem")
     beta_tilde = float(np.pi / 2.0 - np.arctan(med))  # arccot into (0, pi)
     prediction = as_angle(data.beta).cot - field.diagonal[-1]  # P(pi, pi): half the integral of q
-    return BetaRecovery(beta_tilde, med, spread, ratios, prediction,
-                        abs(med - prediction))
+    return BetaRecovery(beta_tilde, med, spread, ratios, abs(med - prediction))
 
 
 def consistency_suite(field: KernelField, data: SpectralData) -> dict:

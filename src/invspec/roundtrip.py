@@ -14,6 +14,7 @@ from .core import (
     BoundaryAngle,
     Potential,
     SpectralData,
+    _check_count,
     as_angle,
     interpolant,
 )
@@ -35,14 +36,6 @@ from .inverse import (
 DEFAULT_TRIM = (0.05, PI)
 
 
-@dataclass(frozen=True)
-class InverseParams:
-    """Knobs of the inverse pipeline (defaults match the module contracts)."""
-
-    x_nodes: int = DEFAULT_X_NODES
-    force: bool = False
-
-
 @dataclass
 class InverseResult:
     data: SpectralData
@@ -53,8 +46,11 @@ class InverseResult:
     consistency: dict
 
 
-def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()) -> InverseResult:
-    """validate -> H -> kernel field -> q, recovered angle, diagnostics.
+def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
+                     force: bool = False) -> InverseResult:
+    """validate -> H -> kernel field -> q, recovered angle, diagnostics, on the
+    uniform grid of ``x_nodes`` nodes (at least 5); ``force`` proceeds past
+    validate's hard failures, though data that are not positive are still refused.
 
     The one place that knows the drift constant c: validate fits it, the
     kernel layer inverts the drift-free data (mu_n - c, a_n) of q - c, and c
@@ -69,14 +65,14 @@ def inverse_pipeline(data: SpectralData, params: InverseParams = InverseParams()
     n_terms = max(DEFAULT_N_TERMS, data.count)
     delta = delta_sequence(data.beta, max(n_terms, data.count + 2))
     report = validate(data, data.beta, delta=delta)
-    if report["hard_fail"] and not params.force:
+    if report["hard_fail"] and not force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
     kappa = 0.0 if report["kappa"] is None else report["kappa"]
     shifted = shift_spectrum(data, c)
     H = build_H(shifted, data.beta, n_terms, delta=delta, kappa=kappa)
-    field = solve_kernel_field(H, params.x_nodes)
+    field = solve_kernel_field(H, x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)
     beta_rec = recover_beta(field, shifted)
@@ -105,25 +101,25 @@ class RoundTripReport:
 
 
 def roundtrip(q: Potential, beta: BoundaryAngle | float, n_eigen: int,
-              trim: tuple[float, float] = DEFAULT_TRIM,
-              params: InverseParams = InverseParams()) -> tuple[RoundTripReport, InverseResult]:
-    """Forward solve, then reconstruct and compare on the trimmed interval.
+              trim: tuple[float, float] = DEFAULT_TRIM, *, x_nodes: int = DEFAULT_X_NODES,
+              force: bool = False) -> tuple[RoundTripReport, InverseResult]:
+    """Forward solve, then reconstruct by :func:`inverse_pipeline` (with
+    ``x_nodes`` and ``force``) and compare on the trimmed interval.
 
     The recovered angle legitimately differs from the input one; the reported
     gap therefore comes with the identity-corrected gap, which must be small
     for data from a genuine problem.
     """
     beta = as_angle(beta)
-    if n_eigen < 16:
-        raise ConfigError("round trips need at least 16 eigenvalues")
-    xs = np.linspace(0.0, PI, params.x_nodes)
+    _check_count("n_eigen", n_eigen, 16)
+    xs = np.linspace(0.0, PI, x_nodes)
     mask = (xs >= trim[0]) & (xs <= trim[1])
     if not mask.any():
         raise ConfigError(f"trim window [{trim[0]:g}, {trim[1]:g}] holds none of the "
-                          f"{params.x_nodes} x nodes")
+                          f"{x_nodes} x nodes")
     solution = forward_solve(q, beta, n_eigen)
     data = solution.spectral_data()
-    inv = inverse_pipeline(data, params)
+    inv = inverse_pipeline(data, x_nodes=x_nodes, force=force)
 
     q_true = interpolant(q)(xs)
     diff = np.abs(inv.q_hat.values - q_true)
@@ -136,7 +132,7 @@ def roundtrip(q: Potential, beta: BoundaryAngle | float, n_eigen: int,
         beta_gap=beta_gap,
         angle_identity_gap=inv.beta_rec.prediction_gap,
         n_eigen=n_eigen,
-        x_nodes=params.x_nodes,
+        x_nodes=x_nodes,
         trim=(float(trim[0]), float(trim[1])),
         consistency=inv.consistency,
     )
@@ -154,6 +150,7 @@ def example6_data(count: int = 40) -> SpectralData:
     """lambda_n = n + 1/2 with the ground norming constant pi (its
     unperturbed value would be 2*pi); all other pairs match the base problem
     at beta = pi/2."""
+    _check_count("count", count, 1)
     n = np.arange(count)
     lam = n + 0.5
     a = PI / (2.0 * lam * lam)
@@ -179,12 +176,13 @@ def example6_q(x):
 EXAMPLE6_COT_BETA = 1.0 / PI  # recovered-angle cotangent
 
 
-def example6_oracle(params: InverseParams = InverseParams(), count: int = 40) -> dict:
-    """Run the inverse pipeline on the reference data and check all four
-    closed forms plus the recovered angle at their stated tolerances."""
+def example6_oracle(count: int = 40, *, x_nodes: int = DEFAULT_X_NODES, force: bool = False) -> dict:
+    """Run the inverse pipeline (with its options ``x_nodes`` and ``force``) on
+    the reference data of ``count`` pairs and check all four closed forms
+    plus the recovered angle at their stated tolerances."""
     t_start = time.time()
     data = example6_data(count)
-    inv = inverse_pipeline(data, params)
+    inv = inverse_pipeline(data, x_nodes=x_nodes, force=force)
     field = inv.field
 
     checks = []

@@ -359,3 +359,35 @@ def test_refined_check_smooth_potential(fwd_parabola_41, q_parabola):
     rep = refined_asymptotics_check(q_parabola, qp, PI / 3, data, n_lo=10, n_hi=40)
     assert rep["lambda_bounded"]
     assert rep["norming_bounded"]
+
+
+# --- refusals name their cause ----------------------------------------------------
+
+
+def test_sequence_floors_name_the_count():
+    with pytest.raises(ConfigError, match="n_max=1 is not an integer of at least 2"):
+        delta_sequence(1.0, 1)
+    with pytest.raises(ConfigError, match="N=2 is not an integer of at least 3"):
+        unperturbed_spectrum(1.0, 2)
+
+
+def test_fit_c_refusal_names_the_count():
+    sp = unperturbed_spectrum(PI / 3, 11)
+    with pytest.raises(ConfigError, match="fit_c needs at least 12 data points, got 11"):
+        fit_c(sp, delta_sequence(PI / 3, 20))
+
+
+def test_refined_check_refuses_n_hi_past_the_data(fwd_zero_64):
+    q = fwd_zero_64.q
+    qp = GridFunction(q.grid, np.zeros(q.grid.n))
+    with pytest.raises(ConfigError, match="n_hi=64 beyond the 64 data points"):
+        refined_asymptotics_check(q, qp, PI / 2, fwd_zero_64.spectral_data(), n_hi=64)
+
+
+def test_low_mode_scan_without_two_roots_names_beta(monkeypatch):
+    # a finite characteristic function with no sign change in the scan
+    import invspec.asymptotics as asymptotics
+    monkeypatch.setattr(asymptotics, "characteristic_q0", lambda beta, mu: np.ones(np.shape(mu)))
+    with pytest.raises(NumericsError, match=r"q = 0 eigenvalues for beta=1: 0 sign change\(s\) "
+                                            r"of the q = 0 characteristic function on s in \[-1, 2\.1277"):
+        delta_sequence(1.0, 10)

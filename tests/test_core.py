@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invspec.asymptotics import unperturbed_norming
+from invspec.asymptotics import delta_sequence, solve_delta, unperturbed_norming, unperturbed_spectrum
 from invspec.core import (
     PI,
     BoundaryAngle,
@@ -23,6 +23,8 @@ from invspec.core import (
     write_grid_function_csv,
 )
 from invspec.errors import ConfigError
+from invspec.inverse import build_H, solve_kernel_field
+from invspec.roundtrip import example6_data
 
 
 def _trapezoid(n):
@@ -38,9 +40,61 @@ RULES = {"uniform-trapezoid": _trapezoid, "gauss-legendre": _gauss}
 
 
 def test_sample_potential_rejects_small():
-    with pytest.raises(ConfigError, match="n_nodes=7 below minimum 8"):
+    with pytest.raises(ConfigError, match="n_nodes=7 is not an integer of at least 8"):
         sample_potential(np.cos, 7)
     assert sample_potential(np.cos, 8).grid.n == 8
+
+
+# count arguments that were taken silently (10.5 as n_max 11, index 2.5, 40.5
+# or True as a pair count) or escaped as a TypeError from numpy
+COUNT_CASES = {
+    "delta_sequence-10.5": (lambda: delta_sequence(1.0, 10.5), "n_max=10.5", 2),
+    "solve_delta-2.5": (lambda: solve_delta(1.0, 2.5), "n=2.5", 2),
+    "example6_data-40.5": (lambda: example6_data(40.5), "count=40.5", 1),
+    "example6_data-True": (lambda: example6_data(True), "count=True", 1),
+    "unperturbed_spectrum-4.5": (lambda: unperturbed_spectrum(1.0, 4.5), "N=4.5", 3),
+    "build_H-100.5": (lambda: build_H(example6_data(40), PI / 2, 100.5), "n_terms=100.5", 8),
+    "sample_potential-10.5": (lambda: sample_potential(np.cos, 10.5), "n_nodes=10.5", 8),
+    "solve_kernel_field-65.5": (lambda: solve_kernel_field(build_H(example6_data(30), PI / 2, 400), 65.5),
+                                "x_nodes=65.5", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_count_arguments_must_be_integers(case):
+    call, named, floor = COUNT_CASES[case]
+    with pytest.raises(ConfigError, match=f"{named} is not an integer of at least {floor}"):
+        call()
+
+
+def test_count_arguments_take_numpy_integers():
+    assert delta_sequence(1.0, np.int64(10)).n_max == 10
+    assert solve_delta(1.0, np.int64(3)) == solve_delta(1.0, 3)
+    assert example6_data(np.int64(5)).count == 5
+    assert unperturbed_spectrum(1.0, np.int64(5)).count == 5
+    assert sample_potential(np.cos, np.int64(9)).grid.n == 9
+
+
+def test_grid_function_refusals_name_their_cause():
+    grid = trapezoid_grid(np.linspace(0.0, PI, 9))
+    with pytest.raises(ConfigError, match="values length 8 does not match the grid's 9 nodes"):
+        GridFunction(grid, np.ones(8))
+    values = np.ones(9)
+    values[4] = -np.inf
+    with pytest.raises(ConfigError, match=r"must be finite: values\[4\] = -inf"):
+        GridFunction(grid, values)
+
+
+@pytest.mark.parametrize("nodes, match", [
+    (np.linspace(0.0, PI, 7), "CSV grid needs at least 8 nodes, got 7"),
+    (np.linspace(0.0, 3.0, 9), r"must span \[0, pi\], got 9 nodes from 0\.0 to 3\.0"),
+    (np.linspace(0.5, PI, 9), r"must span \[0, pi\], got 9 nodes from 0\.5 to 3\.14159"),
+], ids=["7-nodes", "short", "late-start"])
+def test_potential_csv_grid_refusals_name_their_cause(tmp_path, nodes, match):
+    path = tmp_path / "q.csv"
+    write_grid_function_csv(GridFunction(Grid(nodes, np.ones(nodes.size)), np.cos(nodes)), path)
+    with pytest.raises(ConfigError, match=match):
+        read_potential_csv(path)
 
 
 def test_trapezoid_grid_on_any_uniform_span():
@@ -278,6 +332,15 @@ MALFORMED_JSON = {
     "bool-count": (_json_with(count=True), "field 'count' is malformed"),
     "2x2-arrays": (_json_with(count=4, mu=[[1.0, 4.0], [9.0, 16.0]], a=[[1.0, 1.0], [1.0, 1.0]]),
                    r"mu must be a 1-D array, got shape \(2, 2\)"),
+    # float() and numpy read true as 1 and "0.5" as 0.5: a number field is a JSON number
+    "bool-beta": (_json_with(beta=True), "field 'beta' is malformed: must be a number, got True"),
+    "bool-mu": (_json_with(mu=[True] + list(range(2, 13))),
+                "field 'mu' is malformed: entry 0 must be a number, got True"),
+    "string-mu": (_json_with(mu=["0.5"] + list(range(2, 13))),
+                  "field 'mu' is malformed: entry 0 must be a number, got '0.5'"),
+    "string-a": (_json_with(a=[1.0] * 5 + ["1.0"] * 7),
+                 "field 'a' is malformed: entry 5 must be a number, got '1.0'"),
+    "string-c_fit": (_json_with(c_fit="0.1"), "field 'c_fit' is malformed: must be a number, got '0.1'"),
 }
 
 

@@ -204,7 +204,7 @@ def test_eigenvalues_refuse_a_count_that_is_not_a_positive_integer(q_cos, N, mon
         raise AssertionError("cells built before N was checked")
 
     monkeypatch.setattr(forward, "_Cells", no_cells)
-    with pytest.raises(ConfigError, match="N must be an integer of at least 1"):
+    with pytest.raises(ConfigError, match="N=.* is not an integer of at least 1"):
         eigenvalues(q_cos, 1.0, N)
 
 
@@ -691,7 +691,7 @@ def test_expand_vanishing_endpoint_converges_everywhere(fwd_zero_64):
 def test_expand_requires_enough_records(fwd_zero_64):
     grid = trapezoid_grid(np.linspace(0.0, PI, 64))
     f = GridFunction(grid, np.sin(grid.nodes))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="N=100 exceeds the 64 available records"):
         expand(f, fwd_zero_64.records, fwd_zero_64.traces, 100)
 
 

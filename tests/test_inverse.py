@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invspec.inverse as inverse
-from invspec.asymptotics import unperturbed_spectrum
+from invspec.asymptotics import cos_halfint_closed, sin_halfint_closed, unperturbed_spectrum
 from invspec.core import (
     PI,
     SpectralData,
@@ -26,7 +26,6 @@ from invspec.errors import (
 )
 from invspec.inverse import (
     H_GRID_SIZE,
-    _grid_pair_sum,
     _halfint_expsum,
     _pair_sum,
     _table_nodes,
@@ -39,7 +38,6 @@ from invspec.inverse import (
     validate,
 )
 from invspec.roundtrip import (
-    InverseParams,
     example6_F,
     example6_P,
     example6_data,
@@ -158,14 +156,22 @@ def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
              (shifted, 2 * PI / 3),
              (example6_data(400), PI / 2)]
     L = H_GRID_SIZE - 1
+    t = _table_nodes(L)
+    om = np.arange(2, 2000) + 0.5
+    cos_tail = np.zeros_like(t)  # the tail model's partial sums, term by term
+    sin_tail = np.zeros_like(t)
+    for w in om:
+        cos_tail += np.cos(w * t) / (w * w)
+        sin_tail += np.sin(w * t) / w
     for data, beta in cases:
         H = build_H(data, beta, 2000, kappa=1e-3)  # data and base terms differ past the data too
         terms = (H.mu_d, H.a_d, H.mu_b, H.a_b)
+        tails = (cos_halfint_closed(t) - cos_tail, sin_tail - sin_halfint_closed(t))
         # the direct derivative rounds sin(lt) at lt up to 1.3e4 in terms of
         # size 1e3, so it is good to about 5e-8 only
-        for deriv, tol in ((False, 1e-10), (True, 2e-7)):
-            direct = _pair_sum(_table_nodes(L), *terms, deriv=deriv)
-            assert np.max(np.abs(_grid_pair_sum(L, *terms, deriv=deriv) - direct)) < tol
+        for deriv, tol, tail in ((False, 1e-10, tails[0]), (True, 2e-7, tails[1])):
+            direct = _pair_sum(t, *terms, deriv=deriv) + H.gamma_hat * tail
+            assert np.max(np.abs(H.table(L, deriv) - direct)) < tol
 
 
 def test_h_partial_halfint_fft_matches_loop():
@@ -235,8 +241,17 @@ def test_h_zero_in_both_gives_xt_kernel():
 
 
 def test_h_needs_valid_truncation():
-    with pytest.raises(ConfigError, match="n_terms=4 too small: .* at least 8"):
+    with pytest.raises(ConfigError, match="n_terms=4 is not an integer of at least 8"):
         build_H(example6_data(20), PI / 2, 4)
+
+
+def test_h_of_five_pairs_fits_no_tail():
+    # five pairs leave three indices n >= 2, too few for the gamma fit, which
+    # then gives 0 and a finite table
+    data = _stored_cos()
+    H = build_H(SpectralData(data.beta, data.mu[:5], data.norming[:5]), data.beta)
+    assert H.gamma_hat == 0.0
+    assert np.all(np.isfinite(H.table(H_GRID_SIZE - 1)))
 
 
 def test_h_refuses_to_drop_data():
@@ -292,7 +307,6 @@ def test_f_series_form_agreement(fwd_cos_64):
     data = fwd_cos_64.spectral_data()
     H = build_H(data, PI / 3, 800)
     F = solve_kernel_field(H).F
-    base = unperturbed_spectrum(PI / 3, 800, delta=H.delta)
     lam_d = np.sqrt(H.mu_d)
     lam_b = np.sqrt(H.mu_b)
     for (x, t) in ((0.7, 0.4), (2.0, 1.1), (3.0, 2.6)):
@@ -404,7 +418,7 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
     for k in range(1, field.x_nodes.size):
         p_c, p_f = coarse.rows[k, :k + 1], fine.rows[2 * k, :2 * k + 1]
         assert np.array_equal(field.weights[k, :2 * k + 1],
-                              inverse._richardson_weights(p_c, p_f, coarse.h))
+                              inverse._richardson_weights(p_c, p_f, coarse.h, 2 * k))
         assert not np.any(field.weights[k, 2 * k + 1:])
         if k in (16, 82, 128):
             row = solve_gl(field, field.x_nodes[k])
@@ -459,11 +473,11 @@ def _count_h_calls(monkeypatch) -> list:
 
 def test_solve_gl_evaluates_H_once(monkeypatch):
     # a 65-node field sums one H table of 257 nodes (the explicit terms and
-    # the tail model, one FFT pass each); its rows read that table only
+    # the tail model's partial sum in one FFT pass); its rows read that table only
     H = build_H(example6_data(30), PI / 2, 400)
     calls = _count_h_calls(monkeypatch)
     field = solve_kernel_field(H, 65)
-    assert calls == [("table", 256), ("table", 256)]
+    assert calls == [("table", 256)]
     calls.clear()
     solve_gl(field, field.x_nodes[40])
     assert calls == []
@@ -475,7 +489,7 @@ def test_diagonal_consumers_add_no_H_call(monkeypatch):
     H = build_H(example6_data(30), PI / 2, 400)
     calls = _count_h_calls(monkeypatch)
     field = solve_kernel_field(H)
-    assert calls == [("table", 512), ("table", 512)]
+    assert calls == [("table", 512)]
     calls.clear()
     recover_q(field)
     field.diagonal[field.index(PI)]
@@ -484,13 +498,13 @@ def test_diagonal_consumers_add_no_H_call(monkeypatch):
 
 def test_H_tables_follow_the_x_grid(monkeypatch):
     # build_H sums no table; a 65-node pipeline sums the 257-node tables of
-    # H (for the field) and H' (for phi'), each in two FFT passes, and no
+    # H (for the field) and H' (for phi'), each in one FFT pass, and no
     # table of the default grid
     calls = _count_h_calls(monkeypatch)
     build_H(example6_data(30), PI / 2, 400)
     assert calls == []
-    inverse_pipeline(example6_data(40), InverseParams(x_nodes=65))
-    assert calls == [("table", 256)] * 4
+    inverse_pipeline(example6_data(40), x_nodes=65)
+    assert calls == [("table", 256)] * 2
 
 
 def test_pipeline_q_hat_shares_the_field_grid(ex6_inverse):
@@ -555,14 +569,14 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
 def test_non_finite_kernel_value_is_refused(monkeypatch):
     # a NaN from the H sums must not reach LAPACK, which would pass it through silently
     H = build_H(example6_data(30), PI / 2, 400)
-    real = inverse._grid_pair_sum
+    real = inverse._pair_sum
 
     def one_nan(*args, **kwargs):
         out = real(*args, **kwargs)
         out[5] = np.nan
         return out
 
-    monkeypatch.setattr(inverse, "_grid_pair_sum", one_nan)
+    monkeypatch.setattr(inverse, "_pair_sum", one_nan)
     with pytest.raises(NumericsError, match=r"non-finite kernel value nan at t=0\.1227"):
         solve_kernel_field(H, 65)
 
@@ -678,7 +692,14 @@ def test_non_positive_data_refused_under_force(index, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AdmissibilityError, match=rf"not positive definite at x={x}"):
-            inverse_pipeline(SpectralData(data.beta, data.mu, a), InverseParams(force=True))
+            inverse_pipeline(SpectralData(data.beta, data.mu, a), force=True)
+
+
+def test_negative_lapack_info_names_the_routine():
+    with pytest.raises(NumericsError, match=r"trtri: illegal value in argument 3 at x=3\.1416"):
+        inverse._check_info("trtri", -3, PI)
+    inverse._check_info("trtri", 0, PI)  # zero and positive infos are the caller's to read
+    inverse._check_info("potrf", 2, PI)
 
 
 def test_small_positive_norming_constant_still_inverts():

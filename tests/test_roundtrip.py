@@ -25,7 +25,7 @@ def test_roundtrip_zero_potential(q_zero):
 
 
 def test_roundtrip_requires_enough_modes(q_zero):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_eigen=8 is not an integer of at least 16"):
         roundtrip(q_zero, PI / 2, 8)
 
 

@@ -5,8 +5,9 @@ series.
 For the Dirichlet/Robin pair considered here, the q = 0 eigenvalues behave
 like (n + delta_n)^2 where delta_n in [-1, 1] solves a scalar phase equation;
 delta_n -> 1/2 with a cot(beta)/(pi*(n+1/2)) correction.  Everything below is
-indexed so that delta_n exists for n >= 2, while the two lowest modes come
-from direct root finding on the explicit q = 0 characteristic function.
+indexed so that delta_n exists for n >= 2; of the two lowest modes, lambda_1
+comes from the same phase equation at n = 1 and lambda_0 from one root solve
+of the explicit q = 0 characteristic function.
 """
 from __future__ import annotations
 
@@ -57,13 +58,14 @@ def solve_delta(beta: BoundaryAngle | float, n: int) -> float:
 
 
 def _solve_delta_array(beta: BoundaryAngle, ns: np.ndarray) -> np.ndarray:
-    """delta_n for every index in ns (each n >= 2) by fixed-point iteration
+    """delta_n for every index in ns (each n >= 1) by fixed-point iteration
     seeded at 1/2.
 
     The map's slope in delta is -cot b/(pi (omega^2 + cot^2 b)), omega = n + d,
-    at most 1/(2 pi omega) in size; every iterate lies in (0, 1), so omega > 2
-    and the slope is below 1/(4 pi): the iteration contracts at every angle
-    and reaches DELTA_TOL within 13 steps on a sweep of beta across (0, pi).
+    at most 1/(2 pi omega) in size; every iterate lies in (0, 1), so omega > 1
+    and the slope is below 1/(2 pi): the iteration contracts at every angle
+    and reaches DELTA_TOL within 16 steps at n = 1 and 13 from n = 2 on, on
+    a sweep of beta across (0, pi).
     A residual above DELTA_TOL is refused."""
     delta = np.full(ns.shape, 0.5)
     for _ in range(50):
@@ -101,13 +103,11 @@ class DeltaSequence:
 
 
 def delta_sequence(beta: BoundaryAngle | float, n_max: int) -> DeltaSequence:
-    """delta_n for n = 2..n_max, plus root-found lambda_0, lambda_1 at q = 0."""
+    """delta_n for n = 2..n_max, plus lambda_0, lambda_1 at q = 0 (see _low_mode_lambdas)."""
     beta = as_angle(beta)
     _check_count("n_max", n_max, DELTA_MIN_N)
     ns = np.arange(DELTA_MIN_N, n_max + 1, dtype=float)
-    values = _solve_delta_array(beta, ns)
-    lam0, lam1 = _low_mode_lambdas(beta, float(values[0]))
-    return DeltaSequence(beta, values, (lam0, lam1))
+    return DeltaSequence(beta, _solve_delta_array(beta, ns), _low_mode_lambdas(beta))
 
 
 def characteristic_q0(beta: BoundaryAngle, mu) -> np.ndarray:
@@ -116,35 +116,28 @@ def characteristic_q0(beta: BoundaryAngle, mu) -> np.ndarray:
     return musin(mu, PI) * np.cos(beta.beta) + mucos(mu, PI) * np.sin(beta.beta)
 
 
-def _low_mode_lambdas(beta: BoundaryAngle, delta2: float) -> tuple[float, float]:
-    """First two q = 0 eigenvalue square roots by one scan + Brent refinement.
+def _low_mode_lambdas(beta: BoundaryAngle) -> tuple[float, float]:
+    """The first two q = 0 eigenvalue square roots, as signed square roots s
+    with mu = s*|s| so that a negative ground eigenvalue is representable.
 
-    Returns signed square roots s with mu = s*|s| so that a negative ground
-    eigenvalue is representable.  The scan runs on 400 points from
-    s_lo = -sqrt(max(0, -cot beta)^2 + 1), below the ground state (the q = 0
-    case of the lower bound in forward.eigenvalues), to just below the
-    n = 2 asymptotic window.
+    lambda_1 = 1 + delta_1 lies in (1, 2): delta_1 is the fixed point of the
+    phase map at n = 1, where the map still contracts (slope at most
+    1/(2 pi) as omega > 1).  lambda_0 is then the only root on [s_lo, 1],
+    s_lo = -sqrt(max(0, -cot beta)^2 + 1) (the q = 0 case of the lower bound
+    in forward.eigenvalues): the characteristic function is positive at
+    s_lo and equals -sin(beta) at s = 1, so one Brent solve finds it.
     """
-    upper = 2.0 + delta2 - 0.45  # stay clear of the n = 2 asymptotic window
+    lam1 = 1.0 + float(_solve_delta_array(beta, np.ones(1))[0])
     s_lo = -np.sqrt(max(0.0, -beta.cot) ** 2 + 1.0)
-    ss = np.linspace(s_lo, upper, 400)
-    mus = ss * np.abs(ss)
-    with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at the low end; see below
-        vals = characteristic_q0(beta, mus)
-    sign_change = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    if sign_change.size >= 2:
-        f = lambda s: float(characteristic_q0(beta, s * abs(s)))
-        lam0, lam1 = (brentq(f, ss[i], ss[i + 1], xtol=1e-15, rtol=1e-15) for i in sign_change[:2])
-        return float(lam0), float(lam1)
-    bad = ~np.isfinite(vals)
-    if bad.any():
+    with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at s_lo; see below
+        f_lo = characteristic_q0(beta, s_lo * abs(s_lo))
+    if not np.isfinite(f_lo):
         raise NumericsError(f"failed to bracket the two lowest q = 0 eigenvalues for beta={beta.beta:.12g}: "
                             f"the q = 0 characteristic function overflows double precision at "
-                            f"mu={mus[bad].max():.6g} and below, and its ground state lies near "
+                            f"mu={s_lo * abs(s_lo):.6g} and below, and its ground state lies near "
                             f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
-    raise NumericsError(f"failed to bracket the two lowest q = 0 eigenvalues for beta={beta.beta:.12g}: "
-                        f"{sign_change.size} sign change(s) of the q = 0 characteristic function "
-                        f"on s in [{s_lo:.6g}, {upper:.6g}]")
+    lam0 = brentq(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, 1.0, xtol=1e-15, rtol=1e-15)
+    return float(lam0), lam1
 
 
 def unperturbed_norming(mu) -> np.ndarray:
@@ -166,7 +159,7 @@ def unperturbed_norming(mu) -> np.ndarray:
 
 def unperturbed_spectrum(beta: BoundaryAngle | float, N: int, delta: DeltaSequence | None = None) -> SpectralData:
     """Spectral data of the q = 0 problem: lambda_n = n + delta_n for n >= 2,
-    the two low modes from root finding, and closed-form norming constants."""
+    the two low modes of _low_mode_lambdas, and closed-form norming constants."""
     beta = as_angle(beta)
     _check_count("N", N, 3)
     if delta is None or delta.n_max < N - 1:

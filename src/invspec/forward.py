@@ -35,7 +35,8 @@ from the same tree in real arithmetic: its levels are kept (the up-sweep),
 and (phi, phi') at the start of each block is carried down to its two
 halves (the down-sweep), about one 2x2 product and one matrix-vector product
 per cell in all.  Their sign changes count the eigenvalues below mu, and one
-partial step from the edge below x gives them at any x.
+partial step from the edge below x gives them at any x in [0, pi]: the one
+eigenfunction evaluator, ForwardSolution.eigenfunctions, which expand reads.
 """
 from __future__ import annotations
 
@@ -45,24 +46,19 @@ from math import factorial
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp  # noqa: F401  solve_ivp: unused, perfbench/tracing.py wraps it
-from scipy.interpolate import CubicSpline
 
 from .asymptotics import DeltaSequence, delta_sequence, drift_constant
 from .core import (
     PI,
     BoundaryAngle,
-    Grid,
     GridFunction,
     Potential,
     SpectralData,
     as_angle,
-    gauss_rule,
     interpolant,
-    trapezoid_grid,
     _check_count,
-    _frozen,
 )
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DomainError, NumericsError
 
 CELLS_PER_INTERVAL = 2
 # mu values x cells per batch, a complex entry counting two: 96 KiB entry arrays
@@ -83,25 +79,6 @@ _S_COEF = np.array([1.0 / factorial(2 * k + 1) for k in range(10)])
 
 
 @dataclass(frozen=True)
-class SolutionTrace:
-    """phi and phi' sampled along a fine uniform grid for one mu."""
-
-    grid: Grid
-    phi: np.ndarray
-    dphi: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _frozen(self.phi))
-        object.__setattr__(self, "dphi", _frozen(self.dphi))
-
-    def interior_zero_count(self) -> int:
-        """Sign changes of phi strictly inside (0, pi)."""
-        v = self.phi[1:-1]
-        return int(np.sum(v[:-1] * v[1:] < 0.0))
-
-
-@dataclass(frozen=True)
 class EigenRecord:
     """One eigenpair summary: mu_n and its norming constant."""
 
@@ -111,20 +88,13 @@ class EigenRecord:
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """The spectrum of (q, beta), one EigenRecord per eigenpair.  The
-    eigenfunctions and the q = 0 index corrections are computed when first read."""
+    """The spectrum of (q, beta), one EigenRecord per eigenpair.  The q = 0
+    index corrections are computed when first read, and the eigenfunctions
+    at the points asked for, when eigenfunctions is called."""
 
     beta: BoundaryAngle
     q: Potential
     records: list
-
-    @cached_property
-    def traces(self) -> list:
-        """phi_n and phi_n' on the uniform grid of TRACE_NODES points."""
-        grid = trapezoid_grid(np.linspace(0.0, PI, TRACE_NODES))
-        mus = np.array([r.mu for r in self.records])
-        phi, dphi = _solution(_cells_for(self.q, mus), mus, grid.nodes)
-        return [SolutionTrace(grid, p, d, r.mu) for p, d, r in zip(phi, dphi, self.records)]
 
     @cached_property
     def delta(self) -> DeltaSequence:
@@ -138,13 +108,15 @@ class ForwardSolution:
             c, _, _ = drift_constant(SpectralData(self.beta.beta, mus, a), self.delta)
         return SpectralData(self.beta.beta, mus, a, c_fit=c)
 
-    def gram(self, k: int | None = None) -> np.ndarray:
-        """Inner-product matrix of the first k eigenfunctions on a 256-node Gauss grid."""
-        k = len(self.records) if k is None else k
-        xq, wq = gauss_rule(256, 0.0, PI)
-        mus = np.array([r.mu for r in self.records[:k]])
-        ph, _ = _solution(_cells_for(self.q, mus), mus, xq)
-        return (ph * wq) @ ph.T
+    def eigenfunctions(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """phi_n(x) and phi_n'(x), one row per record and one column per x,
+        on cells fine enough for the largest mu_n; x must lie in [0, pi]."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        outside = ~((x >= 0.0) & (x <= PI))
+        if outside.any():
+            raise DomainError(f"eigenfunctions evaluated at x={x[outside][0]:.12g}, outside [0, pi]")
+        mus = np.array([r.mu for r in self.records])
+        return _solution(_cells_for(self.q, mus), mus, x)
 
 
 class _Cells:
@@ -476,20 +448,19 @@ def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardS
     return ForwardSolution(beta, q, [EigenRecord(float(m), float(x)) for m, x in zip(mus, a)])
 
 
-def expand(f: GridFunction, records: list, traces: list, N: int) -> GridFunction:
-    """Partial eigenfunction expansion of f sampled back on f's grid.
+def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
+    """Partial eigenfunction expansion of f over the first N modes of
+    ``solution``, sampled back on f's grid.
 
-    Coefficients are (1/a_n) * integral of f * phi_n, evaluated by Simpson's
-    rule on the shared uniform trace grid.
+    Coefficients are (1/a_n) * integral of f * phi_n, by Simpson's rule on
+    TRACE_NODES uniform points with f read through its interpolant; phi_n at
+    those points and at f's nodes comes from one eigenfunctions call.
     """
-    if N > len(records):
-        raise ConfigError(f"N={N} exceeds the {len(records)} available records")
-    tgrid = traces[0].grid
-    fx = interpolant(f)(tgrid.nodes)
-    out = np.zeros(f.grid.n)
-    for rec, tr in zip(records[:N], traces[:N]):
-        c_n = float(simpson(fx * tr.phi, x=tr.grid.nodes)) / rec.a
-        phi_on_f = CubicSpline(tr.grid.nodes, tr.phi)(f.grid.nodes)
-        out += c_n * phi_on_f
-    return GridFunction(f.grid, out)
-
+    if N > len(solution.records):
+        raise ConfigError(f"N={N} exceeds the {len(solution.records)} available records")
+    x = np.linspace(0.0, PI, TRACE_NODES)
+    phi, _ = solution.eigenfunctions(np.concatenate([x, f.grid.nodes]))
+    phi = phi[:N]
+    a = np.array([r.a for r in solution.records[:N]])
+    c = simpson(interpolant(f)(x) * phi[:, :x.size], x=x) / a
+    return GridFunction(f.grid, c @ phi[:, x.size:])

@@ -722,7 +722,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
         parseval[name] = abs(f2 - float(np.sum(coef * coef / a))) / f2
 
     G = (sg * wg) @ sg.T + (phi * w) @ phi.T - (s * w) @ s.T
-    off = np.abs(G - np.diag(np.diag(G))) / np.sqrt(np.outer(a, a))
+    off = np.abs(G - np.diag(np.diag(G))) / np.outer(np.sqrt(a), np.sqrt(a))
     gram_off = float(np.max(off)) if k_terms > 1 else 0.0
     gram_diag = float(np.max(np.abs(np.diag(G) - a) / a))
 

@@ -112,6 +112,7 @@ def roundtrip(q: Potential, beta: BoundaryAngle | float, n_eigen: int,
     """
     beta = as_angle(beta)
     _check_count("n_eigen", n_eigen, 16)
+    _check_count("x_nodes", x_nodes, 5)
     xs = np.linspace(0.0, PI, x_nodes)
     mask = (xs >= trim[0]) & (xs <= trim[1])
     if not mask.any():

@@ -172,9 +172,9 @@ def test_criterion_7_expansion_convergence(fwd_zero_64):
     mask = grid.nodes >= 0.3
     errs_lin, errs_sin = [], []
     for N in (8, 16, 32, 64):
-        out = expand(f_lin, fwd_zero_64.records, fwd_zero_64.traces, N)
+        out = expand(f_lin, fwd_zero_64, N)
         errs_lin.append(float(np.max(np.abs(out.values - f_lin.values)[mask])))
-        out = expand(f_sin, fwd_zero_64.records, fwd_zero_64.traces, N)
+        out = expand(f_sin, fwd_zero_64, N)
         errs_sin.append(float(np.max(np.abs(out.values - f_sin.values))))
     mono_lin = all(b <= 1.05 * a for a, b in zip(errs_lin, errs_lin[1:]))
     mono_sin = all(b <= 1.05 * a for a, b in zip(errs_sin, errs_sin[1:]))

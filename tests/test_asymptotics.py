@@ -382,12 +382,3 @@ def test_refined_check_refuses_n_hi_past_the_data(fwd_zero_64):
     qp = GridFunction(q.grid, np.zeros(q.grid.n))
     with pytest.raises(ConfigError, match="n_hi=64 beyond the 64 data points"):
         refined_asymptotics_check(q, qp, PI / 2, fwd_zero_64.spectral_data(), n_hi=64)
-
-
-def test_low_mode_scan_without_two_roots_names_beta(monkeypatch):
-    # a finite characteristic function with no sign change in the scan
-    import invspec.asymptotics as asymptotics
-    monkeypatch.setattr(asymptotics, "characteristic_q0", lambda beta, mu: np.ones(np.shape(mu)))
-    with pytest.raises(NumericsError, match=r"q = 0 eigenvalues for beta=1: 0 sign change\(s\) "
-                                            r"of the q = 0 characteristic function on s in \[-1, 2\.1277"):
-        delta_sequence(1.0, 10)

@@ -17,7 +17,7 @@ from invspec.core import (
     trapezoid_grid,
 )
 from invspec.asymptotics import unperturbed_spectrum
-from invspec.errors import ConfigError, NumericsError
+from invspec.errors import ConfigError, DomainError, NumericsError
 from invspec import forward
 from invspec.forward import (
     characteristic,
@@ -105,6 +105,13 @@ def as_stack(entries):
     """(m00, m01, m10, m11) arrays -> one array of 2x2 matrices."""
     m00, m01, m10, m11 = entries
     return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def interior_zero_counts(sol):
+    """Sign changes of each phi_n strictly inside (0, pi), on TRACE_NODES uniform points."""
+    phi, _ = sol.eigenfunctions(np.linspace(0.0, PI, forward.TRACE_NODES))
+    v = phi[:, 1:-1]
+    return list(np.sum(v[:, :-1] * v[:, 1:] < 0.0, axis=1))
 
 
 def solution_on_trace_grid(q, mu):
@@ -244,8 +251,7 @@ def test_eigenvalues_negative_ground_state():
 
 
 def test_oscillation_counts(fwd_cos_64):
-    for n in (0, 1, 5, 20, 63):
-        assert fwd_cos_64.traces[n].interior_zero_count() == n
+    assert interior_zero_counts(fwd_cos_64) == list(range(64))
 
 
 def test_constant_negative_eigenvalues_closed_form():
@@ -304,7 +310,7 @@ def test_eigenvalue_index_by_oscillation(f, beta):
     # no closed form: eigenfunction n has n interior zeros on the trace grid
     N = 32
     sol = forward.forward_solve(sample_potential(f), beta, N)
-    assert [t.interior_zero_count() for t in sol.traces] == list(range(N))
+    assert interior_zero_counts(sol) == list(range(N))
 
 
 def test_cells_follow_N(q_cos):
@@ -346,14 +352,15 @@ def test_eigenvalues_match_fine_cells(q_cos, monkeypatch):
     assert np.max(np.abs(mus - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
 
 
-def test_traces_follow_the_record_count(q_cos, monkeypatch):
-    # the cells of the traces are fine enough for mu_299: on the 512 cells of
-    # a solve without N, phi_299 was off by 5.7e-10
+def test_eigenfunctions_follow_the_record_count(q_cos, monkeypatch):
+    # the cells of the eigenfunctions are fine enough for mu_299: on the 512
+    # cells of a solve without N, phi_299 was off by 5.7e-10
     sol = forward.forward_solve(q_cos, PI / 3, 300)
     mus = np.array([r.mu for r in sol.records])
-    phi = np.array([t.phi for t in sol.traces])
+    x = np.linspace(0.0, PI, forward.TRACE_NODES)
+    phi, _ = sol.eigenfunctions(x)
     monkeypatch.setattr(forward, "CELLS_PER_INTERVAL", 64)
-    ref, _ = forward._solution(forward._Cells(q_cos), mus, sol.traces[0].grid.nodes)
+    ref, _ = forward._solution(forward._Cells(q_cos), mus, x)
     assert np.max(np.abs(phi - ref) / np.max(np.abs(ref), axis=1, keepdims=True)) < 1e-11
 
 
@@ -551,7 +558,9 @@ def test_norming_free_particle(fwd_zero_64):
 
 
 def test_orthogonality(fwd_cos_64):
-    G = fwd_cos_64.gram(30)
+    xq, wq = gauss_rule(256, 0.0, PI)
+    phi = fwd_cos_64.eigenfunctions(xq)[0][:30]
+    G = (phi * wq) @ phi.T
     a = np.array([r.a for r in fwd_cos_64.records[:30]])
     off = np.abs(G - np.diag(np.diag(G)))
     denom = np.sqrt(np.outer(a, a))
@@ -623,7 +632,7 @@ def test_forward_solve_refuses_overflowing_norming_constant(q_cos):
 
 def test_spectrum_samples_no_eigenfunction(q_cos, monkeypatch):
     # mu_n, a_n and c_fit come from the sweeps alone; phi(x, mu) is sampled
-    # only when traces or gram() are read
+    # only when eigenfunctions is called
     def refuse(*args):
         raise AssertionError("forward_solve sampled an eigenfunction")
 
@@ -632,19 +641,18 @@ def test_spectrum_samples_no_eigenfunction(q_cos, monkeypatch):
     assert data.count == 16 and data.c_fit is not None
 
 
-def test_traces_and_gram_sampled_on_read(q_cos):
+def test_eigenfunctions_are_the_solution_on_0_pi(q_cos):
     sol = forward.forward_solve(q_cos, PI / 3, 16)
     mus = np.array([r.mu for r in sol.records])
     cells = forward._Cells(q_cos)
-    x = np.linspace(0.0, PI, forward.TRACE_NODES)
-    phi, dphi = forward._solution(cells, mus, x)
-    assert sol.traces is sol.traces
-    for n, tr in enumerate(sol.traces):
-        assert tr.mu == mus[n] and np.array_equal(tr.grid.nodes, x)
-        assert np.array_equal(tr.phi, phi[n]) and np.array_equal(tr.dphi, dphi[n])
-    xq, wq = gauss_rule(256, 0.0, PI)
-    ph, _ = forward._solution(cells, mus[:5], xq)
-    assert np.array_equal(sol.gram(5), (ph * wq) @ ph.T)
+    for x in (np.linspace(0.0, PI, forward.TRACE_NODES), gauss_rule(256, 0.0, PI)[0]):
+        phi, dphi = sol.eigenfunctions(x)
+        ref_phi, ref_dphi = forward._solution(cells, mus, x)
+        assert phi.shape == (16, x.size)
+        assert np.array_equal(phi, ref_phi) and np.array_equal(dphi, ref_dphi)
+    for x in (-1e-3, PI + 1e-3, np.nan):
+        with pytest.raises(DomainError, match=r"outside \[0, pi\]"):
+            sol.eigenfunctions(np.array([0.5, x]))
 
 
 def test_spectral_data_carries_validates_drift_constant():
@@ -659,9 +667,9 @@ def test_spectral_data_carries_validates_drift_constant():
 
 
 def test_expand_reproduces_eigenfunction(fwd_zero_64):
-    tr = fwd_zero_64.traces[3]
-    f = GridFunction(tr.grid, tr.phi)
-    out = expand(f, fwd_zero_64.records, fwd_zero_64.traces, 6)
+    grid = trapezoid_grid(np.linspace(0.0, PI, forward.TRACE_NODES))
+    f = GridFunction(grid, fwd_zero_64.eigenfunctions(grid.nodes)[0][3])
+    out = expand(f, fwd_zero_64, 6)
     assert np.max(np.abs(out.values - f.values)) < 1e-8
 
 
@@ -671,7 +679,7 @@ def test_expand_uniform_convergence_interior(fwd_zero_64):
     mask = grid.nodes >= 0.3
     errs = []
     for N in (8, 16, 32, 64):
-        out = expand(f, fwd_zero_64.records, fwd_zero_64.traces, N)
+        out = expand(f, fwd_zero_64, N)
         errs.append(np.max(np.abs(out.values - f.values)[mask]))
     for a, b in zip(errs, errs[1:]):
         assert b <= 1.05 * a
@@ -682,7 +690,7 @@ def test_expand_vanishing_endpoint_converges_everywhere(fwd_zero_64):
     f = GridFunction(grid, np.sin(grid.nodes))
     errs = []
     for N in (8, 16, 32, 64):
-        out = expand(f, fwd_zero_64.records, fwd_zero_64.traces, N)
+        out = expand(f, fwd_zero_64, N)
         errs.append(np.max(np.abs(out.values - f.values)))
     for a, b in zip(errs, errs[1:]):
         assert b <= 1.05 * a
@@ -692,7 +700,7 @@ def test_expand_requires_enough_records(fwd_zero_64):
     grid = trapezoid_grid(np.linspace(0.0, PI, 64))
     f = GridFunction(grid, np.sin(grid.nodes))
     with pytest.raises(ConfigError, match="N=100 exceeds the 64 available records"):
-        expand(f, fwd_zero_64.records, fwd_zero_64.traces, 100)
+        expand(f, fwd_zero_64, 100)
 
 
 # --- ODE residual of traces -----------------------------------------------------

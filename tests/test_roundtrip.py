@@ -35,6 +35,28 @@ def test_roundtrip_rejects_empty_trim_window(q_zero):
         roundtrip(q_zero, PI / 2, 16, trim=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("x_nodes", [65.5, 3])
+def test_roundtrip_refuses_x_nodes_before_solving(q_zero, monkeypatch, x_nodes):
+    # a float and a count below the inverse's floor of 5 are refused up front
+    import invspec.roundtrip as module
+
+    def refuse(*args):
+        raise AssertionError("roundtrip solved before checking x_nodes")
+
+    monkeypatch.setattr(module, "forward_solve", refuse)
+    with pytest.raises(ConfigError, match=rf"x_nodes={x_nodes!r} is not an integer of at least 5"):
+        roundtrip(q_zero, PI / 2, 16, x_nodes=x_nodes)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_roundtrip_completes_near_pi(q_cos):
+    # at pi - 0.01 a_0 is about 1e266: the consistency suite's Gram matrix is
+    # scaled by sqrt(a_m) sqrt(a_n), whose product a_m a_n would overflow
+    report, inv = roundtrip(q_cos, PI - 0.01, 64)
+    assert inv.data.norming[0] > 1e250
+    assert np.isfinite(inv.consistency["gram_offdiag_max"])
+
+
 def test_package_attribute_is_the_roundtrip_module():
     # the package exports no name that shadows its roundtrip submodule
     import invspec.roundtrip as module

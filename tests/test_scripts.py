@@ -1,12 +1,15 @@
 """The scripts under scripts/ import the package API; loading each one and
 asking for its help text catches a script left behind by an API change, and
-one short sweep catches a script that calls removed API only when it runs."""
+one short sweep catches a script that calls removed API only when it runs.
+The README's library sketch is run as written, for the same reason."""
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -33,3 +36,13 @@ def test_convergence_study_writes_csv(tmp_path):
     n_eigen, x_nodes, sup, l1, gap, _ = rows[0].split(",")
     assert (n_eigen, x_nodes) == ("16", "129")
     assert 0.0 <= float(sup) < 5e-2 and 0.0 <= float(l1) and 0.0 <= float(gap) < 5e-3
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["phi"].shape == (64, 9)
+    assert namespace["inv"].q_hat.grid.n == 129

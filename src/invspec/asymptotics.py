@@ -4,10 +4,10 @@ series.
 
 For the Dirichlet/Robin pair considered here, the q = 0 eigenvalues behave
 like (n + delta_n)^2 where delta_n in [-1, 1] solves a scalar phase equation;
-delta_n -> 1/2 with a cot(beta)/(pi*(n+1/2)) correction.  Everything below is
-indexed so that delta_n exists for n >= 2; of the two lowest modes, lambda_1
-comes from the same phase equation at n = 1 and lambda_0 from one root solve
-of the explicit q = 0 characteristic function.
+delta_n -> 1/2 with a cot(beta)/(pi*(n+1/2)) correction.  The q = 0
+spectrum is held as one array of lambda_n from n = 0: lambda_n = n + delta_n
+from that phase equation for n >= 1, and lambda_0 from one root solve of the
+explicit q = 0 characteristic function.
 """
 from __future__ import annotations
 
@@ -83,31 +83,33 @@ def _solve_delta_array(beta: BoundaryAngle, ns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DeltaSequence:
-    """delta_n values for n = 2..n_max plus the two unperturbed low modes."""
+    """The q = 0 eigenvalue square roots lambda_n for n = 0..n_max, signed so
+    that mu_n = lambda_n |lambda_n| (a negative ground eigenvalue is
+    representable); lambda_n = n + delta_n for n >= 1."""
 
     beta: BoundaryAngle
-    values: np.ndarray  # index j holds delta_{j+2}
-    low_modes: tuple[float, float]  # lambda_0, lambda_1 of the q = 0 problem
+    lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "lam", _frozen(self.lam))
 
     @property
     def n_max(self) -> int:
-        return self.values.size + 1  # covers n = 2..n_max inclusive
+        return self.lam.size - 1
 
     def omega(self, n) -> np.ndarray:
-        """n + delta_n for n >= 2 (the unperturbed lambda_n)."""
-        n = np.asarray(n, dtype=float)
-        return n + self.values[np.asarray(n, dtype=int) - 2]
+        """lambda_n, the unperturbed n + delta_n, for n >= 0."""
+        return self.lam[n]
 
 
 def delta_sequence(beta: BoundaryAngle | float, n_max: int) -> DeltaSequence:
-    """delta_n for n = 2..n_max, plus lambda_0, lambda_1 at q = 0 (see _low_mode_lambdas)."""
+    """lambda_n at q = 0 for n = 0..n_max: lambda_0 from _ground_lambda and
+    n + delta_n for n >= 1 from one fixed-point batch."""
     beta = as_angle(beta)
     _check_count("n_max", n_max, DELTA_MIN_N)
-    ns = np.arange(DELTA_MIN_N, n_max + 1, dtype=float)
-    return DeltaSequence(beta, _solve_delta_array(beta, ns), _low_mode_lambdas(beta))
+    ns = np.arange(1, n_max + 1, dtype=float)
+    lam = np.concatenate([[_ground_lambda(beta)], ns + _solve_delta_array(beta, ns)])
+    return DeltaSequence(beta, lam)
 
 
 def characteristic_q0(beta: BoundaryAngle, mu) -> np.ndarray:
@@ -116,18 +118,14 @@ def characteristic_q0(beta: BoundaryAngle, mu) -> np.ndarray:
     return musin(mu, PI) * np.cos(beta.beta) + mucos(mu, PI) * np.sin(beta.beta)
 
 
-def _low_mode_lambdas(beta: BoundaryAngle) -> tuple[float, float]:
-    """The first two q = 0 eigenvalue square roots, as signed square roots s
-    with mu = s*|s| so that a negative ground eigenvalue is representable.
+def _ground_lambda(beta: BoundaryAngle) -> float:
+    """The q = 0 ground eigenvalue square root, signed so that mu = s*|s|.
 
-    lambda_1 = 1 + delta_1 lies in (1, 2): delta_1 is the fixed point of the
-    phase map at n = 1, where the map still contracts (slope at most
-    1/(2 pi) as omega > 1).  lambda_0 is then the only root on [s_lo, 1],
-    s_lo = -sqrt(max(0, -cot beta)^2 + 1) (the q = 0 case of the lower bound
-    in forward.eigenvalues): the characteristic function is positive at
-    s_lo and equals -sin(beta) at s = 1, so one Brent solve finds it.
+    It is the only root on [s_lo, 1], s_lo = -sqrt(max(0, -cot beta)^2 + 1)
+    (the q = 0 case of the lower bound in forward.eigenvalues): the
+    characteristic function is positive at s_lo and equals -sin(beta) at
+    s = 1, so one Brent solve finds it.
     """
-    lam1 = 1.0 + float(_solve_delta_array(beta, np.ones(1))[0])
     s_lo = -np.sqrt(max(0.0, -beta.cot) ** 2 + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at s_lo; see below
         f_lo = characteristic_q0(beta, s_lo * abs(s_lo))
@@ -137,7 +135,7 @@ def _low_mode_lambdas(beta: BoundaryAngle) -> tuple[float, float]:
                             f"mu={s_lo * abs(s_lo):.6g} and below, and its ground state lies near "
                             f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
     lam0 = brentq(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, 1.0, xtol=1e-15, rtol=1e-15)
-    return float(lam0), lam1
+    return float(lam0)
 
 
 def unperturbed_norming(mu) -> np.ndarray:
@@ -158,18 +156,14 @@ def unperturbed_norming(mu) -> np.ndarray:
 
 
 def unperturbed_spectrum(beta: BoundaryAngle | float, N: int, delta: DeltaSequence | None = None) -> SpectralData:
-    """Spectral data of the q = 0 problem: lambda_n = n + delta_n for n >= 2,
-    the two low modes of _low_mode_lambdas, and closed-form norming constants."""
+    """Spectral data of the q = 0 problem: mu_n = lambda_n |lambda_n| from the
+    delta sequence, and closed-form norming constants."""
     beta = as_angle(beta)
     _check_count("N", N, 3)
     if delta is None or delta.n_max < N - 1:
-        delta = delta_sequence(beta, max(N, 3))
-    lam0, lam1 = delta.low_modes
-    mu = np.empty(N)
-    mu[0] = lam0 * abs(lam0)
-    mu[1] = lam1 * abs(lam1)
-    om = delta.omega(np.arange(2, N))
-    mu[2:] = om * om
+        delta = delta_sequence(beta, N - 1)
+    lam = delta.lam[:N]
+    mu = lam * np.abs(lam)
     return SpectralData(beta=beta.beta, mu=mu, norming=unperturbed_norming(mu), c_fit=0.0)
 
 
@@ -317,7 +311,8 @@ def extract_s(data: SpectralData, delta: DeltaSequence) -> np.ndarray:
 def refined_asymptotics_check(q: Potential, q_prime: GridFunction, beta: BoundaryAngle | float,
                               data: SpectralData, n_lo: int = 10, n_hi: int | None = None) -> dict:
     """Report residuals of the sharpened eigenvalue/norming tails that hold
-    for absolutely continuous potentials.
+    for absolutely continuous potentials, over n = n_lo..n_hi with
+    0 <= n_lo <= n_hi < count (n_hi defaults to count - 1).
 
     lambda residual: lambda_n - (omega + [q]/(2 omega) + l_n) with
     l_n = (1/(4 pi omega^2)) * integral q'(x) sin(2 omega x) dx; the residual
@@ -328,9 +323,11 @@ def refined_asymptotics_check(q: Potential, q_prime: GridFunction, beta: Boundar
     """
     beta = as_angle(beta)
     n_hi = n_hi if n_hi is not None else data.count - 1
+    _check_count("n_lo", n_lo, 0)
+    _check_count("n_hi", n_hi, n_lo)
     if n_hi >= data.count:
         raise ConfigError(f"n_hi={n_hi} beyond the {data.count} data points")
-    delta = delta_sequence(beta, n_hi + 1)
+    delta = delta_sequence(beta, max(n_hi, DELTA_MIN_N))
     xq, wq = gauss_rule(256, 0.0, PI)
     qv = interpolant(q)(xq)
     qpv = interpolant(q_prime)(xq)

@@ -456,6 +456,7 @@ def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
     TRACE_NODES uniform points with f read through its interpolant; phi_n at
     those points and at f's nodes comes from one eigenfunctions call.
     """
+    _check_count("N", N, 1)
     if N > len(solution.records):
         raise ConfigError(f"N={N} exceeds the {len(solution.records)} available records")
     x = np.linspace(0.0, PI, TRACE_NODES)

@@ -32,7 +32,8 @@ are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
 inverts those and adds c back.  H is tabulated on a uniform grid of
 [0, 2*pi]: the modes mu < 1 directly, every other term, the tail model's
 partial sum among them, in one FFT sum (see :class:`HFunction`), and the
-model's whole series in closed form.  phi and phi' share one Richardson rule.
+model's whole series in closed form; H' comes from the same pass.  phi and
+phi' share one Richardson rule.
 """
 from __future__ import annotations
 
@@ -214,10 +215,10 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
 def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
                a_base: np.ndarray) -> float:
     """Tail coefficient of 1/k_n - 1/k_n(base) ~ gamma/omega^2, least squares
-    over the last third of the regular (nonzero-mu) indices."""
+    over the last third of the indices n >= 2 with nonzero data mu_n (the
+    base's exceed 4 there)."""
     ns = np.arange(2, data.count)
-    ok = (np.abs(data.mu[ns]) >= ZERO_MU_TOL) & (np.abs(mu_base[ns]) >= ZERO_MU_TOL)
-    ns = ns[ok]
+    ns = ns[np.abs(data.mu[ns]) >= ZERO_MU_TOL]
     if ns.size < 4:
         return 0.0
     om = delta.omega(ns)
@@ -228,25 +229,23 @@ def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
 
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
-              a_b: np.ndarray, deriv: bool = False) -> np.ndarray:
+              a_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable truncated sum of the paired H series plus its constants, over
-    all the given terms; with ``deriv`` its t-derivative, a sum of
-    -sin(lt)/(a l) terms.
+    all the given terms, and its t-derivative, a sum of -sin(lt)/(a l) terms.
 
     Terms are differenced before accumulation so identical data/base
     entries cancel exactly.
     """
-    term_of = (lambda mu, tt: -musin(mu, tt)) if deriv else mucosm1
-    term = (1.0 / a_d[:, None]) * term_of(mu_d[:, None], t[None, :])
-    term -= (1.0 / a_b[:, None]) * term_of(mu_b[:, None], t[None, :])
-    out = term.sum(axis=0)
-    if deriv:
-        return out
+    sums = []
+    for term_of in (mucosm1, lambda mu, tt: -musin(mu, tt)):
+        term = (1.0 / a_d[:, None]) * term_of(mu_d[:, None], t[None, :])
+        term -= (1.0 / a_b[:, None]) * term_of(mu_b[:, None], t[None, :])
+        sums.append(term.sum(axis=0))
     reg_d = np.abs(mu_d) >= ZERO_MU_TOL
     reg_b = np.abs(mu_b) >= ZERO_MU_TOL
     const = float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
                   - np.sum(1.0 / (a_b[reg_b] * mu_b[reg_b])))
-    return out + const
+    return sums[0] + const, sums[1]
 
 
 def _table_nodes(L: int) -> np.ndarray:
@@ -255,52 +254,54 @@ def _table_nodes(L: int) -> np.ndarray:
 
 
 def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
-    """sum_n w_n exp(i lam_n t) at every node t_j = 2*pi*j/L (j = 0..L), for
-    real lam_n >= 0.
+    """sum_n w_rn exp(i lam_n t) for each row w_r of w, at every node
+    t_j = 2*pi*j/L (j = 0..L), for real lam_n >= 0: one row out per row in.
 
     Each frequency is lam = m + 1/2 + e with m its nearest bin, |e| <= 1/2,
     so exp(i lam t) = exp(i t/2) sum_k (i e t)^k/k! exp(i m t).  For each
     Taylor order k the weights w e^k are summed per bin, folded modulo L
     (exact on the grid, where exp(i m t) has period L in m), and one inverse
-    FFT sums the bins; Horner's rule in t combines the orders.  Terms binned
-    together cancel before any FFT.  The order K is the least one whose
-    remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
+    FFT across the rows sums the bins; Horner's rule in t combines the
+    orders.  Terms binned together cancel before any FFT.  The order K is
+    the least one whose remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
     """
     t = _table_nodes(L)
     m = np.rint(lam - 0.5)
     e = lam - 0.5 - m
-    bins = m.astype(np.int64) % L
+    rows = w.shape[0]
+    bins = (m.astype(np.int64) % L + L * np.arange(rows)[:, None]).ravel()  # row r's bins from r L
     x = TWO_PI * float(np.max(np.abs(e), initial=0.0))
     K, bound = 0, x
     while bound >= 1e-17:
         K += 1
         bound *= x / (K + 1)
-    coef = np.empty((K + 1, L))
+    coef = np.empty((K + 1, rows, L))
     p = w
     for k in range(K + 1):
-        coef[k] = np.bincount(bins, p, minlength=L)
+        coef[k] = np.bincount(bins, p.ravel(), minlength=rows * L).reshape(rows, L)
         p = p * e
-    acc = np.zeros(L + 1, dtype=complex)
+    acc = np.zeros((rows, L + 1), dtype=complex)
     it = 1j * t
     for k in range(K, -1, -1):
         y = scipy.fft.ifft(coef[k])  # takes a real-input path that numpy's ifft lacks
         y *= L
         acc *= it / (k + 1)
-        acc[:-1] += y
-        acc[-1] += y[0]
+        acc[:, :-1] += y
+        acc[:, -1] += y[:, 0]
     return np.exp(0.5j * t) * acc
 
 
 class HFunction:
     """The spectral difference kernel H on [0, 2*pi], for drift-free data.
 
-    :meth:`table` gives H, or H', on a uniform table; the tail past n_terms
+    :meth:`tables` gives H and H' on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
     sums no table and splits the terms once: pairs with mu < 1 on either side
     for :func:`_pair_sum`, and every other term w cos(lam t) for one
-    :func:`_halfint_expsum` per table (data at sqrt(mu) with w = 1/(a mu),
-    base with -w, and the tail model's partial sum at n + 1/2, n < n_terms,
-    with -gamma/(n + 1/2)^2, whose whole series is added in closed form).
+    :func:`_halfint_expsum` per table, whose rows w and w lam give H and H'
+    (data at sqrt(mu) with w = 1/(a mu), base with -w, and the tail model's
+    partial sum at n + 1/2, n < n_terms, with -gamma/(n + 1/2)^2, whose whole
+    series is added in closed form).
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
@@ -336,30 +337,24 @@ class HFunction:
         self._w = np.concatenate([1.0 / (self.a_d[hi] * self.mu_d[hi]),
                                   -1.0 / (self.a_b[hi] * self.mu_b[hi]),
                                   -self.gamma_hat / (om * om)])
-        self._tables: dict[tuple[int, bool], np.ndarray] = {}
 
-    def table(self, L: int, deriv: bool = False) -> np.ndarray:
-        """H, or with ``deriv`` H', at t_j = 2*pi*j/L, j = 0..L; H'(0) is the
-        limit from the right.  Cached and read-only.  A value that is not
-        finite is refused."""
-        key = (int(L), bool(deriv))
-        vals = self._tables.get(key)
-        if vals is None:
-            t = _table_nodes(L)
-            vals = _pair_sum(t, *self._low, deriv)
-            if deriv:
-                vals -= _halfint_expsum(self._lam, self._w * self._lam, L).imag
-                vals -= self.gamma_hat * sin_halfint_closed(t)
-            else:
-                vals += _halfint_expsum(self._lam, self._w, L).real
-                vals += self.gamma_hat * cos_halfint_closed(t)
+    def tables(self, L: int) -> tuple[np.ndarray, np.ndarray]:
+        """H and H' at t_j = 2*pi*j/L, j = 0..L, both read-only; H'(0) is the
+        limit from the right.  A value that is not finite is refused."""
+        t = _table_nodes(L)
+        H, dH = _pair_sum(t, *self._low)
+        sums = _halfint_expsum(self._lam, np.stack([self._w, self._w * self._lam]), L)
+        H += sums[0].real
+        H += self.gamma_hat * cos_halfint_closed(t)
+        dH -= sums[1].imag
+        dH -= self.gamma_hat * sin_halfint_closed(t)
+        for vals in (H, dH):
             finite = np.isfinite(vals)
             if not finite.all():
                 bad = int(np.argmin(finite))
                 raise NumericsError(f"non-finite kernel value {vals[bad]} at t={t[bad]:.4f}")
             vals.flags.writeable = False
-            self._tables[key] = vals
-        return vals
+        return H, dH
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
@@ -544,7 +539,8 @@ class KernelField:
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
     combined by one Richardson step.  ``weights`` holds, in row k, the
     :func:`_richardson_weights` of the rows at t_k (zero past t_k), all rows
-    in one call.  The field reads ``H`` through its tables only."""
+    in one call.  The field reads ``H`` through its tables only: one
+    :meth:`HFunction.tables` call gives H and H' here, H' kept for :meth:`dphi`."""
 
     def __init__(self, H: HFunction, x_nodes: int = DEFAULT_X_NODES):
         _check_count("x_nodes", x_nodes, 5)  # a floor of the CLI contract: fewer exit 64
@@ -553,7 +549,7 @@ class KernelField:
         self.x_nodes = self.grid.nodes
         M = x_nodes - 1
         self.table_size = 4 * M
-        table = H.table(self.table_size)
+        table, self._slopes = H.tables(self.table_size)
         self.grids = (_factor(table, M, 2), _factor(table, 2 * M, 1))
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
@@ -575,7 +571,7 @@ class KernelField:
             raise DomainError(f"F evaluated outside [0, pi] (x and t from {lo:.6g} to {hi:.6g})")
         if self._spline is None:
             L = H_GRID_SIZE - 1
-            self._spline = CubicSpline(_table_nodes(L), self.H.table(L))
+            self._spline = CubicSpline(_table_nodes(L), self.H.tables(L)[0])
         out = 0.5 * (self._spline(np.abs(x - t)) - self._spline(np.clip(x + t, 0.0, TWO_PI)))
         return out if out.ndim else float(out)
 
@@ -618,17 +614,16 @@ class KernelField:
         each mu at a grid node x, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.
 
         P_x solves the x-derivative of the row equation on both grids (see
-        :func:`_slope_row`), with H' from a table of its own, and one
-        Richardson step combines the two quadratures.
+        :func:`_slope_row`), with the H' table stored by the constructor, and
+        one Richardson step combines the two quadratures.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         k = self.index(x)
         if k == 0:
             return np.ones(mus.size)
         coarse, fine = self.grids
-        slopes = self.H.table(self.table_size, deriv=True)
-        weights = _richardson_weights(_slope_row(coarse, k, slopes),
-                                      _slope_row(fine, 2 * k, slopes), coarse.h, 2 * k)
+        weights = _richardson_weights(_slope_row(coarse, k, self._slopes),
+                                      _slope_row(fine, 2 * k, self._slopes), coarse.h, 2 * k)
         xk = self.x_nodes[k]
         return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)

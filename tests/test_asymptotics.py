@@ -99,7 +99,8 @@ def test_delta_tail_expansion_residual_bounded():
 @pytest.mark.parametrize("beta", [PI / 3, 2.5])
 def test_delta_monotone_to_half_in_tail(beta):
     seq = delta_sequence(beta, 200)
-    tail = seq.values[50:]
+    ns = np.arange(52, 201)
+    tail = seq.omega(ns) - ns
     gaps = np.abs(tail - 0.5)
     assert np.all(np.diff(gaps) <= 1e-12)
 
@@ -181,7 +182,7 @@ def test_delta_sequence_near_pi_in_reach():
     # tanh(k pi) = -k tan(beta), so k = -cot(beta) once tanh(k pi) rounds to 1;
     # the scan's grid overflows below it, without warnings
     beta = PI - 5e-3
-    lam0, lam1 = delta_sequence(beta, 16).low_modes
+    lam0, lam1 = delta_sequence(beta, 16).lam[:2]
     assert lam0 * abs(lam0) == pytest.approx(-1.0 / np.tan(beta) ** 2, rel=1e-12)
     assert 1.0 < lam1 < 1.5
 
@@ -243,7 +244,7 @@ def test_fit_c_zero_for_pure_tail():
     beta = as_angle(PI / 3)
     delta = delta_sequence(beta, 40)
     ns = np.arange(40)
-    om = np.array([delta.low_modes[0], delta.low_modes[1]] + list(delta.omega(ns[2:])))
+    om = delta.omega(ns)
     data = SpectralData(beta.beta, om * np.abs(om), np.ones(40))
     c, _, l_seq = fit_c(data, delta)
     assert abs(c) < 1e-12
@@ -255,7 +256,7 @@ def test_fit_c_recovers_constructed_constant():
     delta = delta_sequence(beta, 40)
     om = delta.omega(np.arange(2, 40))
     lam = om + 1.0 / (2.0 * om)
-    mu = np.concatenate([[delta.low_modes[0] ** 2, delta.low_modes[1] ** 2], lam**2])
+    mu = np.concatenate([delta.lam[:2] ** 2, lam**2])
     data = SpectralData(beta.beta, mu, np.ones(40))
     c, _, l_seq = fit_c(data, delta)
     assert c == pytest.approx(1.0, abs=1e-8)
@@ -273,7 +274,7 @@ def test_fit_c_recovers_third_order_coefficient(c_true):
     delta = delta_sequence(beta, 64)
     om = delta.omega(np.arange(2, 64))
     lam = om + c_true / (2.0 * om) + 0.7 / om**3
-    mu = np.concatenate([[delta.low_modes[0] ** 2, delta.low_modes[1] ** 2], lam**2])
+    mu = np.concatenate([delta.lam[:2] ** 2, lam**2])
     data = SpectralData(beta.beta, mu, np.ones(64))
     c, kappa, _ = fit_c(data, delta)
     assert c == pytest.approx(c_true, abs=1e-10) and kappa == pytest.approx(0.7, abs=1e-8)
@@ -382,3 +383,31 @@ def test_refined_check_refuses_n_hi_past_the_data(fwd_zero_64):
     qp = GridFunction(q.grid, np.zeros(q.grid.n))
     with pytest.raises(ConfigError, match="n_hi=64 beyond the 64 data points"):
         refined_asymptotics_check(q, qp, PI / 2, fwd_zero_64.spectral_data(), n_hi=64)
+
+
+@pytest.mark.parametrize("n_lo, n_hi, message", [(-1, 20, "n_lo=-1 is not an integer of at least 0"),
+                                                 (30, 20, "n_hi=20 is not an integer of at least 30")])
+def test_refined_check_refuses_a_bad_index_range(fwd_zero_64, n_lo, n_hi, message):
+    # n_lo = -1 would read mu[-1] against omega(-1); an empty range a median of nothing
+    q = fwd_zero_64.q
+    qp = GridFunction(q.grid, np.zeros(q.grid.n))
+    with pytest.raises(ConfigError, match=message):
+        refined_asymptotics_check(q, qp, PI / 2, fwd_zero_64.spectral_data(), n_lo=n_lo, n_hi=n_hi)
+
+
+def test_omega_is_lambda_from_n_zero():
+    # the sequence holds the q = 0 lambda_n from n = 0, so omega(0) and
+    # omega(1) are the two low modes: at beta = 1 they are not 0.5214 and
+    # 1.5194, read from the far end of the array
+    seq = delta_sequence(1.0, 40)
+    assert seq.omega(0) == pytest.approx(0.7297, abs=1e-4) and seq.omega(1) == pytest.approx(1.6201, abs=1e-4)
+    assert np.array_equal(seq.omega(np.arange(41)) ** 2, unperturbed_spectrum(1.0, 41, seq).mu)
+
+
+def test_refined_check_reads_the_low_modes(fwd_zero_64):
+    # the exact q = 0 data at beta = 1: every lambda residual is roundoff,
+    # n = 0 and 1 included
+    q = fwd_zero_64.q
+    qp = GridFunction(q.grid, np.zeros(q.grid.n))
+    rep = refined_asymptotics_check(q, qp, 1.0, unperturbed_spectrum(1.0, 30), n_lo=0, n_hi=20)
+    assert np.max(np.abs(rep["lambda_residual"])) < 1e-9

@@ -703,6 +703,15 @@ def test_expand_requires_enough_records(fwd_zero_64):
         expand(f, fwd_zero_64, 100)
 
 
+@pytest.mark.parametrize("N", [-3, 0, 2.5])
+def test_expand_refuses_a_mode_count_below_one(fwd_zero_64, N):
+    # a negative count would slice from the end and 0 expand over no mode
+    grid = trapezoid_grid(np.linspace(0.0, PI, 64))
+    f = GridFunction(grid, np.sin(grid.nodes))
+    with pytest.raises(ConfigError, match=rf"N={N} is not an integer of at least 1"):
+        expand(f, fwd_zero_64, N)
+
+
 # --- ODE residual of traces -----------------------------------------------------
 
 

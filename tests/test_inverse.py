@@ -127,13 +127,25 @@ def test_h_reference_closed_form():
     H = build_H(example6_data(40), PI / 2, 1000)
     L = H_GRID_SIZE - 1
     ts = _table_nodes(L)
-    assert np.max(np.abs(H.table(L) - (2 / PI) * np.cos(ts / 2))) < 1e-10
+    H_t, dH_t = H.tables(L)
+    assert np.max(np.abs(H_t - (2 / PI) * np.cos(ts / 2))) < 1e-10
+    assert np.max(np.abs(dH_t + (1 / PI) * np.sin(ts / 2))) < 1e-10
+
+
+@pytest.mark.parametrize("x_nodes", [65, 129, 257])
+def test_grid_F_matches_example6_closed_form(x_nodes):
+    # F as the main equation factors it, on both grids, at every node pair;
+    # the oracle's check reads F through the spline of the table only
+    field = solve_kernel_field(build_H(example6_data(40), PI / 2), x_nodes)
+    for g in field.grids:
+        t = np.arange(1, g.F.shape[0] + 1) * g.h
+        assert np.max(np.abs(g.F - example6_F(t[:, None], t[None, :]))) < 1e-10
 
 
 def test_h_identical_data_vanishes():
     sp = unperturbed_spectrum(PI / 3, 24)
     H = build_H(sp, PI / 3, 400)
-    assert np.max(np.abs(H.table(H_GRID_SIZE - 1))) < 1e-11
+    assert np.max(np.abs(H.tables(H_GRID_SIZE - 1)[0])) < 1e-11
 
 
 def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
@@ -143,9 +155,9 @@ def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
     data = fwd_cos_64.spectral_data()
     H = build_H(data, PI / 3, 2000)
     L = H_GRID_SIZE - 1
-    direct = _pair_sum(_table_nodes(L), H.mu_d, H.a_d, H.mu_b, H.a_b)
+    direct = _pair_sum(_table_nodes(L), H.mu_d, H.a_d, H.mu_b, H.a_b)[0]
     tail_bound = 2.0 * abs(H.gamma_hat) / H.n_terms
-    assert np.max(np.abs(H.table(L) - direct)) <= 2.0 * tail_bound + 1e-12
+    assert np.max(np.abs(H.tables(L)[0] - direct)) <= 2.0 * tail_bound + 1e-12
 
 
 def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
@@ -169,9 +181,9 @@ def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
         tails = (cos_halfint_closed(t) - cos_tail, sin_tail - sin_halfint_closed(t))
         # the direct derivative rounds sin(lt) at lt up to 1.3e4 in terms of
         # size 1e3, so it is good to about 5e-8 only
-        for deriv, tol, tail in ((False, 1e-10, tails[0]), (True, 2e-7, tails[1])):
-            direct = _pair_sum(t, *terms, deriv=deriv) + H.gamma_hat * tail
-            assert np.max(np.abs(H.table(L, deriv) - direct)) < tol
+        for table, pair, tol, tail in zip(H.tables(L), _pair_sum(t, *terms), (1e-10, 2e-7), tails):
+            direct = pair + H.gamma_hat * tail
+            assert np.max(np.abs(table - direct)) < tol
 
 
 def test_h_partial_halfint_fft_matches_loop():
@@ -184,8 +196,9 @@ def test_h_partial_halfint_fft_matches_loop():
     for w in om:
         cos_ref += np.cos(w * t) / (w * w)
         sin_ref += np.sin(w * t) / w
-    assert np.max(np.abs(_halfint_expsum(om, 1.0 / (om * om), L).real - cos_ref)) < 1e-12
-    assert np.max(np.abs(_halfint_expsum(om, 1.0 / om, L).imag - sin_ref)) < 1e-11
+    sums = _halfint_expsum(om, np.stack([1.0 / (om * om), 1.0 / om]), L)
+    assert np.max(np.abs(sums[0].real - cos_ref)) < 1e-12
+    assert np.max(np.abs(sums[1].imag - sin_ref)) < 1e-11
 
 
 def test_h_branches_detected():
@@ -225,8 +238,8 @@ def test_h_zero_branch_is_limit_of_regular():
     for s in (+eps, -eps):
         mu = data.mu.copy()
         mu[0] = s
-        acc += build_H(SpectralData(PI / 2, mu, data.norming, 0.0), PI / 2, 300).table(L)[nodes]
-    assert np.max(np.abs(acc / 2.0 - H0.table(L)[nodes])) < 1e-9
+        acc += build_H(SpectralData(PI / 2, mu, data.norming, 0.0), PI / 2, 300).tables(L)[0][nodes]
+    assert np.max(np.abs(acc / 2.0 - H0.tables(L)[0][nodes])) < 1e-9
 
 
 def test_h_zero_in_both_gives_xt_kernel():
@@ -251,7 +264,7 @@ def test_h_of_five_pairs_fits_no_tail():
     data = _stored_cos()
     H = build_H(SpectralData(data.beta, data.mu[:5], data.norming[:5]), data.beta)
     assert H.gamma_hat == 0.0
-    assert np.all(np.isfinite(H.table(H_GRID_SIZE - 1)))
+    assert np.all(np.isfinite(H.tables(H_GRID_SIZE - 1)))
 
 
 def test_h_refuses_to_drop_data():
@@ -498,13 +511,13 @@ def test_diagonal_consumers_add_no_H_call(monkeypatch):
 
 def test_H_tables_follow_the_x_grid(monkeypatch):
     # build_H sums no table; a 65-node pipeline sums the 257-node tables of
-    # H (for the field) and H' (for phi'), each in one FFT pass, and no
-    # table of the default grid
+    # H (for the field) and H' (for phi') in one FFT pass, and no table of
+    # the default grid
     calls = _count_h_calls(monkeypatch)
     build_H(example6_data(30), PI / 2, 400)
     assert calls == []
     inverse_pipeline(example6_data(40), x_nodes=65)
-    assert calls == [("table", 256)] * 2
+    assert calls == [("table", 256)]
 
 
 def test_pipeline_q_hat_shares_the_field_grid(ex6_inverse):
@@ -572,9 +585,9 @@ def test_non_finite_kernel_value_is_refused(monkeypatch):
     real = inverse._pair_sum
 
     def one_nan(*args, **kwargs):
-        out = real(*args, **kwargs)
-        out[5] = np.nan
-        return out
+        H_t, dH_t = real(*args, **kwargs)
+        H_t[5] = np.nan
+        return H_t, dH_t
 
     monkeypatch.setattr(inverse, "_pair_sum", one_nan)
     with pytest.raises(NumericsError, match=r"non-finite kernel value nan at t=0\.1227"):
@@ -637,7 +650,7 @@ def test_factor_assembles_F_from_windows_of_the_table(case):
     data = _stored_cos() if case == "cos" else example6_data(400)
     H = build_H(data, data.beta)
     field = solve_kernel_field(H)
-    table = H.table(field.table_size)
+    table = H.tables(field.table_size)[0]
     before = table.copy()
     for g in field.grids:
         M = g.F.shape[0]

@@ -1,6 +1,6 @@
 """The scripts under scripts/ import the package API; loading each one and
 asking for its help text catches a script left behind by an API change, and
-one short sweep catches a script that calls removed API only when it runs.
+one short run of each catches a script that calls removed API only when it runs.
 The README's library sketch is run as written, for the same reason."""
 import importlib.util
 import re
@@ -36,6 +36,14 @@ def test_convergence_study_writes_csv(tmp_path):
     n_eigen, x_nodes, sup, l1, gap, _ = rows[0].split(",")
     assert (n_eigen, x_nodes) == ("16", "129")
     assert 0.0 <= float(sup) < 5e-2 and 0.0 <= float(l1) and 0.0 <= float(gap) < 5e-3
+
+
+def test_reference_demo_writes_its_files(tmp_path, capsys):
+    assert _load("reference_demo").main(["-o", str(tmp_path)]) == 0
+    for name in ("oracle.json", "q_recovered.csv", "q_compare.csv"):
+        assert (tmp_path / name).is_file()
+    assert (tmp_path / "q_compare.csv").read_text().splitlines()[0] == "x,q_exact,q_recovered"
+    assert "wrote" in capsys.readouterr().out
 
 
 def test_readme_library_sketch_runs():

@@ -12,9 +12,9 @@ explicit q = 0 characteristic function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     PI,
@@ -35,6 +35,7 @@ from .errors import ConfigError, DomainError, NumericsError
 
 DELTA_MIN_N = 2
 DELTA_TOL = 1e-14  # fixed-point residual at which delta_n is accepted
+ROOT_TOL = 1e-15   # absolute and relative tolerance of the ground-state root
 SERIES_CHUNK, SERIES_MAX_TERMS = 20000, 2_000_000  # t_beta_closed_form's residual terms per batch, in all
 
 
@@ -98,7 +99,12 @@ class DeltaSequence:
         return self.lam.size - 1
 
     def omega(self, n) -> np.ndarray:
-        """lambda_n, the unperturbed n + delta_n, for n >= 0."""
+        """lambda_n, the unperturbed n + delta_n, for an index or an array of
+        indices in 0..n_max; any other index is refused."""
+        idx = np.asarray(n)
+        if idx.size and not (idx.min() >= 0 and idx.max() <= self.n_max):
+            bad = idx.flat[np.argmax((idx < 0) | (idx > self.n_max))]
+            raise ConfigError(f"index {bad} is outside 0..n_max = {self.n_max}")
         return self.lam[n]
 
 
@@ -119,23 +125,87 @@ def characteristic_q0(beta: BoundaryAngle, mu) -> np.ndarray:
 
 
 def _ground_lambda(beta: BoundaryAngle) -> float:
-    """The q = 0 ground eigenvalue square root, signed so that mu = s*|s|.
+    """The q = 0 ground eigenvalue square root, signed so that mu = s*|s|:
+    the root of characteristic_q0(beta, s|s|) by :func:`_brent`.
 
     It is the only root on [s_lo, 1], s_lo = -sqrt(max(0, -cot beta)^2 + 1)
     (the q = 0 case of the lower bound in forward.eigenvalues): the
     characteristic function is positive at s_lo and equals -sin(beta) at
-    s = 1, so one Brent solve finds it.
+    s = 1.  Near beta = pi, once tanh(pi cot beta) rounds to -1, the ground
+    state solves tanh(k pi) = -k tan(beta), k = -s, so k = -cot(beta) to
+    roundoff, and the bracket is cot(beta) (1 -+ 1e-12) instead: the signs
+    at its ends hold since the two sides differ there by 1e-12 relative, and
+    the solve takes three calls, not 15-20.  An end where the function
+    overflows (cosh near mu = -cot^2 beta) is refused by name.
     """
-    s_lo = -np.sqrt(max(0.0, -beta.cot) ** 2 + 1.0)
+    cot = beta.cot
+    if np.tanh(PI * cot) == -1.0:
+        s_lo, s_hi = cot * (1.0 + 1e-12), cot * (1.0 - 1e-12)
+    else:
+        s_lo, s_hi = -float(np.sqrt(max(0.0, -cot) ** 2 + 1.0)), 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at s_lo; see below
-        f_lo = characteristic_q0(beta, s_lo * abs(s_lo))
+        f_lo = float(characteristic_q0(beta, s_lo * abs(s_lo)))
     if not np.isfinite(f_lo):
-        raise NumericsError(f"failed to bracket the two lowest q = 0 eigenvalues for beta={beta.beta:.12g}: "
+        raise NumericsError(f"failed to bracket the q = 0 ground state for beta={beta.beta:.12g}: "
                             f"the q = 0 characteristic function overflows double precision at "
                             f"mu={s_lo * abs(s_lo):.6g} and below, and its ground state lies near "
                             f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
-    lam0 = brentq(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, 1.0, xtol=1e-15, rtol=1e-15)
-    return float(lam0)
+    return _brent(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, s_hi, f_lo)
+
+
+def _brent(f, a: float, b: float, fa: float) -> float:
+    """A root of f between a and b, given fa = f(a), to within
+    ROOT_TOL (1 + |root|), by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4) step for step as
+    scipy.optimize.brentq takes it with xtol = rtol = ROOT_TOL, so the two
+    return the same root.
+
+    The bracket between xblk and xcur always holds a sign change, xcur the
+    end with the smaller |f|.  Each step tries the secant through the last
+    two points (the inverse quadratic through three once the far end xblk is
+    not the previous point) and keeps it only if it lands well inside the
+    bracket and is under half the step before last; otherwise it bisects.
+    A trial step whose arithmetic overflows or would divide by zero is not
+    kept.
+    Bracket ends of one sign, or 100 steps without convergence, are refused.
+    """
+    xpre, fpre, xcur, fcur = a, fa, b, f(b)
+    if fpre == 0.0:
+        return xpre
+    if (fpre < 0.0) == (fcur < 0.0) and fcur != 0.0:
+        raise NumericsError(f"no sign change between {a!r} and {b!r}: f = {fpre:.3g}, {fcur:.3g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur == 0.0:
+            return xcur
+        if (fpre < 0.0) != (fcur < 0.0):  # the root lies between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (ROOT_TOL + ROOT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if abs(sbis) < delta:
+            return xcur
+        stry = float("nan")  # a NaN trial step fails the test below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else copysign(delta, sbis)
+        fcur = f(xcur)
+    raise NumericsError(f"root search between {a!r} and {b!r} did not converge in 100 steps")
 
 
 def unperturbed_norming(mu) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Grids, quadrature, interpolation and the shared domain types.
 
-Everything on the interval [0, pi]. All types are frozen dataclasses with
-read-only arrays, so instances can be shared freely across threads; every
-function here is pure.
+Everything on the interval [0, pi]. All types are frozen dataclasses or
+hold read-only arrays, so instances can be shared freely across threads;
+every function here is pure.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import ConfigError
 
@@ -70,6 +70,18 @@ def trapezoid_grid(nodes) -> Grid:
     weights = np.full(nodes.size, step)
     weights[0] = weights[-1] = step / 2.0
     return Grid(nodes, weights)
+
+
+def simpson_grid(n_nodes: int) -> Grid:
+    """Composite Simpson rule on n_nodes uniform nodes of [0, pi], n_nodes odd
+    and at least 3: weights h/3 times 1, 4, 2, 4, ..., 2, 4, 1."""
+    _check_count("n_nodes", n_nodes, 3)
+    if n_nodes % 2 == 0:
+        raise ConfigError(f"Simpson's rule needs an odd number of nodes, got {n_nodes}")
+    weights = np.full(n_nodes, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return Grid(np.linspace(0.0, PI, n_nodes), weights * (PI / (n_nodes - 1) / 3.0))
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +155,59 @@ def integrate(f: GridFunction) -> float:
     return float(np.dot(f.grid.weights, f.values))
 
 
-def interpolant(f: GridFunction) -> CubicSpline:
-    """The cubic spline through the samples (every function interpolated
-    here lives on a uniform trapezoid grid)."""
-    return CubicSpline(f.grid.nodes, f.values)
+class Spline:
+    """The not-a-knot cubic spline through (nodes, values), for strictly
+    increasing nodes (at least four), continued past either end by its end
+    piece; calling it evaluates the spline at an array of points.
+
+    ``slopes``, read-only, is its derivative at the nodes: the unknowns of
+    one tridiagonal solve (``solve_banded``).  Each piece is the cubic
+    Hermite interpolant of its end values and slopes.  The system, the
+    piece coefficients and the order of evaluation are those of
+    ``scipy.interpolate.CubicSpline``, so the two agree to roundoff (to the
+    bit with scipy 1.17).
+    """
+
+    def __init__(self, nodes, values):
+        x = np.asarray(nodes, dtype=float)
+        y = np.asarray(values, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+            raise ConfigError(f"a spline needs at least 4 nodes and one value per node, got "
+                              f"shapes {x.shape} and {y.shape}")
+        dx = np.diff(x)
+        if not (np.all(dx > 0) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ConfigError("spline nodes must be finite and strictly increasing, its values finite")
+        slope = np.diff(y) / dx
+        band = np.zeros((3, x.size))  # rows: super-diagonal, diagonal, sub-diagonal
+        band[0, 2:] = dx[:-1]
+        band[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        band[2, :-2] = dx[1:]
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # not-a-knot: the third derivative is continuous at the second and the last-but-one node
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        band[1, 0], band[0, 1], band[1, -1], band[2, -2] = dx[1], d0, dx[-2], d1
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        s = solve_banded((1, 1), band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.nodes = _frozen(x)
+        self.slopes = _frozen(s)
+        # piece i is c0 u^3 + c1 u^2 + c2 u + c3 in u = x - nodes[i]
+        self._coef = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1].copy())
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, self.nodes.size - 2)
+        u = x - self.nodes[i]
+        u2 = u * u
+        c0, c1, c2, c3 = self._coef
+        return c3[i] + c2[i] * u + c1[i] * u2 + c0[i] * (u2 * u)
+
+
+def interpolant(f: GridFunction) -> Spline:
+    """The not-a-knot cubic :class:`Spline` through the samples (at least four)."""
+    return Spline(f.grid.nodes, f.values)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .asymptotics import (
@@ -63,6 +61,7 @@ from .core import (
     BoundaryAngle,
     Potential,
     SpectralData,
+    Spline,
     as_angle,
     gauss_rule,
     mucos,
@@ -254,41 +253,55 @@ def _table_nodes(L: int) -> np.ndarray:
 
 
 def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
-    """sum_n w_rn exp(i lam_n t) for each row w_r of w, at every node
-    t_j = 2*pi*j/L (j = 0..L), for real lam_n >= 0: one row out per row in.
+    """sum_n w_rn exp(i lam_n t) for the two rows w_0, w_1 of the real matrix
+    w, at every node t_j = 2*pi*j/L (j = 0..L), for real lam_n >= 0: one
+    row out per row in.
 
     Each frequency is lam = m + 1/2 + e with m its nearest bin, |e| <= 1/2,
     so exp(i lam t) = exp(i t/2) sum_k (i e t)^k/k! exp(i m t).  For each
     Taylor order k the weights w e^k are summed per bin, folded modulo L
-    (exact on the grid, where exp(i m t) has period L in m), and one inverse
-    FFT across the rows sums the bins; Horner's rule in t combines the
-    orders.  Terms binned together cancel before any FFT.  The order K is
-    the least one whose remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
+    (exact on the grid, where exp(i m t) has period L in m), row 0 into the
+    real and row 1 into the imaginary part of one complex bin, and one
+    inverse FFT (numpy's, all orders in one call) gives Y_k.  As the rows
+    are real, their sums are (Y_k(j) + conj Y_k(-j))/2 and
+    (Y_k(j) - conj Y_k(-j))/2i: Horner's rule in t combines the orders of
+    Y_k(j) and, with -t, of Y_k(-j), and the rows are split once at the end.
+    Terms binned together cancel before any FFT.  The order K is the least
+    one whose remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
     """
     t = _table_nodes(L)
     m = np.rint(lam - 0.5)
     e = lam - 0.5 - m
-    rows = w.shape[0]
-    bins = (m.astype(np.int64) % L + L * np.arange(rows)[:, None]).ravel()  # row r's bins from r L
+    bins = m.astype(np.int64) % L
     x = TWO_PI * float(np.max(np.abs(e), initial=0.0))
     K, bound = 0, x
     while bound >= 1e-17:
         K += 1
         bound *= x / (K + 1)
-    coef = np.empty((K + 1, rows, L))
-    p = w
+    Z = np.empty((K + 1, 2, L + 1), dtype=complex)  # Y_k(j) and Y_k(-j) for j = 0..L, j modulo L
+    Y = Z[:, 0, :L]
+    w0, w1 = w
     for k in range(K + 1):
-        coef[k] = np.bincount(bins, p.ravel(), minlength=rows * L).reshape(rows, L)
-        p = p * e
-    acc = np.zeros((rows, L + 1), dtype=complex)
+        Y[k].real = np.bincount(bins, w0, minlength=L)
+        Y[k].imag = np.bincount(bins, w1, minlength=L)
+        if k < K:
+            w0, w1 = w0 * e, w1 * e
+    Y[:] = np.fft.ifft(Y, norm="forward")  # the sums over the bins, unscaled
+    Z[:, 0, L] = Z[:, 1, 0] = Y[:, 0]
+    Z[:, 1, 1:] = Y[:, ::-1]
+    Z[1::2, 1] *= -1.0  # (-i t)^k = (-1)^k (i t)^k
     it = 1j * t
-    for k in range(K, -1, -1):
-        y = scipy.fft.ifft(coef[k])  # takes a real-input path that numpy's ifft lacks
-        y *= L
+    acc = Z[K]
+    for k in range(K - 1, -1, -1):
         acc *= it / (k + 1)
-        acc[:, :-1] += y
-        acc[:, -1] += y[:, 0]
-    return np.exp(0.5j * t) * acc
+        acc += Z[k]
+    out = np.empty((2, L + 1), dtype=complex)
+    np.conj(acc[1], out=out[1])
+    np.add(acc[0], out[1], out=out[0])
+    np.subtract(acc[0], out[1], out=out[1])
+    out[1] *= -1j
+    out *= 0.5 * np.exp(0.5j * t)
+    return out
 
 
 class HFunction:
@@ -559,10 +572,10 @@ class KernelField:
 
     def F(self, x, t):
         """F(x, t) = (H(|x-t|) - H(x+t))/2 at any x, t in [0, pi], through the
-        cubic spline of the H table of the default x grid (H_GRID_SIZE
-        nodes), built on the first call; the main equation reads F on its
-        grids only.  Arguments past [0, pi] by roundoff are taken at its
-        ends, others (and NaN) are refused."""
+        not-a-knot :class:`~invspec.core.Spline` of the H table of the
+        default x grid (H_GRID_SIZE nodes), built on the first call; the
+        main equation reads F on its grids only.  Arguments past [0, pi] by
+        roundoff are taken at its ends, others (and NaN) are refused."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         lo = float(np.minimum(np.min(x, initial=np.inf), np.min(t, initial=np.inf)))
@@ -571,7 +584,7 @@ class KernelField:
             raise DomainError(f"F evaluated outside [0, pi] (x and t from {lo:.6g} to {hi:.6g})")
         if self._spline is None:
             L = H_GRID_SIZE - 1
-            self._spline = CubicSpline(_table_nodes(L), self.H.tables(L)[0])
+            self._spline = Spline(_table_nodes(L), self.H.tables(L)[0])
         out = 0.5 * (self._spline(np.abs(x - t)) - self._spline(np.clip(x + t, 0.0, TWO_PI)))
         return out if out.ndim else float(out)
 
@@ -645,12 +658,11 @@ def recover_q(field: KernelField) -> Potential:
     """Potential from the kernel diagonal on the field's x grid:
     q = 2 d/dx P(x,x).
 
-    The diagonal is differentiated through an interpolating cubic spline,
-    with one-sided derivatives at the endpoints.  The result carries
-    trapezoid weights on the field's uniform grid.
+    The derivative at each node is the node slope of the not-a-knot
+    :class:`~invspec.core.Spline` through the diagonal, one tridiagonal
+    solve.  The result carries trapezoid weights on the field's uniform grid.
     """
-    dspl = CubicSpline(field.x_nodes, field.diagonal).derivative()
-    return Potential(field.grid, 2.0 * dspl(field.x_nodes))
+    return Potential(field.grid, 2.0 * Spline(field.x_nodes, field.diagonal).slopes)
 
 
 @dataclass(frozen=True)

@@ -180,11 +180,43 @@ def test_delta_sequence_near_pi_names_the_overflow(gap):
 def test_delta_sequence_near_pi_in_reach():
     # at pi - 5e-3 the ground state is still in reach: it solves
     # tanh(k pi) = -k tan(beta), so k = -cot(beta) once tanh(k pi) rounds to 1;
-    # the scan's grid overflows below it, without warnings
+    # cosh(k pi) is near 1e272 there, finite, and no warning is raised
     beta = PI - 5e-3
     lam0, lam1 = delta_sequence(beta, 16).lam[:2]
     assert lam0 * abs(lam0) == pytest.approx(-1.0 / np.tan(beta) ** 2, rel=1e-12)
     assert 1.0 < lam1 < 1.5
+
+
+@pytest.mark.parametrize("beta", [0.05, PI / 3, 1.0, PI - 0.05, PI - 5e-3])
+def test_ground_lambda_matches_brentq_in_no_more_calls(beta, monkeypatch):
+    from scipy.optimize import brentq
+    import invspec.asymptotics as asymptotics
+    angle = as_angle(beta)
+    real, calls = asymptotics.characteristic_q0, []
+
+    def counting(b, mu):
+        calls.append(mu)
+        return real(b, mu)
+
+    monkeypatch.setattr(asymptotics, "characteristic_q0", counting)
+    lam0 = asymptotics._ground_lambda(angle)
+    ours = len(calls)
+    calls.clear()
+    s_lo = -np.sqrt(max(0.0, -angle.cot) ** 2 + 1.0)
+    ref = brentq(lambda s: float(counting(angle, s * abs(s))), s_lo, 1.0, xtol=1e-15, rtol=1e-15)
+    # bound: twice the tolerance both searches stop at, 1e-15 + 1e-15 |root|
+    assert abs(lam0 - ref) <= 2.0 * (1e-15 + 1e-15 * abs(ref))
+    assert ours <= len(calls)
+    if beta > 3.0:  # the bracket from cot(beta): three calls, not 15-20
+        assert ours == 3
+
+
+@pytest.mark.parametrize("n", [-1, 41, [0, -1], np.array([3, 41])], ids=["-1", "n_max+1", "list", "array"])
+def test_omega_refuses_an_index_outside_the_sequence(n):
+    seq = delta_sequence(1.0, 40)
+    with pytest.raises(ConfigError, match=r"index (-1|41) is outside 0..n_max = 40"):
+        seq.omega(n)
+    assert seq.omega(40) == seq.lam[40] and seq.omega(np.arange(0)).size == 0
 
 
 # --- closed-form series -------------------------------------------------------

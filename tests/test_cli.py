@@ -30,6 +30,19 @@ def run_cli(*args, cwd):
                           capture_output=True, text=True, cwd=cwd, env=env)
 
 
+def test_cli_imports_numpy_and_scipy_linalg_only():
+    # start-up: the package loads no scipy subpackage beyond scipy.linalg
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    code = ("import sys, invspec.cli; print(invspec.cli.__file__); "
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    path, loaded = out.stdout.splitlines()
+    assert Path(path).resolve().is_relative_to(SRC_DIR)
+    heavy = {"scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special"}
+    assert heavy.isdisjoint(loaded.split())
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")

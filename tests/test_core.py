@@ -12,6 +12,7 @@ from invspec.core import (
     Grid,
     GridFunction,
     SpectralData,
+    Spline,
     gauss_rule,
     integrate,
     mucos,
@@ -19,6 +20,7 @@ from invspec.core import (
     musin,
     read_potential_csv,
     sample_potential,
+    simpson_grid,
     trapezoid_grid,
     write_grid_function_csv,
 )
@@ -151,6 +153,57 @@ def test_grid_refinement_improves():
         g = _trapezoid(n)
         errs.append(abs(integrate(GridFunction(g, np.sin(g.nodes))) - exact))
     assert errs[1] < errs[0] and errs[2] < errs[1]
+
+
+# Spline and simpson_grid stand in for scipy's CubicSpline and simpson, which
+# the tests keep as references
+SPLINE_NODES = {**{f"uniform-{n}": np.linspace(0.0, PI, n) for n in (5, 8, 129, 513)},
+                "gauss-64": gauss_rule(64, 0.0, PI)[0]}
+
+
+@pytest.mark.parametrize("case", sorted(SPLINE_NODES))
+def test_spline_matches_scipy_cubic_spline(case):
+    from scipy.interpolate import CubicSpline
+    x = SPLINE_NODES[case]
+    y = np.cos(3.0 * x) + np.random.default_rng(x.size).normal(size=x.size)
+    ours, ref = Spline(x, y), CubicSpline(x, y)
+    # inside, at every node, past either end (each end piece continued) and NaN
+    pts = np.concatenate([np.linspace(-1.0, PI + 1.0, 1001), x, [np.nan]])
+    got, want = ours(pts), ref(pts)
+    assert np.isnan(got[-1])
+    # bound: 1e-14 of the largest value (the two build and evaluate alike)
+    assert np.max(np.abs(got[:-1] - want[:-1])) <= 1e-14 * np.max(np.abs(want[:-1]))
+    # node slopes against the derivative spline at the nodes: 1e-12 of the
+    # largest (the last node is read from the last piece's polynomial there)
+    slopes = ref.derivative()(x)
+    assert np.max(np.abs(ours.slopes - slopes)) <= 1e-12 * np.max(np.abs(slopes))
+    assert ours(1.0).ndim == 0 and ours(np.ones((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("nodes, values", [
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0]),
+    ([0.0, 1.0, 2.0, np.inf], [0.0, 1.0, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, np.nan, 2.0, 3.0]),
+    ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+], ids=["3-nodes", "repeated-node", "infinite-node", "nan-value", "short-values"])
+def test_spline_refuses_bad_nodes_and_values(nodes, values):
+    with pytest.raises(ConfigError, match="spline"):
+        Spline(np.array(nodes), np.array(values))
+
+
+def test_simpson_grid_matches_scipy_simpson():
+    from scipy.integrate import simpson
+    g = simpson_grid(2049)
+    assert g.nodes[0] == 0.0 and g.nodes[-1] == PI
+    rng = np.random.default_rng(7)
+    for y in (rng.normal(size=g.n), np.cos(7.0 * g.nodes) * np.exp(g.nodes), np.ones(g.n)):
+        # bound: 1e-14 of the integral of |y|; scipy takes its steps from the
+        # nodes, which differ from pi/2048 by roundoff
+        assert abs(integrate(GridFunction(g, y)) - simpson(y, x=g.nodes)) \
+            <= 1e-14 * integrate(GridFunction(g, np.abs(y)))
+    with pytest.raises(ConfigError, match="odd number of nodes, got 2048"):
+        simpson_grid(2048)
 
 
 def test_boundary_angle_range():

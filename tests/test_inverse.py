@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invspec.inverse as inverse
-from invspec.asymptotics import cos_halfint_closed, sin_halfint_closed, unperturbed_spectrum
+from invspec.asymptotics import cos_halfint_closed, delta_sequence, sin_halfint_closed, unperturbed_spectrum
 from invspec.core import (
     PI,
     SpectralData,
@@ -199,6 +199,20 @@ def test_h_partial_halfint_fft_matches_loop():
     sums = _halfint_expsum(om, np.stack([1.0 / (om * om), 1.0 / om]), L)
     assert np.max(np.abs(sums[0].real - cos_ref)) < 1e-12
     assert np.max(np.abs(sums[1].imag - sin_ref)) < 1e-11
+
+
+def test_halfint_expsum_matches_direct_sums_off_the_bins():
+    # frequencies off the half-integer bins need Taylor orders past 0; both
+    # rows of the packed transform against the direct sums of w exp(i lam t)
+    om = np.concatenate([delta_sequence(1.0, 600).lam[2:], np.sqrt(np.arange(3, 600) ** 2 + 0.3)])
+    w = np.random.default_rng(3).normal(size=om.size) / (om * om)
+    rows = np.stack([w, w * om])
+    for L in (256, 512):
+        direct = np.exp(1j * np.outer(_table_nodes(L), om)) @ rows.T
+        sums = _halfint_expsum(om, rows, L)
+        for r in (0, 1):
+            # bound: 1e-13 of sum |w_r|
+            assert np.max(np.abs(sums[r] - direct[:, r])) <= 1e-13 * np.abs(rows[r]).sum()
 
 
 def test_h_branches_detected():
@@ -552,19 +566,19 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
     import invspec.asymptotics as asymptotics
     import invspec.roundtrip as roundtrip
     deltas, splines = [], []
-    real_delta, real_spline = asymptotics.delta_sequence, inverse.CubicSpline
+    real_delta, real_spline = asymptotics.delta_sequence, inverse.Spline
 
     def counting_delta(beta, n_max):
         deltas.append(n_max)
         return real_delta(beta, n_max)
 
-    def counting_spline(x, y, *args, **kwargs):
+    def counting_spline(x, y):
         splines.append(np.size(x))
-        return real_spline(x, y, *args, **kwargs)
+        return real_spline(x, y)
 
     for module in (asymptotics, inverse, roundtrip):
         monkeypatch.setattr(module, "delta_sequence", counting_delta)
-    monkeypatch.setattr(inverse, "CubicSpline", counting_spline)
+    monkeypatch.setattr(inverse, "Spline", counting_spline)
     data = example6_data(40)
     result = inverse_pipeline(data)
     assert deltas == [2000]

@@ -131,18 +131,10 @@ def _ground_lambda(beta: BoundaryAngle) -> float:
     It is the only root on [s_lo, 1], s_lo = -sqrt(max(0, -cot beta)^2 + 1)
     (the q = 0 case of the lower bound in forward.eigenvalues): the
     characteristic function is positive at s_lo and equals -sin(beta) at
-    s = 1.  Near beta = pi, once tanh(pi cot beta) rounds to -1, the ground
-    state solves tanh(k pi) = -k tan(beta), k = -s, so k = -cot(beta) to
-    roundoff, and the bracket is cot(beta) (1 -+ 1e-12) instead: the signs
-    at its ends hold since the two sides differ there by 1e-12 relative, and
-    the solve takes three calls, not 15-20.  An end where the function
-    overflows (cosh near mu = -cot^2 beta) is refused by name.
+    s = 1.  An s_lo where the function overflows (cosh near
+    mu = -cot^2 beta) is refused by name.
     """
-    cot = beta.cot
-    if np.tanh(PI * cot) == -1.0:
-        s_lo, s_hi = cot * (1.0 + 1e-12), cot * (1.0 - 1e-12)
-    else:
-        s_lo, s_hi = -float(np.sqrt(max(0.0, -cot) ** 2 + 1.0)), 1.0
+    s_lo = -float(np.sqrt(max(0.0, -beta.cot) ** 2 + 1.0))
     with np.errstate(over="ignore", invalid="ignore"):  # cosh may overflow at s_lo; see below
         f_lo = float(characteristic_q0(beta, s_lo * abs(s_lo)))
     if not np.isfinite(f_lo):
@@ -150,7 +142,7 @@ def _ground_lambda(beta: BoundaryAngle) -> float:
                             f"the q = 0 characteristic function overflows double precision at "
                             f"mu={s_lo * abs(s_lo):.6g} and below, and its ground state lies near "
                             f"-cot(beta)^2 = {-1.0 / np.tan(beta.beta) ** 2:.6g}")
-    return _brent(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, s_hi, f_lo)
+    return _brent(lambda s: float(characteristic_q0(beta, s * abs(s))), s_lo, 1.0, f_lo)
 
 
 def _brent(f, a: float, b: float, fa: float) -> float:

@@ -72,18 +72,6 @@ def trapezoid_grid(nodes) -> Grid:
     return Grid(nodes, weights)
 
 
-def simpson_grid(n_nodes: int) -> Grid:
-    """Composite Simpson rule on n_nodes uniform nodes of [0, pi], n_nodes odd
-    and at least 3: weights h/3 times 1, 4, 2, 4, ..., 2, 4, 1."""
-    _check_count("n_nodes", n_nodes, 3)
-    if n_nodes % 2 == 0:
-        raise ConfigError(f"Simpson's rule needs an odd number of nodes, got {n_nodes}")
-    weights = np.full(n_nodes, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return Grid(np.linspace(0.0, PI, n_nodes), weights * (PI / (n_nodes - 1) / 3.0))
-
-
 @lru_cache(maxsize=None)
 def _reference_gauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], read-only because the cache
@@ -157,8 +145,9 @@ def integrate(f: GridFunction) -> float:
 
 class Spline:
     """The not-a-knot cubic spline through (nodes, values), for strictly
-    increasing nodes (at least four), continued past either end by its end
-    piece; calling it evaluates the spline at an array of points.
+    increasing nodes, continued past either end by its end piece; calling
+    it evaluates the spline at an array of points.  On two nodes it is the
+    line and on three the parabola through them, as in ``CubicSpline``.
 
     ``slopes``, read-only, is its derivative at the nodes: the unknowns of
     one tridiagonal solve (``solve_banded``).  Each piece is the cubic
@@ -171,8 +160,8 @@ class Spline:
     def __init__(self, nodes, values):
         x = np.asarray(nodes, dtype=float)
         y = np.asarray(values, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 4:
-            raise ConfigError(f"a spline needs at least 4 nodes and one value per node, got "
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ConfigError(f"a spline needs at least 2 nodes and one value per node, got "
                               f"shapes {x.shape} and {y.shape}")
         dx = np.diff(x)
         if not (np.all(dx > 0) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -184,11 +173,16 @@ class Spline:
         band[2, :-2] = dx[1:]
         rhs = np.empty(x.size)
         rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        # not-a-knot: the third derivative is continuous at the second and the last-but-one node
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        band[1, 0], band[0, 1], band[1, -1], band[2, -2] = dx[1], d0, dx[-2], d1
-        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        if x.size == 2:  # the line through both points
+            band[1], rhs[:] = 1.0, slope[0]
+        elif x.size == 3:  # the parabola through the three points: s0 + s1 = 2 slope0, s1 + s2 = 2 slope1
+            band[1, 0] = band[0, 1] = band[1, -1] = band[2, -2] = 1.0
+            rhs[0], rhs[-1] = 2.0 * slope[0], 2.0 * slope[1]
+        else:  # not-a-knot: the third derivative is continuous at the second and the last-but-one node
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            band[1, 0], band[0, 1], band[1, -1], band[2, -2] = dx[1], d0, dx[-2], d1
+            rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
         s = solve_banded((1, 1), band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False)
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         self.nodes = _frozen(x)
@@ -206,7 +200,7 @@ class Spline:
 
 
 def interpolant(f: GridFunction) -> Spline:
-    """The not-a-knot cubic :class:`Spline` through the samples (at least four)."""
+    """The not-a-knot cubic :class:`Spline` through the samples."""
     return Spline(f.grid.nodes, f.values)
 
 

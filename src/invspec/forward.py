@@ -55,7 +55,6 @@ from .core import (
     SpectralData,
     as_angle,
     interpolant,
-    simpson_grid,
     _check_count,
 )
 from .errors import ConfigError, DomainError, NumericsError
@@ -74,6 +73,12 @@ NEWTON_TOL = 1e-12    # relative Newton step at which a root is accepted
 COMPLEX_STEP = 1e-20  # Im of mu in Newton's sweeps; 1e-150 made subnormal products 3x slower
 NEWTON_MAX = 100
 TRACE_NODES = 2049
+# expand's composite Simpson rule on TRACE_NODES uniform points of [0, pi]:
+# weights h/3 times 1, 4, 2, 4, ..., 2, 4, 1
+_SIMPSON_X = np.linspace(0.0, PI, TRACE_NODES)
+_SIMPSON_W = np.where(np.arange(TRACE_NODES) % 2, 4.0, 2.0)
+_SIMPSON_W[[0, -1]] = 1.0
+_SIMPSON_W *= PI / (TRACE_NODES - 1) / 3.0
 MAX_ABS_Q = 1e6
 _GAUSS = np.sqrt(15.0) / 10.0  # a cell's outer Gauss points sit at 1/2 -+ _GAUSS of its width
 SERIES_TOL = 1e-17    # first omitted term of the propagator series
@@ -457,16 +462,15 @@ def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
     ``solution``, sampled back on f's grid.
 
     Coefficients are (1/a_n) * integral of f * phi_n, by the composite
-    Simpson rule on TRACE_NODES uniform points (:func:`simpson_grid`) with f
-    read through its interpolant; phi_n at those points and at f's nodes
-    comes from one eigenfunctions call.
+    Simpson rule on TRACE_NODES uniform points with f read through its
+    interpolant; phi_n at those points and at f's nodes comes from one
+    eigenfunctions call.
     """
     _check_count("N", N, 1)
     if N > len(solution.records):
         raise ConfigError(f"N={N} exceeds the {len(solution.records)} available records")
-    rule = simpson_grid(TRACE_NODES)
-    phi, _ = solution.eigenfunctions(np.concatenate([rule.nodes, f.grid.nodes]))
+    phi, _ = solution.eigenfunctions(np.concatenate([_SIMPSON_X, f.grid.nodes]))
     phi = phi[:N]
     a = np.array([r.a for r in solution.records[:N]])
-    c = (interpolant(f)(rule.nodes) * phi[:, :rule.n]) @ rule.weights / a
-    return GridFunction(f.grid, c @ phi[:, rule.n:])
+    c = (interpolant(f)(_SIMPSON_X) * phi[:, :TRACE_NODES]) @ _SIMPSON_W / a
+    return GridFunction(f.grid, c @ phi[:, TRACE_NODES:])

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from invspec.core import (
     PI,
     GridFunction,
+    Potential,
     as_angle,
     gauss_rule,
     interpolant,
@@ -711,6 +712,37 @@ def test_expand_refuses_a_mode_count_below_one(fwd_zero_64, N):
     with pytest.raises(ConfigError, match=rf"N={N} is not an integer of at least 1"):
         expand(f, fwd_zero_64, N)
 
+
+
+def test_expand_simpson_rule_matches_scipy_simpson():
+    from scipy.integrate import simpson
+    x, w = forward._SIMPSON_X, forward._SIMPSON_W
+    assert x.size == forward.TRACE_NODES and x[0] == 0.0 and x[-1] == PI
+    rng = np.random.default_rng(7)
+    for y in (rng.normal(size=x.size), np.cos(7.0 * x) * np.exp(x), np.ones(x.size)):
+        # bound: 1e-14 of the integral of |y|; scipy takes its steps from the
+        # nodes, which differ from pi/2048 by roundoff
+        assert abs(w @ y - simpson(y, x=x)) <= 1e-14 * (w @ np.abs(y))
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3])
+def test_potential_on_two_or_three_nodes_is_its_line_or_parabola(n_nodes):
+    # the interpolant of two or three samples is the line or the parabola
+    # through them, so forward_solve and expand read the same potential as
+    # from that polynomial sampled on 257 nodes; forward_solve cuts the coarse
+    # one into 32 cells, not 512, so mu_n and a_n differ at the step's error
+    poly = (lambda x: 1.0 - x / PI) if n_nodes == 2 else (lambda x: x * (PI - x))
+    x = np.linspace(0.0, PI, n_nodes)
+    coarse, fine = Potential(trapezoid_grid(x), poly(x)), sample_potential(poly)
+    sol, ref = forward.forward_solve(coarse, PI / 3, 8), forward.forward_solve(fine, PI / 3, 8)
+    # bound: 1e-6 relative; 32 fourth-order cells read 5.7e-9 in mu_n and
+    # 5.4e-8 in a_n here
+    for got, want in zip(sol.records, ref.records):
+        assert got.mu == pytest.approx(want.mu, rel=1e-6)
+        assert got.a == pytest.approx(want.a, rel=1e-6)
+    # bound: 1e-12 of max|q|, the same coefficient integrals to roundoff
+    at_x = expand(fine, ref, 8).values[np.isin(fine.grid.nodes, x)]
+    assert np.max(np.abs(expand(coarse, ref, 8).values - at_x)) <= 1e-12 * np.max(np.abs(poly(fine.grid.nodes)))
 
 # --- ODE residual of traces -----------------------------------------------------
 

@@ -24,7 +24,7 @@ from .core import (
 from .asymptotics import (
     DeltaSequence,
     delta_sequence,
-    fit_c,
+    fit_tail,
     solve_delta,
     t_beta_closed_form,
     unperturbed_spectrum,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     PI,
+    ZERO_MU_TOL,
     BoundaryAngle,
     GridFunction,
     Potential,
@@ -300,51 +301,68 @@ def signed_sqrt(mu) -> np.ndarray:
     return np.sign(mu) * np.sqrt(np.abs(mu))
 
 
-def _drift_terms(data: SpectralData, delta: DeltaSequence):
-    """omega_n, lambda_n and g_n := 2*omega_n*(lambda_n - omega_n) for n >= 2."""
-    om = delta.omega(np.arange(2, data.count))
-    lam = signed_sqrt(data.mu[2:])
-    return om, lam, 2.0 * om * (lam - om)
+@dataclass(frozen=True)
+class TailFit:
+    """The tail model of finite data (see :func:`fit_tail`): the drift
+    constant ``c``, the third-order eigenvalue coefficient ``kappa``, the
+    norming coefficient ``gamma``, the Cauchy ``spread`` of ``c``, and the
+    remainders ``l_n`` and ``s_n`` for n >= 2."""
+
+    c: float
+    kappa: float
+    gamma: float
+    spread: float
+    l_n: np.ndarray
+    s_n: np.ndarray
 
 
-def fit_c(data: SpectralData, delta: DeltaSequence) -> tuple[float, float, np.ndarray]:
-    """Estimate the eigenvalue drift constant, the third-order tail
-    coefficient and per-index remainders.
+def fit_tail(data: SpectralData, delta: DeltaSequence) -> TailFit:
+    """Fit the tails lambda_n ~ omega_n + c/(2 omega_n) + kappa/omega_n^3 and
+    1/(a_n mu_n) - 1/(a_n mu_n)(base) ~ gamma/omega_n^2 to the data, omega_n
+    and the base those of q = 0 from ``delta``, which must reach n = count - 1.
 
-    g_n tends to c, and for smooth q its next term is of order 1/omega^2,
-    not 1/omega; a least-squares fit of g against [1, 1/omega^2] over the
-    last third of the sequence extrapolates the limit.  Half the 1/omega^2
-    coefficient is kappa in lambda_n ~ omega_n + c/(2 omega_n) + kappa/omega_n^3.
-    Returns (c, kappa, l_seq) with l_seq aligned to n >= 2.
+    g_n := 2 omega_n (lambda_n - omega_n) tends to c, and for smooth q its
+    next term is of order 1/omega^2, not 1/omega; a least-squares fit of g
+    against [1, 1/omega^2] over the last third of the n >= 2 extrapolates
+    the limit.  It runs three times, each on the data shifted by the c so
+    far, so that the nonlinearity of sqrt(mu) in a large c leaves no bias;
+    ``kappa`` is half the last pass's 1/omega^2 coefficient, ``l_n`` its
+    remainders lambda_n - omega_n - dc/(2 omega_n), and ``spread`` the gap
+    between the last-third and last-sixth fits on the data shifted by c.
+    ``gamma`` is the least-squares coefficient over the last third of the
+    n >= 2 with nonzero mu_n - c, and ``s_n`` inverts
+    a_n = pi/(2 omega^2) (1 + 2 s_n/(pi omega)).  A coefficient with fewer
+    than 4 fit points is 0.
     """
-    if data.count < 12:
-        raise ConfigError(f"fit_c needs at least 12 data points, got {data.count}")
-    om, lam, g = _drift_terms(data, delta)
-    c, slope = _tail_fit(om, g, frac=1.0 / 3.0)
-    # a non-Cauchy tail (fit_c_spread > 10%) is reported by validate(), not raised
-    l_seq = lam - om - c / (2.0 * om)
-    return c, 0.5 * slope, l_seq
-
-
-def drift_constant(data: SpectralData, delta: DeltaSequence) -> tuple[float, float, np.ndarray]:
-    """fit_c refined twice on the data shifted by the estimate so far, so that the
-    nonlinearity of sqrt(mu) in a large c leaves no bias; (c, kappa, l_seq of the last pass)."""
-    c = 0.0
-    for _ in range(3):
-        dc, kappa, l_seq = fit_c(shift_spectrum(data, c), delta)
-        c += dc
-    return c, kappa, l_seq
+    om = delta.omega(np.arange(2, data.count))
+    mu, a = data.mu[2:], data.norming[2:]
+    c = kappa = spread = gamma = 0.0
+    l_n = signed_sqrt(mu) - om
+    if om.size >= 4:
+        for _ in range(3):
+            l_n = signed_sqrt(mu - c) - om
+            dc, slope = _tail_fit(om, 2.0 * om * l_n, 1.0 / 3.0)
+            l_n -= dc / (2.0 * om)
+            c += dc
+        kappa = 0.5 * slope
+        g = 2.0 * om * (signed_sqrt(mu - c) - om)
+        spread = abs(_tail_fit(om, g, 1.0 / 3.0)[0] - _tail_fit(om, g, 1.0 / 6.0)[0])
+    mu_c = mu - c
+    keep = np.abs(mu_c) >= ZERO_MU_TOL
+    if keep.sum() >= 4:
+        om_k = om[keep]
+        mu_b = om_k * om_k
+        g = 1.0 / (a[keep] * mu_c[keep]) - 1.0 / (unperturbed_norming(mu_b) * mu_b)
+        m = max(4, om_k.size // 3)
+        w = 1.0 / (om_k[-m:] * om_k[-m:])
+        gamma = float(np.dot(g[-m:], w) / float(np.dot(w, w)))
+    s_n = (a * 2.0 * om * om / PI - 1.0) * PI * om / 2.0
+    return TailFit(c, kappa, gamma, spread, l_n, s_n)
 
 
 def shift_spectrum(data: SpectralData, c: float) -> SpectralData:
     """The data of q - c: every eigenvalue moved by -c, the norming constants unchanged."""
     return SpectralData(data.beta, data.mu - c, data.norming, c_fit=0.0)
-
-
-def fit_c_spread(data: SpectralData, delta: DeltaSequence) -> float:
-    """Gap between the last-third and last-sixth tail fits (Cauchy check)."""
-    om, _, g = _drift_terms(data, delta)
-    return abs(_tail_fit(om, g, 1.0 / 3.0)[0] - _tail_fit(om, g, 1.0 / 6.0)[0])
 
 
 def _tail_fit(om: np.ndarray, g: np.ndarray, frac: float) -> tuple[float, float]:
@@ -355,14 +373,6 @@ def _tail_fit(om: np.ndarray, g: np.ndarray, frac: float) -> tuple[float, float]
     A = np.column_stack([np.ones(omt.size), 1.0 / (omt * omt)])
     coef, *_ = np.linalg.lstsq(A, gt, rcond=None)
     return float(coef[0]), float(coef[1])
-
-
-def extract_s(data: SpectralData, delta: DeltaSequence) -> np.ndarray:
-    """Invert the norming-constant tail form for s_n (n >= 2):
-    a_n = pi/(2 omega^2) * (1 + 2 s_n/(pi omega))."""
-    ns = np.arange(2, data.count)
-    om = delta.omega(ns)
-    return (data.norming[2:] * 2.0 * om * om / PI - 1.0) * PI * om / 2.0
 
 
 # ---------------------------------------------------------------------------

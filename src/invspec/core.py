@@ -328,10 +328,8 @@ class SpectralData:
             "c_fit": None if self.c_fit is None else float(self.c_fit),
         }
 
-    def to_json(self, **extra) -> str:
-        doc = self.to_json_dict()
-        doc.update(extra)
-        return json.dumps(doc, sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SpectralData":

@@ -46,7 +46,7 @@ from math import factorial
 
 import numpy as np
 
-from .asymptotics import DeltaSequence, delta_sequence, drift_constant
+from .asymptotics import DeltaSequence, delta_sequence, fit_tail
 from .core import (
     PI,
     BoundaryAngle,
@@ -114,7 +114,7 @@ class ForwardSolution:
         a = np.array([r.a for r in self.records])
         c = None
         if len(self.records) >= 12:
-            c, _, _ = drift_constant(SpectralData(self.beta.beta, mus, a), self.delta)
+            c = fit_tail(SpectralData(self.beta.beta, mus, a), self.delta).c
         return SpectralData(self.beta.beta, mus, a, c_fit=c)
 
     def eigenfunctions(self, x) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
 """Inverse solver: from two spectral sequences to the potential and the
 recovered boundary angle.
 
-Pipeline: admissibility checks (which also fit the eigenvalue tail
+Pipeline: admissibility checks (which also fit the drift constant c of
 lambda_n ~ omega_n + c/(2 omega_n) + kappa/omega_n^3) -> difference kernel
 H(t) of the data against the unperturbed (q = 0) spectrum for the same
 angle -> F(x,t) = (H(|x-t|) - H(x+t))/2 -> the main equation
@@ -29,11 +29,14 @@ rows' quadrature weights.
 
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
-inverts those and adds c back.  H is tabulated on a uniform grid of
-[0, 2*pi]: the modes mu < 1 directly, every other term, the tail model's
-partial sum among them, in one FFT sum (see :class:`HFunction`), and the
-model's whole series in closed form; H' comes from the same pass.  phi and
-phi' share one Richardson rule.
+inverts those and adds c back.  The H kernel fits its own tail (kappa and
+the norming coefficient gamma, by :func:`~invspec.asymptotics.fit_tail`)
+from the drift-free data it is given; validate's kappa is reported for
+diagnosis only.  H is tabulated on a uniform grid of [0, 2*pi]: the modes
+mu < 1 directly, every other term, the tail model's partial sum among
+them, in one FFT sum (see :class:`HFunction`), and the model's whole
+series in closed form; H' comes from the same pass.  phi and phi' share
+one Richardson rule.
 """
 from __future__ import annotations
 
@@ -45,12 +48,10 @@ from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .asymptotics import (
     DeltaSequence,
+    TailFit,
     cos_halfint_closed,
     delta_sequence,
-    drift_constant,
-    extract_s,
-    fit_c_spread,
-    shift_spectrum,
+    fit_tail,
     signed_sqrt,
     sin_halfint_closed,
     unperturbed_spectrum,
@@ -95,9 +96,12 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     strays more than 0.25 from n + delta_n over the final quarter, once the
     spectrum is shifted by its drift constant.  Trend violations of the
     remainder sequences only warn, since a finite prefix cannot prove a limit.
+    At least 12 pairs are needed.
 
     ``c_fit`` and ``kappa`` are the drift constant and the third-order tail
-    coefficient of :func:`drift_constant` (None when the fit is skipped).
+    coefficient of one :func:`~invspec.asymptotics.fit_tail` (None when the
+    fit is skipped).  The inverse reads ``c_fit`` only; ``kappa`` is reported
+    for diagnosis, as the H kernel fits its own tail from the drift-free data.
     A given ``delta`` is used when it reaches n = count + 2.
     """
     beta = as_angle(beta)
@@ -123,13 +127,13 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
 
     c = kappa = None
     if mono and pos:
-        c, kappa, l_seq = drift_constant(data, delta)
-        shifted = shift_spectrum(data, c)
+        tail = fit_tail(data, delta)
+        c, kappa = tail.c, tail.kappa
 
         q_start = max(2, (3 * data.count) // 4)
         ns = np.arange(q_start, data.count)
         om = delta.omega(ns)
-        lam = signed_sqrt(shifted.mu[ns])
+        lam = signed_sqrt(data.mu[ns] - c)
         tail_gap = float(np.max(np.abs(lam - om)))
         tail_ok = tail_gap < 0.25
         checks.append({
@@ -138,20 +142,17 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
             "detail": f"max |sqrt(mu_n - c) - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
         })
 
-        spread = fit_c_spread(shifted, delta)
-        cauchy = spread <= 0.1 * (1.0 + abs(c))
+        cauchy = tail.spread <= 0.1 * (1.0 + abs(c))
         checks.append({
             "name": "drift-constant-fit-cauchy",
             "status": "pass" if cauchy else "warn",
             "detail": f"c = {c:.6g} (fitted from the tail; the source data carries no "
-                      f"explicit constant), refit spread = {spread:.3g}",
+                      f"explicit constant), refit spread = {tail.spread:.3g}",
         })
 
-        ns_all = np.arange(2, data.count)
-        nl = np.abs(ns_all * l_seq)
+        nl = np.abs(np.arange(2, data.count) * tail.l_n)
         checks.append(_trend_check("eigenvalue-remainder-trend", nl))
-
-        checks.append(_trend_check("norming-remainder-trend", np.abs(extract_s(data, delta))))
+        checks.append(_trend_check("norming-remainder-trend", np.abs(tail.s_n)))
 
     hard_fail = any(ch["status"] == "fail" for ch in checks)
     return {
@@ -184,20 +185,20 @@ def _trend_check(name: str, seq: np.ndarray) -> dict:
 
 
 def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
-                 mu_base: np.ndarray, a_base: np.ndarray, kappa: float
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Continue drift-free (mu_n, a_n) past the data by the fitted tail model.
+                 mu_base: np.ndarray, a_base: np.ndarray, tail: TailFit
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Continue drift-free (mu_n, a_n) past the data by the tail model ``tail``
+    fitted to them.
 
     Eigenvalues extend as lambda_n^2 with lambda_n = omega_n + kappa/omega_n^3,
     omega_n the unperturbed ones.  Norming constants extend through the
     difference coefficient gamma_n = 1/k_n - 1/k_n(base), the only
-    combination the kernels depend on: fitting gamma_n ~ gamma/omega^2 from
-    the data tail makes data identical to the base cancel exactly.
+    combination the kernels depend on: with gamma_n ~ gamma/omega^2 fitted
+    from the data tail, data identical to the base cancel exactly.
     """
     if n_terms < data.count:
         raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
                           "the pairs past n_terms would be dropped")
-    gamma = _fit_gamma(data, delta, mu_base, a_base)
     mu = np.empty(n_terms)
     a = np.empty(n_terms)
     m = data.count
@@ -205,26 +206,10 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     a[:m] = data.norming
     if n_terms > m:
         om = delta.omega(np.arange(m, n_terms))
-        mu[m:] = (om + kappa / om**3) ** 2
-        inv_k = 1.0 / (a_base[m:] * mu_base[m:]) + gamma / (om * om)
+        mu[m:] = (om + tail.kappa / om**3) ** 2
+        inv_k = 1.0 / (a_base[m:] * mu_base[m:]) + tail.gamma / (om * om)
         a[m:] = 1.0 / (inv_k * mu[m:])
-    return mu, a, float(gamma)
-
-
-def _fit_gamma(data: SpectralData, delta: DeltaSequence, mu_base: np.ndarray,
-               a_base: np.ndarray) -> float:
-    """Tail coefficient of 1/k_n - 1/k_n(base) ~ gamma/omega^2, least squares
-    over the last third of the indices n >= 2 with nonzero data mu_n (the
-    base's exceed 4 there)."""
-    ns = np.arange(2, data.count)
-    ns = ns[np.abs(data.mu[ns]) >= ZERO_MU_TOL]
-    if ns.size < 4:
-        return 0.0
-    om = delta.omega(ns)
-    g = 1.0 / (data.norming[ns] * data.mu[ns]) - 1.0 / (a_base[ns] * mu_base[ns])
-    m = max(4, ns.size // 3)
-    w = 1.0 / (om[-m:] * om[-m:])
-    return float(np.dot(g[-m:], w) / float(np.dot(w, w)))
+    return mu, a
 
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
@@ -307,6 +292,10 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
 class HFunction:
     """The spectral difference kernel H on [0, 2*pi], for drift-free data.
 
+    The kernel fits its own tail: ``tail`` is the
+    :func:`~invspec.asymptotics.fit_tail` of the data it is given, whose
+    ``kappa`` and ``gamma`` continue the data past their count (see
+    :func:`_extend_data`).
     :meth:`tables` gives H and H' on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
     sums no table and splits the terms once: pairs with mu < 1 on either side
@@ -318,8 +307,7 @@ class HFunction:
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
-                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
-                 kappa: float = 0.0):
+                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
         beta = as_angle(beta)
         _check_count("n_terms", n_terms, 8)
         if delta is None or delta.n_max < n_terms:
@@ -328,8 +316,8 @@ class HFunction:
 
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
-        self.mu_d, self.a_d, self.gamma_hat = _extend_data(
-            data, delta, n_terms, self.mu_b, self.a_b, kappa)
+        self.tail = fit_tail(data, delta)
+        self.mu_d, self.a_d = _extend_data(data, delta, n_terms, self.mu_b, self.a_b, self.tail)
 
         zero_d = np.abs(self.mu_d[:data.count]) < ZERO_MU_TOL
         zero_b = np.abs(self.mu_b[:2]) < ZERO_MU_TOL
@@ -349,7 +337,7 @@ class HFunction:
         self._lam = np.concatenate([np.sqrt(self.mu_d[hi]), np.sqrt(self.mu_b[hi]), om])
         self._w = np.concatenate([1.0 / (self.a_d[hi] * self.mu_d[hi]),
                                   -1.0 / (self.a_b[hi] * self.mu_b[hi]),
-                                  -self.gamma_hat / (om * om)])
+                                  -self.tail.gamma / (om * om)])
 
     def tables(self, L: int) -> tuple[np.ndarray, np.ndarray]:
         """H and H' at t_j = 2*pi*j/L, j = 0..L, both read-only; H'(0) is the
@@ -358,9 +346,9 @@ class HFunction:
         H, dH = _pair_sum(t, *self._low)
         sums = _halfint_expsum(self._lam, np.stack([self._w, self._w * self._lam]), L)
         H += sums[0].real
-        H += self.gamma_hat * cos_halfint_closed(t)
+        H += self.tail.gamma * cos_halfint_closed(t)
         dH -= sums[1].imag
-        dH -= self.gamma_hat * sin_halfint_closed(t)
+        dH -= self.tail.gamma * sin_halfint_closed(t)
         for vals in (H, dH):
             finite = np.isfinite(vals)
             if not finite.all():
@@ -371,13 +359,12 @@ class HFunction:
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
-            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
-            kappa: float = 0.0) -> HFunction:
+            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None) -> HFunction:
     """Construct the H kernel (see :class:`HFunction`) for drift-free data,
     such as the pipeline's data shifted by their fitted drift constant; any
-    ``c_fit`` the data carry is not read.  ``kappa`` is validate's third-order
-    tail coefficient; with 0 the eigenvalues past the data are the base ones."""
-    return HFunction(data, beta, n_terms, delta=delta, kappa=kappa)
+    ``c_fit`` the data carry is not read.  The kernel fits its own tail from
+    those data, so the pipeline's H is this function's on the same pairs."""
+    return HFunction(data, beta, n_terms, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,11 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
 
     The one place that knows the drift constant c: validate fits it, the
     kernel layer inverts the drift-free data (mu_n - c, a_n) of q - c, and c
-    is added back to the recovered q.  A constant shift of q leaves phi, the
-    norming constants and the recovered angle unchanged.  The result's
-    ``data`` are the caller's pairs, with c as their ``c_fit``.
+    is added back to the recovered q.  The H build fits its own tail from
+    those shifted data; validate's ``kappa`` is not read.  A constant shift
+    of q leaves phi, the norming constants and the recovered angle
+    unchanged.  The result's ``data`` are the caller's pairs, with c as
+    their ``c_fit``.
 
     The H series carries DEFAULT_N_TERMS explicit terms, or the data count
     when that is larger, so every pair is used: from 500 terms on, the
@@ -69,9 +71,8 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
-    kappa = 0.0 if report["kappa"] is None else report["kappa"]
     shifted = shift_spectrum(data, c)
-    H = build_H(shifted, data.beta, n_terms, delta=delta, kappa=kappa)
+    H = build_H(shifted, data.beta, n_terms, delta=delta)
     field = solve_kernel_field(H, x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)

@@ -4,10 +4,7 @@ from hypothesis import given, strategies as st
 
 from invspec.asymptotics import (
     delta_sequence,
-    drift_constant,
-    extract_s,
-    fit_c,
-    fit_c_spread,
+    fit_tail,
     refined_asymptotics_check,
     sin_halfint_closed,
     cos_halfint_closed,
@@ -276,41 +273,62 @@ def test_fit_c_zero_for_pure_tail():
     ns = np.arange(40)
     om = delta.omega(ns)
     data = SpectralData(beta.beta, om * np.abs(om), np.ones(40))
-    c, _, l_seq = fit_c(data, delta)
-    assert abs(c) < 1e-12
-    assert np.max(np.abs(l_seq)) < 1e-12
+    tail = fit_tail(data, delta)
+    assert abs(tail.c) < 1e-12
+    assert np.max(np.abs(tail.l_n)) < 1e-12
 
 
 def test_fit_c_recovers_constructed_constant():
+    # the exact data of q = 1 against the q = 0 norming constants: every
+    # eigenvalue moved by 1, so the data shifted by c are the base ones and
+    # the remainders of the last pass vanish
     beta = as_angle(PI / 3)
     delta = delta_sequence(beta, 40)
-    om = delta.omega(np.arange(2, 40))
-    lam = om + 1.0 / (2.0 * om)
-    mu = np.concatenate([delta.lam[:2] ** 2, lam**2])
-    data = SpectralData(beta.beta, mu, np.ones(40))
-    c, _, l_seq = fit_c(data, delta)
-    assert c == pytest.approx(1.0, abs=1e-8)
-    assert np.max(np.abs(l_seq)) < 1e-8
-    assert fit_c_spread(data, delta) < 1e-8
+    mu = delta.lam[:40] ** 2 + 1.0
+    tail = fit_tail(SpectralData(beta.beta, mu, np.ones(40)), delta)
+    assert tail.c == pytest.approx(1.0, abs=1e-8)
+    assert np.max(np.abs(tail.l_n)) < 1e-8
+    assert tail.spread < 1e-8
 
 
 @pytest.mark.parametrize("c_true", [0.0, 1.0])
 def test_fit_c_recovers_third_order_coefficient(c_true):
-    # lambda_n = omega_n + c/(2 omega_n) + kappa/omega_n^3 makes g_n exactly
-    # c + 2 kappa/omega_n^2.  drift_constant hands on the kappa of its last
-    # pass, that of the shifted data sqrt(lambda_n^2 - c), which is
-    # kappa + c^2/8 up to terms in 1/omega^5; on drift-free data it is kappa
+    # drift-free lambda_n = omega_n + kappa/omega_n^3 makes g_n exactly
+    # 2 kappa/omega_n^2; the data moved by c are those of q + c.  fit_tail's
+    # kappa is that of its last pass, on the data shifted back by c
     beta = as_angle(PI / 3)
     delta = delta_sequence(beta, 64)
     om = delta.omega(np.arange(2, 64))
-    lam = om + c_true / (2.0 * om) + 0.7 / om**3
-    mu = np.concatenate([delta.lam[:2] ** 2, lam**2])
-    data = SpectralData(beta.beta, mu, np.ones(64))
-    c, kappa, _ = fit_c(data, delta)
-    assert c == pytest.approx(c_true, abs=1e-10) and kappa == pytest.approx(0.7, abs=1e-8)
-    if c_true == 0.0:
-        c, kappa, _ = drift_constant(data, delta)
-        assert c == pytest.approx(0.0, abs=1e-10) and kappa == pytest.approx(0.7, abs=1e-8)
+    lam = om + 0.7 / om**3
+    mu = np.concatenate([delta.lam[:2] ** 2, lam**2]) + c_true
+    tail = fit_tail(SpectralData(beta.beta, mu, np.ones(64)), delta)
+    assert tail.c == pytest.approx(c_true, abs=1e-10) and tail.kappa == pytest.approx(0.7, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [PI / 3, 2 * PI / 3])
+def test_fit_tail_recovers_norming_coefficient(beta):
+    # drift-free data whose eigenvalues carry kappa = 0.7 and whose
+    # 1/(a_n mu_n) sit gamma/omega_n^2 above the base ones, gamma = 0.3, from
+    # n = 2 on (fit errors about 2e-10, 3e-14 and 1e-13)
+    delta = delta_sequence(beta, 64)
+    base = unperturbed_spectrum(beta, 64, delta)
+    om = delta.omega(np.arange(2, 64))
+    mu = np.concatenate([base.mu[:2], (om + 0.7 / om**3) ** 2])
+    inv_k = 1.0 / (base.norming[2:] * base.mu[2:]) + 0.3 / (om * om)
+    a = np.concatenate([base.norming[:2], 1.0 / (inv_k * mu[2:])])
+    tail = fit_tail(SpectralData(beta, mu, a), delta)
+    assert tail.kappa == pytest.approx(0.7, abs=1e-9)
+    assert tail.gamma == pytest.approx(0.3, abs=1e-12)
+    assert abs(tail.c) < 1e-12
+
+
+def test_fit_tail_of_too_few_points_is_zero():
+    # five pairs leave three indices n >= 2, fewer than the 4 fit points
+    # a coefficient needs
+    sp = unperturbed_spectrum(PI / 3, 5)
+    tail = fit_tail(SpectralData(sp.beta, sp.mu + 1.0, 2.0 * sp.norming), delta_sequence(PI / 3, 5))
+    assert (tail.c, tail.kappa, tail.gamma, tail.spread) == (0.0, 0.0, 0.0, 0.0)
+    assert tail.l_n.size == tail.s_n.size == 3
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0))
@@ -321,8 +339,7 @@ def test_fit_c_hypothesis(c_true):
     lam = om + c_true / (2.0 * om)
     mu = np.concatenate([[0.01], [1.0], lam**2])
     data = SpectralData(beta.beta, mu, np.ones(30))
-    c, _, _ = fit_c(data, delta)
-    assert c == pytest.approx(c_true, abs=1e-7)
+    assert fit_tail(data, delta).c == pytest.approx(c_true, abs=1e-7)
 
 
 def test_fit_c_for_forward_cos_data(fwd_cos_64):
@@ -365,7 +382,7 @@ def test_remainder_series_s_vanishes_for_reference_data():
     from invspec.roundtrip import example6_data
     data = example6_data(40)
     delta = delta_sequence(as_angle(data.beta), 40)
-    s_seq = extract_s(data, delta)
+    s_seq = fit_tail(data, delta).s_n
     assert s_seq.size == 38
     assert np.max(np.abs(s_seq)) < 1e-12
 
@@ -400,12 +417,6 @@ def test_sequence_floors_name_the_count():
         delta_sequence(1.0, 1)
     with pytest.raises(ConfigError, match="N=2 is not an integer of at least 3"):
         unperturbed_spectrum(1.0, 2)
-
-
-def test_fit_c_refusal_names_the_count():
-    sp = unperturbed_spectrum(PI / 3, 11)
-    with pytest.raises(ConfigError, match="fit_c needs at least 12 data points, got 11"):
-        fit_c(sp, delta_sequence(PI / 3, 20))
 
 
 def test_refined_check_refuses_n_hi_past_the_data(fwd_zero_64):

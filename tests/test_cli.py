@@ -89,6 +89,14 @@ def test_inverse_too_few_x_nodes_exits_64(workdir):
     assert "x_nodes=1" in r.stderr
 
 
+def test_inverse_of_eleven_pairs_exits_64(workdir):
+    # validation's tail fit needs twelve pairs; eleven are refused by name
+    (workdir / "eleven.json").write_text(example6_data(11).to_json())
+    r = run_cli("inverse", "eleven.json", "-o", "eleven", cwd=workdir)
+    assert r.returncode == 64 and "Traceback" not in r.stderr
+    assert "validation needs at least 12 data points, got 11" in r.stderr
+
+
 def test_roundtrip_empty_trim_exits_64(workdir):
     # an empty comparison window is refused before the forward solve
     r = run_cli("roundtrip", "q.csv", "--beta", "1.0", "--trim", "2", "1", "-o", "rt0",

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import invspec.inverse as inverse
-from invspec.asymptotics import cos_halfint_closed, delta_sequence, sin_halfint_closed, unperturbed_spectrum
+from invspec.asymptotics import (
+    cos_halfint_closed,
+    delta_sequence,
+    shift_spectrum,
+    sin_halfint_closed,
+    unperturbed_spectrum,
+)
 from invspec.core import (
     PI,
     SpectralData,
@@ -116,8 +122,11 @@ def test_validate_dropped_eigenvalue_still_fails():
 
 
 def test_validate_needs_enough_data():
+    # twelve pairs is the floor of validation's tail fit
     with pytest.raises(ConfigError, match="got 8"):
         validate(example6_data(8), PI / 2)
+    with pytest.raises(ConfigError, match="validation needs at least 12 data points, got 11"):
+        validate(example6_data(11), PI / 2)
 
 
 # --- H kernel --------------------------------------------------------------------
@@ -156,13 +165,18 @@ def test_h_accelerated_vs_direct_within_tail_bound(fwd_cos_64):
     H = build_H(data, PI / 3, 2000)
     L = H_GRID_SIZE - 1
     direct = _pair_sum(_table_nodes(L), H.mu_d, H.a_d, H.mu_b, H.a_b)[0]
-    tail_bound = 2.0 * abs(H.gamma_hat) / H.n_terms
+    tail_bound = 2.0 * abs(H.tail.gamma) / H.n_terms
     assert np.max(np.abs(H.tables(L)[0] - direct)) <= 2.0 * tail_bound + 1e-12
 
 
 def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
+    # the data of q = -2 with the third-order tail kappa = 1e-3 from n = 2 on,
+    # which the kernel fits and continues, so data and base terms differ
+    # past the data too (the q = -2 data alone fit kappa = 0 exactly)
     sp = unperturbed_spectrum(2 * PI / 3, 24)
-    shifted = SpectralData(2 * PI / 3, sp.mu - 2.0, sp.norming)  # exact data of q = -2
+    om = np.sqrt(sp.mu[2:])
+    mu = np.concatenate([sp.mu[:2], (om + 1e-3 / om**3) ** 2])
+    shifted = SpectralData(2 * PI / 3, mu - 2.0, sp.norming)
     assert shifted.mu[0] < 0.0  # so the direct low-mode path is exercised too
     cases = [(fwd_cos_64.spectral_data(), PI / 3),
              (shifted, 2 * PI / 3),
@@ -176,13 +190,15 @@ def test_h_grid_fft_matches_direct_sum(fwd_cos_64):
         cos_tail += np.cos(w * t) / (w * w)
         sin_tail += np.sin(w * t) / w
     for data, beta in cases:
-        H = build_H(data, beta, 2000, kappa=1e-3)  # data and base terms differ past the data too
+        H = build_H(data, beta, 2000)
+        if beta != PI / 2:  # the cos and q = -2 cases
+            assert H.tail.kappa != 0.0
         terms = (H.mu_d, H.a_d, H.mu_b, H.a_b)
         tails = (cos_halfint_closed(t) - cos_tail, sin_tail - sin_halfint_closed(t))
         # the direct derivative rounds sin(lt) at lt up to 1.3e4 in terms of
         # size 1e3, so it is good to about 5e-8 only
         for table, pair, tol, tail in zip(H.tables(L), _pair_sum(t, *terms), (1e-10, 2e-7), tails):
-            direct = pair + H.gamma_hat * tail
+            direct = pair + H.tail.gamma * tail
             assert np.max(np.abs(table - direct)) < tol
 
 
@@ -273,12 +289,22 @@ def test_h_needs_valid_truncation():
 
 
 def test_h_of_five_pairs_fits_no_tail():
-    # five pairs leave three indices n >= 2, too few for the gamma fit, which
-    # then gives 0 and a finite table
+    # five pairs leave three indices n >= 2, too few for the tail fits, which
+    # then give 0 and a finite table
     data = _stored_cos()
     H = build_H(SpectralData(data.beta, data.mu[:5], data.norming[:5]), data.beta)
-    assert H.gamma_hat == 0.0
+    assert H.tail.gamma == 0.0 and H.tail.kappa == 0.0
     assert np.all(np.isfinite(H.tables(H_GRID_SIZE - 1)))
+
+
+def test_h_of_shifted_data_is_the_pipelines():
+    # the kernel fits its own tail, so the drift-free data alone give the
+    # pipeline's H, bit for bit
+    data = _stored_cos()
+    inv = inverse_pipeline(data)
+    H = build_H(shift_spectrum(data, inv.data.c_fit), data.beta, 2000, delta=delta_sequence(data.beta, 2000))
+    for ours, pipeline in zip(H.tables(512), inv.field.H.tables(512)):
+        assert np.array_equal(ours, pipeline)
 
 
 def test_h_refuses_to_drop_data():

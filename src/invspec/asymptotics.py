@@ -304,9 +304,9 @@ def signed_sqrt(mu) -> np.ndarray:
 @dataclass(frozen=True)
 class TailFit:
     """The tail model of finite data (see :func:`fit_tail`): the drift
-    constant ``c``, the third-order eigenvalue coefficient ``kappa``, the
-    norming coefficient ``gamma``, the Cauchy ``spread`` of ``c``, and the
-    remainders ``l_n`` and ``s_n`` for n >= 2."""
+    constant ``c``, the third pass's third-order coefficient ``kappa``, the
+    norming coefficient ``gamma``, the Cauchy ``spread`` of ``c``, and for
+    n >= 2 the remainders ``l_n`` = signed_sqrt(mu_n - c) - omega_n and ``s_n``."""
 
     c: float
     kappa: float
@@ -326,9 +326,9 @@ def fit_tail(data: SpectralData, delta: DeltaSequence) -> TailFit:
     against [1, 1/omega^2] over the last third of the n >= 2 extrapolates
     the limit.  It runs three times, each on the data shifted by the c so
     far, so that the nonlinearity of sqrt(mu) in a large c leaves no bias;
-    ``kappa`` is half the last pass's 1/omega^2 coefficient, ``l_n`` its
-    remainders lambda_n - omega_n - dc/(2 omega_n), and ``spread`` the gap
-    between the last-third and last-sixth fits on the data shifted by c.
+    ``kappa`` is half the third pass's 1/omega^2 coefficient, ``l_n`` the
+    remainders signed_sqrt(mu_n - c) - omega_n at the final c, and ``spread``
+    the gap between the last-third and last-sixth fits of 2 omega_n l_n.
     ``gamma`` is the least-squares coefficient over the last third of the
     n >= 2 with nonzero mu_n - c, and ``s_n`` inverts
     a_n = pi/(2 omega^2) (1 + 2 s_n/(pi omega)).  A coefficient with fewer
@@ -340,12 +340,11 @@ def fit_tail(data: SpectralData, delta: DeltaSequence) -> TailFit:
     l_n = signed_sqrt(mu) - om
     if om.size >= 4:
         for _ in range(3):
-            l_n = signed_sqrt(mu - c) - om
             dc, slope = _tail_fit(om, 2.0 * om * l_n, 1.0 / 3.0)
-            l_n -= dc / (2.0 * om)
             c += dc
+            l_n = signed_sqrt(mu - c) - om
         kappa = 0.5 * slope
-        g = 2.0 * om * (signed_sqrt(mu - c) - om)
+        g = 2.0 * om * l_n
         spread = abs(_tail_fit(om, g, 1.0 / 3.0)[0] - _tail_fit(om, g, 1.0 / 6.0)[0])
     mu_c = mu - c
     keep = np.abs(mu_c) >= ZERO_MU_TOL

@@ -52,7 +52,6 @@ from .asymptotics import (
     cos_halfint_closed,
     delta_sequence,
     fit_tail,
-    signed_sqrt,
     sin_halfint_closed,
     unperturbed_spectrum,
 )
@@ -98,61 +97,41 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     remainder sequences only warn, since a finite prefix cannot prove a limit.
     At least 12 pairs are needed.
 
-    ``c_fit`` and ``kappa`` are the drift constant and the third-order tail
-    coefficient of one :func:`~invspec.asymptotics.fit_tail` (None when the
-    fit is skipped).  The inverse reads ``c_fit`` only; ``kappa`` is reported
-    for diagnosis, as the H kernel fits its own tail from the drift-free data.
-    A given ``delta`` is used when it reaches n = count + 2.
+    The report is read off one :func:`~invspec.asymptotics.fit_tail`:
+    ``c_fit`` and ``kappa`` are its drift constant and third-order
+    coefficient (None when the fit is skipped), and the last four checks read
+    its ``l_n``, ``s_n`` and ``spread``.  The inverse reads ``c_fit`` only;
+    ``kappa`` is for diagnosis, as the H kernel fits its own tail.  A given
+    ``delta`` is used when it reaches n = count - 1, the last index the fit reads.
     """
     beta = as_angle(beta)
     if data.count < 12:
         raise ConfigError(f"validation needs at least 12 data points, got {data.count}")
-    if delta is None or delta.n_max < data.count + 2:
-        delta = delta_sequence(beta, data.count + 2)
-    checks = []
-
+    if delta is None or delta.n_max < data.count - 1:
+        delta = delta_sequence(beta, data.count - 1)
     mono = bool(np.all(np.diff(data.mu) > 0))
-    checks.append({
-        "name": "eigenvalues-strictly-increasing",
-        "status": "pass" if mono else "fail",
-        "detail": "" if mono else "duplicated or out-of-order mu entries",
-    })
-
     pos = bool(np.all(data.norming > 0))
-    checks.append({
-        "name": "norming-constants-positive",
-        "status": "pass" if pos else "fail",
-        "detail": "" if pos else f"min a_n = {float(data.norming.min()):.3e}",
-    })
-
+    checks = [
+        _check("eigenvalues-strictly-increasing", mono,
+               "" if mono else "duplicated or out-of-order mu entries", "fail"),
+        _check("norming-constants-positive", pos,
+               "" if pos else f"min a_n = {float(data.norming.min()):.3e}", "fail"),
+    ]
     c = kappa = None
     if mono and pos:
         tail = fit_tail(data, delta)
         c, kappa = tail.c, tail.kappa
-
-        q_start = max(2, (3 * data.count) // 4)
-        ns = np.arange(q_start, data.count)
-        om = delta.omega(ns)
-        lam = signed_sqrt(data.mu[ns] - c)
-        tail_gap = float(np.max(np.abs(lam - om)))
-        tail_ok = tail_gap < 0.25
-        checks.append({
-            "name": "tail-tracks-unperturbed-order",
-            "status": "pass" if tail_ok else "fail",
-            "detail": f"max |sqrt(mu_n - c) - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
-        })
-
-        cauchy = tail.spread <= 0.1 * (1.0 + abs(c))
-        checks.append({
-            "name": "drift-constant-fit-cauchy",
-            "status": "pass" if cauchy else "warn",
-            "detail": f"c = {c:.6g} (fitted from the tail; the source data carries no "
-                      f"explicit constant), refit spread = {tail.spread:.3g}",
-        })
-
-        nl = np.abs(np.arange(2, data.count) * tail.l_n)
-        checks.append(_trend_check("eigenvalue-remainder-trend", nl))
-        checks.append(_trend_check("norming-remainder-trend", np.abs(tail.s_n)))
+        tail_gap = float(np.max(np.abs(tail.l_n[(3 * data.count) // 4 - 2:])))  # l_n starts at n = 2
+        checks += [
+            _check("tail-tracks-unperturbed-order", tail_gap < 0.25,
+                   f"max |sqrt(mu_n - c) - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
+                   "fail"),
+            _check("drift-constant-fit-cauchy", tail.spread <= 0.1 * (1.0 + abs(c)),
+                   f"c = {c:.6g} (fitted from the tail; the source data carries no "
+                   f"explicit constant), refit spread = {tail.spread:.3g}", "warn"),
+            _trend_check("eigenvalue-remainder-trend", np.abs(np.arange(2, data.count) * tail.l_n)),
+            _trend_check("norming-remainder-trend", np.abs(tail.s_n)),
+        ]
 
     hard_fail = any(ch["status"] == "fail" for ch in checks)
     return {
@@ -167,16 +146,18 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     }
 
 
+def _check(name: str, ok: bool, detail: str, failing: str) -> dict:
+    """One check of the validate report: status "pass" when ``ok``, else
+    ``failing`` ("fail" or "warn")."""
+    return {"name": name, "status": "pass" if ok else failing, "detail": detail}
+
+
 def _trend_check(name: str, seq: np.ndarray) -> dict:
     quarter = max(1, seq.size // 4)
     first = float(np.max(seq[:quarter]))
     last = float(np.max(seq[-quarter:]))
-    ok = last <= max(first, 1e-12)
-    return {
-        "name": name,
-        "status": "pass" if ok else "warn",
-        "detail": f"first-quarter max {first:.3e}, last-quarter max {last:.3e}",
-    }
+    return _check(name, last <= max(first, 1e-12),
+                  f"first-quarter max {first:.3e}, last-quarter max {last:.3e}", "warn")
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +177,6 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
     combination the kernels depend on: with gamma_n ~ gamma/omega^2 fitted
     from the data tail, data identical to the base cancel exactly.
     """
-    if n_terms < data.count:
-        raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
-                          "the pairs past n_terms would be dropped")
     mu = np.empty(n_terms)
     a = np.empty(n_terms)
     m = data.count
@@ -310,6 +288,9 @@ class HFunction:
                  n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
         beta = as_angle(beta)
         _check_count("n_terms", n_terms, 8)
+        if n_terms < data.count:
+            raise ConfigError(f"n_terms={n_terms} is below the data count {data.count}; "
+                              "the pairs past n_terms would be dropped")
         if delta is None or delta.n_max < n_terms:
             delta = delta_sequence(beta, n_terms)
         self.n_terms = int(n_terms)

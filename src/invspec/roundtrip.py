@@ -65,7 +65,7 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
     recovered q agrees to four digits whatever the count.  One delta
     sequence serves validate and the H build."""
     n_terms = max(DEFAULT_N_TERMS, data.count)
-    delta = delta_sequence(data.beta, max(n_terms, data.count + 2))
+    delta = delta_sequence(data.beta, n_terms)
     report = validate(data, data.beta, delta=delta)
     if report["hard_fail"] and not force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]

@@ -6,6 +6,7 @@ from invspec.asymptotics import (
     delta_sequence,
     fit_tail,
     refined_asymptotics_check,
+    signed_sqrt,
     sin_halfint_closed,
     cos_halfint_closed,
     solve_delta,
@@ -25,6 +26,7 @@ from invspec.core import (
     sample_potential,
 )
 from invspec.errors import ConfigError, DomainError, NumericsError
+from test_inverse import _stored_cos
 
 
 def oracle_bisect_delta(beta: float, n: int) -> float:
@@ -329,6 +331,23 @@ def test_fit_tail_of_too_few_points_is_zero():
     tail = fit_tail(SpectralData(sp.beta, sp.mu + 1.0, 2.0 * sp.norming), delta_sequence(PI / 3, 5))
     assert (tail.c, tail.kappa, tail.gamma, tail.spread) == (0.0, 0.0, 0.0, 0.0)
     assert tail.l_n.size == tail.s_n.size == 3
+
+
+def _forward_5_plus_cos():
+    from invspec.forward import forward_solve
+    return forward_solve(sample_potential(lambda x: 5.0 + np.cos(x)), 2 * PI / 3, 64).spectral_data()
+
+
+@pytest.mark.parametrize("load, c_mean", [(_stored_cos, 0.0), (_forward_5_plus_cos, 5.0)],
+                         ids=["stored-cos", "5+cos"])
+def test_fit_tail_remainders_are_drift_free(load, c_mean):
+    # l_n is the remainder of the data shifted by the final c, bit for bit,
+    # not a first-order stand-in for it; c is the mean of q
+    data = load()
+    delta = delta_sequence(data.beta, data.count - 1)
+    tail = fit_tail(data, delta)
+    assert tail.c == pytest.approx(c_mean, abs=1e-6)
+    assert np.array_equal(tail.l_n, signed_sqrt(data.mu[2:] - tail.c) - delta.omega(np.arange(2, data.count)))
 
 
 @given(st.floats(min_value=-2.0, max_value=2.0))

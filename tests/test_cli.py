@@ -140,7 +140,7 @@ def test_non_utf8_input_exits_64(workdir, command):
 
 
 def test_malformed_potential_csv_exits_64(workdir):
-    (workdir / "uneven.csv").write_text(MALFORMED_CSV["non-uniform"])
+    (workdir / "uneven.csv").write_text(MALFORMED_CSV["non-uniform"][0])
     r = run_cli("forward", "uneven.csv", "--beta", "1", cwd=workdir)
     assert r.returncode == 64 and "Traceback" not in r.stderr
     assert r.stderr.startswith("invspec: usage error: ")
@@ -275,6 +275,8 @@ def test_validate_bad_data_exits_2(workdir):
 def test_inverse_bad_data_blocked_unless_forced(workdir):
     r = run_cli("inverse", "bad.json", "-o", "blocked", cwd=workdir)
     assert r.returncode == 2
+    assert "validation failure: inadmissible spectral data: norming-constants-positive" in r.stderr
+    assert not (workdir / "blocked" / "q_recovered.csv").exists()
 
 
 @pytest.mark.parametrize("index", [3, 0, 10])

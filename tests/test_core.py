@@ -296,25 +296,29 @@ def _csv(xs, header="x,value", value="1.0"):
 
 
 _X9 = np.linspace(0.0, PI, 9)
-# potential CSVs that the reader refuses: each names one way a grid can be
-# malformed (out of order, uneven, too short, not spanning [0, pi],
-# mislabelled, not numeric)
+_UNEVEN = "trapezoid nodes must be strictly increasing and uniformly spaced"
+# potential CSVs that the reader refuses, with what its error names: each
+# names one way a grid can be malformed (out of order, uneven, too short,
+# not spanning [0, pi], mislabelled, not numeric, not two columns)
 MALFORMED_CSV = {
-    "decreasing": _csv(np.concatenate([_X9[:3], _X9[4:2:-1], _X9[5:]])),
-    "non-uniform": _csv(PI * np.linspace(0.0, 1.0, 9) ** 2),
-    "five-nodes": _csv(np.linspace(0.0, PI, 5)),
-    "span-0-3": _csv(np.linspace(0.0, 3.0, 9)),
-    "span-0.5-0.69": _csv(0.5 + 0.01 * np.arange(20)),
-    "wrong-header": _csv(_X9, header="t,q"),
-    "text-values": _csv(_X9, value="abc"),
+    "decreasing": (_csv(np.concatenate([_X9[:3], _X9[4:2:-1], _X9[5:]])), _UNEVEN),
+    "non-uniform": (_csv(PI * np.linspace(0.0, 1.0, 9) ** 2), _UNEVEN),
+    "five-nodes": (_csv(np.linspace(0.0, PI, 5)), "CSV grid needs at least 8 nodes, got 5"),
+    "span-0-3": (_csv(np.linspace(0.0, 3.0, 9)), r"CSV grid must span \[0, pi\], got 9 nodes from 0.0 to 3.0"),
+    "span-0.5-0.69": (_csv(0.5 + 0.01 * np.arange(20)),
+                      r"CSV grid must span \[0, pi\], got 20 nodes from 0.5 to 0.69"),
+    "wrong-header": (_csv(_X9, header="t,q"), "expected header 'x,value'"),
+    "text-values": (_csv(_X9, value="abc"), "malformed CSV"),
+    "three-columns": (_csv(_X9, value="1.0,2.0"), "expected two columns"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
 def test_malformed_potential_csv_is_refused(case, tmp_path):
+    text, match = MALFORMED_CSV[case]
     path = tmp_path / "bad.csv"
-    path.write_text(MALFORMED_CSV[case])
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
         read_potential_csv(path)
 
 
@@ -379,6 +383,8 @@ MALFORMED_JSON = {
     "string-a": (_json_with(a=[1.0] * 5 + ["1.0"] * 7),
                  "field 'a' is malformed: entry 5 must be a number, got '1.0'"),
     "string-c_fit": (_json_with(c_fit="0.1"), "field 'c_fit' is malformed: must be a number, got '0.1'"),
+    "no-mu": (json.dumps({k: v for k, v in json.loads(_GOOD_JSON).items() if k != "mu"}),
+              "missing field 'mu'"),
 }
 
 

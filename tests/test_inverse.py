@@ -308,8 +308,9 @@ def test_h_of_shifted_data_is_the_pipelines():
 
 
 def test_h_refuses_to_drop_data():
-    # a truncation shorter than the data would silently ignore the pairs past it
-    with pytest.raises(ConfigError):
+    # a truncation shorter than the data would silently ignore the pairs past it;
+    # refused before a delta sequence is built or a tail fitted
+    with pytest.raises(ConfigError, match="n_terms=20 is below the data count 40"):
         build_H(example6_data(40), PI / 2, 20)
 
 
@@ -612,11 +613,12 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
     result.field.F(1.0, 0.5)
     result.field.F(2.0, 0.5)
     assert splines.count(H_GRID_SIZE) == 1
-    # a sequence longer than validate needs gives validate's own report
+    # a sequence longer than validate needs gives validate's own report, and
+    # validate's own reaches n = count - 1, the last index its tail fit reads
     deltas.clear()
     long = real_delta(data.beta, 2000)
     assert validate(data, data.beta, delta=long) == validate(data, data.beta)
-    assert deltas == [42]
+    assert deltas == [39]
 
 
 def test_non_finite_kernel_value_is_refused(monkeypatch):
@@ -746,6 +748,23 @@ def test_non_positive_data_refused_under_force(index, x):
         warnings.simplefilter("error")
         with pytest.raises(AdmissibilityError, match=rf"not positive definite at x={x}"):
             inverse_pipeline(SpectralData(data.beta, data.mu, a), force=True)
+
+
+@pytest.mark.parametrize("defect, failed", [("negative-a2", "norming-constants-positive"),
+                                            ("swapped-mu", "eigenvalues-strictly-increasing")])
+def test_pipeline_refuses_hard_failures_before_the_kernel(defect, failed, monkeypatch):
+    # without force the pipeline stops at validate, naming exactly the
+    # failed checks, and builds no kernel
+    import invspec.roundtrip as roundtrip
+    data = example6_data(20)
+    mu, a = data.mu.copy(), data.norming.copy()
+    if defect == "negative-a2":
+        a[2] = -0.5
+    else:
+        mu[[9, 10]] = mu[[10, 9]]
+    monkeypatch.setattr(roundtrip, "build_H", lambda *args, **kw: pytest.fail("kernel built"))
+    with pytest.raises(AdmissibilityError, match=rf"^inadmissible spectral data: {failed}$"):
+        inverse_pipeline(SpectralData(data.beta, mu, a))
 
 
 def test_negative_lapack_info_names_the_routine():

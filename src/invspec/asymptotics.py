@@ -256,8 +256,9 @@ def t_beta_closed_form(beta: BoundaryAngle | float, x: float) -> float:
     """Accelerated value of sum_{n>=2} sin((n+delta_n)x)/(n+delta_n).
 
     Splits off the half-integer part and its first cot(beta) correction in
-    closed form; the remaining terms decay like 1/n^3 and are summed until
-    three consecutive terms drop below 1e-14*(|sum|+1).
+    closed form; the remaining terms decay like 1/n^3 and are summed chunk by
+    chunk, up to the first chunk in which every term is below
+    1e-14*(|sum|+1).
     """
     beta = as_angle(beta)
     if not (0.0 < x < 2.0 * PI):
@@ -265,7 +266,6 @@ def t_beta_closed_form(beta: BoundaryAngle | float, x: float) -> float:
     total = float(sin_halfint_closed(x)) + (x * beta.cot / PI) * float(cos_halfint_closed(x))
     # residual series with O(1/n^3) terms
     tail = 0.0
-    below = 0
     for n0 in range(DELTA_MIN_N, SERIES_MAX_TERMS, SERIES_CHUNK):
         ns = np.arange(n0, min(n0 + SERIES_CHUNK, SERIES_MAX_TERMS), dtype=float)
         dl = _solve_delta_array(beta, ns)
@@ -275,20 +275,9 @@ def t_beta_closed_form(beta: BoundaryAngle | float, x: float) -> float:
                  - np.sin(half * x) / half
                  - (x * beta.cot / PI) * np.cos(half * x) / (half * half))
         tail += float(terms.sum())
-        thresh = 1e-14 * (abs(total + tail) + 1.0)
-        small = np.abs(terms) < thresh
-        # count trailing consecutive small terms across chunk boundaries
-        below = _trailing_true(small, carry=below)
-        if below >= 3:
+        if np.all(np.abs(terms) < 1e-14 * (abs(total + tail) + 1.0)):
             break
     return total + tail
-
-
-def _trailing_true(mask: np.ndarray, carry: int) -> int:
-    if mask.all():
-        return carry + mask.size
-    last_false = int(np.flatnonzero(~mask)[-1])
-    return mask.size - 1 - last_false
 
 
 # ---------------------------------------------------------------------------

@@ -147,14 +147,14 @@ def _cmd_forward(cfg: Config) -> int:
     q = read_potential_csv(cfg.input_path)
     beta = as_angle(cfg.beta)
     _log(cfg, "forward-start", n_eigen=cfg.n_eigen, beta=beta.beta)
-    t0 = time.time()
+    t0 = time.perf_counter()
     solution = forward_solve(q, beta, cfg.n_eigen)
     data = solution.spectral_data()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     doc = data.to_json_dict()
     _write_json(out / "spectral.json", doc, cfg)
-    _log(cfg, "forward-done", elapsed_s=time.time() - t0, path=str(out / "spectral.json"))
+    _log(cfg, "forward-done", elapsed_s=time.perf_counter() - t0, path=str(out / "spectral.json"))
     print(f"wrote {out / 'spectral.json'} ({cfg.n_eigen} eigenvalues)")
     return EXIT_OK
 
@@ -175,7 +175,7 @@ def _cmd_validate(cfg: Config) -> int:
 def _cmd_inverse(cfg: Config) -> int:
     data = SpectralData.from_json(read_text(cfg.input_path))
     _log(cfg, "inverse-start", count=data.count, beta=data.beta)
-    t0 = time.time()
+    t0 = time.perf_counter()
     inv = inverse_pipeline(data, x_nodes=cfg.x_nodes, force=cfg.force)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +194,7 @@ def _cmd_inverse(cfg: Config) -> int:
         "validation": inv.validation,
     }
     _write_json(out / "report.json", report, cfg)
-    _log(cfg, "inverse-done", elapsed_s=time.time() - t0)
+    _log(cfg, "inverse-done", elapsed_s=time.perf_counter() - t0)
     print(f"wrote {out / 'q_recovered.csv'} and {out / 'report.json'} "
           f"(branch: {report['branch']}, angle: {report['beta_tilde']:.6f})")
     return EXIT_OK
@@ -225,7 +225,7 @@ def _cmd_example6(cfg: Config) -> int:
     for ch in report["checks"]:
         mark = "PASS" if ch["pass"] else "FAIL"
         print(f"{mark}  {ch['name']}: error {ch['error']:.3e} (tol {ch['tol']:.0e})")
-    print(f"elapsed: {report['elapsed_s']:.1f} s")
+    print(f"elapsed: {report['elapsed_s']:.3f} s")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "example6.json", report, cfg)

@@ -216,21 +216,18 @@ def _table_nodes(L: int) -> np.ndarray:
 
 
 def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
-    """sum_n w_rn exp(i lam_n t) for the two rows w_0, w_1 of the real matrix
-    w, at every node t_j = 2*pi*j/L (j = 0..L), for real lam_n >= 0: one
-    row out per row in.
+    """sum_n w_rn exp(i lam_n t) for each row w_r of the real matrix w, at
+    every node t_j = 2*pi*j/L (j = 0..L), for real lam_n >= 0: one row out
+    per row in.
 
     Each frequency is lam = m + 1/2 + e with m its nearest bin, |e| <= 1/2,
     so exp(i lam t) = exp(i t/2) sum_k (i e t)^k/k! exp(i m t).  For each
-    Taylor order k the weights w e^k are summed per bin, folded modulo L
-    (exact on the grid, where exp(i m t) has period L in m), row 0 into the
-    real and row 1 into the imaginary part of one complex bin, and one
-    inverse FFT (numpy's, all orders in one call) gives Y_k.  As the rows
-    are real, their sums are (Y_k(j) + conj Y_k(-j))/2 and
-    (Y_k(j) - conj Y_k(-j))/2i: Horner's rule in t combines the orders of
-    Y_k(j) and, with -t, of Y_k(-j), and the rows are split once at the end.
-    Terms binned together cancel before any FFT.  The order K is the least
-    one whose remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
+    Taylor order k and each row the weights w e^k are summed per bin, folded
+    modulo L (exact on the grid, where exp(i m t) has period L in m), and one
+    inverse FFT (numpy's, all orders and rows in one call) gives the sums
+    Y_k over the bins; Horner's rule in t combines the orders.  Terms binned
+    together cancel before any FFT.  The order K is the least one whose
+    remainder bound (2 pi max|e|)^(K+1)/(K+1)! is below 1e-17.
     """
     t = _table_nodes(L)
     m = np.rint(lam - 0.5)
@@ -241,30 +238,20 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
     while bound >= 1e-17:
         K += 1
         bound *= x / (K + 1)
-    Z = np.empty((K + 1, 2, L + 1), dtype=complex)  # Y_k(j) and Y_k(-j) for j = 0..L, j modulo L
-    Y = Z[:, 0, :L]
-    w0, w1 = w
+    Y = np.empty((K + 1, len(w), L + 1), dtype=complex)
     for k in range(K + 1):
-        Y[k].real = np.bincount(bins, w0, minlength=L)
-        Y[k].imag = np.bincount(bins, w1, minlength=L)
-        if k < K:
-            w0, w1 = w0 * e, w1 * e
-    Y[:] = np.fft.ifft(Y, norm="forward")  # the sums over the bins, unscaled
-    Z[:, 0, L] = Z[:, 1, 0] = Y[:, 0]
-    Z[:, 1, 1:] = Y[:, ::-1]
-    Z[1::2, 1] *= -1.0  # (-i t)^k = (-1)^k (i t)^k
+        for r, row in enumerate(w):
+            Y[k, r, :L] = np.bincount(bins, row, minlength=L)
+        w = w * e
+    np.fft.ifft(Y[..., :L], norm="forward", out=Y[..., :L])  # the sums over the bins, unscaled
+    Y[..., L] = Y[..., 0]  # j = L folds onto bin j = 0
     it = 1j * t
-    acc = Z[K]
+    acc = Y[K]
     for k in range(K - 1, -1, -1):
         acc *= it / (k + 1)
-        acc += Z[k]
-    out = np.empty((2, L + 1), dtype=complex)
-    np.conj(acc[1], out=out[1])
-    np.add(acc[0], out[1], out=out[0])
-    np.subtract(acc[0], out[1], out=out[1])
-    out[1] *= -1j
-    out *= 0.5 * np.exp(0.5j * t)
-    return out
+        acc += Y[k]
+    acc *= np.exp(0.5j * t)
+    return acc
 
 
 class HFunction:

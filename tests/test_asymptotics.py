@@ -13,6 +13,7 @@ from invspec.asymptotics import (
     t_beta_closed_form,
     unperturbed_norming,
     unperturbed_spectrum,
+    _brent,
     _solve_delta_array,
 )
 from invspec.core import (
@@ -206,6 +207,21 @@ def test_ground_lambda_matches_brentq_in_no_more_calls(beta, monkeypatch):
     # bound: twice the tolerance both searches stop at, 1e-15 + 1e-15 |root|
     assert abs(lam0 - ref) <= 2.0 * (1e-15 + 1e-15 * abs(ref))
     assert ours <= len(calls)
+
+
+@pytest.mark.parametrize("f, a, b, expect", [
+    (lambda s: s - 0.5, 0.5, 1.0, 0.5),
+    (lambda s: s + 1.0, 0.0, 1.0, "no sign change between 0.0 and 1.0"),
+    (lambda s: -1.0 if s < 0.0 else 1.0, -1e300, 1e300, "did not converge in 100 steps"),
+], ids=["root-at-a", "one-sign", "step"])
+def test_brent_exits(f, a, b, expect):
+    # a root at the first end is returned at once; ends of one sign, and a
+    # jump that bisection cannot reach within 100 steps, are refused
+    if isinstance(expect, str):
+        with pytest.raises(NumericsError, match=expect):
+            _brent(f, a, b, f(a))
+    else:
+        assert _brent(f, a, b, f(a)) == expect
 
 
 @pytest.mark.parametrize("n", [-1, 41, [0, -1], np.array([3, 41])], ids=["-1", "n_max+1", "list", "array"])

@@ -296,6 +296,9 @@ def test_example6_command(workdir):
     r = run_cli("example6", "-o", "ex6", cwd=workdir)
     assert r.returncode == 0, r.stderr
     assert r.stdout.count("PASS") == 4
+    elapsed = [line for line in r.stdout.splitlines() if line.startswith("elapsed:")]
+    assert len(elapsed) == 1
+    assert float(elapsed[0].split()[1]) > 0.0
     doc = json.loads((workdir / "ex6" / "example6.json").read_text())
     assert doc["all_pass"]
 

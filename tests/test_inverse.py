@@ -218,17 +218,18 @@ def test_h_partial_halfint_fft_matches_loop():
 
 
 def test_halfint_expsum_matches_direct_sums_off_the_bins():
-    # frequencies off the half-integer bins need Taylor orders past 0; both
-    # rows of the packed transform against the direct sums of w exp(i lam t)
+    # frequencies off the half-integer bins need Taylor orders past 0; each
+    # row of one, two and three against the direct sums of w exp(i lam t)
     om = np.concatenate([delta_sequence(1.0, 600).lam[2:], np.sqrt(np.arange(3, 600) ** 2 + 0.3)])
     w = np.random.default_rng(3).normal(size=om.size) / (om * om)
-    rows = np.stack([w, w * om])
-    for L in (256, 512):
-        direct = np.exp(1j * np.outer(_table_nodes(L), om)) @ rows.T
-        sums = _halfint_expsum(om, rows, L)
-        for r in (0, 1):
-            # bound: 1e-13 of sum |w_r|
-            assert np.max(np.abs(sums[r] - direct[:, r])) <= 1e-13 * np.abs(rows[r]).sum()
+    for rows in (w[None, :], np.stack([w, w * om]), np.stack([w, w * om, w / om])):
+        for L in (256, 512):
+            direct = np.exp(1j * np.outer(_table_nodes(L), om)) @ rows.T
+            sums = _halfint_expsum(om, rows, L)
+            assert sums.shape == (len(rows), L + 1)
+            for r in range(len(rows)):
+                # bound: 1e-13 of sum |w_r|
+                assert np.max(np.abs(sums[r] - direct[:, r])) <= 1e-13 * np.abs(rows[r]).sum()
 
 
 def test_h_branches_detected():

@@ -21,9 +21,9 @@ matrix.  One Cholesky factor L of I + h F per grid gives the whole diagonal
 from its pivots, the discrete form of q = -2 (log det(I + F_x))'' (Dyson,
 Commun. Math. Phys. 47, 1976), and the refusal of data that are not
 positive; its inverse L^(-1), taken once per grid (trtri), gives every row in
-O(M^2) with no solve, the condition number, and the x-derivative of a row by
-two triangular products.  The factor and its inverse overwrite I + h F where
-it lies, so a grid keeps only F, L^(-1) and its rows.
+O(M^2) with no solve, and the condition number.  The factor, its inverse and
+G^(-1) overwrite I + h F where it lies, so a grid keeps one matrix, its rows,
+from which L^(-1) is read back for the x-derivative of a row.
 The solutions phi are rebuilt at all nodes by one matrix product with the
 rows' quadrature weights.
 
@@ -342,85 +342,91 @@ def build_H(data: SpectralData, beta: BoundaryAngle | float,
 
 @dataclass(frozen=True)
 class TrapezoidSystem:
-    """The main equation on the nodes t_j = j h, h = pi/M: F(t_i, t_j) for
-    i, j = 1..M, the inverse W = L^(-1) of the lower Cholesky factor L of
-    G = I + h F, the rows P(t_k, t_j) for k, j = 0..M (lower triangular, zero
-    in row and column 0), P(t_k, t_k) for k = 0..M from the pivots, the
-    1-norm condition number of G, and the step in the H table per grid step."""
+    """The main equation on the nodes t_j = j h, h = pi/M: its one matrix, the
+    rows P(t_k, t_j), k, j = 0..M (lower triangular, zero in row and column 0),
+    P(t_k, t_k) from the pivots l_k of the Cholesky factor L of G = I + h F,
+    the row scales s_k that give L^(-1) back from the rows (see :func:`_factor`),
+    each row's :func:`_residuals`, the 1-norm condition of G, and the H table step."""
 
     h: float
     stride: int
-    F: np.ndarray
-    inv_factor: np.ndarray
     rows: np.ndarray
     diagonal: np.ndarray
+    pivots: np.ndarray
+    scale: np.ndarray
+    residuals: np.ndarray
     cond: float
 
 
-def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
-    """Assemble G = I + h F from the H table, factor it (LAPACK potrf) and
-    invert the factor (trtri): W = L^(-1), all in place.
+def _grid_F(table: np.ndarray, M: int, stride: int, out: np.ndarray) -> np.ndarray:
+    """F(t_i, t_j), i, j = 1..M, in the C-order buffer ``out``: Toeplitz minus
+    Hankel over 2, both sliding windows of table[::stride] (no index matrix)."""
+    v = table[::stride]
+    toeplitz = sliding_window_view(np.concatenate([v[M - 1:0:-1], v[:M]]), M)[::-1]
+    np.subtract(toeplitz, sliding_window_view(v[2:2 * M + 1], M), out=out)
+    return np.multiply(out, 0.5, out=out)
 
-    With v = table[::stride], F is Toeplitz v[|i-j|] minus Hankel v[i+j]
-    over 2 (i, j = 1..M), both read as sliding windows of v, so no index
-    matrix is built.  G is exactly symmetric, so G.T is the same matrix in
-    Fortran order: potrf factors it where it lies, and trtri inverts that
-    factor where it lies, which leaves F, G's buffer (as L then W) and the
-    rows the only M x M matrices kept.
+
+def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
+    """Assemble G = I + h F in one M x M buffer, factor it (LAPACK potrf),
+    invert the factor (trtri) and form G^(-1) (lauum), all in place, then
+    rebuild F there for the residuals; the rows are the one matrix kept.
+
+    G is exactly symmetric, so G.T is the same matrix in Fortran order.  Each
+    routine runs with lower=1 on G.T, whose lower triangle is the upper one
+    of the C-order buffer: L^T, W^T (W = L^(-1)) and G^(-1) sit there in
+    turn, the rest zero (lower=0 rounds some pivots, so the diagonal,
+    differently).  G's column sums are taken in the rows' block.
 
     Row k's matrix is the leading block G_k minus (h/2) F[:, k] e_k^T, the
     half weight at its own end, and its right-hand side -F[:, k]; by
     Sherman-Morrison its solution is -y/(1 - h y_k/2) with
     y = G_k^(-1) F[:, k].  As F[:, k] = (G_k e_k - e_k)/h and
     G_k^(-1) e_k = W[k, :k]^T / l_k, with l_k the k-th pivot and W's leading
-    block the inverse of L's, y = (e_k - W[k, :k]/l_k)/h: every row at once.
+    block the inverse of L's, y = (e_k - W[k, :k]/l_k)/h: every row at once,
+    W's strict lower triangle times 1/s_k, s_k = -h l_k (h y_k/2 - 1).
     y_k = (1 - 1/l_k^2)/h, so the pivots alone give the diagonal; in the rows
     it is taken as (F_kk - sum_{j<k} L_kj^2/h)/l_k^2, the same number without
     the cancellation of 1 - 1/l_k^2, which costs eps/h.
     A positive info refuses the data: I + F_x is not positive at x = info h.
-    The 1-norm condition number comes from G's column sums, taken before the
-    factor overwrites G, and from G^(-1) = W^T W (lauum; trtri then lauum is
-    potri), whose upper triangle is zero as potrf cleaned L's.  pocon's
-    estimate varies in its last bits with the alignment of its work arrays,
-    so reports of identical runs would differ."""
+    The 1-norm condition number comes from G's column sums and G^(-1) = W^T W
+    (trtri then lauum is potri); pocon's estimate varies in its last bits with
+    the alignment of its work arrays, so identical runs would report differently."""
     h = PI / M
-    v = table[::stride]
-    toeplitz = sliding_window_view(np.concatenate([v[M - 1:0:-1], v[:M]]), M)[::-1]
-    F = np.subtract(toeplitz, sliding_window_view(v[2:2 * M + 1], M), out=np.empty((M, M)))
-    F *= 0.5
-    G = h * F
+    G = _grid_F(table, M, stride, np.empty((M, M)))
+    fkk = np.diagonal(G).copy()
+    G *= h
     G.flat[::M + 1] += 1.0
-    work = np.abs(G)
-    g_norm = work.sum(axis=0).max()
-    factor, info = dpotrf(G.T, lower=1, clean=1, overwrite_a=1)
+    rows = np.zeros((M + 1, M + 1))
+    g_norm = np.abs(G, out=rows[1:, 1:]).sum(axis=0).max()
+    L, info = dpotrf(G.T, lower=1, clean=1, overwrite_a=1)
     _check_info("potrf", info, PI)
     if info > 0:
         raise AdmissibilityError(
             f"data not positive: the Gelfand-Levitan operator I + F_x is not positive "
             f"definite at x={info * h:.4f} (leading minor {info} of the {M}-node trapezoid "
             f"matrix); some norming constant is not positive")
-    pivots = np.diagonal(factor).copy()
+    pivots = np.diagonal(L).copy()
     z = (1.0 - 1.0 / (pivots * pivots)) / h
     diagonal = np.concatenate([[0.0], -z / (1.0 - 0.5 * h * z)])
-    np.fill_diagonal(factor, 0.0)
-    y_k = (np.diagonal(F) - np.einsum("ij,ij->i", factor, factor) / h) / (pivots * pivots)
-    np.fill_diagonal(factor, pivots)
-    W, info = dtrtri(factor, lower=1, overwrite_c=1)
+    np.fill_diagonal(L, 0.0)
+    y_k = (fkk - np.einsum("ij,ij->i", L, L) / h) / (pivots * pivots)
+    np.fill_diagonal(L, pivots)
+    W, info = dtrtri(L, lower=1, overwrite_c=1)
     _check_info("trtri", info, PI)
-    inv, info = dlauum(W, lower=1)
+    scale = -h * pivots * (0.5 * h * y_k - 1.0)
+    np.multiply(W, (1.0 / scale)[:, None], out=rows[1:, 1:])
+    np.fill_diagonal(rows[1:, 1:], y_k / (0.5 * h * y_k - 1.0))
+    inv, info = dlauum(W, lower=1, overwrite_c=1)
     _check_info("lauum", info, PI)
-    inv = np.abs(inv, out=work)  # |G|'s C-order buffer: the condition sums' bits need C order
+    inv = np.abs(inv.T, out=G)  # G^(-1) in the buffer's upper triangle
     cond = g_norm * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
     if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
             f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
-    rows = np.zeros((M + 1, M + 1))
-    y = rows[1:, 1:]  # filled in place: -y/(1 - h y_k/2) is y/(h y_k/2 - 1)
-    np.divide(W, -h * pivots[:, None], out=y)
-    np.fill_diagonal(y, y_k)
-    y /= (0.5 * h * y_k - 1.0)[:, None]
-    return TrapezoidSystem(h, stride, F, W, rows, diagonal, float(cond))
+    residuals = _residuals(h, _grid_F(table, M, stride, G), rows, diagonal)
+    return TrapezoidSystem(h, stride, rows, diagonal, pivots, scale, residuals, float(cond))
 
 
 def _check_info(routine: str, info: int, x: float) -> None:
@@ -429,32 +435,34 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-def _residuals(g: TrapezoidSystem) -> np.ndarray:
+def _residuals(h: float, F: np.ndarray, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """The residual of each row k = 1..M's own equation at t = t_k when
     P(t_k, t_k) is read from the pivots: roundoff for admissible data, so it
-    checks the pivots against the rows.  It reads the rows and F in place."""
-    fkk = np.diagonal(g.F)
-    y = g.rows[1:, 1:]
-    dots = np.einsum("ij,ij->i", y, g.F)
-    return np.abs(g.diagonal[1:] + fkk + g.h * (dots - 0.5 * np.diagonal(y) * fkk))
+    checks the pivots against the rows; :func:`_factor` takes it on F rebuilt in G's spent buffer."""
+    fkk, y = np.diagonal(F), rows[1:, 1:]
+    dots = np.einsum("ij,ij->i", y, F)
+    return np.abs(diagonal[1:] + fkk + h * (dots - 0.5 * np.diagonal(y) * fkk))
 
 
-def _slope_row(g: TrapezoidSystem, k: int, slopes: np.ndarray) -> np.ndarray:
-    """P_x(t_k, t_j) for j = 0..k on one grid, from the H' table ``slopes``.
+def _slope_row(g: TrapezoidSystem, k: int, table: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """P_x(t_k, t_j) for j = 0..k on one grid, from the H and H' tables.
 
     It solves the x-derivative of the row equation,
     P_x + F_x(x, .) + P(x,x) F(x, .) + int P_x F = 0,
     whose matrix is the row's own: P_x = w - (h/2) w_k P with
-    w = G_k^(-1) r = W_k^T (W_k r), r the right-hand side.
-    F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes H'(0) from the right, the limit
-    t -> x-.
+    w = G_k^(-1) r = W_k^T (W_k r), r the right-hand side.  L^(-1)'s leading
+    block is W_k = diag(s) strict(R) + diag(1/l), from the rows R (diagonal
+    d), scales s and pivots l: W_k r = s(R r - d r) + r/l and
+    W_k^T u = R^T(s u) - d s u + u/l.  F(x, .) is read from the H table;
+    F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes H'(0) from the right (t -> x-).
     """
     j = np.arange(1, k + 1) * g.stride
     kk = k * g.stride
-    f = g.F[k - 1, :k]
+    f = 0.5 * (table[kk - j] - table[kk + j])
     r = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[k] * f)
-    W = g.inv_factor[:k, :k]
-    w = W.T @ (W @ r)
+    R, s, l = g.rows[1:k + 1, 1:k + 1], g.scale[:k], g.pivots[:k]
+    Wr = s * (R @ r - np.diagonal(R) * r) + r / l
+    w = R.T @ (s * Wr) - np.diagonal(R) * (s * Wr) + Wr / l
     p_x = np.zeros(k + 1)
     p_x[1:] = w - 0.5 * g.h * w[-1] * g.rows[k, 1:k + 1]
     return p_x
@@ -505,10 +513,12 @@ class KernelField:
     nodes.  Construction factors the trapezoid systems of the grids
     h = pi/M and h/2, read from one H table on ``table_size`` + 1 = 4M + 1
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
-    combined by one Richardson step.  ``weights`` holds, in row k, the
-    :func:`_richardson_weights` of the rows at t_k (zero past t_k), all rows
-    in one call.  The field reads ``H`` through its tables only: one
-    :meth:`HFunction.tables` call gives H and H' here, H' kept for :meth:`dphi`."""
+    combined by one Richardson step.  Each grid is factored in the upper
+    triangle of the buffer that built it, which then holds F for its
+    residuals (:func:`_factor`), and keeps one matrix, its rows; ``weights``,
+    the only other, holds in row k the :func:`_richardson_weights` of the rows
+    at t_k (zero past t_k).  The field reads ``H`` through its tables only:
+    one :meth:`HFunction.tables` call gives H and H', kept for :meth:`dphi`."""
 
     def __init__(self, H: HFunction, x_nodes: int = DEFAULT_X_NODES):
         _check_count("x_nodes", x_nodes, 5)  # a floor of the CLI contract: fewer exit 64
@@ -517,8 +527,8 @@ class KernelField:
         self.x_nodes = self.grid.nodes
         M = x_nodes - 1
         self.table_size = 4 * M
-        table, self._slopes = H.tables(self.table_size)
-        self.grids = (_factor(table, M, 2), _factor(table, 2 * M, 1))
+        self._tables = H.tables(self.table_size)
+        self.grids = (_factor(self._tables[0], M, 2), _factor(self._tables[0], 2 * M, 1))
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
         self.condition_max = max(coarse.cond, fine.cond)
@@ -582,7 +592,7 @@ class KernelField:
         each mu at a grid node x, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.
 
         P_x solves the x-derivative of the row equation on both grids (see
-        :func:`_slope_row`), with the H' table stored by the constructor, and
+        :func:`_slope_row`), with the tables stored by the constructor, and
         one Richardson step combines the two quadratures.
         """
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
@@ -590,8 +600,8 @@ class KernelField:
         if k == 0:
             return np.ones(mus.size)
         coarse, fine = self.grids
-        weights = _richardson_weights(_slope_row(coarse, k, self._slopes),
-                                      _slope_row(fine, 2 * k, self._slopes), coarse.h, 2 * k)
+        weights = _richardson_weights(_slope_row(coarse, k, *self._tables),
+                                      _slope_row(fine, 2 * k, *self._tables), coarse.h, 2 * k)
         xk = self.x_nodes[k]
         return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
                 + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
@@ -658,7 +668,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     completeness defect of the rebuilt solutions for f(x)=x and f(x)=sin(x),
     their Gram matrix against the norming constants, and the largest
     diagonal residual over every row of both grids (roundoff for admissible
-    data: it checks the pivots against the rows).
+    data: it checks the pivots against the rows), taken by each grid's factor.
 
     phi is rebuilt at every grid node.  Each integral splits as
     phi = s + (phi - s): the free solutions s carry the oscillation and
@@ -674,7 +684,7 @@ def consistency_suite(field: KernelField, data: SpectralData) -> dict:
     s = musin(mus[:, None], x)
     xg, wg = gauss_rule(64, 0.0, PI)
     sg = musin(mus[:, None], xg)
-    diag_res = max(float(_residuals(g).max()) for g in field.grids)
+    diag_res = max(float(g.residuals.max()) for g in field.grids)
 
     parseval = {}
     for name, f in (("x", np.asarray), ("sin", np.sin)):

@@ -147,8 +147,9 @@ def test_grid_F_matches_example6_closed_form(x_nodes):
     # the oracle's check reads F through the spline of the table only
     field = solve_kernel_field(build_H(example6_data(40), PI / 2), x_nodes)
     for g in field.grids:
-        t = np.arange(1, g.F.shape[0] + 1) * g.h
-        assert np.max(np.abs(g.F - example6_F(t[:, None], t[None, :]))) < 1e-10
+        F = _F_on(field, g)
+        t = np.arange(1, F.shape[0] + 1) * g.h
+        assert np.max(np.abs(F - example6_F(t[:, None], t[None, :]))) < 1e-10
 
 
 def test_h_identical_data_vanishes():
@@ -424,34 +425,46 @@ def test_solve_gl_domain_checks():
         solve_gl(field, 1.0)
 
 
-def _trapezoid_row_matrix(g, k):
-    """Row k of one grid's trapezoid system, assembled densely: row j,
-    column i is delta_ji + w_i h F(t_i, t_j), with the half weight at i = k."""
+def _F_on(field, g):
+    """F(t_i, t_j), i, j = 1..M, on one grid of the field, from the field's
+    H table by the builder the factorization uses."""
+    M = g.rows.shape[0] - 1
+    return inverse._grid_F(field._tables[0], M, g.stride, np.empty((M, M)))
+
+
+def _trapezoid_row_matrix(g, F, k):
+    """Row k of one grid's trapezoid system, assembled densely from the
+    grid's F: row j, column i is delta_ji + w_i h F(t_i, t_j), with the half
+    weight at i = k."""
     w = np.full(k, g.h)
     w[-1] = g.h / 2.0
-    return np.eye(k) + g.F[:k, :k] * w[None, :]
+    return np.eye(k) + F[:k, :k] * w[None, :]
 
 
 def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
     # the condition number taken from potri's inverse is that of I + h F in the 1-norm
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
-        exact = np.linalg.cond(np.eye(g.F.shape[0]) + g.h * g.F, 1)
+        F = _F_on(field, g)
+        exact = np.linalg.cond(np.eye(F.shape[0]) + g.h * F, 1)
         assert exact / 10.0 <= g.cond <= exact * (1.0 + 1e-12)
     assert field.condition_max == max(g.cond for g in field.grids)
 
 
 def test_condition_is_the_potri_value(fwd_cos_64):
     # the inverse from trtri then lauum is potri's, so the condition number
-    # is the one potri's inverse of the same factor gives, bit for bit
+    # is the one potri's inverse of the same factor gives, bit for bit, its
+    # sums taken on the same layout: the upper triangle of a C-order matrix
     from scipy.linalg.lapack import dpotrf, dpotri
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
-        G = g.h * g.F
+        G = _F_on(field, g)
+        G *= g.h
         G.flat[::G.shape[0] + 1] += 1.0
         factor, info = dpotrf(G, lower=1, clean=1)
         inv, info = dpotri(factor, lower=1)
-        inv = np.abs(np.tril(inv))
+        inv = np.abs(np.triu(inv.T))
+        assert inv.flags.c_contiguous
         cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
         assert g.cond == float(cond)
 
@@ -463,11 +476,12 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
     # combination
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
-        M = g.F.shape[0]
+        F = _F_on(field, g)
+        M = F.shape[0]
         assert not np.any(g.rows[0]) and not np.any(g.rows[:, 0])
         assert not np.any(np.triu(g.rows, 1))
         for k in range(1, M + 1):
-            expected = np.linalg.solve(_trapezoid_row_matrix(g, k), -g.F[:k, k - 1])
+            expected = np.linalg.solve(_trapezoid_row_matrix(g, F, k), -F[:k, k - 1])
             assert np.max(np.abs(g.rows[k, 1:k + 1] - expected)) <= 1e-13 * np.max(np.abs(expected))
     coarse, fine = field.grids
     for k in range(1, field.x_nodes.size):
@@ -478,6 +492,51 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
         if k in (16, 82, 128):
             row = solve_gl(field, field.x_nodes[k])
             assert np.array_equal(row.values, (4.0 * p_f[::2] - p_c) / 3.0)
+
+
+@pytest.mark.parametrize("case", ["cos", "example6-400"])
+def test_slope_rows_read_from_the_rows(case):
+    # P_x on each grid, with L^(-1) read back from the rows, their diagonal,
+    # the row scales and the pivots, is the dense solve of the row's own
+    # trapezoid system with the x-differentiated right-hand side
+    data = _stored_cos() if case == "cos" else example6_data(400)
+    field = solve_kernel_field(build_H(data, data.beta))
+    slopes = field._tables[1]
+    for g in field.grids:
+        F = _F_on(field, g)
+        M = F.shape[0]
+        for k in (1, 2, M // 2, M):
+            j = np.arange(1, k + 1) * g.stride
+            kk = k * g.stride
+            rhs = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[k] * F[k - 1, :k])
+            expected = np.linalg.solve(_trapezoid_row_matrix(g, F, k), rhs)
+            p_x = inverse._slope_row(g, k, *field._tables)
+            assert p_x[0] == 0.0
+            assert np.max(np.abs(p_x[1:] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory a view reads."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("x_nodes", [65, 129])
+def test_field_keeps_one_matrix_per_grid(x_nodes):
+    # each grid keeps its rows and vectors of at most M + 1 entries (no view
+    # of a spent M x M buffer), and the field no dense matrix but the rows
+    # and its weights
+    field = solve_kernel_field(build_H(example6_data(40), PI / 2), x_nodes)
+    for g in field.grids:
+        M = g.rows.shape[0] - 1
+        big = [name for name, v in vars(g).items()
+               if isinstance(v, np.ndarray) and _owner(v).size > M + 1]
+        assert big == ["rows"]
+    held = [(name, v) for name, value in vars(field).items()
+            for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, np.ndarray)]
+    assert held
+    assert [name for name, v in held if _owner(v).ndim > 1] == ["weights"]
 
 
 def _nystrom_interpolant(row, F, t):
@@ -678,31 +737,36 @@ def test_kernel_field_boundary_column(ex6_inverse):
 
 def test_diagonal_identity_residual(ex6_inverse):
     # every row of both grids satisfies its own equation at t = x with
-    # P(x, x) read from the pivots
+    # P(x, x) read from the pivots; each grid takes the residuals when it is
+    # factored, bit for bit those of its rows against F built afresh
     field = ex6_inverse.field
-    res = [inverse._residuals(g) for g in field.grids]
-    assert [r.size for r in res] == [g.F.shape[0] for g in field.grids]
-    assert max(float(r.max()) for r in res) < 1e-6
+    for g in field.grids:
+        expected = inverse._residuals(g.h, _F_on(field, g), g.rows, g.diagonal)
+        assert g.residuals.tobytes() == expected.tobytes()
+        assert g.residuals.size == g.rows.shape[0] - 1
+    assert max(float(g.residuals.max()) for g in field.grids) < 1e-6
 
 
 @pytest.mark.parametrize("case", ["cos", "example6-400"])
 def test_factor_assembles_F_from_windows_of_the_table(case):
     # F, read as sliding windows of the H table, is the fancy-index build
-    # 0.5 * (table[|i-j| s] - table[(i+j) s]) bit for bit on both grids, and
-    # factoring in place leaves the read-only table as it found it
+    # 0.5 * (table[|i-j| s] - table[(i+j) s]) bit for bit on both grids; a
+    # second factorization of the same table repeats the grid byte for byte,
+    # and factoring in place leaves the read-only table as it found it
     data = _stored_cos() if case == "cos" else example6_data(400)
     H = build_H(data, data.beta)
     field = solve_kernel_field(H)
     table = H.tables(field.table_size)[0]
     before = table.copy()
     for g in field.grids:
-        M = g.F.shape[0]
+        M = g.rows.shape[0] - 1
         i = np.arange(1, M + 1) * g.stride
         expected = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
-        assert g.F.tobytes() == expected.tobytes()
+        assert inverse._grid_F(table, M, g.stride, np.empty((M, M))).tobytes() == expected.tobytes()
         again = inverse._factor(table, M, g.stride)
-        assert again.F.tobytes() == expected.tobytes()
-        assert again.inv_factor.tobytes() == g.inv_factor.tobytes()
+        for name in ("rows", "diagonal", "residuals"):
+            assert getattr(again, name).tobytes() == getattr(g, name).tobytes()
+        assert again.cond == g.cond
     assert not table.flags.writeable
     assert table.tobytes() == before.tobytes()
 

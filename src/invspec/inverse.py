@@ -22,21 +22,22 @@ from its pivots, the discrete form of q = -2 (log det(I + F_x))'' (Dyson,
 Commun. Math. Phys. 47, 1976), and the refusal of data that are not
 positive; its inverse L^(-1), taken once per grid (trtri), gives every row in
 O(M^2) with no solve, and the condition number.  The factor, its inverse and
-G^(-1) overwrite I + h F where it lies, so a grid keeps one matrix, its rows,
-from which L^(-1) is read back for the x-derivative of a row.
-The solutions phi are rebuilt at all nodes by one matrix product with the
-rows' quadrature weights.
+G^(-1) overwrite I + h F where it lies, each in the lower triangle of the
+C-order buffer with contiguous rows, so a grid builds F once and keeps one
+matrix, its rows, from which L^(-1) is read back for the x-derivative of a
+row.  The solutions phi are rebuilt at all nodes by one matrix product with
+the rows' quadrature weights.
 
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
-inverts those and adds c back.  The H kernel fits its own tail (kappa and
-the norming coefficient gamma, by :func:`~invspec.asymptotics.fit_tail`)
-from the drift-free data it is given; validate's kappa is reported for
-diagnosis only.  H is tabulated on a uniform grid of [0, 2*pi]: the modes
-mu < 1 directly, every other term, the tail model's partial sum among
-them, in one FFT sum (see :class:`HFunction`), and the model's whole
-series in closed form; H' comes from the same pass.  phi and phi' share
-one Richardson rule.
+inverts those and adds c back.  The pipeline fits the tail once
+(:func:`~invspec.asymptotics.fit_tail`): validate reads the whole fit, and
+the H kernel its kappa and gamma, which are those of the drift-free data; a
+kernel built on its own fits the data it is given.  H is tabulated on a
+uniform grid of [0, 2*pi]: the modes mu < 1 directly, every other term, the
+tail model's partial sum among them, in one FFT sum (see
+:class:`HFunction`), and the model's whole series in closed form; H' comes
+from the same pass.  phi and phi' share one Richardson rule.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ _GREGORY_END = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
 
 
 def validate(data: SpectralData, beta: BoundaryAngle | float, *,
-             delta: DeltaSequence | None = None) -> dict:
+             delta: DeltaSequence | None = None, tail: TailFit | None = None) -> dict:
     """Admissibility report for (mu_n, a_n) against the given angle.
 
     Hard failures (block the inverse solve unless forced): non-monotone or
@@ -97,12 +98,15 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     remainder sequences only warn, since a finite prefix cannot prove a limit.
     At least 12 pairs are needed.
 
-    The report is read off one :func:`~invspec.asymptotics.fit_tail`:
-    ``c_fit`` and ``kappa`` are its drift constant and third-order
-    coefficient (None when the fit is skipped), and the last four checks read
-    its ``l_n``, ``s_n`` and ``spread``.  The inverse reads ``c_fit`` only;
-    ``kappa`` is for diagnosis, as the H kernel fits its own tail.  A given
-    ``delta`` is used when it reaches n = count - 1, the last index the fit reads.
+    The report is read off one :func:`~invspec.asymptotics.fit_tail`, the
+    given ``tail`` (which must be the fit of ``data`` against a delta
+    sequence reaching n = count - 1) or else its own: ``c_fit``, ``kappa``,
+    ``gamma`` and ``spread`` are its drift constant, third-order and norming
+    coefficients and refit spread (None when the fit is skipped), and the
+    last four checks read its ``l_n``, ``s_n`` and ``spread``.  The inverse
+    pipeline shifts the data by ``c_fit``, and its H kernel reads ``kappa``
+    and ``gamma`` from the same fit.  A given ``delta`` is used when it
+    reaches n = count - 1, the last index the fit reads.
     """
     beta = as_angle(beta)
     if data.count < 12:
@@ -117,18 +121,19 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
         _check("norming-constants-positive", pos,
                "" if pos else f"min a_n = {float(data.norming.min()):.3e}", "fail"),
     ]
-    c = kappa = None
+    c = kappa = gamma = spread = None
     if mono and pos:
-        tail = fit_tail(data, delta)
-        c, kappa = tail.c, tail.kappa
+        if tail is None:
+            tail = fit_tail(data, delta)
+        c, kappa, gamma, spread = tail.c, tail.kappa, tail.gamma, tail.spread
         tail_gap = float(np.max(np.abs(tail.l_n[(3 * data.count) // 4 - 2:])))  # l_n starts at n = 2
         checks += [
             _check("tail-tracks-unperturbed-order", tail_gap < 0.25,
                    f"max |sqrt(mu_n - c) - (n+delta_n)| = {tail_gap:.3f} over the final quarter",
                    "fail"),
-            _check("drift-constant-fit-cauchy", tail.spread <= 0.1 * (1.0 + abs(c)),
+            _check("drift-constant-fit-cauchy", spread <= 0.1 * (1.0 + abs(c)),
                    f"c = {c:.6g} (fitted from the tail; the source data carries no "
-                   f"explicit constant), refit spread = {tail.spread:.3g}", "warn"),
+                   f"explicit constant), refit spread = {spread:.3g}", "warn"),
             _trend_check("eigenvalue-remainder-trend", np.abs(np.arange(2, data.count) * tail.l_n)),
             _trend_check("norming-remainder-trend", np.abs(tail.s_n)),
         ]
@@ -141,6 +146,8 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
             "warn" if any(ch["status"] == "warn" for ch in checks) else "pass"),
         "c_fit": c,
         "kappa": kappa,
+        "gamma": gamma,
+        "spread": spread,
         "count": data.count,
         "beta": beta.beta,
     }
@@ -257,10 +264,12 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
 class HFunction:
     """The spectral difference kernel H on [0, 2*pi], for drift-free data.
 
-    The kernel fits its own tail: ``tail`` is the
-    :func:`~invspec.asymptotics.fit_tail` of the data it is given, whose
-    ``kappa`` and ``gamma`` continue the data past their count (see
-    :func:`_extend_data`).
+    ``tail`` is the given :func:`~invspec.asymptotics.fit_tail`, or else the
+    fit of the data given; its ``kappa`` and ``gamma``, its only fields read,
+    continue the data past their count (see :func:`_extend_data`).  The
+    pipeline gives the fit of its data before the shift by their drift
+    constant c, whose ``kappa`` and ``gamma`` are already taken on the data
+    shifted by c.
     :meth:`tables` gives H and H' on a uniform table; the tail past n_terms
     converges absolutely, so H is continuous up to t = 2*pi.  Construction
     sums no table and splits the terms once: pairs with mu < 1 on either side
@@ -272,7 +281,8 @@ class HFunction:
     """
 
     def __init__(self, data: SpectralData, beta: BoundaryAngle | float,
-                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None):
+                 n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
+                 tail: TailFit | None = None):
         beta = as_angle(beta)
         _check_count("n_terms", n_terms, 8)
         if n_terms < data.count:
@@ -284,7 +294,7 @@ class HFunction:
 
         base = unperturbed_spectrum(beta, n_terms, delta)
         self.mu_b, self.a_b = base.mu, base.norming
-        self.tail = fit_tail(data, delta)
+        self.tail = fit_tail(data, delta) if tail is None else tail
         self.mu_d, self.a_d = _extend_data(data, delta, n_terms, self.mu_b, self.a_b, self.tail)
 
         zero_d = np.abs(self.mu_d[:data.count]) < ZERO_MU_TOL
@@ -327,12 +337,14 @@ class HFunction:
 
 
 def build_H(data: SpectralData, beta: BoundaryAngle | float,
-            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None) -> HFunction:
+            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
+            tail: TailFit | None = None) -> HFunction:
     """Construct the H kernel (see :class:`HFunction`) for drift-free data,
     such as the pipeline's data shifted by their fitted drift constant; any
-    ``c_fit`` the data carry is not read.  The kernel fits its own tail from
-    those data, so the pipeline's H is this function's on the same pairs."""
-    return HFunction(data, beta, n_terms, delta=delta)
+    ``c_fit`` the data carry is not read.  Without a ``tail`` the kernel fits
+    its own from those data; the pipeline's H is this function's on the
+    same pairs with the pipeline's fit of the unshifted data."""
+    return HFunction(data, beta, n_terms, delta=delta, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,8 @@ class TrapezoidSystem:
     rows P(t_k, t_j), k, j = 0..M (lower triangular, zero in row and column 0),
     P(t_k, t_k) from the pivots l_k of the Cholesky factor L of G = I + h F,
     the row scales s_k that give L^(-1) back from the rows (see :func:`_factor`),
-    each row's :func:`_residuals`, the 1-norm condition of G, and the H table step."""
+    each row's :func:`_residuals`, taken against the H table's windows, the
+    1-norm condition of G, and the H table step."""
 
     h: float
     stride: int
@@ -358,25 +371,31 @@ class TrapezoidSystem:
     cond: float
 
 
+def _windows(table: np.ndarray, M: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """H(|t_i - t_j|) and H(t_i + t_j), i, j = 1..M: the Toeplitz and Hankel
+    sliding windows of table[::stride] (no index matrix)."""
+    v = table[::stride]
+    return (sliding_window_view(np.concatenate([v[M - 1:0:-1], v[:M]]), M)[::-1],
+            sliding_window_view(v[2:2 * M + 1], M))
+
+
 def _grid_F(table: np.ndarray, M: int, stride: int, out: np.ndarray) -> np.ndarray:
     """F(t_i, t_j), i, j = 1..M, in the C-order buffer ``out``: Toeplitz minus
-    Hankel over 2, both sliding windows of table[::stride] (no index matrix)."""
-    v = table[::stride]
-    toeplitz = sliding_window_view(np.concatenate([v[M - 1:0:-1], v[:M]]), M)[::-1]
-    np.subtract(toeplitz, sliding_window_view(v[2:2 * M + 1], M), out=out)
+    Hankel over 2, from the :func:`_windows` of the table."""
+    np.subtract(*_windows(table, M, stride), out=out)
     return np.multiply(out, 0.5, out=out)
 
 
 def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     """Assemble G = I + h F in one M x M buffer, factor it (LAPACK potrf),
-    invert the factor (trtri) and form G^(-1) (lauum), all in place, then
-    rebuild F there for the residuals; the rows are the one matrix kept.
+    invert the factor (trtri) and form G^(-1) (lauum), all in place; the rows
+    are the one matrix kept, and F is built this once.
 
     G is exactly symmetric, so G.T is the same matrix in Fortran order.  Each
-    routine runs with lower=1 on G.T, whose lower triangle is the upper one
-    of the C-order buffer: L^T, W^T (W = L^(-1)) and G^(-1) sit there in
-    turn, the rest zero (lower=0 rounds some pivots, so the diagonal,
-    differently).  G's column sums are taken in the rows' block.
+    routine runs with lower=0 on G.T, whose upper triangle is the lower one
+    of the C-order buffer: L = U^T, W = L^(-1) and G^(-1) sit there in turn,
+    with contiguous rows, the rest zero.  G's column sums are taken in the
+    rows' block.
 
     Row k's matrix is the leading block G_k minus (h/2) F[:, k] e_k^T, the
     half weight at its own end, and its right-hand side -F[:, k]; by
@@ -399,33 +418,33 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     G.flat[::M + 1] += 1.0
     rows = np.zeros((M + 1, M + 1))
     g_norm = np.abs(G, out=rows[1:, 1:]).sum(axis=0).max()
-    L, info = dpotrf(G.T, lower=1, clean=1, overwrite_a=1)
+    _, info = dpotrf(G.T, lower=0, clean=1, overwrite_a=1)
     _check_info("potrf", info, PI)
     if info > 0:
         raise AdmissibilityError(
             f"data not positive: the Gelfand-Levitan operator I + F_x is not positive "
             f"definite at x={info * h:.4f} (leading minor {info} of the {M}-node trapezoid "
             f"matrix); some norming constant is not positive")
-    pivots = np.diagonal(L).copy()
+    pivots = np.diagonal(G).copy()
     z = (1.0 - 1.0 / (pivots * pivots)) / h
     diagonal = np.concatenate([[0.0], -z / (1.0 - 0.5 * h * z)])
-    np.fill_diagonal(L, 0.0)
-    y_k = (fkk - np.einsum("ij,ij->i", L, L) / h) / (pivots * pivots)
-    np.fill_diagonal(L, pivots)
-    W, info = dtrtri(L, lower=1, overwrite_c=1)
+    np.fill_diagonal(G, 0.0)
+    y_k = (fkk - np.einsum("ij,ij->i", G, G) / h) / (pivots * pivots)
+    np.fill_diagonal(G, pivots)
+    _, info = dtrtri(G.T, lower=0, overwrite_c=1)
     _check_info("trtri", info, PI)
     scale = -h * pivots * (0.5 * h * y_k - 1.0)
-    np.multiply(W, (1.0 / scale)[:, None], out=rows[1:, 1:])
+    np.multiply(G, (1.0 / scale)[:, None], out=rows[1:, 1:])
     np.fill_diagonal(rows[1:, 1:], y_k / (0.5 * h * y_k - 1.0))
-    inv, info = dlauum(W, lower=1, overwrite_c=1)
+    _, info = dlauum(G.T, lower=0, overwrite_c=1)
     _check_info("lauum", info, PI)
-    inv = np.abs(inv.T, out=G)  # G^(-1) in the buffer's upper triangle
+    inv = np.abs(G, out=G)  # G^(-1) in the buffer's lower triangle
     cond = g_norm * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
     if not cond <= CONDITION_LIMIT:
         raise AdmissibilityError(
             f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
-    residuals = _residuals(h, _grid_F(table, M, stride, G), rows, diagonal)
+    residuals = _residuals(h, table, stride, rows, diagonal)
     return TrapezoidSystem(h, stride, rows, diagonal, pivots, scale, residuals, float(cond))
 
 
@@ -435,12 +454,17 @@ def _check_info(routine: str, info: int, x: float) -> None:
         raise NumericsError(f"{routine}: illegal value in argument {-info} at x={x:.4f}")
 
 
-def _residuals(h: float, F: np.ndarray, rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+def _residuals(h: float, table: np.ndarray, stride: int, rows: np.ndarray,
+               diagonal: np.ndarray) -> np.ndarray:
     """The residual of each row k = 1..M's own equation at t = t_k when
     P(t_k, t_k) is read from the pivots: roundoff for admissible data, so it
-    checks the pivots against the rows; :func:`_factor` takes it on F rebuilt in G's spent buffer."""
-    fkk, y = np.diagonal(F), rows[1:, 1:]
-    dots = np.einsum("ij,ij->i", y, F)
+    checks the pivots against the rows.  F is not built: each row's dot with
+    F is half the difference of its dots with the two :func:`_windows` of the
+    H table, and F's diagonal is read from them."""
+    y = rows[1:, 1:]
+    toeplitz, hankel = _windows(table, y.shape[0], stride)
+    fkk = 0.5 * (np.diagonal(toeplitz) - np.diagonal(hankel))
+    dots = 0.5 * (np.einsum("ij,ij->i", y, toeplitz) - np.einsum("ij,ij->i", y, hankel))
     return np.abs(diagonal[1:] + fkk + h * (dots - 0.5 * np.diagonal(y) * fkk))
 
 
@@ -513,9 +537,9 @@ class KernelField:
     nodes.  Construction factors the trapezoid systems of the grids
     h = pi/M and h/2, read from one H table on ``table_size`` + 1 = 4M + 1
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
-    combined by one Richardson step.  Each grid is factored in the upper
-    triangle of the buffer that built it, which then holds F for its
-    residuals (:func:`_factor`), and keeps one matrix, its rows; ``weights``,
+    combined by one Richardson step.  Each grid is factored in the lower
+    triangle of the buffer that built it, takes its residuals against the H
+    table (:func:`_factor`), and keeps one matrix, its rows; ``weights``,
     the only other, holds in row k the :func:`_richardson_weights` of the rows
     at t_k (zero past t_k).  The field reads ``H`` through its tables only:
     one :meth:`HFunction.tables` call gives H and H', kept for :meth:`dphi`."""

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .asymptotics import delta_sequence, shift_spectrum
+from .asymptotics import delta_sequence, fit_tail, shift_spectrum
 from .core import (
     PI,
     BoundaryAngle,
@@ -52,10 +52,11 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
     uniform grid of ``x_nodes`` nodes (at least 5); ``force`` proceeds past
     validate's hard failures, though data that are not positive are still refused.
 
-    The one place that knows the drift constant c: validate fits it, the
-    kernel layer inverts the drift-free data (mu_n - c, a_n) of q - c, and c
-    is added back to the recovered q.  The H build fits its own tail from
-    those shifted data; validate's ``kappa`` is not read.  A constant shift
+    The one place that knows the drift constant c: the tail is fitted once,
+    validate reads that fit and reports its c, the kernel layer inverts the
+    drift-free data (mu_n - c, a_n) of q - c, and c is added back to the
+    recovered q.  The H build reads the same fit's kappa and gamma, which
+    are taken on the shifted data, and fits no tail of its own.  A constant shift
     of q leaves phi, the norming constants and the recovered angle
     unchanged.  The result's ``data`` are the caller's pairs, with c as
     their ``c_fit``.
@@ -63,16 +64,17 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
     The H series carries DEFAULT_N_TERMS explicit terms, or the data count
     when that is larger, so every pair is used: from 500 terms on, the
     recovered q agrees to four digits whatever the count.  One delta
-    sequence serves validate and the H build."""
+    sequence serves the fit, validate and the H build."""
     n_terms = max(DEFAULT_N_TERMS, data.count)
     delta = delta_sequence(data.beta, n_terms)
-    report = validate(data, data.beta, delta=delta)
+    tail = fit_tail(data, delta)
+    report = validate(data, data.beta, delta=delta, tail=tail)
     if report["hard_fail"] and not force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
     c = 0.0 if report["c_fit"] is None else report["c_fit"]
     shifted = shift_spectrum(data, c)
-    H = build_H(shifted, data.beta, n_terms, delta=delta)
+    H = build_H(shifted, data.beta, n_terms, delta=delta, tail=tail)
     field = solve_kernel_field(H, x_nodes)
     q_shifted = recover_q(field)
     q_hat = Potential(q_shifted.grid, q_shifted.values + c)

@@ -222,6 +222,10 @@ def test_forward_then_validate_then_inverse(workdir, forward_out, inverse_out):
                 "diagonal_residual_max", "parseval_defect", "gram_offdiag_max",
                 "condition_max", "branch", "c_fit", "config"):
         assert key in rep
+    # validation carries the whole tail fit the kernel read, as plain floats
+    for key in ("c_fit", "kappa", "gamma", "spread"):
+        assert type(rep["validation"][key]) is float
+    assert rep["validation"]["c_fit"] == rep["c_fit"]
     assert rep["branch"] == "regular"
     assert rep["config"]["n_eigen"] is None and rep["config"]["trim"] is None
     assert rep["config"]["x_nodes"] == 129

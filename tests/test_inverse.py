@@ -11,6 +11,7 @@ import invspec.inverse as inverse
 from invspec.asymptotics import (
     cos_halfint_closed,
     delta_sequence,
+    fit_tail,
     shift_spectrum,
     sin_halfint_closed,
     unperturbed_spectrum,
@@ -300,13 +301,42 @@ def test_h_of_five_pairs_fits_no_tail():
 
 
 def test_h_of_shifted_data_is_the_pipelines():
-    # the kernel fits its own tail, so the drift-free data alone give the
-    # pipeline's H, bit for bit
+    # the pipeline's H is build_H of the drift-free data with the pipeline's
+    # one tail fit of the unshifted data, bit for bit
     data = _stored_cos()
     inv = inverse_pipeline(data)
-    H = build_H(shift_spectrum(data, inv.data.c_fit), data.beta, 2000, delta=delta_sequence(data.beta, 2000))
+    delta = delta_sequence(data.beta, 2000)
+    H = build_H(shift_spectrum(data, inv.data.c_fit), data.beta, 2000, delta=delta,
+                tail=fit_tail(data, delta))
     for ours, pipeline in zip(H.tables(512), inv.field.H.tables(512)):
         assert np.array_equal(ours, pipeline)
+
+
+def test_pipeline_fits_the_tail_once(monkeypatch):
+    # validate and the H build read the pipeline's one tail fit, so the
+    # report's kappa and gamma are the kernel's; validate and build_H called
+    # on their own each fit for themselves
+    import invspec.asymptotics as asymptotics
+    import invspec.roundtrip as roundtrip
+    fits = []
+    real = asymptotics.fit_tail
+
+    def counting(data, delta):
+        fits.append(data.count)
+        return real(data, delta)
+
+    for module in (asymptotics, inverse, roundtrip):
+        monkeypatch.setattr(module, "fit_tail", counting)
+    for data in (example6_data(400), _stored_cos()):
+        fits.clear()
+        inv = inverse_pipeline(data)
+        assert fits == [data.count]
+        assert inv.validation["kappa"] == inv.field.H.tail.kappa
+        assert inv.validation["gamma"] == inv.field.H.tail.gamma
+    fits.clear()
+    validate(data, data.beta)
+    build_H(data, data.beta)
+    assert fits == [data.count, data.count]
 
 
 def test_h_refuses_to_drop_data():
@@ -453,17 +483,18 @@ def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
 
 def test_condition_is_the_potri_value(fwd_cos_64):
     # the inverse from trtri then lauum is potri's, so the condition number
-    # is the one potri's inverse of the same factor gives, bit for bit, its
-    # sums taken on the same layout: the upper triangle of a C-order matrix
+    # is the one potri's inverse of the same factor gives, bit for bit, both
+    # with lower=0 on G's Fortran view and the sums taken on the same layout:
+    # the lower triangle of a C-order matrix
     from scipy.linalg.lapack import dpotrf, dpotri
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
         G = _F_on(field, g)
         G *= g.h
         G.flat[::G.shape[0] + 1] += 1.0
-        factor, info = dpotrf(G, lower=1, clean=1)
-        inv, info = dpotri(factor, lower=1)
-        inv = np.abs(np.triu(inv.T))
+        factor, info = dpotrf(G.T, lower=0, clean=1)
+        inv, info = dpotri(factor, lower=0)
+        inv = np.abs(np.tril(inv.T))
         assert inv.flags.c_contiguous
         cond = np.abs(G).sum(axis=0).max() * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
         assert g.cond == float(cond)
@@ -738,13 +769,44 @@ def test_kernel_field_boundary_column(ex6_inverse):
 def test_diagonal_identity_residual(ex6_inverse):
     # every row of both grids satisfies its own equation at t = x with
     # P(x, x) read from the pivots; each grid takes the residuals when it is
-    # factored, bit for bit those of its rows against F built afresh
+    # factored, against the H table's windows, and they are those of its rows
+    # against F built densely, to roundoff
     field = ex6_inverse.field
     for g in field.grids:
-        expected = inverse._residuals(g.h, _F_on(field, g), g.rows, g.diagonal)
-        assert g.residuals.tobytes() == expected.tobytes()
+        F = _F_on(field, g)
+        y, fkk = g.rows[1:, 1:], np.diagonal(F)
+        dense = np.abs(g.diagonal[1:] + fkk + g.h * (np.einsum("ij,ij->i", y, F) - 0.5 * np.diagonal(y) * fkk))
+        assert np.max(np.abs(g.residuals - dense)) <= 1e-12
         assert g.residuals.size == g.rows.shape[0] - 1
     assert max(float(g.residuals.max()) for g in field.grids) < 1e-6
+
+
+def test_factor_builds_F_once_per_grid(monkeypatch):
+    # G is assembled from F once per grid, and the residuals read the H
+    # table's windows with no second F
+    calls = []
+    real = inverse._grid_F
+
+    def counting(table, M, stride, out):
+        calls.append((M, stride))
+        return real(table, M, stride, out)
+
+    monkeypatch.setattr(inverse, "_grid_F", counting)
+    solve_kernel_field(build_H(example6_data(40), PI / 2), 65)
+    assert calls == [(64, 2), (128, 1)]
+
+
+@pytest.mark.parametrize("case", ["cos", "example6-400"])
+@pytest.mark.parametrize("x_nodes", [65, 129])
+def test_rows_are_lower_triangular(case, x_nodes):
+    # each grid's rows, formed from L^(-1) in the buffer's lower triangle, are
+    # zero above the diagonal and in row and column 0 (P(0, .) = P(., 0) = 0)
+    data = _stored_cos() if case == "cos" else example6_data(400)
+    field = solve_kernel_field(build_H(data, data.beta), x_nodes)
+    for g in field.grids:
+        assert not np.any(np.triu(g.rows, 1))
+        assert not np.any(g.rows[0]) and not np.any(g.rows[:, 0])
+        assert np.all(np.diagonal(g.rows)[1:] != 0.0)
 
 
 @pytest.mark.parametrize("case", ["cos", "example6-400"])

@@ -21,12 +21,12 @@ matrix.  One Cholesky factor L of I + h F per grid gives the whole diagonal
 from its pivots, the discrete form of q = -2 (log det(I + F_x))'' (Dyson,
 Commun. Math. Phys. 47, 1976), and the refusal of data that are not
 positive; its inverse L^(-1), taken once per grid (trtri), gives every row in
-O(M^2) with no solve, and the condition number.  The factor, its inverse and
-G^(-1) overwrite I + h F where it lies, each in the lower triangle of the
-C-order buffer with contiguous rows, so a grid builds F once and keeps one
-matrix, its rows, from which L^(-1) is read back for the x-derivative of a
-row.  The solutions phi are rebuilt at all nodes by one matrix product with
-the rows' quadrature weights.
+O(M^2) with no solve, and G^(-1) the condition number and the x-derivative
+of the row at x = pi, whose matrix is the whole of I + h F.  The factor, its
+inverse and G^(-1) overwrite I + h F where it lies, each in the lower
+triangle of the C-order buffer with contiguous rows, so a grid builds F once
+and keeps one matrix, its rows.  The solutions phi are rebuilt at all nodes
+by one matrix product with the rows' quadrature weights.
 
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
@@ -37,7 +37,7 @@ kernel built on its own fits the data it is given.  H is tabulated on a
 uniform grid of [0, 2*pi]: the modes mu < 1 directly, every other term, the
 tail model's partial sum among them, in one FFT sum (see
 :class:`HFunction`), and the model's whole series in closed form; H' comes
-from the same pass.  phi and phi' share one Richardson rule.
+from the same pass.  phi and phi'(pi) share one Richardson rule.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ _GREGORY_END = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
 
 
 def validate(data: SpectralData, beta: BoundaryAngle | float, *,
-             delta: DeltaSequence | None = None, tail: TailFit | None = None) -> dict:
+             tail: TailFit | None = None) -> dict:
     """Admissibility report for (mu_n, a_n) against the given angle.
 
     Hard failures (block the inverse solve unless forced): non-monotone or
@@ -100,19 +100,17 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
 
     The report is read off one :func:`~invspec.asymptotics.fit_tail`, the
     given ``tail`` (which must be the fit of ``data`` against a delta
-    sequence reaching n = count - 1) or else its own: ``c_fit``, ``kappa``,
-    ``gamma`` and ``spread`` are its drift constant, third-order and norming
-    coefficients and refit spread (None when the fit is skipped), and the
-    last four checks read its ``l_n``, ``s_n`` and ``spread``.  The inverse
-    pipeline shifts the data by ``c_fit``, and its H kernel reads ``kappa``
-    and ``gamma`` from the same fit.  A given ``delta`` is used when it
-    reaches n = count - 1, the last index the fit reads.
+    sequence reaching n = count - 1) or else its own, against the delta
+    sequence to n = count - 1, the last index the fit reads, built only
+    then: ``c_fit``, ``kappa``, ``gamma`` and ``spread`` are its drift
+    constant, third-order and norming coefficients and refit spread (None
+    when the fit is skipped), and the last four checks read its ``l_n``,
+    ``s_n`` and ``spread``.  The inverse pipeline shifts the data by the
+    same fit's c, and its H kernel reads ``kappa`` and ``gamma`` from it.
     """
     beta = as_angle(beta)
     if data.count < 12:
         raise ConfigError(f"validation needs at least 12 data points, got {data.count}")
-    if delta is None or delta.n_max < data.count - 1:
-        delta = delta_sequence(beta, data.count - 1)
     mono = bool(np.all(np.diff(data.mu) > 0))
     pos = bool(np.all(data.norming > 0))
     checks = [
@@ -124,7 +122,7 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     c = kappa = gamma = spread = None
     if mono and pos:
         if tail is None:
-            tail = fit_tail(data, delta)
+            tail = fit_tail(data, delta_sequence(beta, data.count - 1))
         c, kappa, gamma, spread = tail.c, tail.kappa, tail.gamma, tail.spread
         tail_gap = float(np.max(np.abs(tail.l_n[(3 * data.count) // 4 - 2:])))  # l_n starts at n = 2
         checks += [
@@ -356,17 +354,15 @@ def build_H(data: SpectralData, beta: BoundaryAngle | float,
 class TrapezoidSystem:
     """The main equation on the nodes t_j = j h, h = pi/M: its one matrix, the
     rows P(t_k, t_j), k, j = 0..M (lower triangular, zero in row and column 0),
-    P(t_k, t_k) from the pivots l_k of the Cholesky factor L of G = I + h F,
-    the row scales s_k that give L^(-1) back from the rows (see :func:`_factor`),
-    each row's :func:`_residuals`, taken against the H table's windows, the
-    1-norm condition of G, and the H table step."""
+    P(t_k, t_k) from the pivots of the Cholesky factor of G = I + h F, row
+    M's x-derivative ``slope`` = P_x(pi, t_j), j = 0..M (see :func:`_factor`),
+    each row's :func:`_residuals`, taken against the H table's windows, and
+    the 1-norm condition of G."""
 
     h: float
-    stride: int
     rows: np.ndarray
     diagonal: np.ndarray
-    pivots: np.ndarray
-    scale: np.ndarray
+    slope: np.ndarray
     residuals: np.ndarray
     cond: float
 
@@ -386,10 +382,11 @@ def _grid_F(table: np.ndarray, M: int, stride: int, out: np.ndarray) -> np.ndarr
     return np.multiply(out, 0.5, out=out)
 
 
-def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
-    """Assemble G = I + h F in one M x M buffer, factor it (LAPACK potrf),
-    invert the factor (trtri) and form G^(-1) (lauum), all in place; the rows
-    are the one matrix kept, and F is built this once.
+def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
+    """Assemble G = I + h F from the H table ``table`` read at every
+    ``stride``-th node, in one M x M buffer, factor it (LAPACK potrf), invert
+    the factor (trtri) and form G^(-1) (lauum), all in place; the rows are the
+    one matrix kept, and F is built this once.
 
     G is exactly symmetric, so G.T is the same matrix in Fortran order.  Each
     routine runs with lower=0 on G.T, whose upper triangle is the lower one
@@ -407,6 +404,12 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     y_k = (1 - 1/l_k^2)/h, so the pivots alone give the diagonal; in the rows
     it is taken as (F_kk - sum_{j<k} L_kj^2/h)/l_k^2, the same number without
     the cancellation of 1 - 1/l_k^2, which costs eps/h.
+    The x-derivative of row M's equation at x = pi,
+    P_x + F_x(pi, .) + P(pi, pi) F(pi, .) + int P_x F = 0, has the row's own
+    matrix, so P_x = w - (h/2) w_M P(pi, .) with w = G^(-1) r, r its
+    right-hand side, read from the H and H' (``slopes``) tables; F_x takes
+    H'(0) from the right.  G^(-1) lies in one triangle, so w is its symmetric
+    product with r.
     A positive info refuses the data: I + F_x is not positive at x = info h.
     The 1-norm condition number comes from G's column sums and G^(-1) = W^T W
     (trtri then lauum is potri); pocon's estimate varies in its last bits with
@@ -438,6 +441,11 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     np.fill_diagonal(rows[1:, 1:], y_k / (0.5 * h * y_k - 1.0))
     _, info = dlauum(G.T, lower=0, overwrite_c=1)
     _check_info("lauum", info, PI)
+    v, dv = table[::stride], slopes[::stride]
+    r = -(0.5 * (dv[M - 1::-1] - dv[M + 1:]) + diagonal[M] * (0.5 * (v[M - 1::-1] - v[M + 1:])))
+    w = G @ r + G.T @ r - np.diagonal(G) * r  # G^(-1) r
+    slope = np.zeros(M + 1)
+    slope[1:] = w - 0.5 * h * w[-1] * rows[M, 1:]
     inv = np.abs(G, out=G)  # G^(-1) in the buffer's lower triangle
     cond = g_norm * (inv.sum(axis=0) + inv.sum(axis=1) - np.diagonal(inv)).max()
     if not cond <= CONDITION_LIMIT:
@@ -445,7 +453,7 @@ def _factor(table: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
             f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
     residuals = _residuals(h, table, stride, rows, diagonal)
-    return TrapezoidSystem(h, stride, rows, diagonal, pivots, scale, residuals, float(cond))
+    return TrapezoidSystem(h, rows, diagonal, slope, residuals, float(cond))
 
 
 def _check_info(routine: str, info: int, x: float) -> None:
@@ -466,30 +474,6 @@ def _residuals(h: float, table: np.ndarray, stride: int, rows: np.ndarray,
     fkk = 0.5 * (np.diagonal(toeplitz) - np.diagonal(hankel))
     dots = 0.5 * (np.einsum("ij,ij->i", y, toeplitz) - np.einsum("ij,ij->i", y, hankel))
     return np.abs(diagonal[1:] + fkk + h * (dots - 0.5 * np.diagonal(y) * fkk))
-
-
-def _slope_row(g: TrapezoidSystem, k: int, table: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """P_x(t_k, t_j) for j = 0..k on one grid, from the H and H' tables.
-
-    It solves the x-derivative of the row equation,
-    P_x + F_x(x, .) + P(x,x) F(x, .) + int P_x F = 0,
-    whose matrix is the row's own: P_x = w - (h/2) w_k P with
-    w = G_k^(-1) r = W_k^T (W_k r), r the right-hand side.  L^(-1)'s leading
-    block is W_k = diag(s) strict(R) + diag(1/l), from the rows R (diagonal
-    d), scales s and pivots l: W_k r = s(R r - d r) + r/l and
-    W_k^T u = R^T(s u) - d s u + u/l.  F(x, .) is read from the H table;
-    F_x(x, t) = (H'(x-t) - H'(x+t))/2 takes H'(0) from the right (t -> x-).
-    """
-    j = np.arange(1, k + 1) * g.stride
-    kk = k * g.stride
-    f = 0.5 * (table[kk - j] - table[kk + j])
-    r = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[k] * f)
-    R, s, l = g.rows[1:k + 1, 1:k + 1], g.scale[:k], g.pivots[:k]
-    Wr = s * (R @ r - np.diagonal(R) * r) + r / l
-    w = R.T @ (s * Wr) - np.diagonal(R) * (s * Wr) + Wr / l
-    p_x = np.zeros(k + 1)
-    p_x[1:] = w - 0.5 * g.h * w[-1] * g.rows[k, 1:k + 1]
-    return p_x
 
 
 def _richardson_weights(coarse: np.ndarray, fine: np.ndarray, h: float,
@@ -538,11 +522,12 @@ class KernelField:
     h = pi/M and h/2, read from one H table on ``table_size`` + 1 = 4M + 1
     nodes, and inverts their factors; the diagonal is their pivots' P(x, x),
     combined by one Richardson step.  Each grid is factored in the lower
-    triangle of the buffer that built it, takes its residuals against the H
-    table (:func:`_factor`), and keeps one matrix, its rows; ``weights``,
-    the only other, holds in row k the :func:`_richardson_weights` of the rows
-    at t_k (zero past t_k).  The field reads ``H`` through its tables only:
-    one :meth:`HFunction.tables` call gives H and H', kept for :meth:`dphi`."""
+    triangle of the buffer that built it, takes its residuals and its slope
+    P_x(pi, .) against the H and H' tables (:func:`_factor`), and keeps one
+    matrix, its rows; ``weights``, the only other, holds in row k the
+    :func:`_richardson_weights` of the rows at t_k (zero past t_k), and
+    ``slope_weights`` those of the two slopes.  The field reads ``H`` through
+    one :meth:`HFunction.tables` call, whose tables it does not keep."""
 
     def __init__(self, H: HFunction, x_nodes: int = DEFAULT_X_NODES):
         _check_count("x_nodes", x_nodes, 5)  # a floor of the CLI contract: fewer exit 64
@@ -551,12 +536,13 @@ class KernelField:
         self.x_nodes = self.grid.nodes
         M = x_nodes - 1
         self.table_size = 4 * M
-        self._tables = H.tables(self.table_size)
-        self.grids = (_factor(self._tables[0], M, 2), _factor(self._tables[0], 2 * M, 1))
+        tables = H.tables(self.table_size)
+        self.grids = (_factor(*tables, M, 2), _factor(*tables, 2 * M, 1))
         coarse, fine = self.grids
         self.diagonal = (4.0 * fine.diagonal[::2] - coarse.diagonal) / 3.0
         self.condition_max = max(coarse.cond, fine.cond)
         self.weights = _richardson_weights(coarse.rows, fine.rows[::2], coarse.h, 2 * np.arange(M + 1))
+        self.slope_weights = _richardson_weights(coarse.slope, fine.slope, coarse.h, 2 * M)
         self._spline = None
 
     def F(self, x, t):
@@ -611,24 +597,15 @@ class KernelField:
         out = musin(mus[:, None], xs) + S @ self.weights[ks, :n].T
         return out if np.ndim(x) else out[:, 0]
 
-    def dphi(self, x: float, mus) -> np.ndarray:
-        """phi'(x, mu) = c(x) + P(x,x) s(x) + integral of P_x(x,t) s(t) dt for
-        each mu at a grid node x, with c = cos(sqrt(mu) t); phi'(0, mu) = 1.
-
-        P_x solves the x-derivative of the row equation on both grids (see
-        :func:`_slope_row`), with the tables stored by the constructor, and
-        one Richardson step combines the two quadratures.
-        """
+    def dphi(self, mus) -> np.ndarray:
+        """phi'(pi, mu) = c(pi) + P(pi,pi) s(pi) + integral of P_x(pi,t) s(t) dt
+        for each mu, with c = cos(sqrt(mu) t): the grids' slopes (see
+        :func:`_factor`) combined by ``slope_weights``, the Richardson rule
+        of phi's rows."""
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        k = self.index(x)
-        if k == 0:
-            return np.ones(mus.size)
-        coarse, fine = self.grids
-        weights = _richardson_weights(_slope_row(coarse, k, *self._tables),
-                                      _slope_row(fine, 2 * k, *self._tables), coarse.h, 2 * k)
-        xk = self.x_nodes[k]
-        return (mucos(mus, xk) + self.diagonal[k] * musin(mus, xk)
-                + musin(mus[:, None], np.arange(2 * k + 1) * fine.h) @ weights)
+        fine = self.grids[1]
+        return (mucos(mus, PI) + self.diagonal[-1] * musin(mus, PI)
+                + musin(mus[:, None], np.arange(fine.slope.size) * fine.h) @ self.slope_weights)
 
 
 def solve_kernel_field(H: HFunction, x_nodes: int = DEFAULT_X_NODES) -> KernelField:
@@ -664,7 +641,8 @@ class BetaRecovery:
 
 
 def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
-    """Boundary angle from the constancy of -phi'(pi, mu_n)/phi(pi, mu_n).
+    """Boundary angle from the constancy of -phi'(pi, mu_n)/phi(pi, mu_n),
+    phi' read from the field's endpoint slopes (:meth:`KernelField.dphi`).
 
     The median ratio over the first K = min(8, max(5, count // 4))
     eigenvalues gives cot of the recovered angle; the spread doubles as a
@@ -673,7 +651,7 @@ def recover_beta(field: KernelField, data: SpectralData) -> BetaRecovery:
     own problem: the prediction carries no drift term.
     """
     mus = data.mu[:min(8, max(5, data.count // 4))]
-    ratios = -field.dphi(PI, mus) / field.phi(PI, mus)
+    ratios = -field.dphi(mus) / field.phi(PI, mus)
     med = float(np.median(ratios))
     dev = np.abs(ratios - med)
     spread = float(np.max(dev))

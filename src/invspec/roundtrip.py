@@ -56,23 +56,24 @@ def inverse_pipeline(data: SpectralData, *, x_nodes: int = DEFAULT_X_NODES,
     validate reads that fit and reports its c, the kernel layer inverts the
     drift-free data (mu_n - c, a_n) of q - c, and c is added back to the
     recovered q.  The H build reads the same fit's kappa and gamma, which
-    are taken on the shifted data, and fits no tail of its own.  A constant shift
-    of q leaves phi, the norming constants and the recovered angle
-    unchanged.  The result's ``data`` are the caller's pairs, with c as
+    are taken on the shifted data, and fits no tail of its own.  Forced data
+    whose fit validate skips are shifted by the same c, so H still reads the
+    fit of the data it is given.  A constant shift of q leaves phi, the
+    norming constants and the recovered angle unchanged.  The result's ``data`` are the caller's pairs, with c as
     their ``c_fit``.
 
     The H series carries DEFAULT_N_TERMS explicit terms, or the data count
     when that is larger, so every pair is used: from 500 terms on, the
     recovered q agrees to four digits whatever the count.  One delta
-    sequence serves the fit, validate and the H build."""
+    sequence serves the fit and the H build."""
     n_terms = max(DEFAULT_N_TERMS, data.count)
     delta = delta_sequence(data.beta, n_terms)
     tail = fit_tail(data, delta)
-    report = validate(data, data.beta, delta=delta, tail=tail)
+    report = validate(data, data.beta, tail=tail)
     if report["hard_fail"] and not force:
         failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         raise AdmissibilityError("inadmissible spectral data: " + ", ".join(failed))
-    c = 0.0 if report["c_fit"] is None else report["c_fit"]
+    c = tail.c
     shifted = shift_spectrum(data, c)
     H = build_H(shifted, data.beta, n_terms, delta=delta, tail=tail)
     field = solve_kernel_field(H, x_nodes)

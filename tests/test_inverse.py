@@ -455,11 +455,16 @@ def test_solve_gl_domain_checks():
         solve_gl(field, 1.0)
 
 
+def _stride(field, g):
+    """The step, in H table nodes, of one grid of the field."""
+    return field.table_size // (2 * (g.rows.shape[0] - 1))
+
+
 def _F_on(field, g):
     """F(t_i, t_j), i, j = 1..M, on one grid of the field, from the field's
     H table by the builder the factorization uses."""
     M = g.rows.shape[0] - 1
-    return inverse._grid_F(field._tables[0], M, g.stride, np.empty((M, M)))
+    return inverse._grid_F(field.H.tables(field.table_size)[0], M, _stride(field, g), np.empty((M, M)))
 
 
 def _trapezoid_row_matrix(g, F, k):
@@ -526,24 +531,22 @@ def test_solve_gl_matches_full_matrix_solve(fwd_cos_64):
 
 
 @pytest.mark.parametrize("case", ["cos", "example6-400"])
-def test_slope_rows_read_from_the_rows(case):
-    # P_x on each grid, with L^(-1) read back from the rows, their diagonal,
-    # the row scales and the pivots, is the dense solve of the row's own
-    # trapezoid system with the x-differentiated right-hand side
+def test_endpoint_slope_is_the_dense_solve(case):
+    # each grid's slope P_x(pi, .), taken with G^(-1) while the grid is
+    # factored, is the dense solve of row M's own trapezoid system with the
+    # x-differentiated right-hand side
     data = _stored_cos() if case == "cos" else example6_data(400)
     field = solve_kernel_field(build_H(data, data.beta))
-    slopes = field._tables[1]
+    slopes = field.H.tables(field.table_size)[1]
     for g in field.grids:
         F = _F_on(field, g)
         M = F.shape[0]
-        for k in (1, 2, M // 2, M):
-            j = np.arange(1, k + 1) * g.stride
-            kk = k * g.stride
-            rhs = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[k] * F[k - 1, :k])
-            expected = np.linalg.solve(_trapezoid_row_matrix(g, F, k), rhs)
-            p_x = inverse._slope_row(g, k, *field._tables)
-            assert p_x[0] == 0.0
-            assert np.max(np.abs(p_x[1:] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        j = np.arange(1, M + 1) * _stride(field, g)
+        kk = M * _stride(field, g)
+        rhs = -(0.5 * (slopes[kk - j] - slopes[kk + j]) + g.diagonal[M] * F[M - 1])
+        expected = np.linalg.solve(_trapezoid_row_matrix(g, F, M), rhs)
+        assert g.slope.shape == (M + 1,) and g.slope[0] == 0.0
+        assert np.max(np.abs(g.slope[1:] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
@@ -704,11 +707,12 @@ def test_pipeline_builds_one_delta_sequence_and_no_H_spline(monkeypatch):
     result.field.F(1.0, 0.5)
     result.field.F(2.0, 0.5)
     assert splines.count(H_GRID_SIZE) == 1
-    # a sequence longer than validate needs gives validate's own report, and
-    # validate's own reaches n = count - 1, the last index its tail fit reads
+    # validate given a tail builds no delta sequence; without one it builds
+    # one, to n = count - 1, the last index its tail fit reads
     deltas.clear()
-    long = real_delta(data.beta, 2000)
-    assert validate(data, data.beta, delta=long) == validate(data, data.beta)
+    validate(data, data.beta, tail=result.field.H.tail)
+    assert deltas == []
+    validate(data, data.beta)
     assert deltas == [39]
 
 
@@ -752,7 +756,7 @@ def test_batched_phi_matches_per_node_formula(case, fwd_cos_64):
         k = xs.size - 1
         phi_pi = (musin(ks, PI) + musin(ks[:, None], np.arange(2 * k + 1) * fine_h)
                   @ field.weights[k, :2 * k + 1])
-        expected = -field.dphi(PI, ks) / phi_pi
+        expected = -field.dphi(ks) / phi_pi
         assert np.array_equal(recover_beta(field, data).ratios, expected)
 
 
@@ -816,17 +820,17 @@ def test_factor_assembles_F_from_windows_of_the_table(case):
     # second factorization of the same table repeats the grid byte for byte,
     # and factoring in place leaves the read-only table as it found it
     data = _stored_cos() if case == "cos" else example6_data(400)
-    H = build_H(data, data.beta)
-    field = solve_kernel_field(H)
-    table = H.tables(field.table_size)[0]
+    field = solve_kernel_field(build_H(data, data.beta))
+    tables = field.H.tables(field.table_size)
+    table = tables[0]
     before = table.copy()
     for g in field.grids:
-        M = g.rows.shape[0] - 1
-        i = np.arange(1, M + 1) * g.stride
+        M, stride = g.rows.shape[0] - 1, _stride(field, g)
+        i = np.arange(1, M + 1) * stride
         expected = 0.5 * (table[np.abs(i[:, None] - i)] - table[i[:, None] + i])
-        assert inverse._grid_F(table, M, g.stride, np.empty((M, M))).tobytes() == expected.tobytes()
-        again = inverse._factor(table, M, g.stride)
-        for name in ("rows", "diagonal", "residuals"):
+        assert inverse._grid_F(table, M, stride, np.empty((M, M))).tobytes() == expected.tobytes()
+        again = inverse._factor(*tables, M, stride)
+        for name in ("rows", "diagonal", "slope", "residuals"):
             assert getattr(again, name).tobytes() == getattr(g, name).tobytes()
         assert again.cond == g.cond
     assert not table.flags.writeable
@@ -955,14 +959,14 @@ def test_recover_q_integral_consistency(ex6_inverse):
 
 
 def test_kernel_field_solutions_zero_kernel():
-    # zero kernel: phi and phi' are the free solutions on every branch of mu
-    # (hyperbolic, zero, trigonometric), vectorized over mu
+    # zero kernel: phi, and phi' at pi, are the free solutions on every
+    # branch of mu (hyperbolic, zero, trigonometric), vectorized over mu
     sp = unperturbed_spectrum(PI / 3, 24)
     field = solve_kernel_field(build_H(sp, PI / 3, 400), 33)
     mus = np.array([-3.0, 0.0, 2.0, 40.0])
     for x in field.x_nodes[[0, 7, 21, 32]]:  # 0, about 0.7 and 2.0, and pi
         assert np.max(np.abs(field.phi(x, mus) - musin(mus, x))) < 1e-9
-        assert np.max(np.abs(field.dphi(x, mus) - mucos(mus, x))) < 1e-9
+    assert np.max(np.abs(field.dphi(mus) - mucos(mus, PI))) < 1e-9
 
 
 def test_reconstruct_phi_satisfies_equation(ex6_inverse):
@@ -1013,7 +1017,7 @@ def test_dphi_at_pi_on_constant_data(c):
     for beta in (PI / 2, PI / 3, 2 * PI / 3):
         field = _constant_inverse(c, beta).field
         mus = unperturbed_spectrum(beta, 10).mu
-        assert np.max(np.abs(field.dphi(PI, mus) - mucos(mus, PI))) <= 1e-10
+        assert np.max(np.abs(field.dphi(mus) - mucos(mus, PI))) <= 1e-10
 
 
 def test_recover_beta_unperturbed_identity():

@@ -199,3 +199,19 @@ def test_drift_fit_sharpens_with_data_length(roundtrip_cos):
     cs = [abs(roundtrip_cos[n][1].data.c_fit) for n in (16, 32, 64)]
     assert cs[1] < cs[0] and cs[2] < cs[1]
     assert cs[2] < 1e-3
+
+
+def test_forced_inversion_is_shift_invariant():
+    # a swap of two eigenvalues makes validate skip its tail fit; the forced
+    # pipeline still shifts by its own fit, the one the H kernel reads, so
+    # the data of cos x + 5 invert to those of cos x plus 5 (measured 2.3e-10
+    # in q and 1.7e-12 in the angle; shifting by 0 instead put q off by 2e3)
+    inv = {}
+    for c in (0.0, 5.0):
+        data = forward_solve(sample_potential(lambda x: np.cos(x) + c, 1025), PI / 3, 64).spectral_data()
+        mu = data.mu.copy()
+        mu[[40, 41]] = mu[[41, 40]]
+        inv[c] = inverse_pipeline(SpectralData(data.beta, mu, data.norming), force=True)
+        assert inv[c].validation["hard_fail"] and inv[c].validation["c_fit"] is None
+    assert np.max(np.abs(inv[5.0].q_hat.values - 5.0 - inv[0.0].q_hat.values)) <= 1e-8
+    assert inv[5.0].beta_rec.beta_tilde == pytest.approx(inv[0.0].beta_rec.beta_tilde, abs=1e-10)

@@ -20,13 +20,13 @@ Toeplitz minus Hankel, read as sliding windows of one H table with no index
 matrix.  One Cholesky factor L of I + h F per grid gives the whole diagonal
 from its pivots, the discrete form of q = -2 (log det(I + F_x))'' (Dyson,
 Commun. Math. Phys. 47, 1976), and the refusal of data that are not
-positive; its inverse L^(-1), taken once per grid (trtri), gives every row in
-O(M^2) with no solve, and G^(-1) the condition number and the x-derivative
-of the row at x = pi, whose matrix is the whole of I + h F.  The factor, its
-inverse and G^(-1) overwrite I + h F where it lies, each in the lower
-triangle of the C-order buffer with contiguous rows, so a grid builds F once
-and keeps one matrix, its rows.  The solutions phi are rebuilt at all nodes
-by one matrix product with the rows' quadrature weights.
+positive; its inverse L^(-1), taken once per grid by recursive blocks,
+gives every row in O(M^2) with no solve, and G^(-1) the condition number and
+the x-derivative of the row at x = pi, whose matrix is the whole of I + h F.
+The factor, its inverse and G^(-1) overwrite I + h F where it lies, each in
+the lower triangle of the C-order buffer with contiguous rows, so a grid
+builds F once and keeps one matrix, its rows.  The solutions phi are
+rebuilt at all nodes by one matrix product with the rows' quadrature weights.
 
 Everything after validate expects drift-free data (c = 0): (mu_n - c, a_n)
 are the exact data of q - c, and :func:`invspec.roundtrip.inverse_pipeline`
@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dlauum, dpotrf, dtrtri
 
 from .asymptotics import (
@@ -77,6 +78,7 @@ TWO_PI = 2.0 * PI
 DEFAULT_N_TERMS = 2000
 DEFAULT_X_NODES = 129
 CONDITION_LIMIT = 1e8   # on the 1-norm condition number of I + h F
+_TRTRI_LEAF = 64   # dtrtri's block in _invert_upper: 32 timed the same at M = 256, 128 slower
 H_GRID_SIZE = 4 * (DEFAULT_X_NODES - 1) + 1   # the H table of the default x grid
 # Gregory's corrections to the trapezoid weights at either end, through fourth differences
 _GREGORY_END = np.array([-245.0, 462.0, -336.0, 146.0, -27.0]) / 1440.0
@@ -103,10 +105,10 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
     sequence reaching n = count - 1) or else its own, against the delta
     sequence to n = count - 1, the last index the fit reads, built only
     then: ``c_fit``, ``kappa``, ``gamma`` and ``spread`` are its drift
-    constant, third-order and norming coefficients and refit spread (None
-    when the fit is skipped), and the last four checks read its ``l_n``,
-    ``s_n`` and ``spread``.  The inverse pipeline shifts the data by the
-    same fit's c, and its H kernel reads ``kappa`` and ``gamma`` from it.
+    constant, third-order and norming coefficients and refit spread (None if
+    the fit is skipped and no ``tail`` given), and the last four checks read
+    its ``l_n``, ``s_n`` and ``spread``.  The inverse pipeline shifts the
+    data by the same fit's c, and its H kernel reads ``kappa`` and ``gamma``.
     """
     beta = as_angle(beta)
     if data.count < 12:
@@ -119,11 +121,10 @@ def validate(data: SpectralData, beta: BoundaryAngle | float, *,
         _check("norming-constants-positive", pos,
                "" if pos else f"min a_n = {float(data.norming.min()):.3e}", "fail"),
     ]
-    c = kappa = gamma = spread = None
+    if tail is None and mono and pos:
+        tail = fit_tail(data, delta_sequence(beta, data.count - 1))
+    c, kappa, gamma, spread = (None,) * 4 if tail is None else (tail.c, tail.kappa, tail.gamma, tail.spread)
     if mono and pos:
-        if tail is None:
-            tail = fit_tail(data, delta_sequence(beta, data.count - 1))
-        c, kappa, gamma, spread = tail.c, tail.kappa, tail.gamma, tail.spread
         tail_gap = float(np.max(np.abs(tail.l_n[(3 * data.count) // 4 - 2:])))  # l_n starts at n = 2
         checks += [
             _check("tail-tracks-unperturbed-order", tail_gap < 0.25,
@@ -385,8 +386,8 @@ def _grid_F(table: np.ndarray, M: int, stride: int, out: np.ndarray) -> np.ndarr
 def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> TrapezoidSystem:
     """Assemble G = I + h F from the H table ``table`` read at every
     ``stride``-th node, in one M x M buffer, factor it (LAPACK potrf), invert
-    the factor (trtri) and form G^(-1) (lauum), all in place; the rows are the
-    one matrix kept, and F is built this once.
+    the factor (:func:`_invert_upper`) and form G^(-1) (lauum), all in place;
+    the rows are the one matrix kept, and F is built this once.
 
     G is exactly symmetric, so G.T is the same matrix in Fortran order.  Each
     routine runs with lower=0 on G.T, whose upper triangle is the lower one
@@ -412,7 +413,7 @@ def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> Trape
     product with r.
     A positive info refuses the data: I + F_x is not positive at x = info h.
     The 1-norm condition number comes from G's column sums and G^(-1) = W^T W
-    (trtri then lauum is potri); pocon's estimate varies in its last bits with
+    (potri's to roundoff); pocon's estimate varies in its last bits with
     the alignment of its work arrays, so identical runs would report differently."""
     h = PI / M
     G = _grid_F(table, M, stride, np.empty((M, M)))
@@ -434,8 +435,7 @@ def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> Trape
     np.fill_diagonal(G, 0.0)
     y_k = (fkk - np.einsum("ij,ij->i", G, G) / h) / (pivots * pivots)
     np.fill_diagonal(G, pivots)
-    _, info = dtrtri(G.T, lower=0, overwrite_c=1)
-    _check_info("trtri", info, PI)
+    _invert_upper(G.T)
     scale = -h * pivots * (0.5 * h * y_k - 1.0)
     np.multiply(G, (1.0 / scale)[:, None], out=rows[1:, 1:])
     np.fill_diagonal(rows[1:, 1:], y_k / (0.5 * h * y_k - 1.0))
@@ -454,6 +454,24 @@ def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> Trape
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
     residuals = _residuals(h, table, stride, rows, diagonal)
     return TrapezoidSystem(h, rows, diagonal, slope, residuals, float(cond))
+
+
+def _invert_upper(U: np.ndarray) -> None:
+    """Invert the upper triangular U in place by recursive blocks (Elmroth et
+    al., SIAM Rev. 46, 2004): U = [[A, B], [0, C]] has the inverse
+    [[A^(-1), -A^(-1) B C^(-1)], [0, C^(-1)]], B's block by two dtrmm, A and
+    C by recursion to dtrtri on at most _TRTRI_LEAF rows; the rest is kept."""
+    n = U.shape[0]
+    if n <= _TRTRI_LEAF:
+        inv, info = dtrtri(U, lower=0, overwrite_c=1)
+        _check_info("trtri", info, PI)
+        U[...] = inv
+        return
+    k = n // 2
+    _invert_upper(U[:k, :k])
+    _invert_upper(U[k:, k:])
+    B = dtrmm(-1.0, U[:k, :k], U[:k, k:], overwrite_b=1)  # -A^(-1) B, a copy
+    U[:k, k:] = dtrmm(1.0, U[k:, k:], B, side=1, overwrite_b=1)
 
 
 def _check_info(routine: str, info: int, x: float) -> None:

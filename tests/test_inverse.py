@@ -477,7 +477,8 @@ def _trapezoid_row_matrix(g, F, k):
 
 
 def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
-    # the condition number taken from potri's inverse is that of I + h F in the 1-norm
+    # the condition number taken from G^(-1), the factor's inverse times its
+    # transpose, is that of I + h F in the 1-norm
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:
         F = _F_on(field, g)
@@ -486,11 +487,32 @@ def test_solve_gl_condition_is_one_norm_estimate(fwd_cos_64):
     assert field.condition_max == max(g.cond for g in field.grids)
 
 
+@pytest.mark.parametrize("M", [4, 8, 63, 64, 65, 99, 128, 198, 256, 512])
+def test_invert_upper_is_trtri(M):
+    # the recursive blocked inverse of the upper factor of a real G = I + h F
+    # (stored cos data; uneven splits from 65 on) is dtrtri's to roundoff,
+    # written into the caller's buffer, whose other triangle stays zero
+    from scipy.linalg.lapack import dpotrf, dtrtri
+    h = PI / M
+    G = inverse._grid_F(build_H(_stored_cos(), PI / 3).tables(2 * M)[0], M, 1, np.empty((M, M)))
+    G *= h
+    G.flat[::M + 1] += 1.0
+    _, info = dpotrf(G.T, lower=0, clean=1, overwrite_a=1)
+    assert info == 0
+    ref, info = dtrtri(G.T, lower=0)
+    assert info == 0
+    buffer = G.T
+    inverse._invert_upper(buffer)
+    assert np.shares_memory(buffer, G) and not np.any(np.triu(G, 1))
+    assert np.max(np.abs(G - ref.T)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_condition_is_the_potri_value(fwd_cos_64):
-    # the inverse from trtri then lauum is potri's, so the condition number
-    # is the one potri's inverse of the same factor gives, bit for bit, both
-    # with lower=0 on G's Fortran view and the sums taken on the same layout:
-    # the lower triangle of a C-order matrix
+    # G^(-1) from the blocked inverse of the factor then lauum equals
+    # potri's to roundoff, not by construction; on this fixture the
+    # condition number is still the one potri's inverse of the same factor
+    # gives, bit for bit, both with lower=0 on G's Fortran view and the sums
+    # taken on the same layout: the lower triangle of a C-order matrix
     from scipy.linalg.lapack import dpotrf, dpotri
     field = solve_kernel_field(build_H(fwd_cos_64.spectral_data(), PI / 3))
     for g in field.grids:

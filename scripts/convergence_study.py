@@ -45,7 +45,7 @@ def main(argv=None):
                          time.perf_counter() - t0))
             print(f"N={n_eigen:3d} x_nodes={x_nodes:3d}  "
                   f"sup={report.q_sup_error:.3e}  identity={report.angle_identity_gap:.3e}  "
-                  f"[{rows[-1][-1]:.0f}s]")
+                  f"[{1e3 * rows[-1][-1]:.0f} ms]")
 
     with open(args.out, "w") as fh:
         fh.write("n_eigen,x_nodes,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s\n")

@@ -23,7 +23,7 @@ PI = float(np.pi)
 
 MIN_GRID_NODES = 8
 
-#: |mu| below this is treated as an exact zero eigenvalue (degenerate rules).
+#: |mu| below this counts as zero: read by H's ``branch`` label and fit_tail's gamma window.
 ZERO_MU_TOL = 1e-10
 
 

@@ -464,13 +464,14 @@ def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
     Coefficients are (1/a_n) * integral of f * phi_n, by the composite
     Simpson rule on TRACE_NODES uniform points with f read through its
     interpolant; phi_n at those points and at f's nodes comes from one
-    eigenfunctions call.
+    eigenfunctions call on the first N records only.
     """
     _check_count("N", N, 1)
     if N > len(solution.records):
         raise ConfigError(f"N={N} exceeds the {len(solution.records)} available records")
-    phi, _ = solution.eigenfunctions(np.concatenate([_SIMPSON_X, f.grid.nodes]))
-    phi = phi[:N]
-    a = np.array([r.a for r in solution.records[:N]])
+    records = solution.records[:N]
+    phi, _ = ForwardSolution(solution.beta, solution.q, records).eigenfunctions(
+        np.concatenate([_SIMPSON_X, f.grid.nodes]))
+    a = np.array([r.a for r in records])
     c = (interpolant(f)(_SIMPSON_X) * phi[:, :TRACE_NODES]) @ _SIMPSON_W / a
     return GridFunction(f.grid, c @ phi[:, TRACE_NODES:])

@@ -198,8 +198,9 @@ def _extend_data(data: SpectralData, delta: DeltaSequence, n_terms: int,
 
 def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray,
               a_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable truncated sum of the paired H series plus its constants, over
-    all the given terms, and its t-derivative, a sum of -sin(lt)/(a l) terms.
+    """The paired H series over all the given terms, up to its additive
+    constant: the sum of (cos(lt) - 1)/(a mu), bounded as mu passes 0, and
+    its t-derivative, a sum of -sin(lt)/(a l) terms.
 
     Terms are differenced before accumulation so identical data/base
     entries cancel exactly.
@@ -209,11 +210,7 @@ def _pair_sum(t: np.ndarray, mu_d: np.ndarray, a_d: np.ndarray, mu_b: np.ndarray
         term = (1.0 / a_d[:, None]) * term_of(mu_d[:, None], t[None, :])
         term -= (1.0 / a_b[:, None]) * term_of(mu_b[:, None], t[None, :])
         sums.append(term.sum(axis=0))
-    reg_d = np.abs(mu_d) >= ZERO_MU_TOL
-    reg_b = np.abs(mu_b) >= ZERO_MU_TOL
-    const = float(np.sum(1.0 / (a_d[reg_d] * mu_d[reg_d]))
-                  - np.sum(1.0 / (a_b[reg_b] * mu_b[reg_b])))
-    return sums[0] + const, sums[1]
+    return sums[0], sums[1]
 
 
 def _table_nodes(L: int) -> np.ndarray:
@@ -270,7 +267,9 @@ class HFunction:
     constant c, whose ``kappa`` and ``gamma`` are already taken on the data
     shifted by c.
     :meth:`tables` gives H and H' on a uniform table; the tail past n_terms
-    converges absolutely, so H is continuous up to t = 2*pi.  Construction
+    converges absolutely, so H is continuous up to t = 2*pi.  H is kept up to
+    an additive constant, since F reads only its differences, so a zero
+    eigenvalue on either side is a plain limit and ``branch`` a label.  Construction
     sums no table and splits the terms once: pairs with mu < 1 on either side
     for :func:`_pair_sum`, and every other term w cos(lam t) for one
     :func:`_halfint_expsum` per table, whose rows w and w lam give H and H'
@@ -317,8 +316,8 @@ class HFunction:
                                   -self.tail.gamma / (om * om)])
 
     def tables(self, L: int) -> tuple[np.ndarray, np.ndarray]:
-        """H and H' at t_j = 2*pi*j/L, j = 0..L, both read-only; H'(0) is the
-        limit from the right.  A value that is not finite is refused."""
+        """H (up to its constant) and H' at t_j = 2*pi*j/L, j = 0..L, both
+        read-only; H'(0) is the limit from the right.  Non-finite values are refused."""
         t = _table_nodes(L)
         H, dH = _pair_sum(t, *self._low)
         sums = _halfint_expsum(self._lam, np.stack([self._w, self._w * self._lam]), L)
@@ -452,7 +451,7 @@ def _factor(table: np.ndarray, slopes: np.ndarray, M: int, stride: int) -> Trape
         raise AdmissibilityError(
             f"ill-posed data: 1-norm condition estimate {cond:.3e} at x={PI:.4f} exceeds "
             f"{CONDITION_LIMIT:.0e} (the {M}-node trapezoid matrix of I + F_x)")
-    residuals = _residuals(h, table, stride, rows, diagonal)
+    residuals = _residuals(h, table, stride, rows, diagonal, fkk)
     return TrapezoidSystem(h, rows, diagonal, slope, residuals, float(cond))
 
 
@@ -481,15 +480,14 @@ def _check_info(routine: str, info: int, x: float) -> None:
 
 
 def _residuals(h: float, table: np.ndarray, stride: int, rows: np.ndarray,
-               diagonal: np.ndarray) -> np.ndarray:
+               diagonal: np.ndarray, fkk: np.ndarray) -> np.ndarray:
     """The residual of each row k = 1..M's own equation at t = t_k when
     P(t_k, t_k) is read from the pivots: roundoff for admissible data, so it
-    checks the pivots against the rows.  F is not built: each row's dot with
-    F is half the difference of its dots with the two :func:`_windows` of the
-    H table, and F's diagonal is read from them."""
+    checks the pivots against the rows.  F is not built again: each row's dot
+    with F is half the difference of its dots with the two :func:`_windows`
+    of the H table, and ``fkk`` is F's diagonal F(t_k, t_k)."""
     y = rows[1:, 1:]
     toeplitz, hankel = _windows(table, y.shape[0], stride)
-    fkk = 0.5 * (np.diagonal(toeplitz) - np.diagonal(hankel))
     dots = 0.5 * (np.einsum("ij,ij->i", y, toeplitz) - np.einsum("ij,ij->i", y, hankel))
     return np.abs(diagonal[1:] + fkk + h * (dots - 0.5 * np.diagonal(y) * fkk))
 

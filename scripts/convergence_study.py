@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from invspec.core import PI, sample_potential
+from invspec.core import PI, sample_potential, write_csv
 from invspec.roundtrip import roundtrip
 
 POTENTIALS = {
@@ -47,10 +47,8 @@ def main(argv=None):
                   f"sup={report.q_sup_error:.3e}  identity={report.angle_identity_gap:.3e}  "
                   f"[{1e3 * rows[-1][-1]:.0f} ms]")
 
-    with open(args.out, "w") as fh:
-        fh.write("n_eigen,x_nodes,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    write_csv(args.out, "n_eigen,x_nodes,q_sup_error,q_l1_error,angle_identity_gap,elapsed_s",
+              *zip(*rows))
     print(f"wrote {args.out}")
     return 0
 

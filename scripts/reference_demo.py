@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-from invspec.core import write_grid_function_csv
+from invspec.core import write_csv, write_grid_function_csv
 from invspec.roundtrip import example6_oracle, example6_q, inverse_pipeline, example6_data
 
 
@@ -31,10 +31,7 @@ def main(argv=None):
     inv = inverse_pipeline(example6_data(args.count))
     write_grid_function_csv(inv.q_hat, out / "q_recovered.csv")
     xs = inv.field.x_nodes
-    with open(out / "q_compare.csv", "w") as fh:
-        fh.write("x,q_exact,q_recovered\n")
-        for x, qa, qb in zip(xs, example6_q(xs), inv.q_hat.values):
-            fh.write(f"{x:.17g},{qa:.17g},{qb:.17g}\n")
+    write_csv(out / "q_compare.csv", "x,q_exact,q_recovered", xs, example6_q(xs), inv.q_hat.values)
     print(f"wrote {out}/oracle.json, q_recovered.csv, q_compare.csv")
     return 0 if report["all_pass"] else 1
 

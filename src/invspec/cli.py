@@ -31,6 +31,7 @@ from .core import (
     interpolant,
     read_potential_csv,
     read_text,
+    write_csv,
     write_grid_function_csv,
 )
 from .errors import (
@@ -88,28 +89,10 @@ _OPTIONS = {
     "json_logs": (("--json-logs",), dict(action="store_true",
                                          help="machine-readable progress lines on stderr")),
 }
-_INVERSE_OPTIONS = ("out_dir", "x_nodes", "force", "json_logs")
-# Each subcommand takes only the options its handler reads ("beta" stands for
-# the required --beta | --beta-deg pair): (help, input file (name, help) or
-# None, options).
-_COMMANDS = {
-    "forward": ("spectrum + norming constants of (q, beta)",
-                ("potential", "potential CSV (header x,value, uniform grid over [0,pi])"),
-                ("beta", "out_dir", "n_eigen", "json_logs")),
-    "inverse": ("recover (q, angle) from spectral JSON",
-                ("data", "spectral JSON ({beta, count, mu, a, c_fit})"), _INVERSE_OPTIONS),
-    "roundtrip": ("forward then inverse, with error metrics", ("potential", "potential CSV"),
-                  _INVERSE_OPTIONS + ("beta", "n_eigen", "trim")),
-    "example6": ("run the bundled closed-form example oracle", None,
-                 ("out_dir", "x_nodes", "force")),
-    "validate": ("admissibility report for spectral JSON", ("data", "spectral JSON"), ("force",)),
-}
-
-
 def _build_parser() -> _Parser:
     p = _Parser(prog="invspec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (help_text, input_file, options) in _COMMANDS.items():
+    for command, (_, help_text, input_file, options) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         if input_file is not None:
             sp.add_argument("input_path", metavar=input_file[0], help=input_file[1])
@@ -137,6 +120,13 @@ def _log(cfg: Config, event: str, **detail):
         print(json.dumps({"event": event, **detail}, sort_keys=True), file=sys.stderr)
 
 
+def _out_dir(cfg: Config) -> Path:
+    """The output directory, created with its parents if missing."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, doc: dict, cfg: Config) -> None:
     doc = dict(doc)
     doc["config"] = asdict(cfg)
@@ -148,12 +138,9 @@ def _cmd_forward(cfg: Config) -> int:
     beta = as_angle(cfg.beta)
     _log(cfg, "forward-start", n_eigen=cfg.n_eigen, beta=beta.beta)
     t0 = time.perf_counter()
-    solution = forward_solve(q, beta, cfg.n_eigen)
-    data = solution.spectral_data()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = data.to_json_dict()
-    _write_json(out / "spectral.json", doc, cfg)
+    data = forward_solve(q, beta, cfg.n_eigen).spectral_data()
+    out = _out_dir(cfg)
+    _write_json(out / "spectral.json", data.to_json_dict(), cfg)
     _log(cfg, "forward-done", elapsed_s=time.perf_counter() - t0, path=str(out / "spectral.json"))
     print(f"wrote {out / 'spectral.json'} ({cfg.n_eigen} eigenvalues)")
     return EXIT_OK
@@ -177,8 +164,7 @@ def _cmd_inverse(cfg: Config) -> int:
     _log(cfg, "inverse-start", count=data.count, beta=data.beta)
     t0 = time.perf_counter()
     inv = inverse_pipeline(data, x_nodes=cfg.x_nodes, force=cfg.force)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_grid_function_csv(inv.q_hat, out / "q_recovered.csv")
     report = {
         "beta_tilde": inv.beta_rec.beta_tilde,
@@ -206,15 +192,10 @@ def _cmd_roundtrip(cfg: Config) -> int:
     _log(cfg, "roundtrip-start", n_eigen=cfg.n_eigen)
     report, inv = roundtrip(q, beta, cfg.n_eigen, trim=cfg.trim,
                             x_nodes=cfg.x_nodes, force=cfg.force)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     _write_json(out / "roundtrip.json", report.to_dict(), cfg)
     xs = inv.field.x_nodes
-    q_true = interpolant(q)(xs)
-    with open(out / "compare.csv", "w") as fh:
-        fh.write("x,q,q_hat\n")
-        for x, qa, qb in zip(xs, q_true, inv.q_hat.values):
-            fh.write(f"{x:.17g},{qa:.17g},{qb:.17g}\n")
+    write_csv(out / "compare.csv", "x,q,q_hat", xs, interpolant(q)(xs), inv.q_hat.values)
     print(f"wrote {out / 'roundtrip.json'} (sup error {report.q_sup_error:.3e}, "
           f"identity gap {report.angle_identity_gap:.3e})")
     return EXIT_OK
@@ -226,28 +207,39 @@ def _cmd_example6(cfg: Config) -> int:
         mark = "PASS" if ch["pass"] else "FAIL"
         print(f"{mark}  {ch['name']}: error {ch['error']:.3e} (tol {ch['tol']:.0e})")
     print(f"elapsed: {report['elapsed_s']:.3f} s")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     _write_json(out / "example6.json", report, cfg)
     return EXIT_OK if report["all_pass"] else EXIT_NUMERICAL
+
+
+_INVERSE_OPTIONS = ("out_dir", "x_nodes", "force", "json_logs")
+# Each subcommand takes only the options its handler reads ("beta" stands for
+# the required --beta | --beta-deg pair): (handler, help, input file (name,
+# help) or None, options).
+_COMMANDS = {
+    "forward": (_cmd_forward, "spectrum + norming constants of (q, beta)",
+                ("potential", "potential CSV (header x,value, uniform grid over [0,pi])"),
+                ("beta", "out_dir", "n_eigen", "json_logs")),
+    "inverse": (_cmd_inverse, "recover (q, angle) from spectral JSON",
+                ("data", "spectral JSON ({beta, count, mu, a, c_fit})"), _INVERSE_OPTIONS),
+    "roundtrip": (_cmd_roundtrip, "forward then inverse, with error metrics",
+                  ("potential", "potential CSV"), _INVERSE_OPTIONS + ("beta", "n_eigen", "trim")),
+    "example6": (_cmd_example6, "run the bundled closed-form example oracle", None,
+                 ("out_dir", "x_nodes", "force")),
+    "validate": (_cmd_validate, "admissibility report for spectral JSON",
+                 ("data", "spectral JSON"), ("force",)),
+}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _resolve_config(args)
-    handlers = {
-        "forward": _cmd_forward,
-        "inverse": _cmd_inverse,
-        "roundtrip": _cmd_roundtrip,
-        "example6": _cmd_example6,
-        "validate": _cmd_validate,
-    }
     if cfg.input_path is not None and not Path(cfg.input_path).is_file():
         print(f"invspec: usage error: no such input file: {cfg.input_path}",
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        return handlers[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (ConfigError, DomainError) as exc:
         print(f"invspec: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

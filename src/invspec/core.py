@@ -379,15 +379,21 @@ class SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization of grid functions (x,value with 17 significant digits)
+# CSV serialization (17 significant digits, which read back bit for bit)
 # ---------------------------------------------------------------------------
 
 
-def write_grid_function_csv(f: GridFunction, path) -> None:
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length columns under the comma-separated ``header``, one
+    row per entry, each number with 17 significant digits."""
     with open(path, "w") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(f.grid.nodes, f.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        fh.write(header + "\n")
+        for row in zip(*columns, strict=True):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def write_grid_function_csv(f: GridFunction, path) -> None:
+    write_csv(path, "x,value", f.grid.nodes, f.values)
 
 
 def _grid_from_nodes(nodes: np.ndarray) -> Grid:

@@ -40,7 +40,7 @@ eigenfunction evaluator, ForwardSolution.eigenfunctions, which expand reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import factorial
 
@@ -88,34 +88,24 @@ _S_COEF = np.array([1.0 / factorial(2 * k + 1) for k in range(10)])
 
 
 @dataclass(frozen=True)
-class EigenRecord:
-    """One eigenpair summary: mu_n and its norming constant."""
-
-    mu: float
-    a: float
-
-
-@dataclass(frozen=True)
 class ForwardSolution:
-    """The spectrum of (q, beta), one EigenRecord per eigenpair.  The q = 0
-    index corrections are computed when first read, and the eigenfunctions
-    at the points asked for, when eigenfunctions is called."""
+    """The spectrum of (q, beta) in ``records``, one read-only record array with
+    fields ``mu`` and ``a``.  The q = 0 index corrections are computed when first
+    read, and the eigenfunctions at the points asked for, when eigenfunctions is called."""
 
     beta: BoundaryAngle
     q: Potential
-    records: list
+    records: np.recarray
 
     @cached_property
     def delta(self) -> DeltaSequence:
         return delta_sequence(self.beta, max(len(self.records), 3))
 
     def spectral_data(self) -> SpectralData:
-        mus = np.array([r.mu for r in self.records])
-        a = np.array([r.a for r in self.records])
-        c = None
-        if len(self.records) >= 12:
-            c = fit_tail(SpectralData(self.beta.beta, mus, a), self.delta).c
-        return SpectralData(self.beta.beta, mus, a, c_fit=c)
+        data = SpectralData(self.beta.beta, self.records.mu, self.records.a)
+        if data.count < 12:
+            return data
+        return replace(data, c_fit=fit_tail(data, self.delta).c)
 
     def eigenfunctions(self, x) -> tuple[np.ndarray, np.ndarray]:
         """phi_n(x) and phi_n'(x), one row per record and one column per x,
@@ -124,7 +114,7 @@ class ForwardSolution:
         outside = ~((x >= 0.0) & (x <= PI))
         if outside.any():
             raise DomainError(f"eigenfunctions evaluated at x={x[outside][0]:.12g}, outside [0, pi]")
-        mus = np.array([r.mu for r in self.records])
+        mus = self.records.mu
         return _solution(_cells_for(self.q, mus), mus, x)
 
 
@@ -453,8 +443,9 @@ def norming_constants(q: Potential, mus: np.ndarray) -> np.ndarray:
 def forward_solve(q: Potential, beta: BoundaryAngle | float, N: int) -> ForwardSolution:
     """The first N eigenvalues and their norming constants."""
     beta = as_angle(beta)
-    mus, a = eigenvalues(q, beta, N, norming=True)
-    return ForwardSolution(beta, q, [EigenRecord(float(m), float(x)) for m, x in zip(mus, a)])
+    records = np.rec.fromarrays(eigenvalues(q, beta, N, norming=True), names="mu,a")
+    records.flags.writeable = False
+    return ForwardSolution(beta, q, records)
 
 
 def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
@@ -472,6 +463,5 @@ def expand(f: GridFunction, solution: ForwardSolution, N: int) -> GridFunction:
     records = solution.records[:N]
     phi, _ = ForwardSolution(solution.beta, solution.q, records).eigenfunctions(
         np.concatenate([_SIMPSON_X, f.grid.nodes]))
-    a = np.array([r.a for r in records])
-    c = (interpolant(f)(_SIMPSON_X) * phi[:, :TRACE_NODES]) @ _SIMPSON_W / a
+    c = (interpolant(f)(_SIMPSON_X) * phi[:, :TRACE_NODES]) @ _SIMPSON_W / records.a
     return GridFunction(f.grid, c @ phi[:, TRACE_NODES:])

@@ -8,8 +8,8 @@ angle -> F(x,t) = (H(|x-t|) - H(x+t))/2 -> the main equation
 P(x,t) + F(x,t) + int_0^x P(x,s) F(s,t) ds = 0 -> q(x) = 2 d/dx P(x,x),
 solutions phi rebuilt through the kernel, and the boundary angle from the
 constancy of phi'(pi)/phi(pi) over eigenvalues.  In code the chain is
-build_H -> solve_kernel_field(H, x_nodes): the field reads H's tables, and
-F at points off its grids is the field's :meth:`KernelField.F`.
+build_H -> solve_kernel_field(H, x_nodes), names for :class:`HFunction` and
+:class:`KernelField`; F off the field's grids is :meth:`KernelField.F`.
 
 The main equation is discretized by the trapezoid rule on the nodes
 t_j = j h, h = pi/M, M = x_nodes - 1, where the slope jump of F along t = s
@@ -258,7 +258,8 @@ def _halfint_expsum(lam: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
 
 
 class HFunction:
-    """The spectral difference kernel H on [0, 2*pi], for drift-free data.
+    """The spectral difference kernel H on [0, 2*pi], for drift-free data
+    (the pipeline's, shifted by their drift constant); their ``c_fit`` is not read.
 
     ``tail`` is the given :func:`~invspec.asymptotics.fit_tail`, or else the
     fit of the data given; its ``kappa`` and ``gamma``, its only fields read,
@@ -334,15 +335,7 @@ class HFunction:
         return H, dH
 
 
-def build_H(data: SpectralData, beta: BoundaryAngle | float,
-            n_terms: int = DEFAULT_N_TERMS, *, delta: DeltaSequence | None = None,
-            tail: TailFit | None = None) -> HFunction:
-    """Construct the H kernel (see :class:`HFunction`) for drift-free data,
-    such as the pipeline's data shifted by their fitted drift constant; any
-    ``c_fit`` the data carry is not read.  Without a ``tail`` the kernel fits
-    its own from those data; the pipeline's H is this function's on the
-    same pairs with the pipeline's fit of the unshifted data."""
-    return HFunction(data, beta, n_terms, delta=delta, tail=tail)
+build_H = HFunction
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +524,7 @@ def solve_gl(field: KernelField, x: float) -> KernelRow:
 
 class KernelField:
     """The transformation kernel P, from the H kernel ``H``, on the uniform
-    x grid of ``x_nodes`` nodes on [0, pi].
+    x grid of ``x_nodes`` nodes on [0, pi] (at least 5).
 
     ``grid`` is that trapezoid grid, built once here, and ``x_nodes`` its
     nodes.  Construction factors the trapezoid systems of the grids
@@ -624,11 +617,7 @@ class KernelField:
                 + musin(mus[:, None], np.arange(fine.slope.size) * fine.h) @ self.slope_weights)
 
 
-def solve_kernel_field(H: HFunction, x_nodes: int = DEFAULT_X_NODES) -> KernelField:
-    """Factor the main equation of the H kernel ``H`` on the uniform grid of
-    ``x_nodes`` nodes on [0, pi] (at least 5), which gives the whole kernel
-    diagonal and every row."""
-    return KernelField(H, x_nodes)
+solve_kernel_field = KernelField
 
 
 # ---------------------------------------------------------------------------

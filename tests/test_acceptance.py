@@ -92,13 +92,13 @@ def test_criterion_2_delta_exactness():
 
 
 def test_criterion_3_forward_closed_forms(fwd_zero_64, q_zero):
-    mus = np.array([r.mu for r in fwd_zero_64.records[:20]])
-    a = np.array([r.a for r in fwd_zero_64.records[:20]])
+    mus = fwd_zero_64.records.mu[:20]
+    a = fwd_zero_64.records.a[:20]
     ns = np.arange(20)
     mu_err = float(np.max(np.abs(mus - (ns + 0.5) ** 2)))
     a_err = float(np.max(np.abs(a - np.pi / (2 * (ns + 0.5) ** 2))))
 
-    base = np.array([r.mu for r in fwd_zero_64.records[:6]])
+    base = fwd_zero_64.records.mu[:6]
     q_shift = sample_potential(lambda x: np.full_like(x, 0.7))
     shifted = eigenvalues(q_shift, PI / 2, 6)
     shift_err = float(np.max(np.abs(shifted - base - 0.7)))

@@ -87,6 +87,7 @@ def test_traced_pipeline_counts_rows_and_field_time(tracing):
     layer = tracer.summary((0, Counter()))
     assert layer["inverse.rows_solved"] == 0
     assert layer["inverse.kernel_field_s"] > 0.0
+    assert layer["inverse.build_H_s"] > 0.0
     tracer.install()
     try:
         mark = tracer.mark()

@@ -21,6 +21,7 @@ from invspec.core import (
     read_potential_csv,
     sample_potential,
     trapezoid_grid,
+    write_csv,
     write_grid_function_csv,
 )
 from invspec.errors import ConfigError
@@ -289,6 +290,12 @@ def test_grid_function_csv_roundtrip(tmp_path):
     back = read_potential_csv(path)
     assert np.array_equal(back.values, q.values)
     assert np.allclose(back.grid.nodes, q.grid.nodes, atol=1e-15)
+    # the one 17-digit writer reads back bit for bit in every column
+    columns = (q.grid.nodes, q.values, np.exp(q.values) / 3.0)
+    write_csv(tmp_path / "three.csv", "x,q,e", *columns)
+    assert (tmp_path / "three.csv").read_text().partition("\n")[0] == "x,q,e"
+    back = np.loadtxt(tmp_path / "three.csv", delimiter=",", skiprows=1, unpack=True)
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(back, columns, strict=True))
 
 
 def _csv(xs, header="x,value", value="1.0"):

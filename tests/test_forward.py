@@ -191,7 +191,7 @@ def test_characteristic_constant_sign_between_roots(q_cos):
 
 
 def test_eigenvalues_free_particle(fwd_zero_64):
-    mus = np.array([r.mu for r in fwd_zero_64.records])
+    mus = fwd_zero_64.records.mu
     expect = (np.arange(64) + 0.5) ** 2
     assert np.max(np.abs(mus - expect)) < 1e-9
 
@@ -259,8 +259,8 @@ def test_constant_negative_eigenvalues_closed_form():
     # q = -2, beta = 2 pi/3: mu_0 lies below q (sinh branch), mu_1 between q and 0
     c, beta, N = -2.0, 2.0 * PI / 3.0, 16
     sol = forward.forward_solve(sample_potential(lambda x: np.full_like(x, c)), beta, N)
-    mus = np.array([r.mu for r in sol.records])
-    a = np.array([r.a for r in sol.records])
+    mus = sol.records.mu
+    a = sol.records.a
     mu_ref = exact_eigenvalues([(PI, c)], beta, N)
     assert mu_ref[0] < c < mu_ref[1] < 0.0 < mu_ref[2]
     assert np.max(np.abs(mus - mu_ref) / np.abs(mu_ref)) < 1e-10
@@ -281,8 +281,8 @@ def test_constant_potential_with_large_mean(c, beta):
     # by their Sturm counts at every angle
     N = 32
     sol = forward.forward_solve(sample_potential(lambda x: np.full_like(x, c)), beta, N)
-    mus = np.array([r.mu for r in sol.records])
-    a = np.array([r.a for r in sol.records])
+    mus = sol.records.mu
+    a = sol.records.a
     mu_ref = exact_eigenvalues([(PI, c)], beta, N)
     assert np.max(np.abs(mus - mu_ref) / (1.0 + np.abs(mu_ref))) < 1e-10
     a_ref = constant_norming(mu_ref, c)
@@ -357,7 +357,7 @@ def test_eigenfunctions_follow_the_record_count(q_cos, monkeypatch):
     # the cells of the eigenfunctions are fine enough for mu_299: on the 512
     # cells of a solve without N, phi_299 was off by 5.7e-10
     sol = forward.forward_solve(q_cos, PI / 3, 300)
-    mus = np.array([r.mu for r in sol.records])
+    mus = sol.records.mu
     x = np.linspace(0.0, PI, forward.TRACE_NODES)
     phi, _ = sol.eigenfunctions(x)
     monkeypatch.setattr(forward, "CELLS_PER_INTERVAL", 64)
@@ -553,7 +553,7 @@ def test_forward_errors_name_their_cause(q_zero, monkeypatch):
 
 
 def test_norming_free_particle(fwd_zero_64):
-    a = np.array([r.a for r in fwd_zero_64.records[:20]])
+    a = fwd_zero_64.records.a[:20]
     expect = np.pi / (2 * (np.arange(20) + 0.5) ** 2)
     assert np.max(np.abs(a - expect)) < 1e-10
 
@@ -562,7 +562,7 @@ def test_orthogonality(fwd_cos_64):
     xq, wq = gauss_rule(256, 0.0, PI)
     phi = fwd_cos_64.eigenfunctions(xq)[0][:30]
     G = (phi * wq) @ phi.T
-    a = np.array([r.a for r in fwd_cos_64.records[:30]])
+    a = fwd_cos_64.records.a[:30]
     off = np.abs(G - np.diag(np.diag(G)))
     denom = np.sqrt(np.outer(a, a))
     assert np.max(off / denom) < 1e-8
@@ -604,8 +604,8 @@ def test_fused_norming_matches_norming_constants(f, beta):
     # step before the root, on the cells of q - mean(q)
     q = sample_potential(f)
     sol = forward.forward_solve(q, beta, 16)
-    mus = np.array([r.mu for r in sol.records])
-    a = np.array([r.a for r in sol.records])
+    mus = sol.records.mu
+    a = sol.records.a
     ref = norming_constants(q, mus)
     assert np.max(np.abs(a - ref) / ref) < 1e-11
 
@@ -644,7 +644,7 @@ def test_spectrum_samples_no_eigenfunction(q_cos, monkeypatch):
 
 def test_eigenfunctions_are_the_solution_on_0_pi(q_cos):
     sol = forward.forward_solve(q_cos, PI / 3, 16)
-    mus = np.array([r.mu for r in sol.records])
+    mus = sol.records.mu
     cells = forward._Cells(q_cos)
     for x in (np.linspace(0.0, PI, forward.TRACE_NODES), gauss_rule(256, 0.0, PI)[0]):
         phi, dphi = sol.eigenfunctions(x)
@@ -662,6 +662,26 @@ def test_spectral_data_carries_validates_drift_constant():
     data = forward.forward_solve(sample_potential(lambda x: np.full_like(x, 30.0)), PI / 3, 64).spectral_data()
     assert data.c_fit == validate(data, data.beta)["c_fit"]
     assert abs(data.c_fit - 30.0) < 1e-9
+
+
+def test_forward_solve_keeps_the_spectrum_as_one_read_only_record_array():
+    q = sample_potential(np.cos)
+    sol = forward.forward_solve(q, PI / 3, 16)
+    records = sol.records
+    assert isinstance(records, np.recarray) and records.dtype.names == ("mu", "a")
+    assert not records.flags.writeable
+    mus, a = eigenvalues(q, PI / 3, 16, norming=True)
+    assert records.mu.tobytes() == mus.tobytes() and records.a.tobytes() == a.tobytes()
+    for name in ("mu", "a"):
+        with pytest.raises(ValueError, match="read-only"):
+            records[name][0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            setattr(records, name, 0.0)
+    # iterating still gives one object with .mu and .a per eigenpair
+    assert [(r.mu, r.a) for r in records] == list(zip(mus, a))
+    data = sol.spectral_data()
+    assert np.array_equal(data.mu, mus) and np.array_equal(data.norming, a)
+    assert not np.shares_memory(data.mu, records) and not np.shares_memory(data.norming, records)
 
 
 # --- expansion -----------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_perturbed_data_close_under_the_forward_map(which, i, scale, shift, fwd_
     pairs[which][i] = pairs[which][i] * scale + shift
     inv = inverse_pipeline(SpectralData(data.beta, pairs["mu"], pairs["a"]))
     again = forward_solve(inv.q_hat, inv.beta_rec.beta_tilde, 64)
-    mu_again = np.array([r.mu for r in again.records[:20]])
+    mu_again = again.records.mu[:20]
     mu = pairs["mu"][:20]
     assert np.max(np.abs(mu_again - mu) / (1.0 + np.abs(mu))) <= 2e-4
 
